@@ -57,7 +57,6 @@ EXIT_IO = 3
 MAX_N = 8
 MAX_D = 4
 MAX_K = 3
-DENSE_GUARD = 1024
 
 
 class ConfigError(ValueError):
@@ -91,11 +90,6 @@ class TrialConfig:
         if self.ensemble not in ENSEMBLES:
             raise ConfigError(
                 f"unknown ensemble {self.ensemble!r}, expected one of {ENSEMBLES}"
-            )
-        if self.n * self.d * self.n > DENSE_GUARD:
-            raise ConfigError(
-                f"n*d*n = {self.n * self.d * self.n} exceeds the dense-path "
-                f"guard of {DENSE_GUARD}"
             )
         props = tuple(self.properties)
         for p in props:

@@ -105,11 +105,6 @@ def sample_block_matrix(rng: np.random.Generator, n: int, d: int,
     return unflatten(sample_operator(rng, n * d, n * d, ensemble, scale), n, d)
 
 
-def random_block_matrix(spec: RandomSpec, n: int, d: int) -> BlockMatrix:
-    rng = np.random.default_rng(spec.seed)
-    return sample_block_matrix(rng, n, d, spec.ensemble, spec.scale)
-
-
 def sample_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Standard complex Gaussian vector of the given dimension."""
     return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)

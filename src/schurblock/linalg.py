@@ -73,6 +73,19 @@ def spectral_norm(x, tol: float = 1e-10, *, svd_cutoff: int = SVD_CUTOFF,
     return power_iteration_norm(x, tol=tol, max_iter=max_iter)
 
 
+def identity_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """||lhs - rhs|| / max(1, ||rhs||), the deviation from lhs = rhs.
+
+    An exactly zero difference returns 0.0 at once, without an SVD and
+    without the ||rhs|| denominator: identities among 0/1 permutation
+    operators hold bit for bit, and this is the value the norms would give.
+    """
+    diff = lhs - rhs
+    if not diff.any():
+        return 0.0
+    return spectral_norm(diff) / max(1.0, spectral_norm(rhs))
+
+
 def power_iteration_norm(x, tol: float = 1e-10,
                          max_iter: int = POWER_MAX_ITER) -> float:
     """Largest singular value via power iteration on x*x.

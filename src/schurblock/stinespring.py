@@ -31,11 +31,13 @@ product factors as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .blocks import BlockMatrix, _check_same_shape, flatten
+from .blocks import BlockMatrix, _check_same_shape, block_identity, flatten
 from .errors import ShapeError
+from .linalg import identity_residual
 
 
 def triple_dim(n: int, d: int) -> int:
@@ -94,6 +96,9 @@ class StinespringSystem:
 
     Invariants (all exact for these 0/1 matrices): V*V = I, VV* = Q,
     F = F* = F^-1, FV = V, and Q = build_sigma(block_identity(n, d)).
+    ``operator_residual`` and ``projection_residual`` measure them on first
+    use and keep the result on this object, so a system checked in every
+    trial of a suite is checked once.
     """
 
     n: int
@@ -112,6 +117,25 @@ class StinespringSystem:
         for arr in (v, f, q):
             arr.setflags(write=False)
         return cls(n=n, d=d, V=v, F=f, Q=q)
+
+    @cached_property
+    def operator_residual(self) -> float:
+        """Worst deviation from V*V = I, VV* = Q, F = F*, F^2 = I, FV = V, sigma(I) = Q."""
+        v, f, q = self.V, self.F, self.Q
+        return max(
+            identity_residual(v.conj().T @ v, np.eye(self.n * self.d)),
+            identity_residual(v @ v.conj().T, q),
+            identity_residual(f, f.conj().T),
+            identity_residual(f @ f, np.eye(triple_dim(self.n, self.d))),
+            identity_residual(f @ v, v),
+            identity_residual(build_sigma(block_identity(self.n, self.d)), q),
+        )
+
+    @cached_property
+    def projection_residual(self) -> float:
+        """Worst deviation of P = (F + I)/2 from P^2 = P and P = P*."""
+        p = (self.F + np.eye(triple_dim(self.n, self.d))) / 2
+        return max(identity_residual(p @ p, p), identity_residual(p, p.conj().T))
 
 
 # ---------------------------------------------------------------------------

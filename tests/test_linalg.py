@@ -17,6 +17,8 @@ from schurblock import (
     random_operator,
     spectral_norm,
 )
+from schurblock import linalg
+from schurblock.linalg import identity_residual
 
 
 def matmul_oracle(x, y):
@@ -155,6 +157,24 @@ class TestSpectralNorm:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             spectral_norm(np.zeros((0, 3)))
+
+
+class TestIdentityResidual:
+    def test_exact_zero_difference_takes_no_norm(self, monkeypatch):
+        def no_norm(*args, **kwargs):
+            raise AssertionError("spectral_norm called on an exact identity")
+
+        monkeypatch.setattr(linalg, "spectral_norm", no_norm)
+        f = np.eye(6)[::-1]
+        assert identity_residual(f @ f, np.eye(6)) == 0.0
+
+    def test_nonzero_difference_is_relative_to_rhs(self):
+        rhs = np.diag([4.0, 2.0])
+        lhs = rhs + np.diag([0.0, 1e-3])
+        assert identity_residual(lhs, rhs) == spectral_norm(lhs - rhs) / 4.0
+        small_lhs, small_rhs = lhs * 1e-3, rhs * 1e-3  # ||rhs|| < 1: no division
+        assert identity_residual(small_lhs, small_rhs) == spectral_norm(
+            small_lhs - small_rhs)
 
 
 class TestHermitianMinEig:

@@ -1,3 +1,6 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +9,7 @@ from conftest import random_bm, scalar_bm
 from schurblock import (
     PropertyResult,
     ShapeError,
+    StinespringSystem,
     adjoint_block,
     block_identity,
     block_matrix,
@@ -21,6 +25,7 @@ from schurblock import (
     schur_block_product,
     schur_unit,
     spectral_norm,
+    triple_dim,
     verify_cauchy_schwarz,
     verify_cb_level,
     verify_decomposition,
@@ -31,6 +36,8 @@ from schurblock import (
     verify_sharpness,
     verify_structure,
 )
+from schurblock import linalg, stinespring
+from schurblock.cli import TrialConfig, run_suite
 
 A2 = scalar_bm([[1.0, 2.0], [3.0, 4.0]])
 B2 = scalar_bm([[5.0, 6.0], [7.0, 8.0]])
@@ -317,3 +324,80 @@ class TestCheckerBehavior:
     def test_run_property_missing_piece(self):
         with pytest.raises(ValueError, match="needs xi"):
             run_property("cauchy_schwarz", a=A2, b=B2)
+
+
+class TestFixedOperatorChecks:
+    """The invariants of V, F, Q and P are measured once per system object."""
+
+    def test_broken_system_fails(self):
+        n, d = 3, 2
+        rng = np.random.default_rng(281)
+        a, b = random_bm(rng, n, d), random_bm(rng, n, d)
+        zero = _zero_like(a)
+        healthy = StinespringSystem.build(n, d)
+        # measure the healthy invariants first: replace() must not carry them over
+        assert verify_structure(a, b, system=healthy).passed
+        assert verify_decomposition(a, b, system=healthy).passed
+        big = triple_dim(n, d)
+        v = healthy.V.copy()
+        v[:, :d] = 0  # drop the j = 0 leg
+        flip_is_identity = replace(healthy, F=np.eye(big))
+        leg_dropped = replace(healthy, V=v)
+        not_involutive = replace(healthy, F=np.roll(np.eye(big), 1, axis=0))
+        for broken in (flip_is_identity, leg_dropped):
+            assert not verify_structure(a, b, system=broken).passed
+        assert not verify_decomposition(a, b, system=flip_is_identity).passed
+        # every per-instance identity holds on the zero instance, so only the
+        # fixed-operator invariants can fail there
+        assert not verify_structure(zero, zero, system=leg_dropped).passed
+        assert not verify_decomposition(zero, zero, system=not_involutive).passed
+        for sys_ in (healthy, StinespringSystem.build(n, d)):
+            assert verify_structure(a, b, system=sys_).passed
+            assert verify_decomposition(a, b, system=sys_).passed
+            assert verify_structure(zero, zero, system=sys_).passed
+
+    def test_second_call_repeats_no_fixed_work(self, monkeypatch):
+        calls = []
+        original = stinespring.identity_residual
+
+        def counted(lhs, rhs):
+            calls.append(lhs.shape)
+            return original(lhs, rhs)
+
+        monkeypatch.setattr(stinespring, "identity_residual", counted)
+        rng = np.random.default_rng(283)
+        sys_ = StinespringSystem.build(3, 2)
+        for check in (verify_structure, verify_decomposition):
+            calls.clear()
+            check(random_bm(rng, 3, 2), random_bm(rng, 3, 2), system=sys_)
+            first = len(calls)
+            assert first > 0
+            check(random_bm(rng, 3, 2), random_bm(rng, 3, 2), system=sys_)
+            assert len(calls) == first
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """(largest side, all-zero input) of each spectral_norm call, via every binding."""
+    calls = []
+    original = linalg.spectral_norm
+
+    def counted(x, *args, **kwargs):
+        x = np.asarray(x)
+        calls.append((max(x.shape), not x.any()))
+        return original(x, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "schurblock" or name.startswith("schurblock."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_svd_budget_per_trial_at_largest_config(norm_calls):
+    report = run_suite(TrialConfig(n=8, d=4, k=3, trials=1, seed=7))
+    assert report.passed
+    assert norm_calls
+    assert sum(1 for dim, _ in norm_calls if dim == 256) <= 4
+    assert not any(zero for _, zero in norm_calls)
