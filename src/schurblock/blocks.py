@@ -144,16 +144,16 @@ def diag_block(a: BlockMatrix) -> BlockMatrix:
     return BlockMatrix(n=a.n, d=a.d, blocks=b)
 
 
-def row_norm(a: BlockMatrix, tol: float = 1e-10) -> float:
+def row_norm(a: BlockMatrix) -> float:
     """max over i of || sum_j a_ij a_ij* ||^(1/2)."""
     grams = np.matmul(a.blocks, np.conj(a.blocks.transpose(0, 1, 3, 2))).sum(axis=1)
-    return float(max(np.sqrt(spectral_norm(g, tol)) for g in grams))
+    return float(max(np.sqrt(spectral_norm(g)) for g in grams))
 
 
-def col_norm(a: BlockMatrix, tol: float = 1e-10) -> float:
+def col_norm(a: BlockMatrix) -> float:
     """max over j of || sum_i a_ij* a_ij ||^(1/2)."""
     grams = np.matmul(np.conj(a.blocks.transpose(0, 1, 3, 2)), a.blocks).sum(axis=0)
-    return float(max(np.sqrt(spectral_norm(g, tol)) for g in grams))
+    return float(max(np.sqrt(spectral_norm(g)) for g in grams))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ Subcommands:
   emit-system  dump V, F, Q (and optionally lambda(A)) for inspection
 
 Exit codes: 0 success / all properties passed, 1 verification failure,
-2 configuration or usage error (bad ranges, unknown property, shape
-mismatch), 3 I/O or parse error. The environment variable SCHURBLOCK_SEED,
-when set, overrides --seed.
+2 configuration or usage error (bad ranges, unknown, repeated or no
+property, negative or NaN tolerance, shape mismatch), 3 I/O or parse
+error. The environment variable SCHURBLOCK_SEED, when set, overrides
+--seed. Property ids, their default tolerances and the --tol.<id> flags
+all come from ``verify.PROPERTIES``.
 """
 
 from __future__ import annotations
@@ -41,13 +43,7 @@ from .instances import (
     sample_vector,
 )
 from .stinespring import StinespringSystem, build_lambda
-from .verify import (
-    DEFAULT_TOLERANCES,
-    PROPERTY_IDS,
-    PropertyResult,
-    merge_results,
-    run_property,
-)
+from .verify import PROPERTIES, PropertyResult, merge_results, run_property
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -63,6 +59,12 @@ class ConfigError(ValueError):
     """Invalid suite configuration, rejected before any allocation."""
 
 
+def _check_tolerance(property_id: str, tol: float) -> None:
+    if not tol >= 0:
+        raise ConfigError(
+            f"tolerance for {property_id!r} must be nonnegative, got {tol}")
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Dimensions, trial counts, seed and tolerances for one suite run."""
@@ -74,7 +76,7 @@ class TrialConfig:
     seed: int = 42
     ensemble: str = GINIBRE
     tolerances: dict = field(default_factory=dict)
-    properties: tuple = PROPERTY_IDS
+    properties: tuple = tuple(PROPERTIES)
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_N:
@@ -92,18 +94,21 @@ class TrialConfig:
                 f"unknown ensemble {self.ensemble!r}, expected one of {ENSEMBLES}"
             )
         props = tuple(self.properties)
-        for p in props:
-            if p not in PROPERTY_IDS:
+        if not props:
+            raise ConfigError("no properties selected")
+        for i, p in enumerate(props):
+            if p not in PROPERTIES:
                 raise ConfigError(f"unknown property {p!r}")
+            if p in props[:i]:
+                raise ConfigError(f"property {p!r} selected twice")
         object.__setattr__(self, "properties", props)
         for p, t in self.tolerances.items():
-            if p not in PROPERTY_IDS:
+            if p not in PROPERTIES:
                 raise ConfigError(f"tolerance given for unknown property {p!r}")
-            if not t >= 0:
-                raise ConfigError(f"tolerance for {p!r} must be nonnegative, got {t}")
+            _check_tolerance(p, t)
 
     def tolerance_for(self, property_id: str) -> float:
-        return self.tolerances.get(property_id, DEFAULT_TOLERANCES[property_id])
+        return self.tolerances.get(property_id, PROPERTIES[property_id].tol)
 
     def as_dict(self) -> dict:
         return {
@@ -175,15 +180,23 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     return VerificationReport(config=config, results=results, seconds=seconds)
 
 
-def replay_instance(path: str, property_id: str,
-                    tol: float | None = None) -> PropertyResult:
-    """Run one checker on a stored {"A": ..., "B": ..., "xi": ..., "gamma": ...} file."""
-    if property_id not in PROPERTY_IDS:
-        raise ConfigError(f"unknown property {property_id!r}")
+def _load_instance(path: str) -> dict:
+    """Parse an instance file: a JSON object with at least field "A"."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict) or "A" not in obj:
         raise ValueError('instance file must be an object with at least field "A"')
+    return obj
+
+
+def replay_instance(path: str, property_id: str,
+                    tol: float | None = None) -> PropertyResult:
+    """Run one checker on a stored {"A": ..., "B": ..., "xi": ..., "gamma": ...} file."""
+    if property_id not in PROPERTIES:
+        raise ConfigError(f"unknown property {property_id!r}")
+    if tol is not None:
+        _check_tolerance(property_id, tol)
+    obj = _load_instance(path)
     a = block_matrix_from_json(obj["A"], field="A")
     b = block_matrix_from_json(obj["B"], field="B") if "B" in obj else None
     xi = vector_from_json(obj["xi"], field="xi") if "xi" in obj else None
@@ -204,9 +217,7 @@ def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> dict:
         "Q": operator_to_json(system.Q),
     }
     if instance_path is not None:
-        with open(instance_path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        a = block_matrix_from_json(obj.get("A"), field="A")
+        a = block_matrix_from_json(_load_instance(instance_path)["A"], field="A")
         if (a.n, a.d) != (n, d):
             raise ShapeError(
                 f"instance has (n={a.n}, d={a.d}), requested (n={n}, d={d})"
@@ -263,17 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--ensemble", choices=ENSEMBLES, default=GINIBRE)
     pv.add_argument("--properties", default=None,
                     help="comma-separated property ids (default: all)")
-    for prop in PROPERTY_IDS:
+    for prop, spec in PROPERTIES.items():
         pv.add_argument(f"--tol.{prop}", type=float, default=None,
                         dest=f"tol_{prop}", metavar="TOL",
-                        help=f"tolerance for {prop} "
-                             f"(default {DEFAULT_TOLERANCES[prop]:g})")
+                        help=f"tolerance for {prop} (default {spec.tol:g})")
     pv.add_argument("--out", default=None, help="write the report here")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
 
     pr = sub.add_parser("replay", help="re-run one checker on a stored instance")
     pr.add_argument("instance", help="instance JSON file")
-    pr.add_argument("--property", required=True, choices=PROPERTY_IDS)
+    pr.add_argument("--property", required=True, choices=tuple(PROPERTIES))
     pr.add_argument("--tol", type=float, default=None)
 
     pe = sub.add_parser("emit-system", help="dump V, F, Q (and lambda(A)) as JSON")
@@ -296,12 +306,9 @@ def _cmd_verify(args) -> int:
             print(f"error: SCHURBLOCK_SEED is not an integer: {env_seed!r}",
                   file=sys.stderr)
             return EXIT_CONFIG
-    tolerances = {}
-    for prop in PROPERTY_IDS:
-        val = getattr(args, f"tol_{prop}")
-        if val is not None:
-            tolerances[prop] = val
-    properties = PROPERTY_IDS if args.properties is None else tuple(
+    tolerances = {p: t for p in PROPERTIES
+                  if (t := getattr(args, f"tol_{p}")) is not None}
+    properties = tuple(PROPERTIES) if args.properties is None else tuple(
         p.strip() for p in args.properties.split(",") if p.strip()
     )
     config = TrialConfig(

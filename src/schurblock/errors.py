@@ -8,10 +8,3 @@ class ShapeError(ValueError):
 class ContractError(ValueError):
     """An input violates a documented precondition (not Hermitian, not PSD, ...)."""
 
-
-class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its iteration budget."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations

@@ -1,14 +1,11 @@
 """Seeded random instance generation.
 
 All sampling flows through an explicit ``numpy.random.Generator``, so a
-fixed seed reproduces every matrix bit for bit. ``RandomSpec`` bundles
-(seed, ensemble, scale) for one-shot deterministic draws; the ``sample_*``
+fixed seed reproduces every matrix bit for bit. The ``sample_*``
 functions take a live generator for streaming use inside trial loops.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,29 +18,6 @@ HAAR = "haar"
 ENSEMBLES = (GINIBRE, HERMITIAN, HAAR)
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class RandomSpec:
-    """Deterministic sampling recipe.
-
-    scale=None means the default 1/sqrt(rows), which keeps spectral norms
-    O(1) so relative tolerances stay meaningful. scale=0 yields zeros.
-    """
-
-    seed: int
-    ensemble: str = GINIBRE
-    scale: float | None = None
-
-    def __post_init__(self):
-        if not (0 <= self.seed <= _MASK64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.ensemble not in ENSEMBLES:
-            raise ValueError(
-                f"unknown ensemble {self.ensemble!r}, expected one of {ENSEMBLES}"
-            )
-        if self.scale is not None and not self.scale >= 0:
-            raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
 
 def mix64(seed: int, index: int) -> int:
@@ -69,6 +43,8 @@ def sample_operator(rng: np.random.Generator, rows: int, cols: int,
 
     hermitian and haar draws are generated at size max(rows, cols) and
     sliced, so the square case is exactly Hermitian / approximately Haar.
+    scale=None means 1/sqrt(rows), which keeps spectral norms O(1) so
+    relative tolerances stay meaningful; scale=0 yields zeros.
     """
     if rows < 1 or cols < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
@@ -91,12 +67,6 @@ def sample_operator(rng: np.random.Generator, rows: int, cols: int,
     phases = np.where(absd == 0, 1.0, phases)
     q = q * phases
     return scale * q[:rows, :cols]
-
-
-def random_operator(spec: RandomSpec, rows: int, cols: int) -> np.ndarray:
-    """One-shot draw: a fresh generator seeded from spec, then one sample."""
-    rng = np.random.default_rng(spec.seed)
-    return sample_operator(rng, rows, cols, spec.ensemble, spec.scale)
 
 
 def sample_block_matrix(rng: np.random.Generator, n: int, d: int,

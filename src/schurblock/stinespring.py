@@ -6,10 +6,8 @@ in {0..d-1}, sits at flat index (i*d + s)*n + k. Left representations act
 on the (i, s) legs, right representations on the (s, k) legs, and the
 flip exchanges the two outer legs.
 
-The builders materialize dense matrices: at desk scale (n*d*n up to a few
-hundred) that makes every identity checkable as a matrix equation. For
-larger sizes the ``apply_*`` functions give matrix-free actions on
-vectors; they are cross-checked against the dense path in the tests.
+The builders materialize dense matrices: at desk scale (n*d*n up to 256)
+that makes every identity checkable as a matrix equation.
 
 Entry formulas, with row label (i, s, k) and column label (j, t, l):
 
@@ -18,6 +16,9 @@ Entry formulas, with row label (i, s, k) and column label (j, t, l):
     build_sigma(A) [(i,s,k), (j,t,l)] = A_ij[s, t] * delta(i, k) * delta(j, l)
     build_flip(n,d)[(i,s,k), (j,t,l)] = delta(i, l) * delta(k, j) * delta(s, t)
     build_isometry(n,d)[(i,s,k), (j,t)] = delta(i, j) * delta(k, j) * delta(s, t)
+
+so lambda(A) rho(B) has entry (a_ij b_kl)[s, t], which for d = 1 is the
+classical Kronecker product of the two scalar matrices.
 
 lambda and rho are unital *-homomorphisms; sigma is a *-homomorphism that
 is unital only for n = 1, with sigma(identity) the orthogonal projection Q
@@ -35,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import BlockMatrix, _check_same_shape, block_identity, flatten
+from .blocks import BlockMatrix, block_identity, flatten
 from .errors import ShapeError
 from .linalg import identity_residual
 
@@ -78,16 +79,6 @@ def build_isometry(n: int, d: int) -> np.ndarray:
     for j in range(n):
         v[j, :, j, j, :] = np.eye(d)
     return v.reshape(triple_dim(n, d), n * d)
-
-
-def kronecker_block_product(a: BlockMatrix, b: BlockMatrix) -> np.ndarray:
-    """lambda(a) @ rho(b); entry ((i,s,k),(j,t,l)) is (a_ij b_kl)[s, t].
-
-    For d = 1 this is exactly the classical Kronecker product of the two
-    scalar matrices under the (i, k) row grouping.
-    """
-    _check_same_shape(a, b)
-    return build_lambda(a) @ build_rho(b)
 
 
 @dataclass(frozen=True)
@@ -137,54 +128,3 @@ class StinespringSystem:
         p = (self.F + np.eye(triple_dim(self.n, self.d))) / 2
         return max(identity_residual(p @ p, p), identity_residual(p, p.conj().T))
 
-
-# ---------------------------------------------------------------------------
-# Matrix-free actions, for sizes where dense n*d*n matrices get heavy
-# ---------------------------------------------------------------------------
-
-
-def _as_triple(vec, n: int, d: int) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.complex128)
-    if v.shape != (triple_dim(n, d),):
-        raise ShapeError(
-            f"expected a vector of length {triple_dim(n, d)}, got shape {v.shape}"
-        )
-    return v.reshape(n, d, n)
-
-
-def apply_lambda(a: BlockMatrix, vec) -> np.ndarray:
-    """build_lambda(a) @ vec without materializing the matrix."""
-    v = _as_triple(vec, a.n, a.d)
-    return np.einsum("ijst,jtk->isk", a.blocks, v).reshape(-1)
-
-
-def apply_rho(a: BlockMatrix, vec) -> np.ndarray:
-    """build_rho(a) @ vec without materializing the matrix."""
-    v = _as_triple(vec, a.n, a.d)
-    return np.einsum("klst,itl->isk", a.blocks, v).reshape(-1)
-
-
-def apply_flip(vec, n: int, d: int) -> np.ndarray:
-    """build_flip(n, d) @ vec: swap the outer legs."""
-    return _as_triple(vec, n, d).transpose(2, 1, 0).reshape(-1)
-
-
-def apply_isometry(vec, n: int, d: int) -> np.ndarray:
-    """build_isometry(n, d) @ vec for vec of length n*d."""
-    x = np.asarray(vec, dtype=np.complex128)
-    if x.shape != (n * d,):
-        raise ShapeError(f"expected a vector of length {n * d}, got shape {x.shape}")
-    x = x.reshape(n, d)
-    out = np.zeros((n, d, n), dtype=np.complex128)
-    for j in range(n):
-        out[j, :, j] = x[j]
-    return out.reshape(-1)
-
-
-def apply_isometry_adjoint(vec, n: int, d: int) -> np.ndarray:
-    """build_isometry(n, d).conj().T @ vec for vec of length n*d*n."""
-    v = _as_triple(vec, n, d)
-    out = np.zeros((n, d), dtype=np.complex128)
-    for j in range(n):
-        out[j] = v[j, :, j]
-    return out.reshape(-1)

@@ -6,7 +6,10 @@ divide the deviation norm by max(1, ||reference||), inequality checks
 divide the violation by the right-hand side. A result passes when its
 residual is at or below the tolerance, and ``merge_results`` folds
 per-trial results into suite aggregates (sums of counts, max of
-residuals), which is order-independent.
+residuals), which is order-independent. ``PROPERTIES`` is the one list
+of the nine properties: each id's default tolerance, the instance pieces
+it needs, and the call that runs its checker; ``run_property`` dispatches
+through it and the CLI derives its flags and validation from it.
 
 The invariants of the fixed operators V, F, Q and P = (F + I)/2 do not
 depend on the instance. They are measured once per StinespringSystem
@@ -26,6 +29,8 @@ as the best observed lower witness for the lifted operator norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,28 +64,43 @@ from .stinespring import (
     build_sigma,
 )
 
-PROPERTY_IDS = (
-    "factorization",
-    "structure",
-    "livshits",
-    "sharpness",
-    "sandwich",
-    "cauchy_schwarz",
-    "decomposition",
-    "norm_lemmas",
-    "cb_level",
-)
 
-DEFAULT_TOLERANCES = {
-    "factorization": 1e-10,
-    "structure": 1e-12,
-    "livshits": 1e-8,
-    "sharpness": 1e-8,
-    "sandwich": 1e-10,
-    "cauchy_schwarz": 1e-8,
-    "decomposition": 1e-10,
-    "norm_lemmas": 1e-8,
-    "cb_level": 1e-8,
+class Property(NamedTuple):
+    """One row of PROPERTIES: default tolerance, needed inputs, checker call.
+
+    ``check(x, tol, seed)`` runs the checker on the instance pieces in x,
+    whose fields are A, B, xi, gamma, lift_a, lift_b, k and system; it
+    reaches ``verify_<id>`` through its module-level name at call time, so
+    a wrapper installed on that name (a profiler, a tracer) sees every call.
+    """
+
+    tol: float
+    needs: tuple
+    check: Callable
+
+
+PROPERTIES = {
+    "factorization": Property(1e-10, ("A", "B"), lambda x, tol, seed: (
+        verify_factorization(x.A, x.B, tol, system=x.system, seed=seed))),
+    "structure": Property(1e-12, ("A", "B"), lambda x, tol, seed: (
+        verify_structure(x.A, x.B, tol, system=x.system, seed=seed))),
+    "livshits": Property(1e-8, ("A", "B"), lambda x, tol, seed: (
+        verify_livshits(x.A, x.B, tol, seed=seed))),
+    "sharpness": Property(1e-8, ("A",), lambda x, tol, seed: (
+        verify_sharpness(x.A, tol, seed=seed))),
+    "sandwich": Property(1e-10, ("A",), lambda x, tol, seed: (
+        verify_sandwich(x.A, tol, seed=seed))),
+    "cauchy_schwarz": Property(1e-8, ("A", "B", "xi", "gamma"), lambda x, tol, seed: (
+        verify_cauchy_schwarz(x.A, x.B, x.xi, x.gamma, tol, seed=seed))),
+    "decomposition": Property(1e-10, ("A", "B"), lambda x, tol, seed: (
+        verify_decomposition(x.A, x.B, tol, system=x.system, seed=seed))),
+    "norm_lemmas": Property(1e-8, ("A",), lambda x, tol, seed: (
+        verify_norm_lemmas(x.A, tol, system=x.system, seed=seed))),
+    # the level-k lift when one is given, else the level-1 lift of (A, B)
+    "cb_level": Property(1e-8, ("A", "B"), lambda x, tol, seed: (
+        verify_cb_level(x.lift_a, x.lift_b, x.k, tol, seed=seed)
+        if x.lift_a is not None and x.lift_b is not None
+        else verify_cb_level([[x.A]], [[x.B]], 1, tol, seed=seed))),
 }
 
 # the two right-hand-side routes in the Cauchy-Schwarz checker must agree
@@ -170,7 +190,7 @@ def _system_for(a: BlockMatrix, system: StinespringSystem | None) -> Stinespring
 
 
 def verify_factorization(a: BlockMatrix, b: BlockMatrix,
-                         tol: float = DEFAULT_TOLERANCES["factorization"], *,
+                         tol: float = PROPERTIES["factorization"].tol, *,
                          system: StinespringSystem | None = None,
                          seed: int = 0) -> PropertyResult:
     """flatten(A [] B) = V* lambda(A) F lambda(B) V, and the rho form."""
@@ -192,7 +212,7 @@ def verify_factorization(a: BlockMatrix, b: BlockMatrix,
 
 
 def verify_structure(a: BlockMatrix, b: BlockMatrix,
-                     tol: float = DEFAULT_TOLERANCES["structure"], *,
+                     tol: float = PROPERTIES["structure"].tol, *,
                      system: StinespringSystem | None = None,
                      seed: int = 0) -> PropertyResult:
     """Exactness of the fixed operators and the representation identities.
@@ -221,7 +241,7 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix,
 
 
 def verify_livshits(a: BlockMatrix, b: BlockMatrix,
-                    tol: float = DEFAULT_TOLERANCES["livshits"], *,
+                    tol: float = PROPERTIES["livshits"].tol, *,
                     seed: int = 0) -> PropertyResult:
     """||A [] B|| <= row_norm(A) * col_norm(B)."""
     _check_same_shape(a, b)
@@ -231,7 +251,7 @@ def verify_livshits(a: BlockMatrix, b: BlockMatrix,
     return _single("livshits", residual, tol, seed)
 
 
-def row_norm_via_schur(x: BlockMatrix, k: int, tol: float = 1e-10) -> float:
+def row_norm_via_schur(x: BlockMatrix, k: int) -> float:
     """Norm of block row k of X, recovered through the Schur block product.
 
     Multiplies X slotwise by the indicator matrix whose row k holds I_d and
@@ -243,7 +263,7 @@ def row_norm_via_schur(x: BlockMatrix, k: int, tol: float = 1e-10) -> float:
     y = np.zeros((x.n, x.n, x.d, x.d), dtype=np.complex128)
     y[k, :] = np.eye(x.d)
     indicator = BlockMatrix(n=x.n, d=x.d, blocks=y)
-    return spectral_norm(flatten(schur_block_product(x, indicator)), tol)
+    return spectral_norm(flatten(schur_block_product(x, indicator)))
 
 
 def _block_row_norm(x: BlockMatrix, k: int) -> float:
@@ -253,7 +273,7 @@ def _block_row_norm(x: BlockMatrix, k: int) -> float:
 
 
 def verify_sharpness(x: BlockMatrix,
-                     tol: float = DEFAULT_TOLERANCES["sharpness"], *,
+                     tol: float = PROPERTIES["sharpness"].tol, *,
                      seed: int = 0) -> PropertyResult:
     """Row norms recovered through [] match direct block-row norms, every row."""
     residual = 0.0
@@ -269,7 +289,7 @@ def verify_sharpness(x: BlockMatrix,
 
 
 def verify_sandwich(a: BlockMatrix,
-                    tol: float = DEFAULT_TOLERANCES["sandwich"], *,
+                    tol: float = PROPERTIES["sandwich"].tol, *,
                     seed: int = 0) -> PropertyResult:
     """-diag(A*A) <= A* [] A <= diag(A*A) in the PSD order."""
     star = adjoint_block(a)
@@ -322,7 +342,7 @@ def cauchy_schwarz_rhs_routes(a: BlockMatrix, b: BlockMatrix,
 
 
 def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma,
-                          tol: float = DEFAULT_TOLERANCES["cauchy_schwarz"], *,
+                          tol: float = PROPERTIES["cauchy_schwarz"].tol, *,
                           seed: int = 0) -> PropertyResult:
     """|<(A [] B) xi, gamma>| <= ||diag(B*B)^(1/2) xi|| ||diag(AA*)^(1/2) gamma||.
 
@@ -348,7 +368,7 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma,
 
 
 def verify_decomposition(a: BlockMatrix, b: BlockMatrix,
-                         tol: float = DEFAULT_TOLERANCES["decomposition"], *,
+                         tol: float = PROPERTIES["decomposition"].tol, *,
                          system: StinespringSystem | None = None,
                          seed: int = 0) -> PropertyResult:
     """Difference-of-positive-parts form and the absolute-value identity.
@@ -381,7 +401,7 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix,
 
 
 def verify_norm_lemmas(a: BlockMatrix,
-                       tol: float = DEFAULT_TOLERANCES["norm_lemmas"], *,
+                       tol: float = PROPERTIES["norm_lemmas"].tol, *,
                        system: StinespringSystem | None = None,
                        seed: int = 0) -> PropertyResult:
     """col_norm(A) = ||lambda(A) V|| and row_norm(A) = ||V* lambda(A)||."""
@@ -405,7 +425,7 @@ def lift_norm_ratio(a: Lift, b: Lift) -> float:
 
 
 def verify_cb_level(a: Lift, b: Lift, k: int,
-                    tol: float = DEFAULT_TOLERANCES["cb_level"], *,
+                    tol: float = PROPERTIES["cb_level"].tol, *,
                     seed: int = 0) -> PropertyResult:
     """Contractivity of the level-k lift: ||lift(A, B)|| <= ||A|| ||B|| (1 + tol).
 
@@ -431,38 +451,12 @@ def run_property(property_id: str, *, a=None, b=None, xi=None, gamma=None,
                  system: StinespringSystem | None = None,
                  seed: int = 0) -> PropertyResult:
     """Run one named property on the supplied pieces of an instance."""
-    if property_id not in PROPERTY_IDS:
+    if property_id not in PROPERTIES:
         raise ValueError(f"unknown property {property_id!r}")
-    if tol is None:
-        tol = DEFAULT_TOLERANCES[property_id]
-
-    def need(value, what):
-        if value is None:
+    prop = PROPERTIES[property_id]
+    x = SimpleNamespace(A=a, B=b, xi=xi, gamma=gamma, lift_a=lift_a,
+                        lift_b=lift_b, k=k, system=system)
+    for what in prop.needs:
+        if getattr(x, what) is None:
             raise ValueError(f"property {property_id!r} needs {what}")
-        return value
-
-    if property_id == "factorization":
-        return verify_factorization(need(a, "A"), need(b, "B"), tol,
-                                    system=system, seed=seed)
-    if property_id == "structure":
-        return verify_structure(need(a, "A"), need(b, "B"), tol,
-                                system=system, seed=seed)
-    if property_id == "livshits":
-        return verify_livshits(need(a, "A"), need(b, "B"), tol, seed=seed)
-    if property_id == "sharpness":
-        return verify_sharpness(need(a, "A"), tol, seed=seed)
-    if property_id == "sandwich":
-        return verify_sandwich(need(a, "A"), tol, seed=seed)
-    if property_id == "cauchy_schwarz":
-        return verify_cauchy_schwarz(need(a, "A"), need(b, "B"),
-                                     need(xi, "xi"), need(gamma, "gamma"),
-                                     tol, seed=seed)
-    if property_id == "decomposition":
-        return verify_decomposition(need(a, "A"), need(b, "B"), tol,
-                                    system=system, seed=seed)
-    if property_id == "norm_lemmas":
-        return verify_norm_lemmas(need(a, "A"), tol, system=system, seed=seed)
-    # cb_level: fall back to the k=1 lift of (A, B) when no lift is given
-    if lift_a is None or lift_b is None:
-        lift_a, lift_b, k = [[need(a, "A")]], [[need(b, "B")]], 1
-    return verify_cb_level(lift_a, lift_b, k, tol, seed=seed)
+    return prop.check(x, prop.tol if tol is None else tol, seed)

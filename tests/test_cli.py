@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,13 @@ from schurblock import (
     block_matrix_to_json,
     triple_dim,
 )
+from schurblock import verify
+from schurblock.verify import PROPERTIES, run_property
 from schurblock.cli import (
     ConfigError,
     TrialConfig,
     emit_system_dict,
+    main,
     replay_instance,
     report_to_csv,
     report_to_json,
@@ -83,6 +87,12 @@ class TestTrialConfig:
     def test_unknown_ensemble_rejected(self):
         with pytest.raises(ConfigError):
             TrialConfig(ensemble="levy")
+
+    def test_duplicate_and_empty_selections_rejected(self):
+        with pytest.raises(ConfigError, match="'livshits' selected twice"):
+            TrialConfig(properties=("livshits", "factorization", "livshits"))
+        with pytest.raises(ConfigError, match="no properties"):
+            TrialConfig(properties=())
 
 
 class TestRunSuite:
@@ -237,6 +247,69 @@ class TestCommandLine:
         p = run_cli("emit-system", "--n", "2", "--d", "1")
         assert p.returncode == 0
         assert set(json.loads(p.stdout)) == {"F", "Q", "V", "d", "n"}
+
+    def test_instance_that_is_not_an_object_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        for argv in (["emit-system", "--n", "2", "--d", "1", "--instance", str(path)],
+                     ["replay", str(path), "--property", "livshits"]):
+            assert main(argv) == 3
+            assert "must be an object" in capsys.readouterr().err
+
+    def test_duplicate_or_empty_properties_exit_code(self, capsys):
+        for selection in ("livshits,livshits", ","):
+            assert main(["verify", "--n", "2", "--d", "1", "--trials", "1",
+                         "--properties", selection]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_replay_bad_tolerance_exit_code(self, tmp_path, capsys):
+        path = identity_instance(tmp_path)
+        for tol in ("-1", "nan"):
+            assert main(["replay", str(path), "--property", "livshits",
+                         "--tol", tol]) == 2
+            assert "must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pid", list(PROPERTIES))
+def test_every_property_is_wired_through_the_table(pid, tmp_path, capsys,
+                                                   monkeypatch):
+    """--tol.<id>, replay --property <id> and the needs check, for each id."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert re.search(rf"--tol\.{pid} TOL\s+tolerance for {pid} "
+                     rf"\(default {PROPERTIES[pid].tol:g}\)", capsys.readouterr().out)
+
+    # the table reaches verify_<id> by its module attribute, so a wrapper
+    # installed there (as the benchmark's tracer does) sees the call
+    seen = []
+    checker = getattr(verify, f"verify_{pid}")
+    monkeypatch.setattr(verify, f"verify_{pid}", lambda *args, **kwargs: (
+        seen.append(pid) or checker(*args, **kwargs)))
+    tol = 2 * PROPERTIES[pid].tol
+    out = tmp_path / "report.json"
+    assert main(["verify", "--n", "2", "--d", "1", "--k", "1", "--trials", "1",
+                 "--properties", pid, f"--tol.{pid}", repr(tol),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["tolerances"] == {pid: tol}
+    assert seen == [pid]
+
+    i = block_matrix_to_json(block_identity(2, 1))
+    e0 = [[1.0, 0.0], [0.0, 0.0]]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"A": i, "B": i, "xi": e0, "gamma": e0}))
+    assert main(["replay", str(path), "--property", pid]) == 0
+    assert f"property={pid} " in capsys.readouterr().out
+
+    # input name in PROPERTIES[pid].needs -> run_property keyword, value
+    pieces = {"A": ("a", block_identity(2, 1)), "B": ("b", block_identity(2, 1)),
+              "xi": ("xi", np.array([1.0, 0.0])),
+              "gamma": ("gamma", np.array([1.0, 0.0]))}
+    assert set(PROPERTIES[pid].needs) <= set(pieces)
+    for missing in PROPERTIES[pid].needs:
+        given = {kw: v for name, (kw, v) in pieces.items() if name != missing}
+        with pytest.raises(ValueError, match=f"needs {missing}$"):
+            run_property(pid, **given)
 
 
 class TestGoldenSchema:

@@ -4,31 +4,15 @@ from numpy.testing import assert_allclose
 
 from schurblock import (
     ContractError,
-    ConvergenceError,
-    RandomSpec,
     ShapeError,
-    adjoint,
     as_operator,
     hermitian_min_eig,
-    kron,
-    matmul,
-    power_iteration_norm,
     psd_sqrt,
-    random_operator,
+    sample_operator,
     spectral_norm,
 )
 from schurblock import linalg
 from schurblock.linalg import identity_residual
-
-
-def matmul_oracle(x, y):
-    """Brute-force triple loop, independent of numpy's matmul."""
-    out = np.zeros((x.shape[0], y.shape[1]), dtype=complex)
-    for i in range(x.shape[0]):
-        for j in range(y.shape[1]):
-            for l in range(x.shape[1]):
-                out[i, j] += x[i, l] * y[l, j]
-    return out
 
 
 def sv2_oracle(m):
@@ -37,84 +21,6 @@ def sv2_oracle(m):
     tr = g[0, 0] + g[1, 1]
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     return np.sqrt((tr + np.sqrt(tr * tr - 4 * det)) / 2)
-
-
-class TestMatmul:
-    def test_identity(self):
-        x = np.array([[1 + 2j, 3], [0, 4j]])
-        assert_allclose(matmul(np.eye(2), x), x)
-
-    def test_hand_example(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        y = np.array([[5.0, 6.0], [7.0, 8.0]])
-        expected = np.array([[19.0, 22.0], [43.0, 50.0]])
-        assert_allclose(matmul(x, y), expected)
-        assert_allclose(matmul_oracle(x, y), expected)
-
-    def test_annihilator(self):
-        x = np.array([[1 + 1j, 2], [3, 4]])
-        assert_allclose(matmul(x, np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_random_against_oracle(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        assert_allclose(matmul(x, y), matmul_oracle(x, y), rtol=1e-12)
-
-    def test_shape_error_reports_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-class TestAdjoint:
-    def test_scalar_conjugation(self):
-        assert_allclose(adjoint(np.array([[1j]])), np.array([[-1j]]))
-
-    def test_real_symmetric_fixed(self):
-        x = np.array([[1.0, 2.0], [2.0, 5.0]])
-        assert_allclose(adjoint(x), x)
-
-    def test_real_transpose(self):
-        assert_allclose(adjoint(np.array([[1.0, 2.0], [3.0, 4.0]])),
-                        np.array([[1.0, 3.0], [2.0, 4.0]]))
-
-    def test_involution_and_product_law(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        y = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-        assert_allclose(adjoint(adjoint(x)), x)
-        assert_allclose(adjoint(matmul(x, y)), matmul(adjoint(y), adjoint(x)),
-                        rtol=1e-12)
-
-
-class TestKron:
-    def test_identities(self):
-        assert_allclose(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_scalar_factor(self):
-        assert_allclose(kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[2.0]])),
-                        np.array([[0.0, 2.0], [0.0, 0.0]]))
-
-    def test_index_formula(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        y = np.array([[0.0, 1.0], [1.0, 0.0]])
-        z = kron(x, y)
-        assert z.shape == (4, 4)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert z[i * 2 + k, j * 2 + l] == x[i, j] * y[k, l]
-
-    def test_mixed_product_law(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                    for _ in range(2))
-            b, d = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                    for _ in range(2))
-            assert_allclose(matmul(kron(a, b), kron(c, d)),
-                            kron(matmul(a, c), matmul(b, d)), rtol=1e-12)
 
 
 class TestSpectralNorm:
@@ -134,25 +40,8 @@ class TestSpectralNorm:
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            lhs = spectral_norm(matmul(adjoint(x), x))
+            lhs = spectral_norm(x.conj().T @ x)
             assert abs(lhs - spectral_norm(x) ** 2) <= 1e-8 * lhs
-
-    def test_power_iteration_matches_svd(self):
-        rng = np.random.default_rng(9)
-        for size in (3, 17, 64):
-            x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            exact = spectral_norm(x)
-            via_power = spectral_norm(x, tol=1e-12, svd_cutoff=0)
-            assert abs(via_power - exact) <= 1e-8 * exact
-
-    def test_power_iteration_zero_matrix(self):
-        assert power_iteration_norm(np.zeros((4, 4))) == 0.0
-
-    def test_nonconvergence_carries_iteration_count(self):
-        x = np.diag([2.0, 1.0, 0.5, 0.1])
-        with pytest.raises(ConvergenceError) as exc:
-            spectral_norm(x, tol=1e-15, svd_cutoff=0, max_iter=2)
-        assert exc.value.iterations == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
@@ -229,29 +118,24 @@ class TestAsOperator:
 
 class TestRandomOperator:
     def test_deterministic(self):
-        spec = RandomSpec(seed=123)
-        a = random_operator(spec, 4, 4)
-        b = random_operator(spec, 4, 4)
+        a = sample_operator(np.random.default_rng(123), 4, 4)
+        b = sample_operator(np.random.default_rng(123), 4, 4)
         assert np.array_equal(a, b)
 
     def test_scale_zero(self):
-        spec = RandomSpec(seed=1, scale=0.0)
-        assert not random_operator(spec, 3, 3).any()
+        assert not sample_operator(np.random.default_rng(1), 3, 3, scale=0.0).any()
 
     def test_hermitian_exact(self):
-        spec = RandomSpec(seed=7, ensemble="hermitian")
-        h = random_operator(spec, 5, 5)
+        h = sample_operator(np.random.default_rng(7), 5, 5, "hermitian")
         assert np.array_equal(h, h.conj().T)
 
     def test_haar_near_unitary(self):
-        spec = RandomSpec(seed=7, ensemble="haar", scale=1.0)
-        u = random_operator(spec, 6, 6)
+        u = sample_operator(np.random.default_rng(7), 6, 6, "haar", scale=1.0)
         assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
 
     def test_rejects_bad_spec(self):
+        rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
-            RandomSpec(seed=1, ensemble="cauchy")
-        with pytest.raises(ValueError):
-            RandomSpec(seed=-1)
-        with pytest.raises(ValueError):
-            RandomSpec(seed=1, scale=-0.5)
+            sample_operator(rng, 3, 3, "cauchy")
+        with pytest.raises(ShapeError):
+            sample_operator(rng, 0, 3)

@@ -5,11 +5,6 @@ from numpy.testing import assert_allclose
 from conftest import random_bm, scalar_bm
 from schurblock import (
     StinespringSystem,
-    apply_flip,
-    apply_isometry,
-    apply_isometry_adjoint,
-    apply_lambda,
-    apply_rho,
     block_identity,
     block_matmul,
     build_flip,
@@ -20,7 +15,6 @@ from schurblock import (
     col_norm,
     diag_block,
     flatten,
-    kronecker_block_product,
     row_norm,
     schur_block_product,
     spectral_norm,
@@ -229,21 +223,23 @@ class TestRepresentationProperties:
 
 
 class TestKroneckerBlockProduct:
+    """lambda(A) rho(B), entry ((i,s,k),(j,t,l)) = (a_ij b_kl)[s, t]."""
+
     def test_scalar_case_is_classical_kron(self):
         rng = np.random.default_rng(113)
         a, b = random_bm(rng, 3, 1), random_bm(rng, 3, 1)
-        assert_allclose(kronecker_block_product(a, b),
+        assert_allclose(build_lambda(a) @ build_rho(b),
                         np.kron(flatten(a), flatten(b)), rtol=1e-12, atol=1e-14)
 
     def test_identity_pair(self):
         i = block_identity(2, 3)
-        assert_allclose(kronecker_block_product(i, i), np.eye(12))
+        assert_allclose(build_lambda(i) @ build_rho(i), np.eye(12))
 
     def test_entry_formula(self):
         rng = np.random.default_rng(127)
         n, d = 2, 2
         a, b = random_bm(rng, n, d), random_bm(rng, n, d)
-        kb = kronecker_block_product(a, b)
+        kb = build_lambda(a) @ build_rho(b)
         for i in range(n):
             for k in range(n):
                 for j in range(n):
@@ -260,7 +256,7 @@ class TestKroneckerBlockProduct:
         for n, d in [(2, 2), (3, 2)]:
             a, b = random_bm(rng, n, d), random_bm(rng, n, d)
             sys_ = StinespringSystem.build(n, d)
-            lhs = sys_.Q @ kronecker_block_product(a, b) @ sys_.Q
+            lhs = sys_.Q @ build_lambda(a) @ build_rho(b) @ sys_.Q
             rhs = build_sigma(schur_block_product(a, b))
             assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
@@ -283,19 +279,3 @@ class TestNormAndDiagLemmas:
         v = build_isometry(n, d)
         assert np.array_equal(flatten(diag_block(a)), v.conj().T @ build_lambda(a) @ v)
 
-
-class TestMatrixFreeApplication:
-    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2)])
-    def test_applies_match_dense(self, n, d):
-        rng = np.random.default_rng(149)
-        a = random_bm(rng, n, d)
-        vec = rng.standard_normal(triple_dim(n, d)) + 1j * rng.standard_normal(
-            triple_dim(n, d))
-        assert_allclose(apply_lambda(a, vec), build_lambda(a) @ vec, rtol=1e-12)
-        assert_allclose(apply_rho(a, vec), build_rho(a) @ vec, rtol=1e-12)
-        assert_allclose(apply_flip(vec, n, d), build_flip(n, d) @ vec, rtol=1e-12)
-        small = rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d)
-        v = build_isometry(n, d)
-        assert_allclose(apply_isometry(small, n, d), v @ small, rtol=1e-12)
-        assert_allclose(apply_isometry_adjoint(vec, n, d), v.conj().T @ vec,
-                        rtol=1e-12)
