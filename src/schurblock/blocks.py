@@ -277,7 +277,8 @@ def block_matrix_from_json(obj, field: str = "block matrix") -> BlockMatrix:
         if key not in obj:
             raise ValueError(f"{field}: missing field '{key}'")
     n, d = obj["n"], obj["d"]
-    if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 1):
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int
+    if not (type(n) is int and type(d) is int and n >= 1 and d >= 1):
         raise ValueError(f"{field}: n and d must be positive integers")
     rows = obj["blocks"]
     if not isinstance(rows, list) or len(rows) != n or any(

@@ -6,8 +6,11 @@ in {0..d-1}, sits at flat index (i*d + s)*n + k. Left representations act
 on the (i, s) legs, right representations on the (s, k) legs, and the
 flip exchanges the two outer legs.
 
-The builders materialize dense matrices: at desk scale (n*d*n up to 256)
-that makes every identity checkable as a matrix equation.
+The builders materialize dense matrices (n*d*n is at most 256 on a side).
+V and F are 0/1 matrices, so StinespringSystem also keeps them as index
+arrays: V* X = X[v_rows], X V = X[:, v_rows], F X = X[f_perm] and
+X F = X[:, f_perm]. Its ``operator_residual`` certifies, once per system,
+that V and F are exactly the matrices of those gathers.
 
 Entry formulas, with row label (i, s, k) and column label (j, t, l):
 
@@ -87,8 +90,11 @@ class StinespringSystem:
 
     Invariants (all exact for these 0/1 matrices): V*V = I, VV* = Q,
     F = F* = F^-1, FV = V, and Q = build_sigma(block_identity(n, d)).
-    ``operator_residual`` and ``projection_residual`` measure them on first
-    use and keep the result on this object, so a system checked in every
+    ``v_rows`` and ``f_perm`` are V and F as index arrays, read off the
+    matrices themselves, so a system with a replaced V or F gets its own.
+    ``operator_residual`` measures the invariants, and that V and F are
+    exactly the selection and the permutation those arrays give, on first
+    use and keeps the result on this object, so a system checked in every
     trial of a suite is checked once.
     """
 
@@ -110,21 +116,39 @@ class StinespringSystem:
         return cls(n=n, d=d, V=v, F=f, Q=q)
 
     @cached_property
+    def v_rows(self) -> np.ndarray:
+        """Row of the 1 in each column of V: V* X = X[v_rows], X V = X[:, v_rows]."""
+        rows = np.abs(self.V).argmax(axis=0)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def f_perm(self) -> np.ndarray:
+        """Column of the 1 in each row of F: F X = X[f_perm].
+
+        Since F = F*, also X F = X[:, f_perm].
+        """
+        perm = np.abs(self.F).argmax(axis=1)
+        perm.setflags(write=False)
+        return perm
+
+    @cached_property
     def operator_residual(self) -> float:
-        """Worst deviation from V*V = I, VV* = Q, F = F*, F^2 = I, FV = V, sigma(I) = Q."""
+        """Worst deviation from the invariants and the index forms of V and F.
+
+        Measures V*V = I, VV* = Q, F = F*, F^2 = I, FV = V, sigma(I) = Q,
+        V = I[:, v_rows] and F = I[f_perm]; on a healthy system each
+        difference is exactly zero and costs no SVD.
+        """
         v, f, q = self.V, self.F, self.Q
+        eye = np.eye(triple_dim(self.n, self.d))
         return max(
             identity_residual(v.conj().T @ v, np.eye(self.n * self.d)),
             identity_residual(v @ v.conj().T, q),
             identity_residual(f, f.conj().T),
-            identity_residual(f @ f, np.eye(triple_dim(self.n, self.d))),
+            identity_residual(f @ f, eye),
             identity_residual(f @ v, v),
             identity_residual(build_sigma(block_identity(self.n, self.d)), q),
+            identity_residual(v, eye[:, self.v_rows]),
+            identity_residual(f, eye[self.f_perm]),
         )
-
-    @cached_property
-    def projection_residual(self) -> float:
-        """Worst deviation of P = (F + I)/2 from P^2 = P and P = P*."""
-        p = (self.F + np.eye(triple_dim(self.n, self.d))) / 2
-        return max(identity_residual(p @ p, p), identity_residual(p, p.conj().T))
-

@@ -11,13 +11,17 @@ of the nine properties: each id's default tolerance, the instance pieces
 it needs, and the call that runs its checker; ``run_property`` dispatches
 through it and the CLI derives its flags and validation from it.
 
-The invariants of the fixed operators V, F, Q and P = (F + I)/2 do not
-depend on the instance. They are measured once per StinespringSystem
-object, on first use, and ``structure`` and ``decomposition`` fold that
-stored value into each trial's max, so a broken system still fails every
-trial. An identity whose two sides agree bit for bit costs no SVD: an
-exactly zero difference is a residual of 0.0, which is what its norm
-would give. So only identities that can carry rounding (factorization,
+The invariants of the fixed operators V, F and Q do not depend on the
+instance. They are measured once per StinespringSystem object, on first
+use, and ``structure`` and ``decomposition`` fold that stored value into
+each trial's max, so a broken system still fails every trial. Those two
+checkers apply the 0/1 operators V, F, Q and P = (F + I)/2 by index
+(``system.v_rows``, ``system.f_perm``), which the stored value certifies;
+``factorization`` and ``norm_lemmas`` multiply by the dense V and F, so
+they state the paper's identities literally and tie the index route back
+to the matrices. An identity whose two sides agree bit for bit costs no
+SVD: an exactly zero difference is a residual of 0.0, which is what its
+norm would give. So only identities that can carry rounding (factorization,
 the Q lambda rho Q identity, the decomposition sum) pay for spectral norms.
 
 One irregularity, flagged where it happens: the lifted-product checker
@@ -189,6 +193,17 @@ def _system_for(a: BlockMatrix, system: StinespringSystem | None) -> Stinespring
     return system
 
 
+def _embed(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
+    """The zero matrix of ``shape`` with x at ``rows`` by ``cols``.
+
+    With r = system.v_rows, V x is _embed(x, r, all columns) and V x V* is
+    _embed(x, r, r).
+    """
+    out = np.zeros(shape, dtype=np.complex128)
+    out[np.ix_(rows, cols)] = x
+    return out
+
+
 def verify_factorization(a: BlockMatrix, b: BlockMatrix,
                          tol: float = PROPERTIES["factorization"].tol, *,
                          system: StinespringSystem | None = None,
@@ -220,22 +235,26 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix,
     Covers V*V = I, VV* = Q, F self-adjoint and involutive, FV = V,
     sigma(I) = Q, F lambda(A) F = rho(A), sigma(A) V = V flatten(A),
     Q lambda(A) rho(B) Q = sigma(A [] B), and the diagonal compression
-    flatten(diag(A)) = V* lambda(A) V. The instance-independent ones come
-    from ``system.operator_residual``, measured once per system object.
+    flatten(diag(A)) = V* lambda(A) V. V, F and Q = VV* are applied by
+    index through ``system.v_rows`` and ``system.f_perm``; the
+    instance-independent identities, and that those index arrays are
+    exactly V and F, come from ``system.operator_residual``, measured once
+    per system object.
     """
     _check_same_shape(a, b)
     sys_ = _system_for(a, system)
-    v, f, q = sys_.V, sys_.F, sys_.Q
-    vh = v.conj().T
+    r, f = sys_.v_rows, sys_.f_perm
     la = build_lambda(a)
+    big, nd = la.shape[0], r.size
     residuals = [
         sys_.operator_residual,
-        identity_residual(f @ la @ f, build_rho(a)),
-        identity_residual(build_sigma(a) @ v, v @ flatten(a)),
-        identity_residual(
-            q @ (la @ build_rho(b)) @ q, build_sigma(schur_block_product(a, b))
-        ),
-        identity_residual(flatten(diag_block(a)), vh @ la @ v),
+        identity_residual(la[np.ix_(f, f)], build_rho(a)),
+        identity_residual(build_sigma(a)[:, r],
+                          _embed(flatten(a), r, np.arange(nd), (big, nd))),
+        # Q M Q = V (V* M V) V*
+        identity_residual(_embed((la[r] @ build_rho(b))[:, r], r, r, (big, big)),
+                          build_sigma(schur_block_product(a, b))),
+        identity_residual(flatten(diag_block(a)), la[np.ix_(r, r)]),
     ]
     return _single("structure", max(residuals), tol, seed)
 
@@ -373,28 +392,29 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix,
                          seed: int = 0) -> PropertyResult:
     """Difference-of-positive-parts form and the absolute-value identity.
 
-    With P = (F + I)/2: P is an orthogonal projection (exactly, in floating
-    point), flatten(A [] B) equals V* lambda(A) P lambda(B) V minus
+    With P = (F + I)/2, an orthogonal projection since F = F* = F^-1:
+    flatten(A [] B) equals V* lambda(A) P lambda(B) V minus
     V* lambda(A) (I - P) lambda(B) V, and V* lambda(AB) V equals
-    flatten(diag(AB)). The projection laws of P are instance-independent
-    and come from ``system.projection_residual``, measured once per system
-    object.
+    flatten(diag(AB)). V and P are applied by index, X P = (X + XF)/2 with
+    XF = X[:, f_perm]; the laws of F and that the index arrays are exactly
+    V and F come from ``system.operator_residual``, measured once per
+    system object.
     """
     _check_same_shape(a, b)
     sys_ = _system_for(a, system)
-    big = a.n * a.d * a.n
-    p = (sys_.F + np.eye(big)) / 2
-    vh = sys_.V.conj().T
-    la, lb = build_lambda(a), build_lambda(b)
+    r, f = sys_.v_rows, sys_.f_perm
+    vla = build_lambda(a)[r]
+    vlaf = vla[:, f]
+    lb = build_lambda(b)
 
     target = flatten(schur_block_product(a, b))
-    plus = vh @ la @ p @ lb @ sys_.V
-    minus = vh @ la @ (np.eye(big) - p) @ lb @ sys_.V
+    plus = (((vla + vlaf) / 2) @ lb)[:, r]
+    minus = (((vla - vlaf) / 2) @ lb)[:, r]
     prod = block_matmul(a, b)
     residuals = [
-        sys_.projection_residual,
+        sys_.operator_residual,
         identity_residual(plus - minus, target),
-        identity_residual(vh @ build_lambda(prod) @ sys_.V,
+        identity_residual(build_lambda(prod)[np.ix_(r, r)],
                           flatten(diag_block(prod))),
     ]
     return _single("decomposition", max(residuals), tol, seed)

@@ -256,6 +256,18 @@ class TestCommandLine:
             assert main(argv) == 3
             assert "must be an object" in capsys.readouterr().err
 
+    def test_boolean_dimension_exit_code(self, tmp_path, capsys):
+        # JSON true loads as bool, which isinstance() counts as the int 1
+        path = tmp_path / "bool.json"
+        for dims in ({"n": True, "d": 1}, {"n": 1, "d": True}):
+            a = {**dims, "blocks": [[[[[1.0, 0.0]]]]]}
+            path.write_text(json.dumps({"A": a}))
+            for argv in (["emit-system", "--n", "1", "--d", "1",
+                          "--instance", str(path)],
+                         ["replay", str(path), "--property", "sandwich"]):
+                assert main(argv) == 3
+                assert "positive integers" in capsys.readouterr().err
+
     def test_duplicate_or_empty_properties_exit_code(self, capsys):
         for selection in ("livshits,livshits", ","):
             assert main(["verify", "--n", "2", "--d", "1", "--trials", "1",

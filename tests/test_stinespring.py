@@ -169,6 +169,24 @@ class TestSystemInvariants:
         assert np.array_equal(sys_.F @ sys_.V, sys_.V)
         assert np.array_equal(build_sigma(block_identity(n, d)), sys_.Q)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_gathers_match_dense_operators(self, n, d):
+        sys_ = StinespringSystem.build(n, d)
+        v, f = sys_.V, sys_.F
+        r, perm = sys_.v_rows, sys_.f_perm
+        big = triple_dim(n, d)
+        p = (f + np.eye(big)) / 2
+        rng = np.random.default_rng(8 * n + d)
+        x = rng.standard_normal((big, big)) + 1j * rng.standard_normal((big, big))
+        assert np.array_equal(v.conj().T @ x, x[r])
+        assert np.array_equal(x @ v, x[:, r])
+        assert np.array_equal(f @ x, x[perm])
+        assert np.array_equal(x @ f, x[:, perm])
+        assert np.array_equal(x @ p, (x + x[:, perm]) / 2)
+        assert np.array_equal(x @ (np.eye(big) - p), (x - x[:, perm]) / 2)
+        assert sys_.operator_residual == 0.0
+
 
 class TestRepresentationProperties:
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2)])

@@ -12,9 +12,14 @@ from schurblock import (
     StinespringSystem,
     adjoint_block,
     block_identity,
+    block_matmul,
     block_matrix,
+    build_lambda,
+    build_rho,
+    build_sigma,
     cauchy_schwarz_rhs_routes,
     col_norm,
+    diag_block,
     flatten,
     lift_identity,
     lift_norm_ratio,
@@ -37,6 +42,7 @@ from schurblock import (
     verify_structure,
 )
 from schurblock import linalg, stinespring
+from schurblock.linalg import identity_residual
 from schurblock.cli import TrialConfig, run_suite
 
 A2 = scalar_bm([[1.0, 2.0], [3.0, 4.0]])
@@ -356,6 +362,18 @@ class TestFixedOperatorChecks:
             assert verify_decomposition(a, b, system=sys_).passed
             assert verify_structure(zero, zero, system=sys_).passed
 
+    def test_sign_flipped_leg_fails(self):
+        # V with one column negated still has V*V = I, VV* = Q and FV = V;
+        # only V = I[:, v_rows] tells it from the selection the checks apply
+        n, d = 3, 2
+        healthy = StinespringSystem.build(n, d)
+        v = healthy.V.copy()
+        v[:, 1] *= -1
+        flipped = replace(healthy, V=v)
+        zero = _zero_like(block_identity(n, d))
+        assert not verify_structure(zero, zero, system=flipped).passed
+        assert not verify_decomposition(zero, zero, system=flipped).passed
+
     def test_second_call_repeats_no_fixed_work(self, monkeypatch):
         calls = []
         original = stinespring.identity_residual
@@ -366,14 +384,65 @@ class TestFixedOperatorChecks:
 
         monkeypatch.setattr(stinespring, "identity_residual", counted)
         rng = np.random.default_rng(283)
-        sys_ = StinespringSystem.build(3, 2)
         for check in (verify_structure, verify_decomposition):
+            # a fresh system each: the two checkers share its fixed work
+            sys_ = StinespringSystem.build(3, 2)
             calls.clear()
             check(random_bm(rng, 3, 2), random_bm(rng, 3, 2), system=sys_)
             first = len(calls)
             assert first > 0
             check(random_bm(rng, 3, 2), random_bm(rng, 3, 2), system=sys_)
             assert len(calls) == first
+
+
+def dense_structure_residual(a, b, sys_):
+    """The instance part of ``structure``, by dense products with V, F and Q."""
+    v, f, q = sys_.V, sys_.F, sys_.Q
+    vh = v.conj().T
+    la = build_lambda(a)
+    return max(
+        identity_residual(f @ la @ f, build_rho(a)),
+        identity_residual(build_sigma(a) @ v, v @ flatten(a)),
+        identity_residual(
+            q @ (la @ build_rho(b)) @ q, build_sigma(schur_block_product(a, b))
+        ),
+        identity_residual(flatten(diag_block(a)), vh @ la @ v),
+    )
+
+
+def dense_decomposition_residual(a, b, sys_):
+    """The instance part of ``decomposition``, by dense products with V and P."""
+    big = a.n * a.d * a.n
+    p = (sys_.F + np.eye(big)) / 2
+    vh = sys_.V.conj().T
+    la, lb = build_lambda(a), build_lambda(b)
+    target = flatten(schur_block_product(a, b))
+    plus = vh @ la @ p @ lb @ sys_.V
+    minus = vh @ la @ (np.eye(big) - p) @ lb @ sys_.V
+    prod = block_matmul(a, b)
+    return max(
+        identity_residual(plus - minus, target),
+        identity_residual(vh @ build_lambda(prod) @ sys_.V,
+                          flatten(diag_block(prod))),
+    )
+
+
+@pytest.mark.parametrize("n,d,trials", [(3, 1, 4), (2, 3, 4), (4, 2, 4), (8, 4, 2)])
+def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
+    rng = np.random.default_rng(293 + n * d)
+    sys_ = StinespringSystem.build(n, d)
+    # every fixed-operator invariant is exact, so the stored part is 0.0
+    assert sys_.operator_residual == 0.0
+    structure = []
+    for _ in range(trials):
+        a, b = random_bm(rng, n, d), random_bm(rng, n, d)
+        structure.append(verify_structure(a, b, system=sys_).worst_residual)
+        assert structure[-1] == dense_structure_residual(a, b, sys_)
+        assert (verify_decomposition(a, b, system=sys_).worst_residual
+                == dense_decomposition_residual(a, b, sys_))
+    if (n, d) == (4, 2):
+        # the Q lambda rho Q identity carries rounding here, so its SVD runs
+        assert min(structure) > 0.0
 
 
 @pytest.fixture
