@@ -214,13 +214,6 @@ def flatten_lift(xs: Lift) -> np.ndarray:
     return np.block([[flatten(x) for x in row] for row in xs])
 
 
-def lift_identity(k: int, n: int, d: int) -> Lift:
-    """Unit of the lifted product: schur_unit on the grid diagonal, zero off it."""
-    zero = zero_block_matrix(n, d)
-    unit = schur_unit(n, d)
-    return [[unit if i == j else zero for j in range(k)] for i in range(k)]
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------

@@ -128,7 +128,6 @@ class VerificationReport:
     config: TrialConfig
     results: list
     seconds: dict
-    version: str = __version__
 
     @property
     def passed(self) -> bool:
@@ -142,7 +141,7 @@ class VerificationReport:
                 for r in self.results
             ],
             "pass": self.passed,
-            "version": self.version,
+            "version": __version__,
         }
 
 
@@ -265,13 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run the property suite")
-    pv.add_argument("--n", type=int, default=4, help="block rows/cols (1..8)")
-    pv.add_argument("--d", type=int, default=2, help="block dimension (1..4)")
-    pv.add_argument("--k", type=int, default=2, help="lift level (1..3)")
-    pv.add_argument("--trials", type=int, default=200)
-    pv.add_argument("--seed", type=int, default=42,
+    # the defaults are TrialConfig's, the ranges the ones it enforces
+    pv.add_argument("--n", type=int, default=TrialConfig.n,
+                    help=f"block rows/cols (1..{MAX_N})")
+    pv.add_argument("--d", type=int, default=TrialConfig.d,
+                    help=f"block dimension (1..{MAX_D})")
+    pv.add_argument("--k", type=int, default=TrialConfig.k,
+                    help=f"lift level (1..{MAX_K})")
+    pv.add_argument("--trials", type=int, default=TrialConfig.trials)
+    pv.add_argument("--seed", type=int, default=TrialConfig.seed,
                     help="suite seed (SCHURBLOCK_SEED overrides)")
-    pv.add_argument("--ensemble", choices=ENSEMBLES, default=GINIBRE)
+    pv.add_argument("--ensemble", choices=ENSEMBLES, default=TrialConfig.ensemble)
     pv.add_argument("--properties", default=None,
                     help="comma-separated property ids (default: all)")
     for prop, spec in PROPERTIES.items():

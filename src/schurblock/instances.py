@@ -31,34 +31,29 @@ def mix64(seed: int, index: int) -> int:
     return z
 
 
-def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def _ginibre(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. standard complex Gaussian entries (unit variance per entry)."""
-    return (rng.standard_normal((rows, cols))
-            + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def sample_operator(rng: np.random.Generator, rows: int, cols: int,
-                    ensemble: str = GINIBRE, scale: float | None = None) -> np.ndarray:
-    """Draw one random matrix from the given ensemble.
+def sample_operator(rng: np.random.Generator, size: int,
+                    ensemble: str = GINIBRE) -> np.ndarray:
+    """Draw one size-by-size random matrix from the given ensemble.
 
-    hermitian and haar draws are generated at size max(rows, cols) and
-    sliced, so the square case is exactly Hermitian / approximately Haar.
-    scale=None means 1/sqrt(rows), which keeps spectral norms O(1) so
-    relative tolerances stay meaningful; scale=0 yields zeros.
+    The draw is scaled by 1/sqrt(size), which keeps spectral norms O(1) so
+    relative tolerances stay meaningful. hermitian draws are exactly
+    Hermitian; haar draws are a scaled Haar unitary.
     """
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    if size < 1:
+        raise ShapeError(f"matrix size must be positive, got {size}")
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}, expected one of {ENSEMBLES}")
-    if scale is None:
-        scale = 1.0 / np.sqrt(rows)
+    scale = 1.0 / np.sqrt(size)
+    g = _ginibre(rng, (size, size))
     if ensemble == GINIBRE:
-        return scale * _ginibre(rng, rows, cols)
-    m = max(rows, cols)
-    g = _ginibre(rng, m, m)
+        return scale * g
     if ensemble == HERMITIAN:
-        h = (g + g.conj().T) / 2
-        return scale * h[:rows, :cols]
+        return scale * ((g + g.conj().T) / 2)
     # haar: Ginibre + QR with the phase fix that makes Q Haar distributed
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r)
@@ -66,24 +61,21 @@ def sample_operator(rng: np.random.Generator, rows: int, cols: int,
     phases = diag / np.where(absd == 0, 1.0, absd)
     phases = np.where(absd == 0, 1.0, phases)
     q = q * phases
-    return scale * q[:rows, :cols]
+    return scale * q
 
 
 def sample_block_matrix(rng: np.random.Generator, n: int, d: int,
-                        ensemble: str = GINIBRE,
-                        scale: float | None = None) -> BlockMatrix:
-    return unflatten(sample_operator(rng, n * d, n * d, ensemble, scale), n, d)
+                        ensemble: str = GINIBRE) -> BlockMatrix:
+    return unflatten(sample_operator(rng, n * d, ensemble), n, d)
 
 
 def sample_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Standard complex Gaussian vector of the given dimension."""
-    return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
+    return _ginibre(rng, dim)
 
 
 def sample_lift(rng: np.random.Generator, k: int, n: int, d: int,
-                ensemble: str = GINIBRE, scale: float | None = None) -> list:
+                ensemble: str = GINIBRE) -> list:
     """k-by-k grid of independent random BlockMatrix draws."""
-    return [
-        [sample_block_matrix(rng, n, d, ensemble, scale) for _ in range(k)]
-        for _ in range(k)
-    ]
+    return [[sample_block_matrix(rng, n, d, ensemble) for _ in range(k)]
+            for _ in range(k)]

@@ -54,10 +54,13 @@ def build_lambda(a: BlockMatrix) -> np.ndarray:
 
 
 def build_rho(a: BlockMatrix) -> np.ndarray:
-    """Right representation: blocks of a acting on the (s, k) legs."""
+    """Right representation: I_n (x) M with M[(s,k), (t,l)] = A_kl[s, t]."""
     n, d = a.n, a.d
-    six = np.einsum("ij,klst->iskjtl", np.eye(n), a.blocks)
-    return six.reshape(triple_dim(n, d), triple_dim(n, d))
+    m = a.blocks.transpose(2, 0, 3, 1).reshape(d * n, d * n)
+    out = np.zeros((n, d * n, n, d * n), dtype=np.complex128)
+    idx = np.arange(n)
+    out[idx, :, idx, :] = m
+    return out.reshape(triple_dim(n, d), triple_dim(n, d))
 
 
 def build_sigma(a: BlockMatrix) -> np.ndarray:
@@ -86,12 +89,12 @@ def build_isometry(n: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StinespringSystem:
-    """The fixed operators V, F, Q for one (n, d).
+    """The fixed operators V and F for one (n, d), and Q = VV* derived from V.
 
-    Invariants (all exact for these 0/1 matrices): V*V = I, VV* = Q,
-    F = F* = F^-1, FV = V, and Q = build_sigma(block_identity(n, d)).
-    ``v_rows`` and ``f_perm`` are V and F as index arrays, read off the
-    matrices themselves, so a system with a replaced V or F gets its own.
+    Invariants (all exact for these 0/1 matrices): V*V = I, F = F* = F^-1,
+    FV = V, and sigma(I) = Q. ``v_rows`` and ``f_perm`` are V and F as
+    index arrays, read off the matrices themselves, so a system with a
+    replaced V or F gets its own, and its own Q.
     ``operator_residual`` measures the invariants, and that V and F are
     exactly the selection and the permutation those arrays give, on first
     use and keeps the result on this object, so a system checked in every
@@ -102,7 +105,6 @@ class StinespringSystem:
     d: int
     V: np.ndarray
     F: np.ndarray
-    Q: np.ndarray
 
     @classmethod
     def build(cls, n: int, d: int) -> "StinespringSystem":
@@ -110,10 +112,16 @@ class StinespringSystem:
             raise ShapeError(f"n and d must be positive, got n={n}, d={d}")
         v = build_isometry(n, d)
         f = build_flip(n, d)
-        q = v @ v.conj().T
-        for arr in (v, f, q):
+        for arr in (v, f):
             arr.setflags(write=False)
-        return cls(n=n, d=d, V=v, F=f, Q=q)
+        return cls(n=n, d=d, V=v, F=f)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """VV*, the projection onto the span of the (j, s, j) basis vectors."""
+        q = self.V @ self.V.conj().T
+        q.setflags(write=False)
+        return q
 
     @cached_property
     def v_rows(self) -> np.ndarray:
@@ -136,19 +144,20 @@ class StinespringSystem:
     def operator_residual(self) -> float:
         """Worst deviation from the invariants and the index forms of V and F.
 
-        Measures V*V = I, VV* = Q, F = F*, F^2 = I, FV = V, sigma(I) = Q,
-        V = I[:, v_rows] and F = I[f_perm]; on a healthy system each
-        difference is exactly zero and costs no SVD.
+        Measures V = I[:, v_rows] and F = I[f_perm], and with them, through
+        the same gathers the checkers apply, V*V = V[v_rows] = I,
+        F^2 = F[f_perm] = I and FV = V[f_perm] = V; also F = F* and
+        sigma(I) = Q. On a healthy system each difference is exactly zero
+        and costs no SVD.
         """
-        v, f, q = self.V, self.F, self.Q
+        v, f, r, p = self.V, self.F, self.v_rows, self.f_perm
         eye = np.eye(triple_dim(self.n, self.d))
         return max(
-            identity_residual(v.conj().T @ v, np.eye(self.n * self.d)),
-            identity_residual(v @ v.conj().T, q),
+            identity_residual(v, eye[:, r]),
+            identity_residual(f, eye[p]),
+            identity_residual(v[r], np.eye(self.n * self.d)),
+            identity_residual(f[p], eye),
+            identity_residual(v[p], v),
             identity_residual(f, f.conj().T),
-            identity_residual(f @ f, eye),
-            identity_residual(f @ v, v),
-            identity_residual(build_sigma(block_identity(self.n, self.d)), q),
-            identity_residual(v, eye[:, self.v_rows]),
-            identity_residual(f, eye[self.f_perm]),
+            identity_residual(build_sigma(block_identity(self.n, self.d)), self.Q),
         )

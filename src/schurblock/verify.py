@@ -232,7 +232,7 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix,
                      seed: int = 0) -> PropertyResult:
     """Exactness of the fixed operators and the representation identities.
 
-    Covers V*V = I, VV* = Q, F self-adjoint and involutive, FV = V,
+    Covers V*V = I, F self-adjoint and involutive, FV = V,
     sigma(I) = Q, F lambda(A) F = rho(A), sigma(A) V = V flatten(A),
     Q lambda(A) rho(B) Q = sigma(A [] B), and the diagonal compression
     flatten(diag(A)) = V* lambda(A) V. V, F and Q = VV* are applied by
@@ -324,8 +324,7 @@ def verify_sandwich(a: BlockMatrix,
 
 
 def cauchy_schwarz_rhs_routes(a: BlockMatrix, b: BlockMatrix,
-                              xi: np.ndarray, gamma: np.ndarray,
-                              psd_tol: float = 1e-10) -> tuple[float, float]:
+                              xi: np.ndarray, gamma: np.ndarray) -> tuple[float, float]:
     """The bound's right-hand side computed two independent ways.
 
     Route one applies per-block PSD square roots of diag(B*B) and diag(AA*)
@@ -339,11 +338,11 @@ def cauchy_schwarz_rhs_routes(a: BlockMatrix, b: BlockMatrix,
     bsb = block_matmul(adjoint_block(b), b)
     aas = block_matmul(a, adjoint_block(a))
     left_sq = sum(
-        float(np.linalg.norm(psd_sqrt(bsb.blocks[j, j], psd_tol) @ xi[j]) ** 2)
+        float(np.linalg.norm(psd_sqrt(bsb.blocks[j, j]) @ xi[j]) ** 2)
         for j in range(n)
     )
     right_sq = sum(
-        float(np.linalg.norm(psd_sqrt(aas.blocks[i, i], psd_tol) @ gamma[i]) ** 2)
+        float(np.linalg.norm(psd_sqrt(aas.blocks[i, i]) @ gamma[i]) ** 2)
         for i in range(n)
     )
     rhs_diag = float(np.sqrt(left_sq) * np.sqrt(right_sq))

@@ -20,13 +20,13 @@ from schurblock import (
     diag_block,
     flatten,
     flatten_lift,
-    lift_identity,
     lift_schur_k,
     row_norm,
     schur_block_product,
     schur_unit,
     spectral_norm,
     unflatten,
+    zero_block_matrix,
 )
 
 
@@ -198,7 +198,9 @@ class TestLift:
         assert lifted[0][0] == schur_block_product(a, b)
 
     def test_lift_identity_is_unit(self):
-        e = lift_identity(2, 2, 2)
+        # schur_unit on the grid diagonal, zero off it
+        unit, zero = schur_unit(2, 2), zero_block_matrix(2, 2)
+        e = [[unit if i == j else zero for j in range(2)] for i in range(2)]
         out = lift_schur_k(e, e)
         for i in range(2):
             for j in range(2):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,10 @@ from schurblock import (
     as_operator,
     hermitian_min_eig,
     psd_sqrt,
+    sample_block_matrix,
+    sample_lift,
     sample_operator,
+    sample_vector,
     spectral_norm,
 )
 from schurblock import linalg
@@ -118,24 +123,90 @@ class TestAsOperator:
 
 class TestRandomOperator:
     def test_deterministic(self):
-        a = sample_operator(np.random.default_rng(123), 4, 4)
-        b = sample_operator(np.random.default_rng(123), 4, 4)
+        a = sample_operator(np.random.default_rng(123), 4)
+        b = sample_operator(np.random.default_rng(123), 4)
         assert np.array_equal(a, b)
 
-    def test_scale_zero(self):
-        assert not sample_operator(np.random.default_rng(1), 3, 3, scale=0.0).any()
-
     def test_hermitian_exact(self):
-        h = sample_operator(np.random.default_rng(7), 5, 5, "hermitian")
+        h = sample_operator(np.random.default_rng(7), 5, "hermitian")
         assert np.array_equal(h, h.conj().T)
 
     def test_haar_near_unitary(self):
-        u = sample_operator(np.random.default_rng(7), 6, 6, "haar", scale=1.0)
-        assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
+        # a Haar unitary scaled by 1/sqrt(size)
+        u = sample_operator(np.random.default_rng(7), 6, "haar")
+        assert_allclose(u @ u.conj().T, np.eye(6) / 6, atol=1e-12)
 
     def test_rejects_bad_spec(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
-            sample_operator(rng, 3, 3, "cauchy")
+            sample_operator(rng, 3, "cauchy")
         with pytest.raises(ShapeError):
-            sample_operator(rng, 0, 3)
+            sample_operator(rng, 0)
+
+    def test_removed_settings_fail_loudly(self):
+        # the samplers are square only and always scaled by 1/sqrt(size): a
+        # second size or a scale argument raises instead of drawing otherwise
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError):
+            sample_operator(rng, 3, 3)
+        with pytest.raises(TypeError):
+            sample_operator(rng, 3, "ginibre", 1.0)
+        with pytest.raises(TypeError):
+            sample_block_matrix(rng, 2, 2, scale=1.0)
+        with pytest.raises(TypeError):
+            sample_lift(rng, 2, 2, 2, "ginibre", 1.0)
+
+
+# sha256 of the bytes that sample_block_matrix, sample_vector and sample_lift
+# draw, in that order, from default_rng(2024). A worst_seed regenerates its
+# instance only as long as these draws stay the same.
+SAMPLER_DIGESTS = {
+    ("ginibre", 3, 2, 2): (
+        "b4c280afddb680400121a10b368d26bbca0ca99e24daaade69267de0c9cd1acd",
+        "96a1dac54f6dea0d7d7405821b88d66ad6ff9d8a9cc7f957cd4011aa01ef6066",
+        "85c553f902eb4c7f40d4d8ddb4dd35a413061fd092a253a9114f4314be0173e1",
+    ),
+    ("ginibre", 8, 4, 3): (
+        "72c87eb4f826de76c0a44ff3b9f8d9660743a3c23fb45112e855fd0bccd48665",
+        "fde7d1a17174e978a6819b75ffae156ef450b16a635382f3284f99a891fd95d3",
+        "74710953e5171a63e8cc8eded4c418f35bcccfcf6c659dd9ad3cac8530b99ba9",
+    ),
+    ("hermitian", 3, 2, 2): (
+        "193a87ba8f05cddc0b741bcdd84c6eb848413539345f14ab2a6b8129af6dc970",
+        "96a1dac54f6dea0d7d7405821b88d66ad6ff9d8a9cc7f957cd4011aa01ef6066",
+        "1f8abd7fa149d48b5f1398b8cd1d7504b74e18859d88da6736b0af5777fb8332",
+    ),
+    ("hermitian", 8, 4, 3): (
+        "8e4f4ad641dd237d2a1cb836834afcd319ba2e3c997c801d653711549f111080",
+        "fde7d1a17174e978a6819b75ffae156ef450b16a635382f3284f99a891fd95d3",
+        "46c6e881772bb79d4d69e208c5d557aac9e09ae2055cc38dfa756464581bc46a",
+    ),
+    ("haar", 3, 2, 2): (
+        "526d99c4be933a37cccf42d70f1375cc849c44973b30093399cff01603eb9282",
+        "96a1dac54f6dea0d7d7405821b88d66ad6ff9d8a9cc7f957cd4011aa01ef6066",
+        "5fbf61fabe3ab360f29b62eb3625d9026d4b69c02588602dfb5f729deb22f4dd",
+    ),
+    ("haar", 8, 4, 3): (
+        "c00ea89afb3c33ece34dabfa0792f148233e2a066a36de65e1513432665a0850",
+        "fde7d1a17174e978a6819b75ffae156ef450b16a635382f3284f99a891fd95d3",
+        "ab9cb2f9662e9032dbba3e65ab09a6051860d4a0250634e28a6ee595db239816",
+    ),
+}
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("ensemble,n,d,k", sorted(SAMPLER_DIGESTS))
+def test_sampler_draws_are_pinned(ensemble, n, d, k):
+    rng = np.random.default_rng(2024)
+    a = sample_block_matrix(rng, n, d, ensemble)
+    xi = sample_vector(rng, n * d)
+    lift = sample_lift(rng, k, n, d, ensemble)
+    drawn = (_sha256(a.blocks), _sha256(xi),
+             _sha256(*(x.blocks for row in lift for x in row)))
+    assert drawn == SAMPLER_DIGESTS[ensemble, n, d, k]

@@ -26,3 +26,31 @@ def test_every_name_in_all_resolves():
 
 def test_every_imported_public_name_is_in_all():
     assert sorted(imported_public_names() - set(schurblock.__all__)) == []
+
+
+def referenced_names(path: Path) -> set:
+    """Names a file loads, imports, reads as an attribute or spells as a string.
+
+    A ``def``, a ``class`` or an assignment binds a name without loading it,
+    so a module's own definitions do not count as references to them.
+    """
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_every_public_name_is_used_outside_tests():
+    # a public name whose only callers are tests is code kept for the tests
+    root = INIT.parents[2]
+    files = [p for p in INIT.parent.glob("*.py") if p != INIT]
+    files += [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    used = set().union(*(referenced_names(p) for p in files))
+    assert sorted(set(schurblock.__all__) - used) == []

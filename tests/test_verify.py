@@ -21,7 +21,6 @@ from schurblock import (
     col_norm,
     diag_block,
     flatten,
-    lift_identity,
     lift_norm_ratio,
     merge_results,
     row_norm,
@@ -260,7 +259,8 @@ class TestCbLevel:
         assert_allclose(lift_norm_ratio([[e]], [[e]]), 1.0 / 3.0, rtol=1e-12)
 
     def test_lift_identity_of_lifted_product(self):
-        e = lift_identity(2, 2, 2)
+        unit = schur_unit(2, 2)
+        e = [[unit if i == j else _zero_like(unit) for j in range(2)] for i in range(2)]
         r = verify_cb_level(e, e, 2)
         assert r.passed  # ratio is 1/n for the lifted schur unit, n = 2 here
         assert_allclose(r.worst_residual, 0.5, rtol=1e-12)
