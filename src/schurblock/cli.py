@@ -8,8 +8,7 @@ Subcommands:
 Exit codes: 0 success / all properties passed, 1 verification failure,
 2 configuration or usage error (bad ranges, unknown, repeated or no
 property, negative or NaN tolerance, shape mismatch), 3 I/O or parse
-error. The environment variable SCHURBLOCK_SEED, when set, overrides
---seed. Property ids, their default tolerances and the --tol.<id> flags
+error. Property ids, their default tolerances and the --tol.<id> flags
 all come from ``verify.PROPERTIES``.
 """
 
@@ -19,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"lift level (1..{MAX_K})")
     pv.add_argument("--trials", type=int, default=TrialConfig.trials)
     pv.add_argument("--seed", type=int, default=TrialConfig.seed,
-                    help="suite seed (SCHURBLOCK_SEED overrides)")
+                    help="suite seed")
     pv.add_argument("--ensemble", choices=ENSEMBLES, default=TrialConfig.ensemble)
     pv.add_argument("--properties", default=None,
                     help="comma-separated property ids (default: all)")
@@ -300,22 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed
-    env_seed = os.environ.get("SCHURBLOCK_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"error: SCHURBLOCK_SEED is not an integer: {env_seed!r}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
     tolerances = {p: t for p in PROPERTIES
                   if (t := getattr(args, f"tol_{p}")) is not None}
     properties = tuple(PROPERTIES) if args.properties is None else tuple(
         p.strip() for p in args.properties.split(",") if p.strip()
     )
     config = TrialConfig(
-        n=args.n, d=args.d, k=args.k, trials=args.trials, seed=seed,
+        n=args.n, d=args.d, k=args.k, trials=args.trials, seed=args.seed,
         ensemble=args.ensemble, tolerances=tolerances, properties=properties,
     )
     report = run_suite(config)

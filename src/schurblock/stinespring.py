@@ -6,19 +6,26 @@ in {0..d-1}, sits at flat index (i*d + s)*n + k. Left representations act
 on the (i, s) legs, right representations on the (s, k) legs, and the
 flip exchanges the two outer legs.
 
-The builders materialize dense matrices (n*d*n is at most 256 on a side).
-V and F are 0/1 matrices, so StinespringSystem also keeps them as index
-arrays: V* X = X[v_rows], X V = X[:, v_rows], F X = X[f_perm] and
-X F = X[:, f_perm]. Its ``operator_residual`` certifies, once per system,
-that V and F are exactly the matrices of those gathers.
+The representation builders materialize dense matrices (n*d*n is at most
+256 on a side). The fixed operators V and F are 0/1 matrices and are
+defined by index arrays, which StinespringSystem.build computes from the
+closed forms, writing idx(i, s, k) for the flat index of (i, s, k):
+
+    v_rows[j*d + t]    = idx(j, t, j)
+    f_perm[idx(i,s,k)] = idx(k, s, i)
+
+so V* X = X[v_rows], X V = X[:, v_rows], F X = X[f_perm] and
+X F = X[:, f_perm]. The dense V and F are scattered from these arrays on
+first use, and ``operator_residual`` checks the laws of V and F exactly
+on the arrays themselves.
 
 Entry formulas, with row label (i, s, k) and column label (j, t, l):
 
     build_lambda(A)[(i,s,k), (j,t,l)] = A_ij[s, t] * delta(k, l)
     build_rho(A)   [(i,s,k), (j,t,l)] = delta(i, j) * A_kl[s, t]
     build_sigma(A) [(i,s,k), (j,t,l)] = A_ij[s, t] * delta(i, k) * delta(j, l)
-    build_flip(n,d)[(i,s,k), (j,t,l)] = delta(i, l) * delta(k, j) * delta(s, t)
-    build_isometry(n,d)[(i,s,k), (j,t)] = delta(i, j) * delta(k, j) * delta(s, t)
+    F              [(i,s,k), (j,t,l)] = delta(i, l) * delta(k, j) * delta(s, t)
+    V              [(i,s,k), (j,t)]   = delta(i, j) * delta(k, j) * delta(s, t)
 
 so lambda(A) rho(B) has entry (a_ij b_kl)[s, t], which for d = 1 is the
 classical Kronecker product of the two scalar matrices.
@@ -41,7 +48,6 @@ import numpy as np
 
 from .blocks import BlockMatrix, block_identity, flatten
 from .errors import ShapeError
-from .linalg import identity_residual
 
 
 def triple_dim(n: int, d: int) -> int:
@@ -73,48 +79,52 @@ def build_sigma(a: BlockMatrix) -> np.ndarray:
     return six.reshape(triple_dim(n, d), triple_dim(n, d))
 
 
-def build_flip(n: int, d: int) -> np.ndarray:
-    """Self-adjoint unitary permutation exchanging the two outer tensor legs."""
-    six = np.einsum("il,st,kj->iskjtl", np.eye(n), np.eye(d), np.eye(n))
-    return six.reshape(triple_dim(n, d), triple_dim(n, d))
-
-
-def build_isometry(n: int, d: int) -> np.ndarray:
-    """Isometry duplicating the outer index: (j, t) goes to (j, t, j)."""
-    v = np.zeros((n, d, n, n, d), dtype=np.complex128)
-    for j in range(n):
-        v[j, :, j, j, :] = np.eye(d)
-    return v.reshape(triple_dim(n, d), n * d)
-
-
 @dataclass(frozen=True)
 class StinespringSystem:
-    """The fixed operators V and F for one (n, d), and Q = VV* derived from V.
+    """The fixed operators V and F for one (n, d), defined by index arrays.
 
-    Invariants (all exact for these 0/1 matrices): V*V = I, F = F* = F^-1,
-    FV = V, and sigma(I) = Q. ``v_rows`` and ``f_perm`` are V and F as
-    index arrays, read off the matrices themselves, so a system with a
-    replaced V or F gets its own, and its own Q.
-    ``operator_residual`` measures the invariants, and that V and F are
-    exactly the selection and the permutation those arrays give, on first
-    use and keeps the result on this object, so a system checked in every
+    ``v_rows`` and ``f_perm`` (closed forms in the module docstring) are the
+    single source; the dense V and F are scattered from them, and Q = VV*
+    computed from V, on first use. ``operator_residual`` checks the laws
+    exactly on the arrays, once per object, so a system checked in every
     trial of a suite is checked once.
     """
 
     n: int
     d: int
-    V: np.ndarray
-    F: np.ndarray
+    v_rows: np.ndarray
+    f_perm: np.ndarray
 
     @classmethod
     def build(cls, n: int, d: int) -> "StinespringSystem":
         if n < 1 or d < 1:
             raise ShapeError(f"n and d must be positive, got n={n}, d={d}")
-        v = build_isometry(n, d)
-        f = build_flip(n, d)
-        for arr in (v, f):
+        # flat[i, s, k] = idx(i, s, k); the two closed forms are gathers of it
+        flat = np.arange(triple_dim(n, d)).reshape(n, d, n)
+        j = np.arange(n)
+        v_rows = flat[j, :, j].reshape(-1)
+        f_perm = flat.transpose(2, 1, 0).reshape(-1)
+        for arr in (v_rows, f_perm):
             arr.setflags(write=False)
-        return cls(n=n, d=d, V=v, F=f)
+        return cls(n=n, d=d, v_rows=v_rows, f_perm=f_perm)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """The isometry with a 1 at (v_rows[c], c) in each column c."""
+        r = self.v_rows
+        v = np.zeros((triple_dim(self.n, self.d), r.size), dtype=np.complex128)
+        v[r, np.arange(r.size)] = 1
+        v.setflags(write=False)
+        return v
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """The permutation matrix with a 1 at (i, f_perm[i]) in each row i."""
+        p = self.f_perm
+        f = np.zeros((p.size, p.size))
+        f[np.arange(p.size), p] = 1
+        f.setflags(write=False)
+        return f
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -124,40 +134,24 @@ class StinespringSystem:
         return q
 
     @cached_property
-    def v_rows(self) -> np.ndarray:
-        """Row of the 1 in each column of V: V* X = X[v_rows], X V = X[:, v_rows]."""
-        rows = np.abs(self.V).argmax(axis=0)
-        rows.setflags(write=False)
-        return rows
-
-    @cached_property
-    def f_perm(self) -> np.ndarray:
-        """Column of the 1 in each row of F: F X = X[f_perm].
-
-        Since F = F*, also X F = X[:, f_perm].
-        """
-        perm = np.abs(self.F).argmax(axis=1)
-        perm.setflags(write=False)
-        return perm
-
-    @cached_property
     def operator_residual(self) -> float:
-        """Worst deviation from the invariants and the index forms of V and F.
+        """0.0 when the fixed-operator laws hold exactly, 1.0 otherwise.
 
-        Measures V = I[:, v_rows] and F = I[f_perm], and with them, through
-        the same gathers the checkers apply, V*V = V[v_rows] = I,
-        F^2 = F[f_perm] = I and FV = V[f_perm] = V; also F = F* and
-        sigma(I) = Q. On a healthy system each difference is exactly zero
-        and costs no SVD.
+        With r = v_rows and p = f_perm: V*V = V[r] = I holds when no entry
+        of r repeats; F = F* = F^-1 when p[p] is the identity permutation,
+        which also makes p a permutation; FV = V when p[r] = r; and
+        sigma(I) = Q when sigma(I) has exactly nd nonzero entries, the ones
+        at (r, r). A nonzero difference of 0/1 matrices has spectral norm
+        at least 1, so 1.0 is of the order a dense comparison gives, and
+        far above every tolerance.
         """
-        v, f, r, p = self.V, self.F, self.v_rows, self.f_perm
-        eye = np.eye(triple_dim(self.n, self.d))
-        return max(
-            identity_residual(v, eye[:, r]),
-            identity_residual(f, eye[p]),
-            identity_residual(v[r], np.eye(self.n * self.d)),
-            identity_residual(f[p], eye),
-            identity_residual(v[p], v),
-            identity_residual(f, f.conj().T),
-            identity_residual(build_sigma(block_identity(self.n, self.d)), self.Q),
+        r, p = self.v_rows, self.f_perm
+        sigma_one = build_sigma(block_identity(self.n, self.d))
+        holds = (
+            np.bincount(r).max() == 1
+            and np.array_equal(p[p], np.arange(p.size))
+            and np.array_equal(p[r], r)
+            and np.count_nonzero(sigma_one) == r.size
+            and (sigma_one[r, r] == 1).all()
         )
+        return 0.0 if holds else 1.0

@@ -11,18 +11,20 @@ of the nine properties: each id's default tolerance, the instance pieces
 it needs, and the call that runs its checker; ``run_property`` dispatches
 through it and the CLI derives its flags and validation from it.
 
-The invariants of the fixed operators V, F and Q do not depend on the
-instance. They are measured once per StinespringSystem object, on first
-use, and ``structure`` and ``decomposition`` fold that stored value into
-each trial's max, so a broken system still fails every trial. Those two
-checkers apply the 0/1 operators V, F, Q and P = (F + I)/2 by index
-(``system.v_rows``, ``system.f_perm``), which the stored value certifies;
-``factorization`` and ``norm_lemmas`` multiply by the dense V and F, so
-they state the paper's identities literally and tie the index route back
-to the matrices. An identity whose two sides agree bit for bit costs no
-SVD: an exactly zero difference is a residual of 0.0, which is what its
-norm would give. So only identities that can carry rounding (factorization,
-the Q lambda rho Q identity, the decomposition sum) pay for spectral norms.
+The laws of the fixed operators V, F and Q do not depend on the
+instance. They are checked exactly once per StinespringSystem object, on
+its index arrays and on first use, and ``structure`` and
+``decomposition`` fold that stored value into each trial's max, so a
+broken system still fails every trial. Those two checkers apply the 0/1
+operators V, F, Q and P = (F + I)/2 by index (``system.v_rows``,
+``system.f_perm``), the form the system is defined by;
+``factorization`` and ``norm_lemmas`` multiply by the dense V and F
+scattered from those arrays, so they state the paper's identities
+literally and tie the index route back to the matrices. An identity whose
+two sides agree bit for bit costs no SVD: an exactly zero difference is a
+residual of 0.0, which is what its norm would give. So only identities
+that can carry rounding (factorization, the Q lambda rho Q identity, the
+decomposition sum) pay for spectral norms.
 
 One irregularity, flagged where it happens: the lifted-product checker
 stores the norm ratio ||lift(A,B)|| / (||A|| ||B||) itself as the
@@ -237,9 +239,8 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix,
     Q lambda(A) rho(B) Q = sigma(A [] B), and the diagonal compression
     flatten(diag(A)) = V* lambda(A) V. V, F and Q = VV* are applied by
     index through ``system.v_rows`` and ``system.f_perm``; the
-    instance-independent identities, and that those index arrays are
-    exactly V and F, come from ``system.operator_residual``, measured once
-    per system object.
+    instance-independent identities come from
+    ``system.operator_residual``, checked once per system object.
     """
     _check_same_shape(a, b)
     sys_ = _system_for(a, system)
@@ -395,9 +396,8 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix,
     flatten(A [] B) equals V* lambda(A) P lambda(B) V minus
     V* lambda(A) (I - P) lambda(B) V, and V* lambda(AB) V equals
     flatten(diag(AB)). V and P are applied by index, X P = (X + XF)/2 with
-    XF = X[:, f_perm]; the laws of F and that the index arrays are exactly
-    V and F come from ``system.operator_residual``, measured once per
-    system object.
+    XF = X[:, f_perm]; the laws of V and F come from
+    ``system.operator_residual``, checked once per system object.
     """
     _check_same_shape(a, b)
     sys_ = _system_for(a, system)

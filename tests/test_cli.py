@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -173,6 +174,16 @@ class TestEmitSystem:
         assert np.array_equal(v, [[1, 0], [0, 0], [0, 0], [0, 1]])
         assert len(out["F"]) == triple_dim(2, 1)
 
+    @pytest.mark.parametrize("n,d,digest", [
+        (1, 1, "14bd91a3f54884916d4496d02f0765cef68385bb256df22974cbe84e28813f30"),
+        (2, 1, "79aca0cf61f766e19791dfc9430150b8e3ad80493ee616fee4094db51ad8471a"),
+        (3, 2, "1b8beb8bb409f03e0e9fb1ff9d25e8210435be32b76eac67f80d80ef2bde5da4"),
+        (8, 4, "278973922e14c85d4b4bd5e73795080ec200f4861044f878c3563f69f2ec592b"),
+    ])
+    def test_dump_bytes_pinned(self, n, d, digest):
+        text = json.dumps(emit_system_dict(n, d), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_with_instance(self, tmp_path):
         path = identity_instance(tmp_path)
         out = emit_system_dict(2, 1, str(path))
@@ -223,10 +234,10 @@ class TestCommandLine:
         assert p.returncode == 0
         assert "result=PASS" in p.stdout
 
-    def test_env_seed_override(self):
+    def test_seed_comes_only_from_flag(self):
         p = run_cli("verify", "--n", "2", "--d", "1", "--trials", "1",
                     "--seed", "5", env_extra={"SCHURBLOCK_SEED": "77"})
-        assert json.loads(p.stdout)["config"]["seed"] == 77
+        assert json.loads(p.stdout)["config"]["seed"] == 5
 
     def test_csv_format(self):
         p = run_cli("verify", "--n", "2", "--d", "1", "--k", "1", "--trials", "2",

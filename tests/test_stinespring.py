@@ -7,8 +7,6 @@ from schurblock import (
     StinespringSystem,
     block_identity,
     block_matmul,
-    build_flip,
-    build_isometry,
     build_lambda,
     build_rho,
     build_sigma,
@@ -99,11 +97,11 @@ class TestBuildersMatchIndexFormulas:
 
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_flip(self, n, d):
-        assert np.array_equal(build_flip(n, d), flip_oracle(n, d))
+        assert np.array_equal(StinespringSystem.build(n, d).F, flip_oracle(n, d))
 
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_isometry(self, n, d):
-        assert np.array_equal(build_isometry(n, d), isometry_oracle(n, d))
+        assert np.array_equal(StinespringSystem.build(n, d).V, isometry_oracle(n, d))
 
 
 class TestHandExamples:
@@ -134,26 +132,26 @@ class TestHandExamples:
         assert_allclose(s, expected)
 
     def test_flip_degenerate(self):
-        assert_allclose(build_flip(1, 3), np.eye(3))
+        assert_allclose(StinespringSystem.build(1, 3).F, np.eye(3))
 
     def test_flip_two_by_two(self):
-        f = build_flip(2, 1)
+        f = StinespringSystem.build(2, 1).F
         expected = np.eye(4)[[0, 2, 1, 3]]
         assert_allclose(f, expected)
 
     def test_flip_involution(self):
-        f = build_flip(3, 2)
+        f = StinespringSystem.build(3, 2).F
         assert np.array_equal(f @ f, np.eye(18))
 
     def test_isometry_degenerate(self):
-        assert_allclose(build_isometry(1, 3), np.eye(3))
+        assert_allclose(StinespringSystem.build(1, 3).V, np.eye(3))
 
     def test_isometry_two_by_one(self):
-        v = build_isometry(2, 1)
+        v = StinespringSystem.build(2, 1).V
         assert_allclose(v, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
 
     def test_isometry_inner(self):
-        v = build_isometry(3, 2)
+        v = StinespringSystem.build(3, 2).V
         assert np.array_equal(v.conj().T @ v, np.eye(6))
 
 
@@ -185,7 +183,11 @@ class TestSystemInvariants:
         assert np.array_equal(x @ f, x[:, perm])
         assert np.array_equal(x @ p, (x + x[:, perm]) / 2)
         assert np.array_equal(x @ (np.eye(big) - p), (x - x[:, perm]) / 2)
+        assert np.array_equal(v, isometry_oracle(n, d))
+        assert np.array_equal(f, flip_oracle(n, d))
         assert sys_.operator_residual == 0.0
+        for arr in (v, f, sys_.Q, r, perm):
+            assert not arr.flags.writeable
 
 
 class TestRepresentationProperties:
@@ -230,13 +232,13 @@ class TestRepresentationProperties:
     def test_rho_is_flip_conjugate_of_lambda(self):
         rng = np.random.default_rng(107)
         a = random_bm(rng, 3, 2)
-        f = build_flip(3, 2)
+        f = StinespringSystem.build(3, 2).F
         assert np.array_equal(f @ build_lambda(a) @ f, build_rho(a))
 
     def test_sigma_intertwines_with_isometry(self):
         rng = np.random.default_rng(109)
         a = random_bm(rng, 3, 2)
-        v = build_isometry(3, 2)
+        v = StinespringSystem.build(3, 2).V
         assert np.array_equal(build_sigma(a) @ v, v @ flatten(a))
 
 
@@ -284,7 +286,7 @@ class TestNormAndDiagLemmas:
     def test_column_and_row_norm_via_lambda(self, n, d):
         rng = np.random.default_rng(137 + n + d)
         a = random_bm(rng, n, d)
-        v = build_isometry(n, d)
+        v = StinespringSystem.build(n, d).V
         la = build_lambda(a)
         cn, rn = col_norm(a), row_norm(a)
         assert abs(cn - spectral_norm(la @ v)) <= 1e-8 * cn
@@ -294,6 +296,6 @@ class TestNormAndDiagLemmas:
     def test_diag_compression(self, n, d):
         rng = np.random.default_rng(139 + n + d)
         a = random_bm(rng, n, d)
-        v = build_isometry(n, d)
+        v = StinespringSystem.build(n, d).V
         assert np.array_equal(flatten(diag_block(a)), v.conj().T @ build_lambda(a) @ v)
 

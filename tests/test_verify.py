@@ -221,8 +221,7 @@ class TestDecomposition:
         assert verify_decomposition(a, b).worst_residual <= 1e-12
 
     def test_half_flip_is_exact_projection(self):
-        from schurblock import build_flip
-        f = build_flip(3, 2)
+        f = StinespringSystem.build(3, 2).F
         p = (f + np.eye(18)) / 2
         assert np.array_equal(p @ p, p)
         assert np.array_equal(p, p.conj().T)
@@ -333,7 +332,7 @@ class TestCheckerBehavior:
 
 
 class TestFixedOperatorChecks:
-    """The invariants of V, F, Q and P are measured once per system object."""
+    """The laws of V, F and Q are checked once per system object."""
 
     def test_broken_system_fails(self):
         n, d = 3, 2
@@ -345,44 +344,41 @@ class TestFixedOperatorChecks:
         assert verify_structure(a, b, system=healthy).passed
         assert verify_decomposition(a, b, system=healthy).passed
         big = triple_dim(n, d)
-        v = healthy.V.copy()
-        v[:, :d] = 0  # drop the j = 0 leg
-        flip_is_identity = replace(healthy, F=np.eye(big))
-        leg_dropped = replace(healthy, V=v)
-        not_involutive = replace(healthy, F=np.roll(np.eye(big), 1, axis=0))
+        rows = healthy.v_rows.copy()
+        rows[d:2 * d] = rows[:d]  # the j = 0 leg twice, the j = 1 leg gone
+        flip_is_identity = replace(healthy, f_perm=np.arange(big))
+        leg_dropped = replace(healthy, v_rows=rows)
+        not_involutive = replace(healthy, f_perm=np.roll(np.arange(big), 1))
+        # a 3-cycle among legs off the diagonal keeps FV = V but not F = F^-1
+        perm = healthy.f_perm.copy()
+        perm[[1, 2, 4]] = perm[[2, 4, 1]]
+        three_cycle = replace(healthy, f_perm=perm)
+        # conjugating F by the swap of legs 0 and 1 keeps F = F^-1 but not FV = V
+        swap = np.arange(big)
+        swap[[0, 1]] = [1, 0]
+        moves_v = replace(healthy, f_perm=swap[healthy.f_perm[swap]])
         for broken in (flip_is_identity, leg_dropped):
             assert not verify_structure(a, b, system=broken).passed
         assert not verify_decomposition(a, b, system=flip_is_identity).passed
         # every per-instance identity holds on the zero instance, so only the
         # fixed-operator invariants can fail there
         assert not verify_structure(zero, zero, system=leg_dropped).passed
-        assert not verify_decomposition(zero, zero, system=not_involutive).passed
+        for broken in (not_involutive, three_cycle, moves_v):
+            assert not verify_decomposition(zero, zero, system=broken).passed
         for sys_ in (healthy, StinespringSystem.build(n, d)):
             assert verify_structure(a, b, system=sys_).passed
             assert verify_decomposition(a, b, system=sys_).passed
             assert verify_structure(zero, zero, system=sys_).passed
 
-    def test_sign_flipped_leg_fails(self):
-        # V with one column negated still has V*V = I, VV* = Q and FV = V;
-        # only V = I[:, v_rows] tells it from the selection the checks apply
-        n, d = 3, 2
-        healthy = StinespringSystem.build(n, d)
-        v = healthy.V.copy()
-        v[:, 1] *= -1
-        flipped = replace(healthy, V=v)
-        zero = _zero_like(block_identity(n, d))
-        assert not verify_structure(zero, zero, system=flipped).passed
-        assert not verify_decomposition(zero, zero, system=flipped).passed
-
     def test_second_call_repeats_no_fixed_work(self, monkeypatch):
         calls = []
-        original = stinespring.identity_residual
+        original = stinespring.build_sigma
 
-        def counted(lhs, rhs):
-            calls.append(lhs.shape)
-            return original(lhs, rhs)
+        def counted(a):
+            calls.append(a.n)
+            return original(a)
 
-        monkeypatch.setattr(stinespring, "identity_residual", counted)
+        monkeypatch.setattr(stinespring, "build_sigma", counted)
         rng = np.random.default_rng(283)
         for check in (verify_structure, verify_decomposition):
             # a fresh system each: the two checkers share its fixed work
