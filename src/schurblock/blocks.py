@@ -13,6 +13,7 @@ distinct from ``block_identity`` (the ordinary matrix unit).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,10 +221,15 @@ def flatten_lift(xs: Lift) -> np.ndarray:
 # Schema: {"n": int, "d": int, "blocks": B} with B[i][j][s][t] == [re, im].
 
 
+def _pairs(x) -> np.ndarray:
+    """x as a C-ordered float64 array of [re, im] pairs, shape x.shape + (2,)."""
+    a = np.ascontiguousarray(x, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,))
+
+
 def operator_to_json(x) -> list:
     """Encode a matrix as nested lists of [re, im] pairs."""
-    a = np.asarray(x, dtype=np.complex128)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    return _pairs(x).tolist()
 
 
 def operator_from_json(obj, field: str = "matrix") -> np.ndarray:
@@ -235,12 +241,12 @@ def operator_from_json(obj, field: str = "matrix") -> np.ndarray:
         raise ValueError(
             f"{field}: expected a 2-D grid of [re, im] pairs, got shape {a.shape}"
         )
-    return a[..., 0] + 1j * a[..., 1]
+    # a view, not a[..., 0] + 1j * a[..., 1]: that sum turns -0.0 into 0.0
+    return np.ascontiguousarray(a).view(np.complex128)[..., 0]
 
 
 def vector_to_json(x) -> list:
-    v = np.asarray(x, dtype=np.complex128)
-    return [[float(c.real), float(c.imag)] for c in v]
+    return _pairs(x).tolist()
 
 
 def vector_from_json(obj, field: str = "vector") -> np.ndarray:
@@ -250,7 +256,35 @@ def vector_from_json(obj, field: str = "vector") -> np.ndarray:
         raise ValueError(f"{field}: entries must be [re, im] number pairs") from exc
     if a.ndim != 2 or a.shape[1] != 2:
         raise ValueError(f"{field}: expected a list of [re, im] pairs")
-    return a[:, 0] + 1j * a[:, 1]
+    return np.ascontiguousarray(a).view(np.complex128)[..., 0]
+
+
+def json_chunks(obj: dict):
+    """Yield, piece by piece, the text of
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` once each ndarray
+    value of obj is replaced by its ``operator_to_json`` list.
+
+    With ``indent`` set, the json module runs its pure-Python encoder,
+    which is slow on large operators. So the ndarray values (2-D, finite,
+    non-empty) are written straight from their [re, im] pairs, with no
+    nested lists, one %-template per row: ``%r`` of a float is
+    ``float.__repr__``, which is what json writes. Each row is its own
+    piece, so a caller that writes the pieces as they come never holds
+    more than one row of text.
+    """
+    for i, key in enumerate(sorted(obj)):
+        yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
+        value = obj[key]
+        if isinstance(value, np.ndarray):
+            pairs = _pairs(value)
+            pair = "      [\n        %r,\n        %r\n      ]"
+            row = "    [\n" + ",\n".join([pair] * pairs.shape[1]) + "\n    ]"
+            for j, r in enumerate(pairs):
+                yield (",\n" if j else "[\n") + row % tuple(r.ravel().tolist())
+            yield "\n  ]"
+        else:
+            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
 def block_matrix_to_json(a: BlockMatrix) -> dict:

@@ -28,7 +28,7 @@ from . import __version__
 from .blocks import (
     block_matrix_from_json,
     block_matrix_to_json,
-    operator_to_json,
+    json_chunks,
     vector_from_json,
 )
 from .errors import ShapeError
@@ -202,16 +202,20 @@ def replay_instance(path: str, property_id: str,
 
 
 def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> dict:
-    """Dense V, F, Q for (n, d), plus lambda(A) when an instance is given."""
+    """Dense V, F, Q for (n, d), plus lambda(A) and A when an instance is given.
+
+    The operators are ndarrays; ``blocks.json_chunks`` writes them as grids
+    of [re, im] pairs.
+    """
     if not (1 <= n <= MAX_N and 1 <= d <= MAX_D):
         raise ConfigError(f"n must be in 1..{MAX_N} and d in 1..{MAX_D}")
     system = StinespringSystem.build(n, d)
     out = {
         "n": n,
         "d": d,
-        "V": operator_to_json(system.V),
-        "F": operator_to_json(system.F),
-        "Q": operator_to_json(system.Q),
+        "V": system.V,
+        "F": system.F,
+        "Q": system.Q,
     }
     if instance_path is not None:
         a = block_matrix_from_json(_load_instance(instance_path)["A"], field="A")
@@ -219,7 +223,7 @@ def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> dict:
             raise ShapeError(
                 f"instance has (n={a.n}, d={a.d}), requested (n={n}, d={d})"
             )
-        out["lambda_A"] = operator_to_json(build_lambda(a))
+        out["lambda_A"] = build_lambda(a)
         out["A"] = block_matrix_to_json(a)
     return out
 
@@ -244,12 +248,13 @@ def report_to_csv(report: VerificationReport) -> str:
     return buf.getvalue()
 
 
-def _write_output(text: str, out: str | None):
+def _write_output(pieces, out: str | None):
+    """Write the strings of ``pieces`` in turn to ``out``, or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +314,7 @@ def _cmd_verify(args) -> int:
     )
     report = run_suite(config)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
 
@@ -323,7 +328,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_emit_system(args) -> int:
     out = emit_system_dict(args.n, args.d, args.instance)
-    _write_output(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output(json_chunks(out), args.out)
     return EXIT_OK
 
 

@@ -21,11 +21,15 @@ from schurblock import (
     flatten,
     flatten_lift,
     lift_schur_k,
+    operator_from_json,
+    operator_to_json,
     row_norm,
     schur_block_product,
     schur_unit,
     spectral_norm,
     unflatten,
+    vector_from_json,
+    vector_to_json,
     zero_block_matrix,
 )
 
@@ -274,6 +278,40 @@ class TestJson:
         obj = block_matrix_to_json(a)
         assert set(obj) == {"n", "d", "blocks"}
         assert obj["blocks"][0][0][0][0] == [1.0, 0.0]
+
+    @staticmethod
+    def signed_zeros(rng, shape):
+        """Gaussian entries with every sign of zero in each part."""
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flat = x.reshape(-1)
+        for k, (re, im) in enumerate([(-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0),
+                                      (-0.0, 1.5), (2.5, -0.0), (-0.0, -3.0)]):
+            flat[k] = complex(re, im)
+        return x
+
+    def test_encoders_match_the_elementwise_loop(self):
+        rng = np.random.default_rng(5)
+        x = self.signed_zeros(rng, (3, 4))
+        ref = [[[float(v.real), float(v.imag)] for v in row] for row in x]
+        assert operator_to_json(x) == ref
+        # == does not see the sign of a zero; the json text does
+        assert json.dumps(operator_to_json(x)) == json.dumps(ref)
+        assert json.dumps(operator_to_json(x.T)) == json.dumps(
+            [[[float(v.real), float(v.imag)] for v in row] for row in x.T])
+        v = x[0]
+        assert json.dumps(vector_to_json(v)) == json.dumps(
+            [[float(c.real), float(c.imag)] for c in v])
+
+    def test_decode_keeps_signed_zeros(self):
+        rng = np.random.default_rng(6)
+        x = self.signed_zeros(rng, (3, 3))
+        for back in (operator_from_json(json.loads(json.dumps(operator_to_json(x)))),
+                     vector_from_json(vector_to_json(x.reshape(-1))).reshape(3, 3),
+                     flatten(block_matrix_from_json(
+                         block_matrix_to_json(scalar_bm(x))))):
+            assert np.array_equal(back, x)
+            assert np.array_equal(np.signbit(back.real), np.signbit(x.real))
+            assert np.array_equal(np.signbit(back.imag), np.signbit(x.imag))
 
     def test_bad_payloads_name_the_field(self):
         with pytest.raises(ValueError, match="missing field 'blocks'"):

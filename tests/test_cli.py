@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 from schurblock import (
     block_identity,
     block_matrix_to_json,
+    operator_to_json,
+    sample_block_matrix,
     triple_dim,
 )
 from schurblock import verify
@@ -166,11 +169,28 @@ class TestReplay:
             replay_instance(str(path), "factorization")
 
 
+def emit_text(tmp_path, n, d, instance=None) -> str:
+    """The text `emit-system` writes with --out."""
+    out = tmp_path / "emit.json"
+    argv = ["emit-system", "--n", str(n), "--d", str(d), "--out", str(out)]
+    if instance is not None:
+        argv += ["--instance", str(instance)]
+    assert main(argv) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def seeded_instance(tmp_path):
+    a = sample_block_matrix(np.random.default_rng(20171), 8, 4)
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps({"A": block_matrix_to_json(a)}))
+    return path
+
+
 class TestEmitSystem:
     def test_contains_exact_operators(self, tmp_path):
         out = emit_system_dict(2, 1)
         assert set(out) == {"n", "d", "V", "F", "Q"}
-        v = np.array(out["V"])[:, :, 0]
+        v = out["V"].real
         assert np.array_equal(v, [[1, 0], [0, 0], [0, 0], [0, 1]])
         assert len(out["F"]) == triple_dim(2, 1)
 
@@ -180,14 +200,56 @@ class TestEmitSystem:
         (3, 2, "1b8beb8bb409f03e0e9fb1ff9d25e8210435be32b76eac67f80d80ef2bde5da4"),
         (8, 4, "278973922e14c85d4b4bd5e73795080ec200f4861044f878c3563f69f2ec592b"),
     ])
-    def test_dump_bytes_pinned(self, n, d, digest):
-        text = json.dumps(emit_system_dict(n, d), sort_keys=True)
+    def test_dump_bytes_pinned(self, n, d, digest, tmp_path):
+        text = json.dumps(json.loads(emit_text(tmp_path, n, d)), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n,d,seeded,digest", [
+        (1, 1, False, "920412836bf08bb4b6ad6a79a085da203ac5a58e3b561c7586c7140c546a5cce"),
+        (3, 2, False, "523b35bc8e5e67adf188a4b3156f0909b43d8546015fb532c49090cbbedbf534"),
+        (8, 4, False, "b2f4d38e8074b77e1365128c87b893a7dc0b04b01cb1c690bcaf8ffe2df96bf8"),
+        (8, 4, True, "cae02536cbe76b13641849d519267d3ff3d1fd0ccab34b628313c34bac54fb6d"),
+    ])
+    def test_cli_text_pinned(self, n, d, seeded, digest, tmp_path):
+        instance = seeded_instance(tmp_path) if seeded else None
+        text = emit_text(tmp_path, n, d, instance)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n,d,signed_zeros", [
+        (1, 1, False), (2, 1, False), (3, 2, False), (2, 2, True),
+    ])
+    def test_text_is_the_stdlib_indented_dump(self, n, d, signed_zeros, tmp_path):
+        instance = None
+        if signed_zeros:
+            pairs = [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 1.5],
+                     [2.0, -0.0], [-1.0, -0.0], [0.0, 0.0], [-0.0, -3.0]]
+            blocks = np.array(pairs * 2).reshape(n, n, d, d, 2).tolist()
+            instance = tmp_path / "zeros.json"
+            instance.write_text(json.dumps({"A": {"n": n, "d": d, "blocks": blocks}}))
+        out = emit_system_dict(n, d, None if instance is None else str(instance))
+        lists = {k: operator_to_json(v) if isinstance(v, np.ndarray) else v
+                 for k, v in out.items()}
+        text = emit_text(tmp_path, n, d, instance)
+        assert text == json.dumps(lists, indent=2, sort_keys=True) + "\n"
+        if instance is not None:
+            # the dump repeats the instance bit for bit, signs of zeros included
+            assert json.dumps(json.loads(text)["A"]["blocks"]) == json.dumps(blocks)
 
     def test_with_instance(self, tmp_path):
         path = identity_instance(tmp_path)
         out = emit_system_dict(2, 1, str(path))
-        assert np.array_equal(np.array(out["lambda_A"])[:, :, 0], np.eye(4))
+        assert np.array_equal(out["lambda_A"].real, np.eye(4))
+
+    def test_memory_peak(self, tmp_path):
+        # the parent route through nested [re, im] lists peaked near 78 MB
+        instance = seeded_instance(tmp_path)
+        tracemalloc.start()
+        try:
+            emit_text(tmp_path, 8, 4, instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestCommandLine:
