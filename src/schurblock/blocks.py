@@ -97,8 +97,8 @@ def flatten(a: BlockMatrix) -> np.ndarray:
 def block_identity(n: int, d: int) -> BlockMatrix:
     """Ordinary identity: I_d on the diagonal slots, zero elsewhere."""
     b = np.zeros((n, n, d, d), dtype=np.complex128)
-    for i in range(n):
-        b[i, i] = np.eye(d)
+    i = np.arange(n)
+    b[i, i] = np.eye(d)
     return BlockMatrix(n=n, d=d, blocks=b)
 
 
@@ -140,8 +140,8 @@ def block_matmul(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
 def diag_block(a: BlockMatrix) -> BlockMatrix:
     """Zero the off-diagonal slots, keep the diagonal ones. Idempotent."""
     b = np.zeros_like(a.blocks)
-    for i in range(a.n):
-        b[i, i] = a.blocks[i, i]
+    i = np.arange(a.n)
+    b[i, i] = a.blocks[i, i]
     return BlockMatrix(n=a.n, d=a.d, blocks=b)
 
 
@@ -232,17 +232,23 @@ def operator_to_json(x) -> list:
     return _pairs(x).tolist()
 
 
-def operator_from_json(obj, field: str = "matrix") -> np.ndarray:
+def _from_pairs(obj, ndim: int, field: str) -> np.ndarray:
+    """Inverse of ``_pairs`` for an ndim-dimensional complex array."""
     try:
         a = np.asarray(obj, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: entries must be [re, im] number pairs") from exc
-    if a.ndim != 3 or a.shape[2] != 2:
+    if a.ndim != ndim + 1 or a.shape[-1] != 2:
+        what = "list" if ndim == 1 else f"{ndim}-D grid"
         raise ValueError(
-            f"{field}: expected a 2-D grid of [re, im] pairs, got shape {a.shape}"
+            f"{field}: expected a {what} of [re, im] pairs, got shape {a.shape}"
         )
     # a view, not a[..., 0] + 1j * a[..., 1]: that sum turns -0.0 into 0.0
     return np.ascontiguousarray(a).view(np.complex128)[..., 0]
+
+
+def operator_from_json(obj, field: str = "matrix") -> np.ndarray:
+    return _from_pairs(obj, 2, field)
 
 
 def vector_to_json(x) -> list:
@@ -250,13 +256,7 @@ def vector_to_json(x) -> list:
 
 
 def vector_from_json(obj, field: str = "vector") -> np.ndarray:
-    try:
-        a = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{field}: entries must be [re, im] number pairs") from exc
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise ValueError(f"{field}: expected a list of [re, im] pairs")
-    return np.ascontiguousarray(a).view(np.complex128)[..., 0]
+    return _from_pairs(obj, 1, field)
 
 
 def json_chunks(obj: dict):
@@ -288,13 +288,7 @@ def json_chunks(obj: dict):
 
 
 def block_matrix_to_json(a: BlockMatrix) -> dict:
-    return {
-        "n": a.n,
-        "d": a.d,
-        "blocks": [
-            [operator_to_json(a.blocks[i, j]) for j in range(a.n)] for i in range(a.n)
-        ],
-    }
+    return {"n": a.n, "d": a.d, "blocks": _pairs(a.blocks).tolist()}
 
 
 def block_matrix_from_json(obj, field: str = "block matrix") -> BlockMatrix:

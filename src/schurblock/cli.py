@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -109,16 +110,8 @@ class TrialConfig:
         return self.tolerances.get(property_id, PROPERTIES[property_id].tol)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "k": self.k,
-            "trials": self.trials,
-            "seed": self.seed,
-            "ensemble": self.ensemble,
-            "tolerances": {p: self.tolerance_for(p) for p in self.properties},
-            "properties": list(self.properties),
-        }
+        return dict(asdict(self), properties=list(self.properties),
+                    tolerances={p: self.tolerance_for(p) for p in self.properties})
 
 
 @dataclass(frozen=True)
@@ -147,9 +140,10 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     """Run every selected property over seeded random trials.
 
     Trial t draws its instance from a generator seeded with
-    mix64(config.seed, t); the draw order (A, B, xi, gamma, lifted A,
-    lifted B) is fixed and independent of the property selection, so any
-    recorded worst_seed regenerates its instance exactly.
+    mix64(config.seed, t) into one instance mapping; its key order (A, B,
+    xi, gamma, lift_a, lift_b) is the draw order, fixed and independent of
+    the property selection, so any recorded worst_seed regenerates its
+    instance exactly.
     """
     per_property: dict[str, list[PropertyResult]] = {p: [] for p in config.properties}
     seconds = {p: 0.0 for p in config.properties}
@@ -157,19 +151,18 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     for t in range(config.trials):
         trial_seed = mix64(config.seed, t)
         rng = np.random.default_rng(trial_seed)
-        a = sample_block_matrix(rng, config.n, config.d, config.ensemble)
-        b = sample_block_matrix(rng, config.n, config.d, config.ensemble)
-        xi = sample_vector(rng, config.n * config.d)
-        gamma = sample_vector(rng, config.n * config.d)
-        lift_a = sample_lift(rng, config.k, config.n, config.d, config.ensemble)
-        lift_b = sample_lift(rng, config.k, config.n, config.d, config.ensemble)
+        x = {
+            "A": sample_block_matrix(rng, config.n, config.d, config.ensemble),
+            "B": sample_block_matrix(rng, config.n, config.d, config.ensemble),
+            "xi": sample_vector(rng, config.n * config.d),
+            "gamma": sample_vector(rng, config.n * config.d),
+            "lift_a": sample_lift(rng, config.k, config.n, config.d, config.ensemble),
+            "lift_b": sample_lift(rng, config.k, config.n, config.d, config.ensemble),
+        }
         for p in config.properties:
             t0 = time.perf_counter()
-            result = run_property(
-                p, a=a, b=b, xi=xi, gamma=gamma,
-                lift_a=lift_a, lift_b=lift_b, k=config.k,
-                tol=config.tolerance_for(p), system=system, seed=trial_seed,
-            )
+            result = run_property(p, x, tol=config.tolerance_for(p),
+                                  system=system, seed=trial_seed)
             seconds[p] += time.perf_counter() - t0
             per_property[p].append(result)
     results = [merge_results(per_property[p]) for p in config.properties
@@ -194,11 +187,11 @@ def replay_instance(path: str, property_id: str,
     if tol is not None:
         _check_tolerance(property_id, tol)
     obj = _load_instance(path)
-    a = block_matrix_from_json(obj["A"], field="A")
-    b = block_matrix_from_json(obj["B"], field="B") if "B" in obj else None
-    xi = vector_from_json(obj["xi"], field="xi") if "xi" in obj else None
-    gamma = vector_from_json(obj["gamma"], field="gamma") if "gamma" in obj else None
-    return run_property(property_id, a=a, b=b, xi=xi, gamma=gamma, tol=tol)
+    decoders = {"A": block_matrix_from_json, "B": block_matrix_from_json,
+                "xi": vector_from_json, "gamma": vector_from_json}
+    x = {key: decode(obj[key], field=key)
+         for key, decode in decoders.items() if key in obj}
+    return run_property(property_id, x, tol=tol)
 
 
 def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> dict:
@@ -257,7 +250,10 @@ def _write_output(pieces, out: str | None):
             fh.writelines(pieces)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; argparse reads
+    ``COLUMNS`` when it formats help, not here."""
     parser = argparse.ArgumentParser(
         prog="schurblock",
         description="Randomized verification of the Schur block product "

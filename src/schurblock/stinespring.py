@@ -73,9 +73,8 @@ def build_sigma(a: BlockMatrix) -> np.ndarray:
     """Diagonal mix: block (i, j) lands at row group (i,*,i), column group (j,*,j)."""
     n, d = a.n, a.d
     six = np.zeros((n, d, n, n, d, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            six[i, :, i, j, :, j] = a.blocks[i, j]
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    six[i, :, i, j, :, j] = a.blocks
     return six.reshape(triple_dim(n, d), triple_dim(n, d))
 
 

@@ -34,8 +34,7 @@ as the best observed lower witness for the lifted operator norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from types import SimpleNamespace
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,8 +73,9 @@ from .stinespring import (
 class Property(NamedTuple):
     """One row of PROPERTIES: default tolerance, needed inputs, checker call.
 
-    ``check(x, tol, seed)`` runs the checker on the instance pieces in x,
-    whose fields are A, B, xi, gamma, lift_a, lift_b, k and system; it
+    ``check(x, tol, system, seed)`` runs the checker on the instance
+    mapping x, keyed like the instance file (A, B, xi, gamma) plus the
+    suite's lift_a and lift_b; ``needs`` names the keys it must have. It
     reaches ``verify_<id>`` through its module-level name at call time, so
     a wrapper installed on that name (a profiler, a tracer) sees every call.
     """
@@ -86,27 +86,30 @@ class Property(NamedTuple):
 
 
 PROPERTIES = {
-    "factorization": Property(1e-10, ("A", "B"), lambda x, tol, seed: (
-        verify_factorization(x.A, x.B, tol, system=x.system, seed=seed))),
-    "structure": Property(1e-12, ("A", "B"), lambda x, tol, seed: (
-        verify_structure(x.A, x.B, tol, system=x.system, seed=seed))),
-    "livshits": Property(1e-8, ("A", "B"), lambda x, tol, seed: (
-        verify_livshits(x.A, x.B, tol, seed=seed))),
-    "sharpness": Property(1e-8, ("A",), lambda x, tol, seed: (
-        verify_sharpness(x.A, tol, seed=seed))),
-    "sandwich": Property(1e-10, ("A",), lambda x, tol, seed: (
-        verify_sandwich(x.A, tol, seed=seed))),
-    "cauchy_schwarz": Property(1e-8, ("A", "B", "xi", "gamma"), lambda x, tol, seed: (
-        verify_cauchy_schwarz(x.A, x.B, x.xi, x.gamma, tol, seed=seed))),
-    "decomposition": Property(1e-10, ("A", "B"), lambda x, tol, seed: (
-        verify_decomposition(x.A, x.B, tol, system=x.system, seed=seed))),
-    "norm_lemmas": Property(1e-8, ("A",), lambda x, tol, seed: (
-        verify_norm_lemmas(x.A, tol, system=x.system, seed=seed))),
-    # the level-k lift when one is given, else the level-1 lift of (A, B)
-    "cb_level": Property(1e-8, ("A", "B"), lambda x, tol, seed: (
-        verify_cb_level(x.lift_a, x.lift_b, x.k, tol, seed=seed)
-        if x.lift_a is not None and x.lift_b is not None
-        else verify_cb_level([[x.A]], [[x.B]], 1, tol, seed=seed))),
+    "factorization": Property(1e-10, ("A", "B"), lambda x, tol, system, seed: (
+        verify_factorization(x["A"], x["B"], tol, system=system, seed=seed))),
+    "structure": Property(1e-12, ("A", "B"), lambda x, tol, system, seed: (
+        verify_structure(x["A"], x["B"], tol, system=system, seed=seed))),
+    "livshits": Property(1e-8, ("A", "B"), lambda x, tol, system, seed: (
+        verify_livshits(x["A"], x["B"], tol, seed=seed))),
+    "sharpness": Property(1e-8, ("A",), lambda x, tol, system, seed: (
+        verify_sharpness(x["A"], tol, seed=seed))),
+    "sandwich": Property(1e-10, ("A",), lambda x, tol, system, seed: (
+        verify_sandwich(x["A"], tol, seed=seed))),
+    "cauchy_schwarz": Property(
+        1e-8, ("A", "B", "xi", "gamma"), lambda x, tol, system, seed: (
+            verify_cauchy_schwarz(x["A"], x["B"], x["xi"], x["gamma"], tol,
+                                  seed=seed))),
+    "decomposition": Property(1e-10, ("A", "B"), lambda x, tol, system, seed: (
+        verify_decomposition(x["A"], x["B"], tol, system=system, seed=seed))),
+    "norm_lemmas": Property(1e-8, ("A",), lambda x, tol, system, seed: (
+        verify_norm_lemmas(x["A"], tol, system=system, seed=seed))),
+    # the level-k lift when both are given, else the level-1 lift of (A, B)
+    "cb_level": Property(1e-8, ("A", "B"), lambda x, tol, system, seed: (
+        verify_cb_level(x["lift_a"], x["lift_b"], len(x["lift_a"]), tol,
+                        seed=seed)
+        if "lift_a" in x and "lift_b" in x
+        else verify_cb_level([[x["A"]]], [[x["B"]]], 1, tol, seed=seed))),
 }
 
 # the two right-hand-side routes in the Cauchy-Schwarz checker must agree
@@ -143,14 +146,7 @@ class PropertyResult:
         return self.failures == 0
 
     def as_dict(self) -> dict:
-        return {
-            "property_id": self.property_id,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_residual": self.worst_residual,
-            "worst_seed": self.worst_seed,
-            "tolerance_used": self.tolerance_used,
-        }
+        return asdict(self)
 
 
 def merge_results(results) -> PropertyResult:
@@ -464,18 +460,14 @@ def verify_cb_level(a: Lift, b: Lift, k: int,
 # ---------------------------------------------------------------------------
 
 
-def run_property(property_id: str, *, a=None, b=None, xi=None, gamma=None,
-                 lift_a=None, lift_b=None, k: int = 1,
-                 tol: float | None = None,
+def run_property(property_id: str, x, *, tol: float | None = None,
                  system: StinespringSystem | None = None,
                  seed: int = 0) -> PropertyResult:
-    """Run one named property on the supplied pieces of an instance."""
+    """Run one named property on the instance mapping x (see ``Property``)."""
     if property_id not in PROPERTIES:
         raise ValueError(f"unknown property {property_id!r}")
     prop = PROPERTIES[property_id]
-    x = SimpleNamespace(A=a, B=b, xi=xi, gamma=gamma, lift_a=lift_a,
-                        lift_b=lift_b, k=k, system=system)
     for what in prop.needs:
-        if getattr(x, what) is None:
+        if what not in x:
             raise ValueError(f"property {property_id!r} needs {what}")
-    return prop.check(x, prop.tol if tol is None else tol, seed)
+    return prop.check(x, prop.tol if tol is None else tol, system, seed)

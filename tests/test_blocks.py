@@ -301,6 +301,10 @@ class TestJson:
         v = x[0]
         assert json.dumps(vector_to_json(v)) == json.dumps(
             [[float(c.real), float(c.imag)] for c in v])
+        bm = block_matrix(self.signed_zeros(rng, (3, 3, 2, 2)))
+        assert json.dumps(block_matrix_to_json(bm)) == json.dumps(
+            {"n": 3, "d": 2, "blocks": [[operator_to_json(bm.blocks[i, j])
+                                         for j in range(3)] for i in range(3)]})
 
     def test_decode_keeps_signed_zeros(self):
         rng = np.random.default_rng(6)

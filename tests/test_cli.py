@@ -16,8 +16,9 @@ from schurblock import (
     operator_to_json,
     sample_block_matrix,
     triple_dim,
+    vector_to_json,
 )
-from schurblock import verify
+from schurblock import cli, verify
 from schurblock.verify import PROPERTIES, run_property
 from schurblock.cli import (
     ConfigError,
@@ -167,6 +168,33 @@ class TestReplay:
         path.write_text(json.dumps({"A": {"n": 1, "d": 1}}))
         with pytest.raises(ValueError, match="missing field"):
             replay_instance(str(path), "factorization")
+
+    @pytest.mark.parametrize("ensemble", ["ginibre", "hermitian", "haar"])
+    @pytest.mark.parametrize("n, d, k", [(2, 1, 1), (3, 2, 2), (2, 3, 1)])
+    def test_replays_the_suite_worst_instance(self, n, d, k, ensemble, tmp_path,
+                                              monkeypatch):
+        # cb_level is left out: the suite checks its own level-k lift draws,
+        # while replay checks the level-1 lift [[A]], [[B]] of the file
+        pids = tuple(p for p in PROPERTIES if p != "cb_level")
+        seen = {}
+
+        def record(p, x, **kw):
+            seen.setdefault(kw["seed"], x)
+            return run_property(p, x, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "run_property", record)
+            report = run_suite(TrialConfig(n=n, d=d, k=k, trials=4, seed=5,
+                                           ensemble=ensemble, properties=pids))
+        for r in report.results:
+            x = seen[r.worst_seed]
+            path = tmp_path / f"{r.property_id}.json"
+            path.write_text(json.dumps({
+                "A": block_matrix_to_json(x["A"]), "B": block_matrix_to_json(x["B"]),
+                "xi": vector_to_json(x["xi"]), "gamma": vector_to_json(x["gamma"]),
+            }))
+            replayed = replay_instance(str(path), r.property_id, r.tolerance_used)
+            assert replayed.worst_residual == r.worst_residual, r.property_id
 
 
 def emit_text(tmp_path, n, d, instance=None) -> str:
@@ -386,15 +414,13 @@ def test_every_property_is_wired_through_the_table(pid, tmp_path, capsys,
     assert main(["replay", str(path), "--property", pid]) == 0
     assert f"property={pid} " in capsys.readouterr().out
 
-    # input name in PROPERTIES[pid].needs -> run_property keyword, value
-    pieces = {"A": ("a", block_identity(2, 1)), "B": ("b", block_identity(2, 1)),
-              "xi": ("xi", np.array([1.0, 0.0])),
-              "gamma": ("gamma", np.array([1.0, 0.0]))}
+    pieces = {"A": block_identity(2, 1), "B": block_identity(2, 1),
+              "xi": np.array([1.0, 0.0]), "gamma": np.array([1.0, 0.0])}
     assert set(PROPERTIES[pid].needs) <= set(pieces)
     for missing in PROPERTIES[pid].needs:
-        given = {kw: v for name, (kw, v) in pieces.items() if name != missing}
+        given = {name: v for name, v in pieces.items() if name != missing}
         with pytest.raises(ValueError, match=f"needs {missing}$"):
-            run_property(pid, **given)
+            run_property(pid, given)
 
 
 class TestGoldenSchema:

@@ -318,17 +318,17 @@ class TestCheckerBehavior:
         for pid in ("factorization", "structure", "livshits", "sharpness",
                     "sandwich", "cauchy_schwarz", "decomposition",
                     "norm_lemmas", "cb_level"):
-            r = run_property(pid, a=a, b=b, xi=xi, gamma=gamma)
+            r = run_property(pid, {"A": a, "B": b, "xi": xi, "gamma": gamma})
             assert r.property_id == pid
             assert r.passed
 
     def test_run_property_rejects_unknown(self):
         with pytest.raises(ValueError):
-            run_property("nonsense", a=A2, b=B2)
+            run_property("nonsense", {"A": A2, "B": B2})
 
     def test_run_property_missing_piece(self):
         with pytest.raises(ValueError, match="needs xi"):
-            run_property("cauchy_schwarz", a=A2, b=B2)
+            run_property("cauchy_schwarz", {"A": A2, "B": B2})
 
 
 class TestFixedOperatorChecks:
