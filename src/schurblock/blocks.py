@@ -184,12 +184,26 @@ def _check_lift(xs, name: str) -> tuple[int, int, int]:
     return k, n, d
 
 
+def regroup_lift(xs: Lift) -> BlockMatrix:
+    """The k-by-k grid xs of (n, d) block matrices as one (n, k*d) block matrix.
+
+    M_k(M_n(M_d)) regroups as M_n(M_kd): d-by-d block (p, q) of slot (i, j)
+    is slot (i, j) of xs[p][q]. The flattenings differ by a permutation, so
+    the norms agree, and the level-k lift is the plain Schur block product
+    of the regrouped pair.
+    """
+    k, n, d = _check_lift(xs, "lift")
+    blocks = np.array([[x.blocks for x in row] for row in xs])
+    return BlockMatrix(n=n, d=k * d, blocks=blocks.transpose(2, 3, 0, 4, 1, 5)
+                       .reshape(n, n, k * d, k * d))
+
+
 def lift_schur_k(a: Lift, b: Lift) -> Lift:
     """Level-k lift of the Schur block product.
 
-    Entry (i, j) of the result is sum_l a[i][l] [] b[l][j], with the sum
-    taken in the fixed order l = 0..k-1. For k = 1 this is the plain
-    Schur block product.
+    Entry (i, j) of the result is sum_l a[i][l] [] b[l][j]: the Schur
+    block product of the regrouped pair, split back into the k-by-k grid.
+    For k = 1 this is the plain Schur block product.
     """
     k, n, d = _check_lift(a, "a")
     kb, nb, db = _check_lift(b, "b")
@@ -197,16 +211,10 @@ def lift_schur_k(a: Lift, b: Lift) -> Lift:
         raise ShapeError(
             f"lift shapes differ: (k={k}, n={n}, d={d}) vs (k={kb}, n={nb}, d={db})"
         )
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            acc = np.zeros((n, n, d, d), dtype=np.complex128)
-            for l in range(k):
-                acc += np.matmul(a[i][l].blocks, b[l][j].blocks)
-            row.append(BlockMatrix(n=n, d=d, blocks=acc))
-        out.append(row)
-    return out
+    c = schur_block_product(regroup_lift(a), regroup_lift(b)).blocks
+    grid = c.reshape(n, n, k, d, k, d).transpose(2, 4, 0, 1, 3, 5)
+    return [[BlockMatrix(n=n, d=d, blocks=grid[i, j]) for j in range(k)]
+            for i in range(k)]
 
 
 def flatten_lift(xs: Lift) -> np.ndarray:

@@ -30,6 +30,7 @@ from .blocks import (
     block_matrix_from_json,
     block_matrix_to_json,
     json_chunks,
+    regroup_lift,
     vector_from_json,
 )
 from .errors import ShapeError
@@ -139,11 +140,10 @@ class VerificationReport:
 def run_suite(config: TrialConfig) -> VerificationReport:
     """Run every selected property over seeded random trials.
 
-    Trial t draws its instance from a generator seeded with
-    mix64(config.seed, t) into one instance mapping; its key order (A, B,
-    xi, gamma, lift_a, lift_b) is the draw order, fixed and independent of
-    the property selection, so any recorded worst_seed regenerates its
-    instance exactly.
+    Trial t draws A, B, xi, gamma and the level-k pair, in that fixed
+    order, from a generator seeded with mix64(config.seed, t), so any
+    recorded worst_seed regenerates its instance exactly. ``cb_level`` runs
+    on the level-k pair regrouped at block size k*d, the rest on A, B, xi, gamma.
     """
     per_property: dict[str, list[PropertyResult]] = {p: [] for p in config.properties}
     seconds = {p: 0.0 for p in config.properties}
@@ -156,12 +156,16 @@ def run_suite(config: TrialConfig) -> VerificationReport:
             "B": sample_block_matrix(rng, config.n, config.d, config.ensemble),
             "xi": sample_vector(rng, config.n * config.d),
             "gamma": sample_vector(rng, config.n * config.d),
-            "lift_a": sample_lift(rng, config.k, config.n, config.d, config.ensemble),
-            "lift_b": sample_lift(rng, config.k, config.n, config.d, config.ensemble),
+        }
+        level_k = {
+            key: regroup_lift(sample_lift(rng, config.k, config.n, config.d,
+                                          config.ensemble))
+            for key in ("A", "B")
         }
         for p in config.properties:
             t0 = time.perf_counter()
-            result = run_property(p, x, tol=config.tolerance_for(p),
+            result = run_property(p, level_k if p == "cb_level" else x,
+                                  tol=config.tolerance_for(p),
                                   system=system, seed=trial_seed)
             seconds[p] += time.perf_counter() - t0
             per_property[p].append(result)
@@ -191,6 +195,12 @@ def replay_instance(path: str, property_id: str,
                 "xi": vector_from_json, "gamma": vector_from_json}
     x = {key: decode(obj[key], field=key)
          for key, decode in decoders.items() if key in obj}
+    # at most a suite instance: cb_level's level-k pair has block size k*d
+    for key in ("A", "B"):
+        if key in x and not (x[key].n <= MAX_N and x[key].d <= MAX_K * MAX_D):
+            raise ConfigError(
+                f"{key} has (n={x[key].n}, d={x[key].d}); replay takes n in "
+                f"1..{MAX_N} and d in 1..{MAX_K * MAX_D}")
     return run_property(property_id, x, tol=tol)
 
 

@@ -2,9 +2,10 @@
 
 Everything in this module works on plain 2-D ``numpy.ndarray`` values with
 dtype complex128; ``as_operator`` is the single validation gate used at API
-boundaries. ``spectral_norm`` is a full SVD: the largest operator any
-config builds is n*d*n = 8*4*8 = 256 on a side. Functions are pure and
-never mutate their arguments.
+boundaries. ``spectral_norm`` is a full SVD: the largest operator a
+suite config builds is n*d*n = 8*4*8 = 256 on a side, and replay, which
+takes block size up to 12 (a level-3 pair at d = 4), can build
+n*d*n = 8*12*8 = 768. Functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations

@@ -25,11 +25,6 @@ two sides agree bit for bit costs no SVD: an exactly zero difference is a
 residual of 0.0, which is what its norm would give. So only identities
 that can carry rounding (factorization, the Q lambda rho Q identity, the
 decomposition sum) pay for spectral norms.
-
-One irregularity, flagged where it happens: the lifted-product checker
-stores the norm ratio ||lift(A,B)|| / (||A|| ||B||) itself as the
-residual, with threshold 1 + tol, so the aggregated worst residual doubles
-as the best observed lower witness for the lifted operator norm.
 """
 
 from __future__ import annotations
@@ -41,16 +36,12 @@ import numpy as np
 
 from .blocks import (
     BlockMatrix,
-    Lift,
-    _check_lift,
     _check_same_shape,
     adjoint_block,
     block_matmul,
     col_norm,
     diag_block,
     flatten,
-    flatten_lift,
-    lift_schur_k,
     row_norm,
     schur_block_product,
 )
@@ -74,10 +65,10 @@ class Property(NamedTuple):
     """One row of PROPERTIES: default tolerance, needed inputs, checker call.
 
     ``check(x, tol, system, seed)`` runs the checker on the instance
-    mapping x, keyed like the instance file (A, B, xi, gamma) plus the
-    suite's lift_a and lift_b; ``needs`` names the keys it must have. It
-    reaches ``verify_<id>`` through its module-level name at call time, so
-    a wrapper installed on that name (a profiler, a tracer) sees every call.
+    mapping x, keyed like the instance file (A, B, xi, gamma); ``needs``
+    names the keys it must have. It reaches ``verify_<id>`` through its
+    module-level name at call time, so a wrapper installed on that name (a
+    profiler, a tracer) sees every call.
     """
 
     tol: float
@@ -104,12 +95,8 @@ PROPERTIES = {
         verify_decomposition(x["A"], x["B"], tol, system=system, seed=seed))),
     "norm_lemmas": Property(1e-8, ("A",), lambda x, tol, system, seed: (
         verify_norm_lemmas(x["A"], tol, system=system, seed=seed))),
-    # the level-k lift when both are given, else the level-1 lift of (A, B)
     "cb_level": Property(1e-8, ("A", "B"), lambda x, tol, system, seed: (
-        verify_cb_level(x["lift_a"], x["lift_b"], len(x["lift_a"]), tol,
-                        seed=seed)
-        if "lift_a" in x and "lift_b" in x
-        else verify_cb_level([[x["A"]]], [[x["B"]]], 1, tol, seed=seed))),
+        verify_cb_level(x["A"], x["B"], tol, seed=seed))),
 }
 
 # the two right-hand-side routes in the Cauchy-Schwarz checker must agree
@@ -256,15 +243,19 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix,
     return _single("structure", max(residuals), tol, seed)
 
 
+def _livshits_violation(a: BlockMatrix, b: BlockMatrix) -> float:
+    """How far ||A [] B|| exceeds row_norm(A) * col_norm(B), relative to it."""
+    _check_same_shape(a, b)
+    lhs = spectral_norm(flatten(schur_block_product(a, b)))
+    rhs = row_norm(a) * col_norm(b)
+    return max(0.0, lhs - rhs) / max(rhs, ABS_FLOOR)
+
+
 def verify_livshits(a: BlockMatrix, b: BlockMatrix,
                     tol: float = PROPERTIES["livshits"].tol, *,
                     seed: int = 0) -> PropertyResult:
     """||A [] B|| <= row_norm(A) * col_norm(B)."""
-    _check_same_shape(a, b)
-    lhs = spectral_norm(flatten(schur_block_product(a, b)))
-    rhs = row_norm(a) * col_norm(b)
-    residual = max(0.0, lhs - rhs) / max(rhs, ABS_FLOOR)
-    return _single("livshits", residual, tol, seed)
+    return _single("livshits", _livshits_violation(a, b), tol, seed)
 
 
 def row_norm_via_schur(x: BlockMatrix, k: int) -> float:
@@ -430,29 +421,15 @@ def verify_norm_lemmas(a: BlockMatrix,
     return _single("norm_lemmas", residual, tol, seed)
 
 
-def lift_norm_ratio(a: Lift, b: Lift) -> float:
-    """||flatten_lift(lift(A, B))|| / (||flatten_lift(A)|| ||flatten_lift(B)||)."""
-    lhs = spectral_norm(flatten_lift(lift_schur_k(a, b)))
-    rhs = spectral_norm(flatten_lift(a)) * spectral_norm(flatten_lift(b))
-    if rhs == 0.0:
-        return 0.0 if lhs == 0.0 else float("inf")
-    return lhs / rhs
-
-
-def verify_cb_level(a: Lift, b: Lift, k: int,
+def verify_cb_level(a: BlockMatrix, b: BlockMatrix,
                     tol: float = PROPERTIES["cb_level"].tol, *,
                     seed: int = 0) -> PropertyResult:
-    """Contractivity of the level-k lift: ||lift(A, B)|| <= ||A|| ||B|| (1 + tol).
+    """Complete boundedness at level k: the Livshits bound of a level-k pair.
 
-    The residual IS the norm ratio (threshold 1 + tol), so aggregated
-    worst residuals record the largest lower witness seen for the lifted
-    operator norm.
+    The level-k lift is the Schur block product at block size k*d, so A
+    and B are a pair regrouped by ``blocks.regroup_lift``.
     """
-    ka, _, _ = _check_lift(a, "a")
-    if ka != k:
-        raise ShapeError(f"lift has k={ka}, expected k={k}")
-    ratio = lift_norm_ratio(a, b)
-    return _single("cb_level", ratio, 1.0 + tol, seed)
+    return _single("cb_level", _livshits_violation(a, b), tol, seed)
 
 
 # ---------------------------------------------------------------------------

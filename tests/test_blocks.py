@@ -23,6 +23,7 @@ from schurblock import (
     lift_schur_k,
     operator_from_json,
     operator_to_json,
+    regroup_lift,
     row_norm,
     schur_block_product,
     schur_unit,
@@ -239,6 +240,32 @@ class TestLift:
         assert f.shape == (8, 8)
         assert_allclose(f[4:8, 0:4], flatten(a[1][0]))
 
+    @pytest.mark.parametrize("k, n, d", [(1, 2, 2), (2, 2, 1), (2, 3, 2),
+                                         (3, 1, 2), (3, 2, 3)])
+    def test_regroup_against_brute_force(self, k, n, d):
+        # the level-k lift is the Schur block product at block size k*d
+        rng = np.random.default_rng(71 + 10 * k + n + d)
+        a = [[random_bm(rng, n, d) for _ in range(k)] for _ in range(k)]
+        b = [[random_bm(rng, n, d) for _ in range(k)] for _ in range(k)]
+        expected = regroup_lift([[block_matrix(x) for x in row]
+                                 for row in lift_oracle(a, b)])
+        got = schur_block_product(regroup_lift(a), regroup_lift(b))
+        assert (got.n, got.d) == (n, k * d)
+        assert_allclose(got.blocks, expected.blocks, rtol=0, atol=1e-13)
+        whole = spectral_norm(flatten_lift(a))
+        assert_allclose(spectral_norm(flatten(regroup_lift(a))), whole, rtol=1e-12)
+        assert regroup_lift([[a[0][0]]]) == a[0][0]
+
+    def test_regroup_slot_layout(self):
+        # slot (i, j) entry (p*d + s, q*d + t) is xs[p][q].blocks[i, j, s, t]
+        rng = np.random.default_rng(73)
+        xs = [[random_bm(rng, 3, 2) for _ in range(2)] for _ in range(2)]
+        r = regroup_lift(xs)
+        for p in range(2):
+            for q in range(2):
+                assert np.array_equal(r.blocks[:, :, 2 * p:2 * p + 2, 2 * q:2 * q + 2],
+                                      xs[p][q].blocks)
+
     def test_ragged_rejected(self):
         a = block_identity(2, 2)
         with pytest.raises(ShapeError):
@@ -246,6 +273,12 @@ class TestLift:
         with pytest.raises(ShapeError):
             lift_schur_k([[a, a], [a, block_identity(2, 3)]],
                          [[a, a], [a, a]])
+        with pytest.raises(ShapeError):
+            regroup_lift([[a, a], [a]])
+        # k*d alone cannot tell (k, d) = (2, 3) from (3, 2)
+        b = block_identity(2, 3)
+        with pytest.raises(ShapeError):
+            lift_schur_k([[a] * 3] * 3, [[b] * 2] * 2)
 
 
 class TestConstruction:

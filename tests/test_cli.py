@@ -158,10 +158,23 @@ class TestReplay:
         result = replay_instance(str(path), "cauchy_schwarz")
         assert result.passed and result.worst_residual == 0.0
 
-    def test_cb_level_falls_back_to_k1(self, tmp_path):
+    def test_cb_level_checks_the_file_pair(self, tmp_path):
+        # I [] I = I reaches the Livshits bound exactly, a violation of 0.0
         result = replay_instance(str(identity_instance(tmp_path)), "cb_level")
         assert result.passed
-        assert result.worst_residual == 1.0  # I [] I = I saturates the bound
+        assert result.worst_residual == 0.0
+        assert result.tolerance_used == PROPERTIES["cb_level"].tol
+
+    @pytest.mark.parametrize("n, d, code", [(9, 1, 2), (1, 13, 2), (8, 12, 0)])
+    def test_instance_size_range(self, n, d, code, tmp_path, capsys):
+        # n up to MAX_N, d up to MAX_K * MAX_D: cb_level's level-k pair at (8, 4, 3)
+        a = sample_block_matrix(np.random.default_rng(7), n, d)
+        path = tmp_path / "size.json"
+        path.write_text(json.dumps({"A": block_matrix_to_json(a),
+                                    "B": block_matrix_to_json(a)}))
+        assert main(["replay", str(path), "--property", "cb_level"]) == code
+        if code:
+            assert "replay takes n in 1..8 and d in 1..12" in capsys.readouterr().err
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -173,26 +186,25 @@ class TestReplay:
     @pytest.mark.parametrize("n, d, k", [(2, 1, 1), (3, 2, 2), (2, 3, 1)])
     def test_replays_the_suite_worst_instance(self, n, d, k, ensemble, tmp_path,
                                               monkeypatch):
-        # cb_level is left out: the suite checks its own level-k lift draws,
-        # while replay checks the level-1 lift [[A]], [[B]] of the file
-        pids = tuple(p for p in PROPERTIES if p != "cb_level")
+        # cb_level's instance is its level-k pair, written as A and B
         seen = {}
 
         def record(p, x, **kw):
-            seen.setdefault(kw["seed"], x)
+            seen[p, kw["seed"]] = x
             return run_property(p, x, **kw)
 
         with monkeypatch.context() as m:
             m.setattr(cli, "run_property", record)
             report = run_suite(TrialConfig(n=n, d=d, k=k, trials=4, seed=5,
-                                           ensemble=ensemble, properties=pids))
+                                           ensemble=ensemble))
+        assert len(report.results) == len(PROPERTIES)
+        encode = {"A": block_matrix_to_json, "B": block_matrix_to_json,
+                  "xi": vector_to_json, "gamma": vector_to_json}
         for r in report.results:
-            x = seen[r.worst_seed]
+            x = seen[r.property_id, r.worst_seed]
             path = tmp_path / f"{r.property_id}.json"
-            path.write_text(json.dumps({
-                "A": block_matrix_to_json(x["A"]), "B": block_matrix_to_json(x["B"]),
-                "xi": vector_to_json(x["xi"]), "gamma": vector_to_json(x["gamma"]),
-            }))
+            path.write_text(json.dumps({key: f(x[key]) for key, f in encode.items()
+                                        if key in x}))
             replayed = replay_instance(str(path), r.property_id, r.tolerance_used)
             assert replayed.worst_residual == r.worst_residual, r.property_id
 

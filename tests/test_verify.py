@@ -21,8 +21,8 @@ from schurblock import (
     col_norm,
     diag_block,
     flatten,
-    lift_norm_ratio,
     merge_results,
+    regroup_lift,
     row_norm,
     row_norm_via_schur,
     run_property,
@@ -241,42 +241,61 @@ class TestStructureAndNormLemmas:
             assert verify_norm_lemmas(a).passed
 
 
+def _lhs_over_rhs(a, b):
+    """||A [] B|| / (row_norm(A) col_norm(B)), how close the Livshits bound came."""
+    return spectral_norm(flatten(schur_block_product(a, b))) / (
+        row_norm(a) * col_norm(b))
+
+
 class TestCbLevel:
     def test_schur_unit_saturates_when_n_is_one(self):
         e = schur_unit(1, 3)
-        r = verify_cb_level([[e]], [[e]], 1)
-        assert r.worst_residual == 1.0
-        assert r.passed
+        r = verify_cb_level(e, e)
+        assert r.worst_residual == 0.0 and r.passed
+        assert _lhs_over_rhs(e, e) == 1.0
 
     def test_lifted_block_identity_saturates(self):
         i = block_identity(3, 2)
-        lift = [[i if p == q else _zero_like(i) for q in range(2)] for p in range(2)]
-        assert lift_norm_ratio(lift, lift) == 1.0
+        for k in (1, 2, 3):
+            lift = regroup_lift([[i if p == q else _zero_like(i) for q in range(k)]
+                                 for p in range(k)])
+            assert lift == block_identity(3, 2 * k)
+            assert verify_cb_level(lift, lift).worst_residual == 0.0
+            assert_allclose(_lhs_over_rhs(lift, lift), 1.0, rtol=1e-12)
 
-    def test_schur_unit_ratio_is_one_over_n(self):
-        e = schur_unit(3, 2)
-        assert_allclose(lift_norm_ratio([[e]], [[e]]), 1.0 / 3.0, rtol=1e-12)
+    def test_schur_unit_saturates_at_every_n(self):
+        # E [] E = E with ||E|| = n = row_norm(E) col_norm(E)
+        for n in (2, 3, 5):
+            e = schur_unit(n, 2)
+            assert verify_cb_level(e, e).worst_residual == 0.0
+            assert_allclose(_lhs_over_rhs(e, e), 1.0, rtol=1e-12)
 
     def test_lift_identity_of_lifted_product(self):
+        # the Schur unit on the grid diagonal regroups to the Schur unit
         unit = schur_unit(2, 2)
-        e = [[unit if i == j else _zero_like(unit) for j in range(2)] for i in range(2)]
-        r = verify_cb_level(e, e, 2)
-        assert r.passed  # ratio is 1/n for the lifted schur unit, n = 2 here
-        assert_allclose(r.worst_residual, 0.5, rtol=1e-12)
+        e = regroup_lift([[unit if i == j else _zero_like(unit) for j in range(2)]
+                          for i in range(2)])
+        assert e == schur_unit(2, 4)
+        r = verify_cb_level(e, e)
+        assert r.passed and r.worst_residual == 0.0
+        assert_allclose(_lhs_over_rhs(e, e), 1.0, rtol=1e-12)
 
     def test_random_contractive(self):
         rng = np.random.default_rng(257)
         for k in (1, 2, 3):
-            a = [[random_bm(rng, 3, 2) for _ in range(k)] for _ in range(k)]
-            b = [[random_bm(rng, 3, 2) for _ in range(k)] for _ in range(k)]
-            r = verify_cb_level(a, b, k)
+            a = regroup_lift([[random_bm(rng, 3, 2) for _ in range(k)]
+                              for _ in range(k)])
+            b = regroup_lift([[random_bm(rng, 3, 2) for _ in range(k)]
+                              for _ in range(k)])
+            r = verify_cb_level(a, b)
             assert r.passed
-            assert r.worst_residual <= 1.0 + 1e-8
+            assert r.worst_residual <= 1e-8
 
     def test_k_mismatch(self):
+        # a level-2 pair has block size 2d, so it does not meet a level-1 one
         i = block_identity(2, 2)
         with pytest.raises(ShapeError):
-            verify_cb_level([[i]], [[i]], 2)
+            verify_cb_level(regroup_lift([[i, i], [i, i]]), i)
 
 
 def _zero_like(x):
