@@ -13,6 +13,7 @@ reach it exactly.
 import numpy as np
 
 from schurblock import (
+    PROPERTIES,
     block_identity,
     col_norm,
     flatten,
@@ -60,7 +61,7 @@ for k in (1, 2, 3):
     for _ in range(200):
         a = regroup_lift(sample_lift(rng, k, n, d))
         b = regroup_lift(sample_lift(rng, k, n, d))
-        assert verify_cb_level(a, b).passed
+        assert verify_cb_level(a, b) <= PROPERTIES["cb_level"].tol
         ratios.append(lhs_over_rhs(a, b))
     print(f"  k = {k}: closest approach over 200 draws = {max(ratios):.6f} "
           f"(mean {np.mean(ratios):.4f})")

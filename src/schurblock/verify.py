@@ -1,15 +1,18 @@
 """Checkers for the identities and inequalities obeyed by the Schur block product.
 
-Each checker runs one instance and returns a PropertyResult with trials=1.
-Residuals are relative with an absolute floor of 1e-12: identity checks
-divide the deviation norm by max(1, ||reference||), inequality checks
-divide the violation by the right-hand side. A result passes when its
-residual is at or below the tolerance, and ``merge_results`` folds
-per-trial results into suite aggregates (sums of counts, max of
-residuals), which is order-independent. ``PROPERTIES`` is the one list
-of the nine properties: each id's default tolerance, the instance pieces
-it needs, and the call that runs its checker; ``run_property`` dispatches
-through it and the CLI derives its flags and validation from it.
+Each checker measures one instance and returns its residual as a float;
+only ``run_property`` judges: the residual passes at or below the
+tolerance, and it wraps the outcome in a PropertyResult with trials=1.
+Residuals are relative: matrix identities divide the deviation norm by
+max(1, ||reference||) (``identity_residual``), scalar equalities divide
+the gap by the reference (``_gap``), and bounds divide the excess over
+the right-hand side by it (``_excess``), both with the absolute floor
+``ABS_FLOOR`` = 1e-12. ``merge_results`` folds per-trial results into
+suite aggregates (sums of counts, max of residuals), which is
+order-independent. ``PROPERTIES`` is the one list of the nine
+properties: each id's default tolerance, the instance pieces it needs,
+and the call that runs its checker; ``run_property`` dispatches through
+it and the CLI derives its flags and validation from it.
 
 The laws of the fixed operators V, F and Q do not depend on the
 instance. They are checked exactly once per StinespringSystem object, on
@@ -64,7 +67,7 @@ from .stinespring import (
 class Property(NamedTuple):
     """One row of PROPERTIES: default tolerance, needed inputs, checker call.
 
-    ``check(x, tol, system, seed)`` runs the checker on the instance
+    ``check(x, system)`` returns the checker's residual on the instance
     mapping x, keyed like the instance file (A, B, xi, gamma); ``needs``
     names the keys it must have. It reaches ``verify_<id>`` through its
     module-level name at call time, so a wrapper installed on that name (a
@@ -77,30 +80,28 @@ class Property(NamedTuple):
 
 
 PROPERTIES = {
-    "factorization": Property(1e-10, ("A", "B"), lambda x, tol, system, seed: (
-        verify_factorization(x["A"], x["B"], tol, system=system, seed=seed))),
-    "structure": Property(1e-12, ("A", "B"), lambda x, tol, system, seed: (
-        verify_structure(x["A"], x["B"], tol, system=system, seed=seed))),
-    "livshits": Property(1e-8, ("A", "B"), lambda x, tol, system, seed: (
-        verify_livshits(x["A"], x["B"], tol, seed=seed))),
-    "sharpness": Property(1e-8, ("A",), lambda x, tol, system, seed: (
-        verify_sharpness(x["A"], tol, seed=seed))),
-    "sandwich": Property(1e-10, ("A",), lambda x, tol, system, seed: (
-        verify_sandwich(x["A"], tol, seed=seed))),
-    "cauchy_schwarz": Property(
-        1e-8, ("A", "B", "xi", "gamma"), lambda x, tol, system, seed: (
-            verify_cauchy_schwarz(x["A"], x["B"], x["xi"], x["gamma"], tol,
-                                  seed=seed))),
-    "decomposition": Property(1e-10, ("A", "B"), lambda x, tol, system, seed: (
-        verify_decomposition(x["A"], x["B"], tol, system=system, seed=seed))),
-    "norm_lemmas": Property(1e-8, ("A",), lambda x, tol, system, seed: (
-        verify_norm_lemmas(x["A"], tol, system=system, seed=seed))),
-    "cb_level": Property(1e-8, ("A", "B"), lambda x, tol, system, seed: (
-        verify_cb_level(x["A"], x["B"], tol, seed=seed))),
+    "factorization": Property(1e-10, ("A", "B"), lambda x, system: (
+        verify_factorization(x["A"], x["B"], system=system))),
+    "structure": Property(1e-12, ("A", "B"), lambda x, system: (
+        verify_structure(x["A"], x["B"], system=system))),
+    "livshits": Property(1e-8, ("A", "B"), lambda x, system: (
+        verify_livshits(x["A"], x["B"]))),
+    "sharpness": Property(1e-8, ("A",), lambda x, system: (
+        verify_sharpness(x["A"]))),
+    "sandwich": Property(1e-10, ("A",), lambda x, system: (
+        verify_sandwich(x["A"]))),
+    "cauchy_schwarz": Property(1e-8, ("A", "B", "xi", "gamma"), lambda x, system: (
+        verify_cauchy_schwarz(x["A"], x["B"], x["xi"], x["gamma"]))),
+    "decomposition": Property(1e-10, ("A", "B"), lambda x, system: (
+        verify_decomposition(x["A"], x["B"], system=system))),
+    "norm_lemmas": Property(1e-8, ("A",), lambda x, system: (
+        verify_norm_lemmas(x["A"], system=system))),
+    "cb_level": Property(1e-8, ("A", "B"), lambda x, system: (
+        verify_cb_level(x["A"], x["B"]))),
 }
 
-# the two right-hand-side routes in the Cauchy-Schwarz checker must agree
-# to this relative tolerance regardless of the inequality tolerance
+# at the default cauchy_schwarz tolerance, the checker's two right-hand-side
+# routes must agree to this relative tolerance; at tolerance T, to T/100
 RHS_AGREEMENT_TOL = 1e-10
 
 
@@ -156,15 +157,14 @@ def merge_results(results) -> PropertyResult:
     )
 
 
-def _single(pid: str, residual: float, tol: float, seed: int) -> PropertyResult:
-    return PropertyResult(
-        property_id=pid,
-        trials=1,
-        failures=0 if residual <= tol else 1,
-        worst_residual=float(residual),
-        worst_seed=seed,
-        tolerance_used=tol,
-    )
+def _gap(x: float, ref: float) -> float:
+    """How far the scalar x misses ref, relative to ref."""
+    return abs(x - ref) / max(ref, ABS_FLOOR)
+
+
+def _excess(lhs: float, rhs: float) -> float:
+    """How far lhs exceeds the bound rhs, relative to rhs; 0.0 within it."""
+    return max(0.0, lhs - rhs) / max(rhs, ABS_FLOOR)
 
 
 def _system_for(a: BlockMatrix, system: StinespringSystem | None) -> StinespringSystem:
@@ -189,10 +189,8 @@ def _embed(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarr
     return out
 
 
-def verify_factorization(a: BlockMatrix, b: BlockMatrix,
-                         tol: float = PROPERTIES["factorization"].tol, *,
-                         system: StinespringSystem | None = None,
-                         seed: int = 0) -> PropertyResult:
+def verify_factorization(a: BlockMatrix, b: BlockMatrix, *,
+                         system: StinespringSystem | None = None) -> float:
     """flatten(A [] B) = V* lambda(A) F lambda(B) V, and the rho form."""
     _check_same_shape(a, b)
     sys_ = _system_for(a, system)
@@ -208,13 +206,11 @@ def verify_factorization(a: BlockMatrix, b: BlockMatrix,
     if gaps:
         denom = max(1.0, spectral_norm(target))
         residual = max(spectral_norm(g) for g in gaps) / denom
-    return _single("factorization", residual, tol, seed)
+    return residual
 
 
-def verify_structure(a: BlockMatrix, b: BlockMatrix,
-                     tol: float = PROPERTIES["structure"].tol, *,
-                     system: StinespringSystem | None = None,
-                     seed: int = 0) -> PropertyResult:
+def verify_structure(a: BlockMatrix, b: BlockMatrix, *,
+                     system: StinespringSystem | None = None) -> float:
     """Exactness of the fixed operators and the representation identities.
 
     Covers V*V = I, F self-adjoint and involutive, FV = V,
@@ -240,22 +236,19 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix,
                           build_sigma(schur_block_product(a, b))),
         identity_residual(flatten(diag_block(a)), la[np.ix_(r, r)]),
     ]
-    return _single("structure", max(residuals), tol, seed)
+    return max(residuals)
 
 
 def _livshits_violation(a: BlockMatrix, b: BlockMatrix) -> float:
     """How far ||A [] B|| exceeds row_norm(A) * col_norm(B), relative to it."""
     _check_same_shape(a, b)
     lhs = spectral_norm(flatten(schur_block_product(a, b)))
-    rhs = row_norm(a) * col_norm(b)
-    return max(0.0, lhs - rhs) / max(rhs, ABS_FLOOR)
+    return _excess(lhs, row_norm(a) * col_norm(b))
 
 
-def verify_livshits(a: BlockMatrix, b: BlockMatrix,
-                    tol: float = PROPERTIES["livshits"].tol, *,
-                    seed: int = 0) -> PropertyResult:
+def verify_livshits(a: BlockMatrix, b: BlockMatrix) -> float:
     """||A [] B|| <= row_norm(A) * col_norm(B)."""
-    return _single("livshits", _livshits_violation(a, b), tol, seed)
+    return _livshits_violation(a, b)
 
 
 def row_norm_via_schur(x: BlockMatrix, k: int) -> float:
@@ -279,9 +272,7 @@ def _block_row_norm(x: BlockMatrix, k: int) -> float:
     return spectral_norm(strip)
 
 
-def verify_sharpness(x: BlockMatrix,
-                     tol: float = PROPERTIES["sharpness"].tol, *,
-                     seed: int = 0) -> PropertyResult:
+def verify_sharpness(x: BlockMatrix) -> float:
     """Row norms recovered through [] match direct block-row norms, every row."""
     residual = 0.0
     recovered = []
@@ -289,15 +280,11 @@ def verify_sharpness(x: BlockMatrix,
         via = row_norm_via_schur(x, k)
         direct = _block_row_norm(x, k)
         recovered.append(via)
-        residual = max(residual, abs(via - direct) / max(direct, ABS_FLOOR))
-    rn = row_norm(x)
-    residual = max(residual, abs(max(recovered) - rn) / max(rn, ABS_FLOOR))
-    return _single("sharpness", residual, tol, seed)
+        residual = max(residual, _gap(via, direct))
+    return max(residual, _gap(max(recovered), row_norm(x)))
 
 
-def verify_sandwich(a: BlockMatrix,
-                    tol: float = PROPERTIES["sandwich"].tol, *,
-                    seed: int = 0) -> PropertyResult:
+def verify_sandwich(a: BlockMatrix) -> float:
     """-diag(A*A) <= A* [] A <= diag(A*A) in the PSD order."""
     star = adjoint_block(a)
     s = flatten(schur_block_product(star, a))
@@ -307,8 +294,7 @@ def verify_sandwich(a: BlockMatrix,
     lo = hermitian_min_eig(dmat - s, tol=1e-8)
     hi = hermitian_min_eig(dmat + s, tol=1e-8)
     deficit = max(0.0, -lo, -hi)
-    residual = deficit / max(spectral_norm(dmat), ABS_FLOOR)
-    return _single("sandwich", residual, tol, seed)
+    return deficit / max(spectral_norm(dmat), ABS_FLOOR)
 
 
 def cauchy_schwarz_rhs_routes(a: BlockMatrix, b: BlockMatrix,
@@ -347,15 +333,14 @@ def cauchy_schwarz_rhs_routes(a: BlockMatrix, b: BlockMatrix,
     return rhs_diag, rhs_sum
 
 
-def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma,
-                          tol: float = PROPERTIES["cauchy_schwarz"].tol, *,
-                          seed: int = 0) -> PropertyResult:
+def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma) -> float:
     """|<(A [] B) xi, gamma>| <= ||diag(B*B)^(1/2) xi|| ||diag(AA*)^(1/2) gamma||.
 
-    Also recomputes the right-hand side by direct summation and requires
-    the two routes to agree to RHS_AGREEMENT_TOL; that sub-residual is
-    scaled into the same pass threshold, so the result fails whenever
-    either the inequality or the route agreement does.
+    Also recomputes the right-hand side by direct summation. The gap
+    between the two routes is weighted by the default tolerance over
+    RHS_AGREEMENT_TOL (100), so at the default tolerance the residual
+    fails whenever either the inequality or the 1e-10 route agreement
+    does, and it does not depend on the tolerance it is judged at.
     """
     _check_same_shape(a, b)
     dim = a.n * a.d
@@ -365,18 +350,15 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma,
         raise ShapeError(
             f"vectors must have length n*d = {dim}, got {xi.shape} and {gamma.shape}"
         )
-    lhs = abs(np.vdot(gamma, flatten(schur_block_product(a, b)) @ xi))
+    lhs = float(abs(np.vdot(gamma, flatten(schur_block_product(a, b)) @ xi)))
     rhs_diag, rhs_sum = cauchy_schwarz_rhs_routes(a, b, xi, gamma)
-    ineq_residual = max(0.0, lhs - rhs_diag) / (1.0 + rhs_diag)
-    route_gap = abs(rhs_diag - rhs_sum) / max(rhs_diag, ABS_FLOOR)
-    residual = max(ineq_residual, route_gap * (tol / RHS_AGREEMENT_TOL))
-    return _single("cauchy_schwarz", residual, tol, seed)
+    route_gap = _gap(rhs_sum, rhs_diag)
+    return max(_excess(lhs, rhs_diag),
+               route_gap * (PROPERTIES["cauchy_schwarz"].tol / RHS_AGREEMENT_TOL))
 
 
-def verify_decomposition(a: BlockMatrix, b: BlockMatrix,
-                         tol: float = PROPERTIES["decomposition"].tol, *,
-                         system: StinespringSystem | None = None,
-                         seed: int = 0) -> PropertyResult:
+def verify_decomposition(a: BlockMatrix, b: BlockMatrix, *,
+                         system: StinespringSystem | None = None) -> float:
     """Difference-of-positive-parts form and the absolute-value identity.
 
     With P = (F + I)/2, an orthogonal projection since F = F* = F^-1:
@@ -403,33 +385,26 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix,
         identity_residual(build_lambda(prod)[np.ix_(r, r)],
                           flatten(diag_block(prod))),
     ]
-    return _single("decomposition", max(residuals), tol, seed)
+    return max(residuals)
 
 
-def verify_norm_lemmas(a: BlockMatrix,
-                       tol: float = PROPERTIES["norm_lemmas"].tol, *,
-                       system: StinespringSystem | None = None,
-                       seed: int = 0) -> PropertyResult:
+def verify_norm_lemmas(a: BlockMatrix, *,
+                       system: StinespringSystem | None = None) -> float:
     """col_norm(A) = ||lambda(A) V|| and row_norm(A) = ||V* lambda(A)||."""
     sys_ = _system_for(a, system)
     la = build_lambda(a)
     cn, rn = col_norm(a), row_norm(a)
-    residual = max(
-        abs(cn - spectral_norm(la @ sys_.V)) / max(cn, ABS_FLOOR),
-        abs(rn - spectral_norm(sys_.V.conj().T @ la)) / max(rn, ABS_FLOOR),
-    )
-    return _single("norm_lemmas", residual, tol, seed)
+    return max(_gap(spectral_norm(la @ sys_.V), cn),
+               _gap(spectral_norm(sys_.V.conj().T @ la), rn))
 
 
-def verify_cb_level(a: BlockMatrix, b: BlockMatrix,
-                    tol: float = PROPERTIES["cb_level"].tol, *,
-                    seed: int = 0) -> PropertyResult:
+def verify_cb_level(a: BlockMatrix, b: BlockMatrix) -> float:
     """Complete boundedness at level k: the Livshits bound of a level-k pair.
 
     The level-k lift is the Schur block product at block size k*d, so A
     and B are a pair regrouped by ``blocks.regroup_lift``.
     """
-    return _single("cb_level", _livshits_violation(a, b), tol, seed)
+    return _livshits_violation(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +415,25 @@ def verify_cb_level(a: BlockMatrix, b: BlockMatrix,
 def run_property(property_id: str, x, *, tol: float | None = None,
                  system: StinespringSystem | None = None,
                  seed: int = 0) -> PropertyResult:
-    """Run one named property on the instance mapping x (see ``Property``)."""
+    """Run one named property on the instance mapping x and judge it.
+
+    The checker's residual (see ``Property``) passes at or below tol, by
+    default the property's own; the one-trial result records seed as
+    its ``worst_seed``.
+    """
     if property_id not in PROPERTIES:
         raise ValueError(f"unknown property {property_id!r}")
     prop = PROPERTIES[property_id]
     for what in prop.needs:
         if what not in x:
             raise ValueError(f"property {property_id!r} needs {what}")
-    return prop.check(x, prop.tol if tol is None else tol, system, seed)
+    tol = prop.tol if tol is None else tol
+    residual = prop.check(x, system)
+    return PropertyResult(
+        property_id=property_id,
+        trials=1,
+        failures=0 if residual <= tol else 1,
+        worst_residual=residual,
+        worst_seed=seed,
+        tolerance_used=tol,
+    )

@@ -65,8 +65,7 @@ def test_criterion_1_factorization_identity():
         rng = np.random.default_rng(mix64(1001, t))
         a = sample_block_matrix(rng, n, d)
         b = sample_block_matrix(rng, n, d)
-        r = verify_factorization(a, b, tol=1e-10, system=systems[(n, d)])
-        worst = max(worst, r.worst_residual)
+        worst = max(worst, verify_factorization(a, b, system=systems[(n, d)]))
     elapsed = time.perf_counter() - start
     _report(1, "factorization identity", worst <= 1e-10 and elapsed < 30.0,
             f"500 instances, worst residual {worst:.3e}, {elapsed:.1f}s")
@@ -80,8 +79,7 @@ def test_criterion_2_structural_exactness():
         rng = np.random.default_rng(mix64(1002, t))
         a = sample_block_matrix(rng, n, d)
         b = sample_block_matrix(rng, n, d)
-        r = verify_structure(a, b, tol=1e-12, system=systems[(n, d)])
-        worst = max(worst, r.worst_residual)
+        worst = max(worst, verify_structure(a, b, system=systems[(n, d)]))
     _report(2, "structural exactness", worst <= 1e-12,
             f"200 instances, worst residual {worst:.3e}")
 
@@ -93,7 +91,7 @@ def test_criterion_3_livshits_inequality():
         rng = np.random.default_rng(mix64(1003, t))
         a = sample_block_matrix(rng, n, d)
         b = sample_block_matrix(rng, n, d)
-        if not verify_livshits(a, b, tol=1e-8).passed:
+        if not verify_livshits(a, b) <= 1e-8:
             violations += 1
     a2 = scalar_bm([[1.0, 2.0], [3.0, 4.0]])
     b2 = scalar_bm([[5.0, 6.0], [7.0, 8.0]])
@@ -111,8 +109,7 @@ def test_criterion_4_sharpness_of_row_recovery():
         n, d = GRID[t % len(GRID)]
         rng = np.random.default_rng(mix64(1004, t))
         x = sample_block_matrix(rng, n, d)
-        r = verify_sharpness(x, tol=1e-8)
-        worst = max(worst, r.worst_residual)
+        worst = max(worst, verify_sharpness(x))
         recovered = max(row_norm_via_schur(x, k) for k in range(n))
         rn = row_norm(x)
         worst = max(worst, abs(recovered - rn) / max(rn, 1e-12))
@@ -126,7 +123,7 @@ def test_criterion_5_sandwich_inequality():
         n, d = GRID[t % len(GRID)]
         rng = np.random.default_rng(mix64(1005, t))
         a = sample_block_matrix(rng, n, d)
-        worst = max(worst, verify_sandwich(a, tol=1e-10).worst_residual)
+        worst = max(worst, verify_sandwich(a))
     a2 = scalar_bm([[1.0, 2.0], [3.0, 4.0]])
     star = adjoint_block(a2)
     gap = flatten(diag_block(block_matmul(star, a2))) - flatten(
@@ -147,7 +144,7 @@ def test_criterion_6_cauchy_schwarz_bound():
         xi = sample_vector(rng, n * d)
         gamma = sample_vector(rng, n * d)
         # the checker folds in the 1e-10 agreement of the two rhs routes
-        if not verify_cauchy_schwarz(a, b, xi, gamma, tol=1e-8).passed:
+        if not verify_cauchy_schwarz(a, b, xi, gamma) <= 1e-8:
             failures += 1
     _report(6, "Cauchy-Schwarz bound", failures == 0,
             f"1000 instances, {failures} failures (inequality or rhs routes)")
@@ -169,7 +166,7 @@ def test_criterion_7_complete_boundedness():
             rng = np.random.default_rng(mix64(1007 + k, t))
             la = regroup_lift(sample_lift(rng, k, n, d))
             lb = regroup_lift(sample_lift(rng, k, n, d))
-            if not verify_cb_level(la, lb, tol=1e-8).passed:
+            if not verify_cb_level(la, lb) <= 1e-8:
                 failures += 1
             closest = max(closest, _lhs_over_rhs(la, lb))
     # saturation: the Schur unit and the lifted ordinary identity reach the

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_bm, scalar_bm
 from schurblock import (
+    PROPERTIES,
     PropertyResult,
     ShapeError,
     StinespringSystem,
@@ -79,17 +80,17 @@ class TestPropertyResult:
 class TestFactorization:
     def test_identity_pair_is_exact(self):
         i = block_identity(3, 2)
-        assert verify_factorization(i, i).worst_residual == 0.0
+        assert verify_factorization(i, i) == 0.0
 
     def test_hand_example(self):
         r = verify_factorization(A2, B2)
-        assert r.worst_residual <= 1e-13
-        assert r.passed
+        assert r <= 1e-13
+        assert r <= PROPERTIES["factorization"].tol
 
     def test_random_large(self):
         rng = np.random.default_rng(211)
         a, b = random_bm(rng, 4, 3), random_bm(rng, 4, 3)
-        assert verify_factorization(a, b).worst_residual <= 1e-12
+        assert verify_factorization(a, b) <= 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -106,12 +107,12 @@ class TestLivshits:
         lhs = spectral_norm(flatten(schur_block_product(A2, B2)))
         assert_allclose(lhs, 40.35843836998762, rtol=1e-12)
         assert row_norm(A2) * col_norm(B2) == 50.0
-        assert verify_livshits(A2, B2).passed
+        assert verify_livshits(A2, B2) <= PROPERTIES["livshits"].tol
 
     def test_zero_instance(self):
         z = scalar_bm(np.zeros((2, 2)))
         r = verify_livshits(z, z)
-        assert r.passed and r.worst_residual == 0.0
+        assert r <= PROPERTIES["livshits"].tol and r == 0.0
 
     def test_equality_at_indicator_row(self):
         # B with I_d blocks on row k only: ||A [] B|| equals row k's norm
@@ -124,7 +125,7 @@ class TestLivshits:
         lhs = spectral_norm(flatten(schur_block_product(a, b)))
         strip = a.blocks[k].transpose(1, 0, 2).reshape(2, 6)
         assert_allclose(lhs, spectral_norm(strip), rtol=1e-10)
-        assert verify_livshits(a, b).passed
+        assert verify_livshits(a, b) <= PROPERTIES["livshits"].tol
 
 
 class TestSharpness:
@@ -142,7 +143,7 @@ class TestSharpness:
         x = random_bm(rng, 4, 2)
         best = max(row_norm_via_schur(x, k) for k in range(4))
         assert_allclose(best, row_norm(x), rtol=1e-10)
-        assert verify_sharpness(x).passed
+        assert verify_sharpness(x) <= PROPERTIES["sharpness"].tol
 
     def test_row_index_range(self):
         with pytest.raises(IndexError):
@@ -152,7 +153,7 @@ class TestSharpness:
 class TestSandwich:
     def test_block_identity(self):
         r = verify_sandwich(block_identity(2, 2))
-        assert r.passed and r.worst_residual == 0.0
+        assert r <= PROPERTIES["sandwich"].tol and r == 0.0
 
     def test_boundary_case(self):
         star = adjoint_block(A2)
@@ -164,20 +165,20 @@ class TestSandwich:
         gap = np.linalg.eigvalsh(d - s)
         assert abs(gap[0]) <= 1e-12  # eigenvalues {0, 13}
         assert_allclose(gap[1], 13.0, rtol=1e-12)
-        assert verify_sandwich(A2).passed
+        assert verify_sandwich(A2) <= PROPERTIES["sandwich"].tol
 
     def test_random(self):
         rng = np.random.default_rng(229)
         for _ in range(20):
             a = random_bm(rng, 5, 2)
-            assert verify_sandwich(a).worst_residual <= 1e-10
+            assert verify_sandwich(a) <= 1e-10
 
 
 class TestCauchySchwarz:
     def test_zero_vectors(self):
         z = np.zeros(2, dtype=complex)
         r = verify_cauchy_schwarz(A2, B2, z, z)
-        assert r.passed and r.worst_residual == 0.0
+        assert r <= PROPERTIES["cauchy_schwarz"].tol and r == 0.0
 
     def test_saturation_at_identity(self):
         i = block_identity(2, 2)
@@ -186,7 +187,7 @@ class TestCauchySchwarz:
         lhs = abs(np.vdot(e1, flatten(schur_block_product(i, i)) @ e1))
         rhs_diag, rhs_sum = cauchy_schwarz_rhs_routes(i, i, e1, e1)
         assert lhs == rhs_diag == rhs_sum == 1.0
-        assert verify_cauchy_schwarz(i, i, e1, e1).passed
+        assert verify_cauchy_schwarz(i, i, e1, e1) <= PROPERTIES["cauchy_schwarz"].tol
 
     def test_random_routes_agree(self):
         rng = np.random.default_rng(233)
@@ -196,7 +197,7 @@ class TestCauchySchwarz:
             gamma = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             rhs_diag, rhs_sum = cauchy_schwarz_rhs_routes(a, b, xi, gamma)
             assert abs(rhs_diag - rhs_sum) <= 1e-10 * max(rhs_diag, 1e-12)
-            assert verify_cauchy_schwarz(a, b, xi, gamma).passed
+            assert verify_cauchy_schwarz(a, b, xi, gamma) <= PROPERTIES["cauchy_schwarz"].tol
 
     def test_vector_length_checked(self):
         with pytest.raises(ShapeError):
@@ -206,19 +207,19 @@ class TestCauchySchwarz:
 class TestDecomposition:
     def test_identity_pair(self):
         i = block_identity(2, 2)
-        assert verify_decomposition(i, i).worst_residual == 0.0
+        assert verify_decomposition(i, i) == 0.0
 
     def test_hand_example_diagonal_of_product(self):
         from schurblock import block_matmul, diag_block
         prod = block_matmul(A2, B2)
         assert_allclose(flatten(diag_block(prod)), np.diag([19.0, 50.0]))
         r = verify_decomposition(A2, B2)
-        assert r.passed and r.worst_residual <= 1e-13
+        assert r <= PROPERTIES["decomposition"].tol and r <= 1e-13
 
     def test_random(self):
         rng = np.random.default_rng(239)
         a, b = random_bm(rng, 3, 2), random_bm(rng, 3, 2)
-        assert verify_decomposition(a, b).worst_residual <= 1e-12
+        assert verify_decomposition(a, b) <= 1e-12
 
     def test_half_flip_is_exact_projection(self):
         f = StinespringSystem.build(3, 2).F
@@ -232,13 +233,13 @@ class TestStructureAndNormLemmas:
         rng = np.random.default_rng(241)
         for n, d in [(1, 1), (2, 2), (4, 3)]:
             a, b = random_bm(rng, n, d), random_bm(rng, n, d)
-            assert verify_structure(a, b).worst_residual <= 1e-12
+            assert verify_structure(a, b) <= 1e-12
 
     def test_norm_lemmas_random(self):
         rng = np.random.default_rng(251)
         for n, d in [(2, 1), (3, 2)]:
             a = random_bm(rng, n, d)
-            assert verify_norm_lemmas(a).passed
+            assert verify_norm_lemmas(a) <= PROPERTIES["norm_lemmas"].tol
 
 
 def _lhs_over_rhs(a, b):
@@ -251,7 +252,7 @@ class TestCbLevel:
     def test_schur_unit_saturates_when_n_is_one(self):
         e = schur_unit(1, 3)
         r = verify_cb_level(e, e)
-        assert r.worst_residual == 0.0 and r.passed
+        assert r == 0.0 and r <= PROPERTIES["cb_level"].tol
         assert _lhs_over_rhs(e, e) == 1.0
 
     def test_lifted_block_identity_saturates(self):
@@ -260,14 +261,14 @@ class TestCbLevel:
             lift = regroup_lift([[i if p == q else _zero_like(i) for q in range(k)]
                                  for p in range(k)])
             assert lift == block_identity(3, 2 * k)
-            assert verify_cb_level(lift, lift).worst_residual == 0.0
+            assert verify_cb_level(lift, lift) == 0.0
             assert_allclose(_lhs_over_rhs(lift, lift), 1.0, rtol=1e-12)
 
     def test_schur_unit_saturates_at_every_n(self):
         # E [] E = E with ||E|| = n = row_norm(E) col_norm(E)
         for n in (2, 3, 5):
             e = schur_unit(n, 2)
-            assert verify_cb_level(e, e).worst_residual == 0.0
+            assert verify_cb_level(e, e) == 0.0
             assert_allclose(_lhs_over_rhs(e, e), 1.0, rtol=1e-12)
 
     def test_lift_identity_of_lifted_product(self):
@@ -277,7 +278,7 @@ class TestCbLevel:
                           for i in range(2)])
         assert e == schur_unit(2, 4)
         r = verify_cb_level(e, e)
-        assert r.passed and r.worst_residual == 0.0
+        assert r <= PROPERTIES["cb_level"].tol and r == 0.0
         assert_allclose(_lhs_over_rhs(e, e), 1.0, rtol=1e-12)
 
     def test_random_contractive(self):
@@ -288,8 +289,8 @@ class TestCbLevel:
             b = regroup_lift([[random_bm(rng, 3, 2) for _ in range(k)]
                               for _ in range(k)])
             r = verify_cb_level(a, b)
-            assert r.passed
-            assert r.worst_residual <= 1e-8
+            assert r <= PROPERTIES["cb_level"].tol
+            assert r <= 1e-8
 
     def test_k_mismatch(self):
         # a level-2 pair has block size 2d, so it does not meet a level-1 one
@@ -318,16 +319,19 @@ class TestCheckerBehavior:
         base = spectral_norm(flatten(schur_block_product(a, b)))
         assert_allclose(lhs, abs(c) * base, rtol=1e-12)
         assert_allclose(row_norm(scaled), abs(c) * row_norm(a), rtol=1e-12)
-        for check in (verify_factorization, verify_livshits, verify_decomposition):
-            assert check(a, b).passed == check(scaled, b).passed
+        for check, pid in ((verify_factorization, "factorization"),
+                           (verify_livshits, "livshits"),
+                           (verify_decomposition, "decomposition")):
+            tol = PROPERTIES[pid].tol
+            assert (check(a, b) <= tol) == (check(scaled, b) <= tol)
 
     def test_trivial_saturation_within_eps(self):
         # saturating instances stay at essentially zero residual
         i = block_identity(3, 2)
-        assert verify_factorization(i, i).worst_residual <= 1e-13
-        assert verify_livshits(i, i).worst_residual <= 1e-13
-        assert verify_sandwich(i).worst_residual <= 1e-13
-        assert verify_decomposition(i, i).worst_residual <= 1e-13
+        assert verify_factorization(i, i) <= 1e-13
+        assert verify_livshits(i, i) <= 1e-13
+        assert verify_sandwich(i) <= 1e-13
+        assert verify_decomposition(i, i) <= 1e-13
 
     def test_run_property_dispatch(self):
         rng = np.random.default_rng(271)
@@ -360,8 +364,8 @@ class TestFixedOperatorChecks:
         zero = _zero_like(a)
         healthy = StinespringSystem.build(n, d)
         # measure the healthy invariants first: replace() must not carry them over
-        assert verify_structure(a, b, system=healthy).passed
-        assert verify_decomposition(a, b, system=healthy).passed
+        assert verify_structure(a, b, system=healthy) <= PROPERTIES["structure"].tol
+        assert verify_decomposition(a, b, system=healthy) <= PROPERTIES["decomposition"].tol
         big = triple_dim(n, d)
         rows = healthy.v_rows.copy()
         rows[d:2 * d] = rows[:d]  # the j = 0 leg twice, the j = 1 leg gone
@@ -377,17 +381,19 @@ class TestFixedOperatorChecks:
         swap[[0, 1]] = [1, 0]
         moves_v = replace(healthy, f_perm=swap[healthy.f_perm[swap]])
         for broken in (flip_is_identity, leg_dropped):
-            assert not verify_structure(a, b, system=broken).passed
-        assert not verify_decomposition(a, b, system=flip_is_identity).passed
+            assert not verify_structure(a, b, system=broken) <= PROPERTIES["structure"].tol
+        assert not (verify_decomposition(a, b, system=flip_is_identity)
+                    <= PROPERTIES["decomposition"].tol)
         # every per-instance identity holds on the zero instance, so only the
         # fixed-operator invariants can fail there
-        assert not verify_structure(zero, zero, system=leg_dropped).passed
+        assert not verify_structure(zero, zero, system=leg_dropped) <= PROPERTIES["structure"].tol
         for broken in (not_involutive, three_cycle, moves_v):
-            assert not verify_decomposition(zero, zero, system=broken).passed
+            assert not (verify_decomposition(zero, zero, system=broken)
+                        <= PROPERTIES["decomposition"].tol)
         for sys_ in (healthy, StinespringSystem.build(n, d)):
-            assert verify_structure(a, b, system=sys_).passed
-            assert verify_decomposition(a, b, system=sys_).passed
-            assert verify_structure(zero, zero, system=sys_).passed
+            assert verify_structure(a, b, system=sys_) <= PROPERTIES["structure"].tol
+            assert verify_decomposition(a, b, system=sys_) <= PROPERTIES["decomposition"].tol
+            assert verify_structure(zero, zero, system=sys_) <= PROPERTIES["structure"].tol
 
     def test_second_call_repeats_no_fixed_work(self, monkeypatch):
         calls = []
@@ -451,9 +457,9 @@ def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
     structure = []
     for _ in range(trials):
         a, b = random_bm(rng, n, d), random_bm(rng, n, d)
-        structure.append(verify_structure(a, b, system=sys_).worst_residual)
+        structure.append(verify_structure(a, b, system=sys_))
         assert structure[-1] == dense_structure_residual(a, b, sys_)
-        assert (verify_decomposition(a, b, system=sys_).worst_residual
+        assert (verify_decomposition(a, b, system=sys_)
                 == dense_decomposition_residual(a, b, sys_))
     if (n, d) == (4, 2):
         # the Q lambda rho Q identity carries rounding here, so its SVD runs
