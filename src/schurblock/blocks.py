@@ -1,9 +1,13 @@
 """Block matrices with operator entries and the Schur block product.
 
 A BlockMatrix is an n-by-n grid of d-by-d complex blocks, stored as one
-(n, n, d, d) array. ``flatten`` identifies it with the (n*d)-by-(n*d)
+(n, n, d, d) array, or a stack of such grids, stored as one
+(..., n, n, d, d) array whose leading axes index the stack (the suite's
+trial axis). ``flatten`` identifies a grid with the (n*d)-by-(n*d)
 operator whose ((i*d + s), (j*d + t)) entry is blocks[i, j, s, t]; this
-bijection is the only index convention in the module.
+bijection is the only index convention in the module. Every operation
+here acts on each grid of a stack alone, through one numpy call for the
+whole stack, and gives the same bits as on that grid by itself.
 
 The Schur block product A [] B multiplies blocks slotwise,
 (A [] B)_ij = a_ij b_ij, which for d >= 2 is associative but not
@@ -19,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .linalg import spectral_norm
+from .linalg import as_scalar, spectral_norm
 
 
 @dataclass(frozen=True, eq=False)
 class BlockMatrix:
-    """Square matrix of square operator blocks.
+    """Square matrix of square operator blocks, or a stack of them.
 
     Attributes
     ----------
@@ -33,8 +37,9 @@ class BlockMatrix:
     d : int
         Dimension of each block.
     blocks : numpy.ndarray
-        Read-only (n, n, d, d) complex128 array; blocks[i, j] is the
-        operator in slot (i, j).
+        Read-only (..., n, n, d, d) complex128 array; blocks[..., i, j] is
+        the operator in slot (i, j). The leading axes, ``batch``, are empty
+        for a single matrix.
     """
 
     n: int
@@ -43,10 +48,10 @@ class BlockMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.blocks, dtype=np.complex128)
-        if a.shape != (self.n, self.n, self.d, self.d):
+        if a.shape[max(a.ndim - 4, 0):] != (self.n, self.n, self.d, self.d):
             raise ShapeError(
                 f"blocks array has shape {a.shape}, expected "
-                f"{(self.n, self.n, self.d, self.d)}"
+                f"{(self.n, self.n, self.d, self.d)} after any leading axes"
             )
         if self.n < 1 or self.d < 1:
             raise ShapeError(f"n and d must be positive, got n={self.n}, d={self.d}")
@@ -56,6 +61,11 @@ class BlockMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "blocks", a)
 
+    @property
+    def batch(self) -> tuple:
+        """The leading (stack) axes of ``blocks``; () for a single matrix."""
+        return self.blocks.shape[:-4]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockMatrix):
             return NotImplemented
@@ -64,7 +74,7 @@ class BlockMatrix:
         )
 
     def __hash__(self):
-        return hash((self.n, self.d, self.blocks.tobytes()))
+        return hash((self.n, self.d, self.batch, self.blocks.tobytes()))
 
 
 def block_matrix(blocks) -> BlockMatrix:
@@ -82,16 +92,17 @@ def block_matrix(blocks) -> BlockMatrix:
 
 
 def unflatten(x, n: int, d: int) -> BlockMatrix:
-    """Inverse of ``flatten``: carve an (n*d, n*d) matrix into d-by-d blocks."""
+    """Inverse of ``flatten``: carve each (n*d, n*d) matrix into d-by-d blocks."""
     a = np.asarray(x, dtype=np.complex128)
-    if a.shape != (n * d, n * d):
+    if a.shape[max(a.ndim - 2, 0):] != (n * d, n * d):
         raise ShapeError(f"expected shape {(n * d, n * d)}, got {a.shape}")
-    return BlockMatrix(n=n, d=d, blocks=a.reshape(n, d, n, d).transpose(0, 2, 1, 3))
+    return BlockMatrix(n=n, d=d, blocks=a.reshape(*a.shape[:-2], n, d, n, d)
+                       .swapaxes(-3, -2))
 
 
 def flatten(a: BlockMatrix) -> np.ndarray:
-    """The (n*d, n*d) operator with entry ((i*d + s), (j*d + t)) = blocks[i, j, s, t]."""
-    return a.blocks.transpose(0, 2, 1, 3).reshape(a.n * a.d, a.n * a.d)
+    """The (..., n*d, n*d) operators with entry ((i*d + s), (j*d + t)) = blocks[..., i, j, s, t]."""
+    return a.blocks.swapaxes(-3, -2).reshape(*a.batch, a.n * a.d, a.n * a.d)
 
 
 def block_identity(n: int, d: int) -> BlockMatrix:
@@ -122,11 +133,15 @@ def _check_same_shape(a: BlockMatrix, b: BlockMatrix):
 
 def adjoint_block(a: BlockMatrix) -> BlockMatrix:
     """Adjoint of the whole matrix: slot (i, j) becomes blocks[j, i]*."""
-    return BlockMatrix(n=a.n, d=a.d, blocks=np.conj(a.blocks.transpose(1, 0, 3, 2)))
+    return BlockMatrix(n=a.n, d=a.d,
+                       blocks=np.conj(a.blocks.swapaxes(-4, -3).swapaxes(-2, -1)))
 
 
 def schur_block_product(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
-    """Slotwise operator product: result block (i, j) = a_ij @ b_ij."""
+    """Slotwise operator product: result block (i, j) = a_ij @ b_ij.
+
+    Stacks broadcast: a single matrix multiplies every matrix of a stack.
+    """
     _check_same_shape(a, b)
     return BlockMatrix(n=a.n, d=a.d, blocks=np.matmul(a.blocks, b.blocks))
 
@@ -141,20 +156,25 @@ def diag_block(a: BlockMatrix) -> BlockMatrix:
     """Zero the off-diagonal slots, keep the diagonal ones. Idempotent."""
     b = np.zeros_like(a.blocks)
     i = np.arange(a.n)
-    b[i, i] = a.blocks[i, i]
+    b[..., i, i, :, :] = a.blocks[..., i, i, :, :]
     return BlockMatrix(n=a.n, d=a.d, blocks=b)
 
 
-def row_norm(a: BlockMatrix) -> float:
+def _max_sqrt_norm(grams: np.ndarray):
+    """max over the last stack axis of ||g||^(1/2), one SVD call for all g."""
+    return as_scalar(np.sqrt(spectral_norm(grams)).max(axis=-1))
+
+
+def row_norm(a: BlockMatrix):
     """max over i of || sum_j a_ij a_ij* ||^(1/2)."""
-    grams = np.matmul(a.blocks, np.conj(a.blocks.transpose(0, 1, 3, 2))).sum(axis=1)
-    return float(max(np.sqrt(spectral_norm(g)) for g in grams))
+    return _max_sqrt_norm(np.matmul(a.blocks, np.conj(a.blocks.swapaxes(-1, -2)))
+                          .sum(axis=-3))
 
 
-def col_norm(a: BlockMatrix) -> float:
+def col_norm(a: BlockMatrix):
     """max over j of || sum_i a_ij* a_ij ||^(1/2)."""
-    grams = np.matmul(np.conj(a.blocks.transpose(0, 1, 3, 2)), a.blocks).sum(axis=0)
-    return float(max(np.sqrt(spectral_norm(g)) for g in grams))
+    return _max_sqrt_norm(np.matmul(np.conj(a.blocks.swapaxes(-1, -2)), a.blocks)
+                          .sum(axis=-4))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .blocks import (
+    BlockMatrix,
     block_matrix_from_json,
     block_matrix_to_json,
     json_chunks,
@@ -42,7 +43,7 @@ from .instances import (
     sample_lift,
     sample_vector,
 )
-from .stinespring import StinespringSystem, build_lambda
+from .stinespring import StinespringSystem, build_lambda, triple_dim
 from .verify import PROPERTIES, PropertyResult, merge_results, run_property
 
 EXIT_OK = 0
@@ -53,6 +54,11 @@ EXIT_IO = 3
 MAX_N = 8
 MAX_D = 4
 MAX_K = 3
+
+# the suite runs its trials in chunks whose (n*d*n)-square complex
+# operators take at most this many bytes each: 256 trials at
+# (n, d) = (4, 2), 4 at (8, 4)
+CHUNK_BYTES = 4 << 20
 
 
 class ConfigError(ValueError):
@@ -137,36 +143,61 @@ class VerificationReport:
         }
 
 
+def chunk_trials(n: int, d: int) -> int:
+    """Trials per chunk: as many as fit CHUNK_BYTES in one operator each."""
+    return CHUNK_BYTES // (16 * triple_dim(n, d) ** 2)
+
+
+def _draw_chunk(config: TrialConfig, seeds: list) -> tuple[dict, dict]:
+    """The instance mappings of a chunk of trials, stacked along a leading axis.
+
+    Trial t is drawn from default_rng(seeds[t]) in the fixed order A, B,
+    xi, gamma, then the level-k pair, and written into row t of the
+    stacks. Returns the mapping of A, B, xi and gamma, and the mapping of
+    the level-k pair, regrouped, as A and B.
+    """
+    n, d, k, ensemble = config.n, config.d, config.k, config.ensemble
+    size = len(seeds)
+    a, b, ka, kb = (np.empty((size, n, n, e, e), dtype=np.complex128)
+                    for e in (d, d, k * d, k * d))
+    xi, gamma = (np.empty((size, n * d), dtype=np.complex128) for _ in range(2))
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        a[t] = sample_block_matrix(rng, n, d, ensemble).blocks
+        b[t] = sample_block_matrix(rng, n, d, ensemble).blocks
+        xi[t] = sample_vector(rng, n * d)
+        gamma[t] = sample_vector(rng, n * d)
+        ka[t] = regroup_lift(sample_lift(rng, k, n, d, ensemble)).blocks
+        kb[t] = regroup_lift(sample_lift(rng, k, n, d, ensemble)).blocks
+    x = {"A": BlockMatrix(n, d, a), "B": BlockMatrix(n, d, b), "xi": xi, "gamma": gamma}
+    return x, {"A": BlockMatrix(n, k * d, ka), "B": BlockMatrix(n, k * d, kb)}
+
+
 def run_suite(config: TrialConfig) -> VerificationReport:
     """Run every selected property over seeded random trials.
 
     Trial t draws A, B, xi, gamma and the level-k pair, in that fixed
     order, from a generator seeded with mix64(config.seed, t), so any
-    recorded worst_seed regenerates its instance exactly. ``cb_level`` runs
-    on the level-k pair regrouped at block size k*d, the rest on A, B, xi, gamma.
+    recorded worst_seed regenerates its instance exactly. The trials run
+    in chunks of ``chunk_trials(n, d)``: a chunk's draws are stacked along
+    a leading trial axis, and each property runs once per chunk, on the
+    stacks, and is judged there; ``merge_results`` folds the chunks and
+    each property's ``seconds`` sums its chunks. ``cb_level`` runs on the
+    level-k pair regrouped at block size k*d, the rest on A, B, xi, gamma.
     """
     per_property: dict[str, list[PropertyResult]] = {p: [] for p in config.properties}
     seconds = {p: 0.0 for p in config.properties}
     system = StinespringSystem.build(config.n, config.d)
-    for t in range(config.trials):
-        trial_seed = mix64(config.seed, t)
-        rng = np.random.default_rng(trial_seed)
-        x = {
-            "A": sample_block_matrix(rng, config.n, config.d, config.ensemble),
-            "B": sample_block_matrix(rng, config.n, config.d, config.ensemble),
-            "xi": sample_vector(rng, config.n * config.d),
-            "gamma": sample_vector(rng, config.n * config.d),
-        }
-        level_k = {
-            key: regroup_lift(sample_lift(rng, config.k, config.n, config.d,
-                                          config.ensemble))
-            for key in ("A", "B")
-        }
+    step = chunk_trials(config.n, config.d)
+    for first in range(0, config.trials, step):
+        seeds = [mix64(config.seed, t)
+                 for t in range(first, min(first + step, config.trials))]
+        x, level_k = _draw_chunk(config, seeds)
         for p in config.properties:
             t0 = time.perf_counter()
             result = run_property(p, level_k if p == "cb_level" else x,
                                   tol=config.tolerance_for(p),
-                                  system=system, seed=trial_seed)
+                                  system=system, seeds=seeds)
             seconds[p] += time.perf_counter() - t0
             per_property[p].append(result)
     results = [merge_results(per_property[p]) for p in config.properties

@@ -1,8 +1,12 @@
 """Dense complex matrix kernel: validation, norms and Hermitian spectra.
 
-Everything in this module works on plain 2-D ``numpy.ndarray`` values with
-dtype complex128; ``as_operator`` is the single validation gate used at API
-boundaries. ``spectral_norm`` is a full SVD: the largest operator a
+Everything in this module works on complex128 ``numpy.ndarray`` values
+holding one matrix in the last two axes, or a stack of them over any
+leading axes; ``as_operator`` is the single validation gate used at API
+boundaries. A kernel makes one batched LAPACK call for a whole stack,
+which gives the same bits as one call per matrix, and returns one value
+per matrix: a float for a plain 2-D input, an array over the leading axes
+for a stack. ``spectral_norm`` is a full SVD: the largest operator a
 suite config builds is n*d*n = 8*4*8 = 256 on a side, and replay, which
 takes block size up to 12 (a level-3 pair at d = 4), can build
 n*d*n = 8*12*8 = 768. Functions are pure and never mutate their arguments.
@@ -17,71 +21,110 @@ from .errors import ContractError, ShapeError
 ABS_FLOOR = 1e-12
 
 
+def as_scalar(x):
+    """x as a float when it is one value, else as the array it is."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
 def as_operator(x) -> np.ndarray:
-    """Coerce to a finite 2-D complex128 matrix, raising on anything else."""
+    """Coerce to a finite complex128 matrix, or stack of matrices, raising on anything else."""
     a = np.asarray(x, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ShapeError(f"expected a 2-D operator, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise ContractError("operator entries must be finite (no NaN/Inf)")
     return a
 
 
-def spectral_norm(x) -> float:
-    """Largest singular value of a nonempty matrix x."""
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
+
+
+def _square(x, name: str) -> np.ndarray:
+    x = as_operator(x)
+    if x.shape[-1] != x.shape[-2]:
+        raise ShapeError(f"{name} needs a square matrix, got {x.shape[-2:]}")
+    return x
+
+
+def spectral_norm(x):
+    """Largest singular value of each nonempty matrix of x."""
     x = as_operator(x)
     if x.size == 0:
         raise ShapeError(f"spectral_norm of an empty matrix, shape {x.shape}")
-    return float(np.linalg.svd(x, compute_uv=False)[0])
+    return as_scalar(np.linalg.svd(x, compute_uv=False)[..., 0])
 
 
-def identity_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """||lhs - rhs|| / max(1, ||rhs||), the deviation from lhs = rhs.
+def gap_norm(diff: np.ndarray):
+    """spectral_norm of each matrix of diff; an exactly zero one is 0.0.
 
-    An exactly zero difference returns 0.0 at once, without an SVD and
-    without the ||rhs|| denominator: identities among 0/1 permutation
-    operators hold bit for bit, and this is the value the norms would give.
+    The zero matrices cost no SVD: identities among 0/1 permutation
+    operators hold bit for bit, and 0.0 is what the norm would give.
     """
-    diff = lhs - rhs
-    if not diff.any():
-        return 0.0
-    return spectral_norm(diff) / max(1.0, spectral_norm(rhs))
+    nonzero = diff.reshape(*diff.shape[:-2], -1).any(axis=-1)
+    if nonzero.all():  # no masked copy of the stack
+        return spectral_norm(diff)
+    out = np.zeros(nonzero.shape)
+    if nonzero.any():
+        out[nonzero] = spectral_norm(diff[nonzero])
+    return as_scalar(out)
 
 
-def hermitian_min_eig(x, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of the Hermitian part (x + x*) / 2.
+def relative_gap(gap, ref: np.ndarray):
+    """gap / max(1, ||ref||) per matrix; ref's SVD runs only where gap is nonzero."""
+    gap = np.asarray(gap, dtype=np.float64)
+    nonzero = gap != 0
+    if nonzero.all():  # no masked copy of the stack
+        return as_scalar(gap / np.maximum(1.0, spectral_norm(ref)))
+    out = np.zeros(gap.shape)
+    if nonzero.any():
+        out[nonzero] = gap[nonzero] / np.maximum(1.0, spectral_norm(ref[nonzero]))
+    return as_scalar(out)
 
-    x must be square and Hermitian up to ||x - x*||_F <= tol * ||x||_F;
+
+def identity_residual(lhs: np.ndarray, rhs: np.ndarray):
+    """||lhs - rhs|| / max(1, ||rhs||) per matrix, the deviation from lhs = rhs.
+
+    An exactly zero difference gives 0.0 without an SVD and without the
+    ||rhs|| denominator (``gap_norm``).
+    """
+    return relative_gap(gap_norm(lhs - rhs), rhs)
+
+
+def hermitian_min_eig(x, tol: float = 1e-10):
+    """Smallest eigenvalue of the Hermitian part (x + x*) / 2 of each matrix.
+
+    Each x must be square and Hermitian up to ||x - x*||_F <= tol * ||x||_F;
     beyond that the input is rejected rather than silently symmetrized.
     """
-    x = as_operator(x)
-    if x.shape[0] != x.shape[1]:
-        raise ShapeError(f"hermitian_min_eig needs a square matrix, got {x.shape}")
-    scale = float(np.linalg.norm(x))
-    dev = float(np.linalg.norm(x - x.conj().T))
-    if dev > tol * max(scale, ABS_FLOOR):
+    x = _square(x, "hermitian_min_eig")
+    xh = _adjoint(x)
+    scale = np.linalg.norm(x, axis=(-2, -1))
+    dev = np.linalg.norm(x - xh, axis=(-2, -1))
+    bad = dev > tol * np.maximum(scale, ABS_FLOOR)
+    if bad.any():
+        at = np.argmax(bad)
         raise ContractError(
-            f"matrix is not Hermitian: ||x - x*|| = {dev:.3e} exceeds "
-            f"{tol:.1e} * ||x|| = {tol * scale:.3e}"
+            f"matrix is not Hermitian: ||x - x*|| = {dev.flat[at]:.3e} exceeds "
+            f"{tol:.1e} * ||x|| = {tol * scale.flat[at]:.3e}"
         )
-    h = (x + x.conj().T) / 2
-    return float(np.linalg.eigvalsh(h)[0])
+    return as_scalar(np.linalg.eigvalsh((x + xh) / 2)[..., 0])
 
 
 def psd_sqrt(x, tol: float = 1e-10) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of each positive semidefinite matrix of x.
 
     Eigenvalues in [-lim, 0) with lim = tol * max(1, max_eig) are clamped to
     zero; anything below -lim raises ContractError, since a genuinely
     indefinite input signals corruption upstream.
     """
-    x = as_operator(x)
-    if x.shape[0] != x.shape[1]:
-        raise ShapeError(f"psd_sqrt needs a square matrix, got {x.shape}")
-    h = (x + x.conj().T) / 2
-    w, u = np.linalg.eigh(h)
-    lim = tol * max(1.0, float(w[-1]) if w.size else 0.0)
-    if w.size and float(w[0]) < -lim:
-        raise ContractError(f"matrix is not PSD: min eigenvalue {float(w[0]):.3e}")
+    x = _square(x, "psd_sqrt")
+    w, u = np.linalg.eigh((x + _adjoint(x)) / 2)
+    if w.shape[-1]:
+        low = w[..., 0] < -tol * np.maximum(1.0, w[..., -1])
+        if low.any():
+            raise ContractError(
+                f"matrix is not PSD: min eigenvalue {w[..., 0][low].flat[0]:.3e}")
     w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
+    return (u * np.sqrt(w)[..., None, :]) @ _adjoint(u)

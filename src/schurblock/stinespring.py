@@ -7,9 +7,10 @@ on the (i, s) legs, right representations on the (s, k) legs, and the
 flip exchanges the two outer legs.
 
 The representation builders materialize dense matrices (n*d*n is at most
-256 on a side). The fixed operators V and F are 0/1 matrices and are
-defined by index arrays, which StinespringSystem.build computes from the
-closed forms, writing idx(i, s, k) for the flat index of (i, s, k):
+256 on a side), one per grid of a stacked BlockMatrix. The fixed operators
+V and F are 0/1 matrices and are defined by index arrays, which
+StinespringSystem.build computes from the closed forms, writing
+idx(i, s, k) for the flat index of (i, s, k):
 
     v_rows[j*d + t]    = idx(j, t, j)
     f_perm[idx(i,s,k)] = idx(k, s, i)
@@ -55,27 +56,35 @@ def triple_dim(n: int, d: int) -> int:
 
 
 def build_lambda(a: BlockMatrix) -> np.ndarray:
-    """Left representation: flatten(a) acting on the first two legs."""
-    return np.kron(flatten(a), np.eye(a.n))
+    """Left representation: flatten(a) acting on the first two legs.
+
+    kron(flatten(a), I_n) for each matrix of a stack, by the same
+    broadcast product np.kron forms.
+    """
+    n, big = a.n, triple_dim(a.n, a.d)
+    flat = flatten(a)[..., :, None, :, None]
+    return (flat * np.eye(n)[:, None, :]).reshape(*a.batch, big, big)
 
 
 def build_rho(a: BlockMatrix) -> np.ndarray:
     """Right representation: I_n (x) M with M[(s,k), (t,l)] = A_kl[s, t]."""
     n, d = a.n, a.d
-    m = a.blocks.transpose(2, 0, 3, 1).reshape(d * n, d * n)
-    out = np.zeros((n, d * n, n, d * n), dtype=np.complex128)
+    # (..., k, l, s, t) -> (..., s, k, t, l)
+    m = np.moveaxis(a.blocks, (-2, -4, -1, -3), (-4, -3, -2, -1))
+    out = np.zeros((*a.batch, n, d * n, n, d * n), dtype=np.complex128)
     idx = np.arange(n)
-    out[idx, :, idx, :] = m
-    return out.reshape(triple_dim(n, d), triple_dim(n, d))
+    out[..., idx, :, idx, :] = m.reshape(*a.batch, d * n, d * n)
+    return out.reshape(*a.batch, triple_dim(n, d), triple_dim(n, d))
 
 
 def build_sigma(a: BlockMatrix) -> np.ndarray:
     """Diagonal mix: block (i, j) lands at row group (i,*,i), column group (j,*,j)."""
     n, d = a.n, a.d
-    six = np.zeros((n, d, n, n, d, n), dtype=np.complex128)
+    six = np.zeros((*a.batch, n, d, n, n, d, n), dtype=np.complex128)
     i, j = np.arange(n)[:, None], np.arange(n)[None, :]
-    six[i, :, i, j, :, j] = a.blocks
-    return six.reshape(triple_dim(n, d), triple_dim(n, d))
+    # the (i, j) index grid leads the selection, ahead of the stack axes
+    six[..., i, :, i, j, :, j] = np.moveaxis(a.blocks, (-4, -3), (0, 1))
+    return six.reshape(*a.batch, triple_dim(n, d), triple_dim(n, d))
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,7 @@ class StinespringSystem:
     def F(self) -> np.ndarray:
         """The permutation matrix with a 1 at (i, f_perm[i]) in each row i."""
         p = self.f_perm
-        f = np.zeros((p.size, p.size))
+        f = np.zeros((p.size, p.size), dtype=np.complex128)
         f[np.arange(p.size), p] = 1
         f.setflags(write=False)
         return f

@@ -1,18 +1,30 @@
 """Checkers for the identities and inequalities obeyed by the Schur block product.
 
-Each checker measures one instance and returns its residual as a float;
-only ``run_property`` judges: the residual passes at or below the
-tolerance, and it wraps the outcome in a PropertyResult with trials=1.
-Residuals are relative: matrix identities divide the deviation norm by
-max(1, ||reference||) (``identity_residual``), scalar equalities divide
-the gap by the reference (``_gap``), and bounds divide the excess over
-the right-hand side by it (``_excess``), both with the absolute floor
-``ABS_FLOOR`` = 1e-12. ``merge_results`` folds per-trial results into
-suite aggregates (sums of counts, max of residuals), which is
-order-independent. ``PROPERTIES`` is the one list of the nine
-properties: each id's default tolerance, the instance pieces it needs,
-and the call that runs its checker; ``run_property`` dispatches through
-it and the CLI derives its flags and validation from it.
+Each checker measures and returns residuals; only ``run_property``
+judges. A checker is written on stacks of trials: its BlockMatrix
+arguments may carry a leading trial axis (blocks of shape
+(T, n, n, d, d), vectors of shape (T, n*d)), each kernel runs once for
+the whole stack (one batched @, svd, eigh or eigvalsh), and it returns
+one residual per trial, an array of shape (T,). A single instance is the
+batch-of-one case of the same code and gives a float. Trial t's residual
+is, bit for bit, the one its instance gives alone: a batched LAPACK or
+BLAS call makes the same call per matrix, and every sum runs in one
+fixed order whatever the stack.
+
+``run_property`` judges a whole stack, which the suite feeds it one
+chunk of trials at a time: a residual passes at or below the tolerance,
+and the chunk's PropertyResult counts the trials that do not and keeps
+the first largest residual in trial order. ``merge_results`` folds the
+chunks into suite aggregates (sums of counts, the first largest
+residual). Residuals are relative: matrix identities divide the
+deviation norm by max(1, ||reference||) (``identity_residual``), scalar
+equalities divide the gap by the reference (``_gap``), and bounds divide
+the excess over the right-hand side by it (``_excess``), both with the
+absolute floor ``ABS_FLOOR`` = 1e-12. A NaN residual (an overflow
+inside a checker) stays NaN and fails. ``PROPERTIES`` is the one list of
+the nine properties: each id's default tolerance, the instance pieces it
+needs, and the call that runs its checker; ``run_property`` dispatches
+through it and the CLI derives its flags and validation from it.
 
 The laws of the fixed operators V, F and Q do not depend on the
 instance. They are checked exactly once per StinespringSystem object, on
@@ -51,9 +63,12 @@ from .blocks import (
 from .errors import ShapeError
 from .linalg import (
     ABS_FLOOR,
+    as_scalar,
+    gap_norm,
     hermitian_min_eig,
     identity_residual,
     psd_sqrt,
+    relative_gap,
     spectral_norm,
 )
 from .stinespring import (
@@ -68,8 +83,9 @@ class Property(NamedTuple):
     """One row of PROPERTIES: default tolerance, needed inputs, checker call.
 
     ``check(x, system)`` returns the checker's residual on the instance
-    mapping x, keyed like the instance file (A, B, xi, gamma); ``needs``
-    names the keys it must have. It reaches ``verify_<id>`` through its
+    mapping x, keyed like the instance file (A, B, xi, gamma), or one
+    residual per trial when x holds stacks of trials; ``needs`` names the
+    keys it must have. It reaches ``verify_<id>`` through its
     module-level name at call time, so a wrapper installed on that name (a
     profiler, a tracer) sees every call.
     """
@@ -138,7 +154,7 @@ class PropertyResult:
 
 
 def merge_results(results) -> PropertyResult:
-    """Fold per-trial results for one property into a single aggregate."""
+    """Fold the results of one property's chunks, in trial order, into one."""
     results = list(results)
     if not results:
         raise ValueError("nothing to merge")
@@ -146,7 +162,8 @@ def merge_results(results) -> PropertyResult:
     tol = results[0].tolerance_used
     if any(r.property_id != pid or r.tolerance_used != tol for r in results):
         raise ValueError("can only merge results of one property at one tolerance")
-    worst = max(results, key=lambda r: r.worst_residual)
+    # the first largest, as in run_property, with NaN the largest
+    worst = results[int(np.argmax([r.worst_residual for r in results]))]
     return PropertyResult(
         property_id=pid,
         trials=sum(r.trials for r in results),
@@ -157,14 +174,27 @@ def merge_results(results) -> PropertyResult:
     )
 
 
-def _gap(x: float, ref: float) -> float:
+def _gap(x, ref):
     """How far the scalar x misses ref, relative to ref."""
-    return abs(x - ref) / max(ref, ABS_FLOOR)
+    return np.abs(x - ref) / np.maximum(ref, ABS_FLOOR)
 
 
-def _excess(lhs: float, rhs: float) -> float:
+def _excess(lhs, rhs):
     """How far lhs exceeds the bound rhs, relative to rhs; 0.0 within it."""
-    return max(0.0, lhs - rhs) / max(rhs, ABS_FLOOR)
+    return _max(0.0, lhs - rhs) / np.maximum(rhs, ABS_FLOOR)
+
+
+def _max(first, *rest):
+    """Elementwise max of per-trial values, NaN winning.
+
+    Of equal values the first stays, as with the builtin max, so 0.0
+    beats a later -0.0 (np.maximum may return either zero). Unlike the
+    builtin max, a NaN anywhere gives NaN, which never passes.
+    """
+    out = np.asarray(first)
+    for x in rest:
+        out = np.where((x > out) | np.isnan(x), x, out)
+    return out
 
 
 def _system_for(a: BlockMatrix, system: StinespringSystem | None) -> StinespringSystem:
@@ -179,18 +209,18 @@ def _system_for(a: BlockMatrix, system: StinespringSystem | None) -> Stinespring
 
 
 def _embed(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
-    """The zero matrix of ``shape`` with x at ``rows`` by ``cols``.
+    """The zero matrix of ``shape`` with x at ``rows`` by ``cols``, per matrix of x.
 
     With r = system.v_rows, V x is _embed(x, r, all columns) and V x V* is
     _embed(x, r, r).
     """
-    out = np.zeros(shape, dtype=np.complex128)
-    out[np.ix_(rows, cols)] = x
+    out = np.zeros((*x.shape[:-2], *shape), dtype=np.complex128)
+    out[..., rows[:, None], cols] = x
     return out
 
 
 def verify_factorization(a: BlockMatrix, b: BlockMatrix, *,
-                         system: StinespringSystem | None = None) -> float:
+                         system: StinespringSystem | None = None):
     """flatten(A [] B) = V* lambda(A) F lambda(B) V, and the rho form."""
     _check_same_shape(a, b)
     sys_ = _system_for(a, system)
@@ -201,16 +231,12 @@ def verify_factorization(a: BlockMatrix, b: BlockMatrix, *,
     via_rho = vh @ la @ build_rho(b) @ sys_.V
     # both routes share the ||target|| denominator; a route that matches
     # target bit for bit contributes 0.0 without an SVD
-    gaps = [g for g in (target - via_flip, target - via_rho) if g.any()]
-    residual = 0.0
-    if gaps:
-        denom = max(1.0, spectral_norm(target))
-        residual = max(spectral_norm(g) for g in gaps) / denom
-    return residual
+    gap = _max(gap_norm(target - via_flip), gap_norm(target - via_rho))
+    return relative_gap(gap, target)
 
 
 def verify_structure(a: BlockMatrix, b: BlockMatrix, *,
-                     system: StinespringSystem | None = None) -> float:
+                     system: StinespringSystem | None = None):
     """Exactness of the fixed operators and the representation identities.
 
     Covers V*V = I, F self-adjoint and involutive, FV = V,
@@ -225,33 +251,35 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix, *,
     sys_ = _system_for(a, system)
     r, f = sys_.v_rows, sys_.f_perm
     la = build_lambda(a)
-    big, nd = la.shape[0], r.size
-    residuals = [
-        sys_.operator_residual,
-        identity_residual(la[np.ix_(f, f)], build_rho(a)),
-        identity_residual(build_sigma(a)[:, r],
-                          _embed(flatten(a), r, np.arange(nd), (big, nd))),
-        # Q M Q = V (V* M V) V*
-        identity_residual(_embed((la[r] @ build_rho(b))[:, r], r, r, (big, big)),
-                          build_sigma(schur_block_product(a, b))),
-        identity_residual(flatten(diag_block(a)), la[np.ix_(r, r)]),
-    ]
-    return max(residuals)
+    big, nd = la.shape[-1], r.size
+    flip = identity_residual(la[..., f[:, None], f], build_rho(a))
+    compression = identity_residual(flatten(diag_block(a)), la[..., r[:, None], r])
+    vla = la[..., r, :]
+    # the Q lambda(A) rho(B) Q identity needs only V* lambda(A); freeing
+    # lambda(A) first lets its operators reuse those pages (at (8, 4), 446
+    # fresh pages a trial instead of 702)
+    del la
+    sigma_v = identity_residual(build_sigma(a)[..., :, r],
+                                _embed(flatten(a), r, np.arange(nd), (big, nd)))
+    # Q M Q = V (V* M V) V*
+    qmq = identity_residual(_embed((vla @ build_rho(b))[..., :, r], r, r, (big, big)),
+                            build_sigma(schur_block_product(a, b)))
+    return as_scalar(_max(sys_.operator_residual, flip, sigma_v, qmq, compression))
 
 
-def _livshits_violation(a: BlockMatrix, b: BlockMatrix) -> float:
+def _livshits_violation(a: BlockMatrix, b: BlockMatrix):
     """How far ||A [] B|| exceeds row_norm(A) * col_norm(B), relative to it."""
     _check_same_shape(a, b)
     lhs = spectral_norm(flatten(schur_block_product(a, b)))
-    return _excess(lhs, row_norm(a) * col_norm(b))
+    return as_scalar(_excess(lhs, row_norm(a) * col_norm(b)))
 
 
-def verify_livshits(a: BlockMatrix, b: BlockMatrix) -> float:
+def verify_livshits(a: BlockMatrix, b: BlockMatrix):
     """||A [] B|| <= row_norm(A) * col_norm(B)."""
     return _livshits_violation(a, b)
 
 
-def row_norm_via_schur(x: BlockMatrix, k: int) -> float:
+def row_norm_via_schur(x: BlockMatrix, k: int):
     """Norm of block row k of X, recovered through the Schur block product.
 
     Multiplies X slotwise by the indicator matrix whose row k holds I_d and
@@ -266,25 +294,19 @@ def row_norm_via_schur(x: BlockMatrix, k: int) -> float:
     return spectral_norm(flatten(schur_block_product(x, indicator)))
 
 
-def _block_row_norm(x: BlockMatrix, k: int) -> float:
-    """Direct oracle: spectral norm of the d-by-(n*d) strip of row k."""
-    strip = x.blocks[k].transpose(1, 0, 2).reshape(x.d, x.n * x.d)
-    return spectral_norm(strip)
+def verify_sharpness(x: BlockMatrix):
+    """Row norms recovered through [] match direct block-row norms, every row.
+
+    The direct norm of block row k is that of the d-by-(n*d) strip of
+    rows k*d .. k*d + d - 1 of flatten(x).
+    """
+    via = np.stack([row_norm_via_schur(x, k) for k in range(x.n)], axis=-1)
+    direct = spectral_norm(flatten(x).reshape(*x.batch, x.n, x.d, x.n * x.d))
+    return as_scalar(_max(_gap(via, direct).max(axis=-1),
+                          _gap(via.max(axis=-1), row_norm(x))))
 
 
-def verify_sharpness(x: BlockMatrix) -> float:
-    """Row norms recovered through [] match direct block-row norms, every row."""
-    residual = 0.0
-    recovered = []
-    for k in range(x.n):
-        via = row_norm_via_schur(x, k)
-        direct = _block_row_norm(x, k)
-        recovered.append(via)
-        residual = max(residual, _gap(via, direct))
-    return max(residual, _gap(max(recovered), row_norm(x)))
-
-
-def verify_sandwich(a: BlockMatrix) -> float:
+def verify_sandwich(a: BlockMatrix):
     """-diag(A*A) <= A* [] A <= diag(A*A) in the PSD order."""
     star = adjoint_block(a)
     s = flatten(schur_block_product(star, a))
@@ -293,12 +315,34 @@ def verify_sandwich(a: BlockMatrix) -> float:
     # min-eig routine gates on that and symmetrizes
     lo = hermitian_min_eig(dmat - s, tol=1e-8)
     hi = hermitian_min_eig(dmat + s, tol=1e-8)
-    deficit = max(0.0, -lo, -hi)
-    return deficit / max(spectral_norm(dmat), ABS_FLOOR)
+    deficit = _max(0.0, -lo, -hi)
+    return as_scalar(deficit / np.maximum(spectral_norm(dmat), ABS_FLOOR))
 
 
-def cauchy_schwarz_rhs_routes(a: BlockMatrix, b: BlockMatrix,
-                              xi: np.ndarray, gamma: np.ndarray) -> tuple[float, float]:
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k x_k y_k over the last axis, per vector of the stacks.
+
+    A (1, m) by (m, 1) matmul is one BLAS dot per vector, the call
+    ndarray.dot and np.vdot make, so it gives their bits.
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """||v||^2 per vector over the last axis, as np.linalg.norm(v) ** 2 gives it."""
+    return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag)) ** 2
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis left to right, as the builtin sum adds.
+
+    np.sum adds in a pairwise order whose grouping depends on the layout;
+    the running sum of np.cumsum is strictly left to right.
+    """
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def cauchy_schwarz_rhs_routes(a: BlockMatrix, b: BlockMatrix, xi, gamma):
     """The bound's right-hand side computed two independent ways.
 
     Route one applies per-block PSD square roots of diag(B*B) and diag(AA*)
@@ -306,34 +350,26 @@ def cauchy_schwarz_rhs_routes(a: BlockMatrix, b: BlockMatrix,
     sum ||a_ij* gamma_i||^2 directly.
     """
     n, d = a.n, a.d
-    xi = np.asarray(xi, dtype=np.complex128).reshape(n, d)
-    gamma = np.asarray(gamma, dtype=np.complex128).reshape(n, d)
+    xi = np.asarray(xi, dtype=np.complex128).reshape(*a.batch, n, d, 1)
+    gamma = np.asarray(gamma, dtype=np.complex128).reshape(*a.batch, n, d, 1)
+    i = np.arange(n)
 
-    bsb = block_matmul(adjoint_block(b), b)
-    aas = block_matmul(a, adjoint_block(a))
-    left_sq = sum(
-        float(np.linalg.norm(psd_sqrt(bsb.blocks[j, j]) @ xi[j]) ** 2)
-        for j in range(n)
-    )
-    right_sq = sum(
-        float(np.linalg.norm(psd_sqrt(aas.blocks[i, i]) @ gamma[i]) ** 2)
-        for i in range(n)
-    )
-    rhs_diag = float(np.sqrt(left_sq) * np.sqrt(right_sq))
+    bsb = block_matmul(adjoint_block(b), b).blocks[..., i, i, :, :]
+    aas = block_matmul(a, adjoint_block(a)).blocks[..., i, i, :, :]
+    left_sq = _sum_in_order(_sq_norms((psd_sqrt(bsb) @ xi)[..., 0]))
+    right_sq = _sum_in_order(_sq_norms((psd_sqrt(aas) @ gamma)[..., 0]))
+    rhs_diag = np.sqrt(left_sq) * np.sqrt(right_sq)
 
-    sum_b = sum(
-        float(np.linalg.norm(b.blocks[i, j] @ xi[j]) ** 2)
-        for i in range(n) for j in range(n)
-    )
-    sum_a = sum(
-        float(np.linalg.norm(a.blocks[i, j].conj().T @ gamma[i]) ** 2)
-        for i in range(n) for j in range(n)
-    )
-    rhs_sum = float(np.sqrt(sum_b) * np.sqrt(sum_a))
-    return rhs_diag, rhs_sum
+    # term (i, j) at i * n + j: the order of the sums over i, then j
+    b_xi = (b.blocks @ xi[..., None, :, :, :])[..., 0]
+    a_gamma = (np.conj(a.blocks).swapaxes(-1, -2) @ gamma[..., :, None, :, :])[..., 0]
+    sum_b = _sum_in_order(_sq_norms(b_xi).reshape(*a.batch, n * n))
+    sum_a = _sum_in_order(_sq_norms(a_gamma).reshape(*a.batch, n * n))
+    rhs_sum = np.sqrt(sum_b) * np.sqrt(sum_a)
+    return as_scalar(rhs_diag), as_scalar(rhs_sum)
 
 
-def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma) -> float:
+def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma):
     """|<(A [] B) xi, gamma>| <= ||diag(B*B)^(1/2) xi|| ||diag(AA*)^(1/2) gamma||.
 
     Also recomputes the right-hand side by direct summation. The gap
@@ -346,19 +382,25 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma) -> float:
     dim = a.n * a.d
     xi = np.asarray(xi, dtype=np.complex128)
     gamma = np.asarray(gamma, dtype=np.complex128)
-    if xi.shape != (dim,) or gamma.shape != (dim,):
+    want = (*a.batch, dim)
+    if xi.shape != want or gamma.shape != want:
         raise ShapeError(
-            f"vectors must have length n*d = {dim}, got {xi.shape} and {gamma.shape}"
+            f"vectors must have length n*d = {dim} (shape {want}), "
+            f"got {xi.shape} and {gamma.shape}"
         )
-    lhs = float(abs(np.vdot(gamma, flatten(schur_block_product(a, b)) @ xi)))
+    ab_xi = (flatten(schur_block_product(a, b)) @ xi[..., None])[..., 0]
+    inner = _dot(np.conj(gamma), ab_xi)
+    # hypot is abs() of one complex number; np.abs of an array may round
+    # the last bit otherwise
+    lhs = np.hypot(inner.real, inner.imag)
     rhs_diag, rhs_sum = cauchy_schwarz_rhs_routes(a, b, xi, gamma)
     route_gap = _gap(rhs_sum, rhs_diag)
-    return max(_excess(lhs, rhs_diag),
-               route_gap * (PROPERTIES["cauchy_schwarz"].tol / RHS_AGREEMENT_TOL))
+    return as_scalar(_max(_excess(lhs, rhs_diag),
+                          route_gap * (PROPERTIES["cauchy_schwarz"].tol / RHS_AGREEMENT_TOL)))
 
 
 def verify_decomposition(a: BlockMatrix, b: BlockMatrix, *,
-                         system: StinespringSystem | None = None) -> float:
+                         system: StinespringSystem | None = None):
     """Difference-of-positive-parts form and the absolute-value identity.
 
     With P = (F + I)/2, an orthogonal projection since F = F* = F^-1:
@@ -371,34 +413,33 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix, *,
     _check_same_shape(a, b)
     sys_ = _system_for(a, system)
     r, f = sys_.v_rows, sys_.f_perm
-    vla = build_lambda(a)[r]
-    vlaf = vla[:, f]
+    vla = build_lambda(a)[..., r, :]
+    vlaf = vla[..., :, f]
     lb = build_lambda(b)
 
     target = flatten(schur_block_product(a, b))
-    plus = (((vla + vlaf) / 2) @ lb)[:, r]
-    minus = (((vla - vlaf) / 2) @ lb)[:, r]
+    plus = (((vla + vlaf) / 2) @ lb)[..., :, r]
+    minus = (((vla - vlaf) / 2) @ lb)[..., :, r]
     prod = block_matmul(a, b)
-    residuals = [
+    return as_scalar(_max(
         sys_.operator_residual,
         identity_residual(plus - minus, target),
-        identity_residual(build_lambda(prod)[np.ix_(r, r)],
+        identity_residual(build_lambda(prod)[..., r[:, None], r],
                           flatten(diag_block(prod))),
-    ]
-    return max(residuals)
+    ))
 
 
 def verify_norm_lemmas(a: BlockMatrix, *,
-                       system: StinespringSystem | None = None) -> float:
+                       system: StinespringSystem | None = None):
     """col_norm(A) = ||lambda(A) V|| and row_norm(A) = ||V* lambda(A)||."""
     sys_ = _system_for(a, system)
     la = build_lambda(a)
     cn, rn = col_norm(a), row_norm(a)
-    return max(_gap(spectral_norm(la @ sys_.V), cn),
-               _gap(spectral_norm(sys_.V.conj().T @ la), rn))
+    return as_scalar(_max(_gap(spectral_norm(la @ sys_.V), cn),
+                          _gap(spectral_norm(sys_.V.conj().T @ la), rn)))
 
 
-def verify_cb_level(a: BlockMatrix, b: BlockMatrix) -> float:
+def verify_cb_level(a: BlockMatrix, b: BlockMatrix):
     """Complete boundedness at level k: the Livshits bound of a level-k pair.
 
     The level-k lift is the Schur block product at block size k*d, so A
@@ -414,12 +455,16 @@ def verify_cb_level(a: BlockMatrix, b: BlockMatrix) -> float:
 
 def run_property(property_id: str, x, *, tol: float | None = None,
                  system: StinespringSystem | None = None,
-                 seed: int = 0) -> PropertyResult:
-    """Run one named property on the instance mapping x and judge it.
+                 seeds=None) -> PropertyResult:
+    """Run one named property on the instance mapping x and judge each trial.
 
-    The checker's residual (see ``Property``) passes at or below tol, by
-    default the property's own; the one-trial result records seed as
-    its ``worst_seed``.
+    x holds one instance, or stacks of trials along a leading axis (see
+    the module docstring). Each residual of the checker (see ``Property``)
+    passes at or below tol, by default the property's own; ``failures``
+    counts those that do not, NaN included. The worst trial is the first
+    largest residual in trial order, with NaN the largest; its entry of
+    ``seeds``, the trials' seeds in order, is the result's
+    ``worst_seed`` (0 when seeds is None).
     """
     if property_id not in PROPERTIES:
         raise ValueError(f"unknown property {property_id!r}")
@@ -428,12 +473,13 @@ def run_property(property_id: str, x, *, tol: float | None = None,
         if what not in x:
             raise ValueError(f"property {property_id!r} needs {what}")
     tol = prop.tol if tol is None else tol
-    residual = prop.check(x, system)
+    residuals = np.ravel(prop.check(x, system))
+    worst = int(np.argmax(residuals))
     return PropertyResult(
         property_id=property_id,
-        trials=1,
-        failures=0 if residual <= tol else 1,
-        worst_residual=residual,
-        worst_seed=seed,
+        trials=residuals.size,
+        failures=int(np.count_nonzero(~(residuals <= tol))),
+        worst_residual=float(residuals[worst]),
+        worst_seed=0 if seeds is None else int(seeds[worst]),
         tolerance_used=tol,
     )

@@ -1,0 +1,170 @@
+"""The suite runs each property once per chunk of stacked trials.
+
+A checker on a stack returns one residual per trial, and each must be,
+bit for bit, the residual of that trial's instance checked alone (a batch
+of one). On this holds the claim that a chunked report is the per-trial
+report; a BLAS or LAPACK whose batched calls round differently from its
+single ones would fail here first.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import random_bm
+from schurblock import (
+    ENSEMBLES,
+    PROPERTIES,
+    BlockMatrix,
+    adjoint_block,
+    block_matmul,
+    block_matrix,
+    cauchy_schwarz_rhs_routes,
+    col_norm,
+    merge_results,
+    mix64,
+    psd_sqrt,
+    row_norm,
+    run_property,
+    spectral_norm,
+)
+from schurblock import verify
+from schurblock.cli import TrialConfig, chunk_trials, run_suite
+
+
+def _record_checkers(monkeypatch) -> list:
+    """Wrap every verify_<id>; each call appends (id, args, residuals)."""
+    calls = []
+    for pid in PROPERTIES:
+        checker = getattr(verify, f"verify_{pid}")
+
+        def recorder(*args, _checker=checker, _pid=pid, **kwargs):
+            residuals = _checker(*args, **kwargs)
+            calls.append((_pid, args, residuals))
+            return residuals
+
+        monkeypatch.setattr(verify, f"verify_{pid}", recorder)
+    return calls
+
+
+def _trial(value, t):
+    """Trial t of a stacked instance piece, as a piece of one instance."""
+    if isinstance(value, BlockMatrix):
+        return block_matrix(value.blocks[t])
+    return value[t]
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+CONFIGS = [(n, d, k, 5, ensemble)
+           for n, d, k in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (2, 3, 1)]
+           for ensemble in ENSEMBLES] + [(8, 4, 3, 6, "ginibre")]
+
+
+@pytest.mark.parametrize("n,d,k,trials,ensemble", CONFIGS)
+def test_chunk_residuals_are_the_single_trial_residuals(n, d, k, trials, ensemble,
+                                                        monkeypatch):
+    calls = _record_checkers(monkeypatch)
+    run_suite(TrialConfig(n=n, d=d, k=k, trials=trials, seed=29, ensemble=ensemble))
+    monkeypatch.undo()
+
+    chunks = {pid: 0 for pid in PROPERTIES}
+    checked = {pid: 0 for pid in PROPERTIES}
+    for pid, args, residuals in calls:
+        assert isinstance(residuals, np.ndarray), pid
+        chunks[pid] += 1
+        for t, residual in enumerate(residuals):
+            x = dict(zip(PROPERTIES[pid].needs, (_trial(v, t) for v in args)))
+            single = run_property(pid, x).worst_residual
+            assert _bits(single) == _bits(residual), (pid, t)
+            checked[pid] += 1
+    assert checked == {pid: trials for pid in PROPERTIES}
+    want = -(-trials // chunk_trials(n, d))
+    assert chunks == {pid: want for pid in PROPERTIES}
+    if (n, d) == (8, 4):
+        assert want > 1
+
+
+def test_chunk_length_is_a_byte_budget():
+    assert chunk_trials(4, 2) == 256
+    assert chunk_trials(8, 4) == 4
+    assert chunk_trials(1, 1) == 262144
+
+
+def test_ties_keep_the_first_trial_across_chunks():
+    # random pairs stay far inside the Livshits bound: every residual is 0.0
+    report = run_suite(TrialConfig(n=8, d=4, k=3, trials=6, seed=31,
+                                   properties=("livshits",)))
+    (result,) = report.results
+    assert result.trials == 6 and result.worst_residual == 0.0
+    assert result.worst_seed == mix64(31, 0)
+
+
+def _judged(residuals, seeds, monkeypatch):
+    """run_property at tolerance 1e-8 on a checker that returns the given residuals."""
+    monkeypatch.setattr(verify, "verify_livshits",
+                        lambda a, b: np.array(residuals, dtype=float))
+    return run_property("livshits", {"A": None, "B": None}, tol=1e-8, seeds=seeds)
+
+
+def test_run_property_judges_every_trial(monkeypatch):
+    result = _judged([0.0, 3e-8, 3e-8, 1e-9, 1e-8], [11, 12, 13, 14, 15], monkeypatch)
+    assert (result.trials, result.failures) == (5, 2)
+    assert (result.worst_residual, result.worst_seed) == (3e-8, 12)
+
+
+def test_nan_residual_fails_and_is_the_worst(monkeypatch):
+    result = _judged([5.0, np.nan, 0.0], [21, 22, 23], monkeypatch)
+    assert (result.trials, result.failures, result.worst_seed) == (3, 2, 22)
+    assert np.isnan(result.worst_residual) and not result.passed
+    first = _judged([1e-9, 0.0], [1, 2], monkeypatch)
+    merged = merge_results([first, result])
+    assert np.isnan(merged.worst_residual) and merged.worst_seed == 22
+    assert (merged.trials, merged.failures) == (5, 2)
+
+
+# The stacked code replaced per-block loops whose sums ran in a fixed
+# order. The loops stay here as the reference its bits must match.
+
+def _loop_rhs_routes(a, b, xi, gamma):
+    n, d = a.n, a.d
+    xi, gamma = xi.reshape(n, d), gamma.reshape(n, d)
+    bsb = block_matmul(adjoint_block(b), b).blocks
+    aas = block_matmul(a, adjoint_block(a)).blocks
+    left = sum(float(np.linalg.norm(psd_sqrt(bsb[j, j]) @ xi[j]) ** 2) for j in range(n))
+    right = sum(float(np.linalg.norm(psd_sqrt(aas[i, i]) @ gamma[i]) ** 2)
+                for i in range(n))
+    sum_b = sum(float(np.linalg.norm(b.blocks[i, j] @ xi[j]) ** 2)
+                for i in range(n) for j in range(n))
+    sum_a = sum(float(np.linalg.norm(a.blocks[i, j].conj().T @ gamma[i]) ** 2)
+                for i in range(n) for j in range(n))
+    return (float(np.sqrt(left) * np.sqrt(right)),
+            float(np.sqrt(sum_b) * np.sqrt(sum_a)))
+
+
+def _loop_row_col_norms(a):
+    star = np.conj(a.blocks.transpose(0, 1, 3, 2))
+    rows = np.matmul(a.blocks, star).sum(axis=1)
+    cols = np.matmul(star, a.blocks).sum(axis=0)
+    return tuple(float(max(np.sqrt(spectral_norm(g)) for g in grams))
+                 for grams in (rows, cols))
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (3, 1), (4, 2), (2, 3), (8, 4), (3, 12)])
+def test_stacked_sums_match_the_loops_bit_for_bit(n, d):
+    rng = np.random.default_rng(37 + n * d)
+    pairs = [(random_bm(rng, n, d), random_bm(rng, n, d),
+              rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d),
+              rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d))
+             for _ in range(3)]
+    a, b = (BlockMatrix(n, d, np.stack([p[i].blocks for p in pairs])) for i in (0, 1))
+    xi, gamma = (np.stack([p[i] for p in pairs]) for i in (2, 3))
+    routes = cauchy_schwarz_rhs_routes(a, b, xi, gamma)
+    rows, cols = row_norm(a), col_norm(a)
+    for t, (at, bt, xt, gt) in enumerate(pairs):
+        want = _loop_rhs_routes(at, bt, xt, gt)
+        assert cauchy_schwarz_rhs_routes(at, bt, xt, gt) == want
+        assert (routes[0][t], routes[1][t]) == want
+        assert (row_norm(at), col_norm(at)) == _loop_row_col_norms(at)
+        assert (rows[t], cols[t]) == _loop_row_col_norms(at)

@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from schurblock import (
+    BlockMatrix,
     block_identity,
+    block_matrix,
     block_matrix_to_json,
     operator_to_json,
     sample_block_matrix,
+    sample_vector,
     triple_dim,
     vector_to_json,
 )
@@ -186,11 +189,15 @@ class TestReplay:
     @pytest.mark.parametrize("n, d, k", [(2, 1, 1), (3, 2, 2), (2, 3, 1)])
     def test_replays_the_suite_worst_instance(self, n, d, k, ensemble, tmp_path,
                                               monkeypatch):
-        # cb_level's instance is its level-k pair, written as A and B
+        # cb_level's instance is its level-k pair, written as A and B; the
+        # suite passes a chunk of trials, stacked, with their seeds in order
         seen = {}
 
         def record(p, x, **kw):
-            seen[p, kw["seed"]] = x
+            for t, seed in enumerate(kw["seeds"]):
+                seen[p, seed] = {key: block_matrix(v.blocks[t])
+                                 if isinstance(v, BlockMatrix) else v[t]
+                                 for key, v in x.items()}
             return run_property(p, x, **kw)
 
         with monkeypatch.context() as m:
@@ -207,6 +214,40 @@ class TestReplay:
                                         if key in x}))
             replayed = replay_instance(str(path), r.property_id, r.tolerance_used)
             assert replayed.worst_residual == r.worst_residual, r.property_id
+
+
+def overflowing_instance(tmp_path, pair_scale):
+    """A (2, 2) instance whose vectors, and pair scaled by pair_scale, are
+    finite but whose products overflow once a scale is 1e160."""
+    rng = np.random.default_rng(160)
+    a, b = (block_matrix(pair_scale * sample_block_matrix(rng, 2, 2).blocks)
+            for _ in range(2))
+    xi, gamma = (1e160 * sample_vector(rng, 4) for _ in range(2))
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"A": block_matrix_to_json(a), "B": block_matrix_to_json(b),
+                                "xi": vector_to_json(xi), "gamma": vector_to_json(gamma)}))
+    return path
+
+
+@pytest.mark.parametrize("pid", list(PROPERTIES))
+def test_overflow_never_passes(pid, tmp_path, capsys):
+    # an inf or NaN inside a checker is an error (exit 3) or a NaN residual
+    # that fails (exit 1), never a pass
+    path = overflowing_instance(tmp_path, 1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["replay", str(path), "--property", pid])
+    assert code in (1, 3)
+    assert "result=PASS" not in capsys.readouterr().out
+
+
+def test_overflowing_vectors_fail_cauchy_schwarz(tmp_path, capsys):
+    # only the vectors overflow: both sides of the bound are inf, and the
+    # NaN their gap makes once folded into a max as a 0.0 pass
+    path = overflowing_instance(tmp_path, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["replay", str(path), "--property", "cauchy_schwarz"])
+    assert code == 1
+    assert "residual=nan" in capsys.readouterr().out
 
 
 def emit_text(tmp_path, n, d, instance=None) -> str:
