@@ -96,8 +96,12 @@ def unflatten(x, n: int, d: int) -> BlockMatrix:
     a = np.asarray(x, dtype=np.complex128)
     if a.shape[max(a.ndim - 2, 0):] != (n * d, n * d):
         raise ShapeError(f"expected shape {(n * d, n * d)}, got {a.shape}")
-    return BlockMatrix(n=n, d=d, blocks=a.reshape(*a.shape[:-2], n, d, n, d)
-                       .swapaxes(-3, -2))
+    return BlockMatrix(n=n, d=d, blocks=_grid(a, n, d))
+
+
+def _grid(a: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The (..., n, n, d, d) block view of (..., n*d, n*d) operators."""
+    return a.reshape(*a.shape[:-2], n, d, n, d).swapaxes(-3, -2)
 
 
 def flatten(a: BlockMatrix) -> np.ndarray:
@@ -213,9 +217,17 @@ def regroup_lift(xs: Lift) -> BlockMatrix:
     of the regrouped pair.
     """
     k, n, d = _check_lift(xs, "lift")
-    blocks = np.array([[x.blocks for x in row] for row in xs])
-    return BlockMatrix(n=n, d=k * d, blocks=blocks.transpose(2, 3, 0, 4, 1, 5)
-                       .reshape(n, n, k * d, k * d))
+    return BlockMatrix(n=n, d=k * d,
+                       blocks=_regroup(np.array([[x.blocks for x in row] for row in xs])))
+
+
+def _regroup(grids: np.ndarray) -> np.ndarray:
+    """(..., k, k, n, n, d, d) lift grids as (..., n, n, k*d, k*d) blocks.
+
+    Entry (p*d + s, q*d + t) of slot (i, j) is grids[..., p, q, i, j, s, t].
+    """
+    *batch, k, _, n, _, d, _ = grids.shape
+    return np.moveaxis(grids, (-6, -5), (-4, -2)).reshape(*batch, n, n, k * d, k * d)
 
 
 def lift_schur_k(a: Lift, b: Lift) -> Lift:

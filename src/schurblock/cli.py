@@ -27,22 +27,13 @@ import numpy as np
 
 from . import __version__
 from .blocks import (
-    BlockMatrix,
     block_matrix_from_json,
     block_matrix_to_json,
     json_chunks,
-    regroup_lift,
     vector_from_json,
 )
 from .errors import ShapeError
-from .instances import (
-    ENSEMBLES,
-    GINIBRE,
-    mix64,
-    sample_block_matrix,
-    sample_lift,
-    sample_vector,
-)
+from .instances import ENSEMBLES, GINIBRE, mix64, sample_chunk
 from .stinespring import StinespringSystem, build_lambda, triple_dim
 from .verify import PROPERTIES, PropertyResult, merge_results, run_property
 
@@ -148,42 +139,18 @@ def chunk_trials(n: int, d: int) -> int:
     return CHUNK_BYTES // (16 * triple_dim(n, d) ** 2)
 
 
-def _draw_chunk(config: TrialConfig, seeds: list) -> tuple[dict, dict]:
-    """The instance mappings of a chunk of trials, stacked along a leading axis.
-
-    Trial t is drawn from default_rng(seeds[t]) in the fixed order A, B,
-    xi, gamma, then the level-k pair, and written into row t of the
-    stacks. Returns the mapping of A, B, xi and gamma, and the mapping of
-    the level-k pair, regrouped, as A and B.
-    """
-    n, d, k, ensemble = config.n, config.d, config.k, config.ensemble
-    size = len(seeds)
-    a, b, ka, kb = (np.empty((size, n, n, e, e), dtype=np.complex128)
-                    for e in (d, d, k * d, k * d))
-    xi, gamma = (np.empty((size, n * d), dtype=np.complex128) for _ in range(2))
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        a[t] = sample_block_matrix(rng, n, d, ensemble).blocks
-        b[t] = sample_block_matrix(rng, n, d, ensemble).blocks
-        xi[t] = sample_vector(rng, n * d)
-        gamma[t] = sample_vector(rng, n * d)
-        ka[t] = regroup_lift(sample_lift(rng, k, n, d, ensemble)).blocks
-        kb[t] = regroup_lift(sample_lift(rng, k, n, d, ensemble)).blocks
-    x = {"A": BlockMatrix(n, d, a), "B": BlockMatrix(n, d, b), "xi": xi, "gamma": gamma}
-    return x, {"A": BlockMatrix(n, k * d, ka), "B": BlockMatrix(n, k * d, kb)}
-
-
 def run_suite(config: TrialConfig) -> VerificationReport:
     """Run every selected property over seeded random trials.
 
     Trial t draws A, B, xi, gamma and the level-k pair, in that fixed
     order, from a generator seeded with mix64(config.seed, t), so any
     recorded worst_seed regenerates its instance exactly. The trials run
-    in chunks of ``chunk_trials(n, d)``: a chunk's draws are stacked along
-    a leading trial axis, and each property runs once per chunk, on the
-    stacks, and is judged there; ``merge_results`` folds the chunks and
-    each property's ``seconds`` sums its chunks. ``cb_level`` runs on the
-    level-k pair regrouped at block size k*d, the rest on A, B, xi, gamma.
+    in chunks of ``chunk_trials(n, d)``: ``sample_chunk`` stacks a chunk's
+    draws along a leading trial axis, and each property runs once per
+    chunk, on the stacks, and is judged there; ``merge_results`` folds
+    the chunks and each property's ``seconds`` sums its chunks.
+    ``cb_level`` runs on the level-k pair regrouped at block size k*d,
+    the rest on A, B, xi, gamma.
     """
     per_property: dict[str, list[PropertyResult]] = {p: [] for p in config.properties}
     seconds = {p: 0.0 for p in config.properties}
@@ -192,7 +159,8 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     for first in range(0, config.trials, step):
         seeds = [mix64(config.seed, t)
                  for t in range(first, min(first + step, config.trials))]
-        x, level_k = _draw_chunk(config, seeds)
+        x, level_k = sample_chunk(seeds, config.n, config.d, config.k,
+                                  config.ensemble)
         for p in config.properties:
             t0 = time.perf_counter()
             result = run_property(p, level_k if p == "cb_level" else x,

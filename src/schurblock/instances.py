@@ -2,14 +2,20 @@
 
 All sampling flows through an explicit ``numpy.random.Generator``, so a
 fixed seed reproduces every matrix bit for bit. The ``sample_*``
-functions take a live generator for streaming use inside trial loops.
+functions are the per-instance API: each takes a live generator and draws
+one operator, block matrix, vector or lift from it. ``sample_chunk``
+draws a chunk of the suite's trials at once and reproduces that API: the
+trial of seed s is, byte for byte, what ``default_rng(s)`` gives through
+``sample_block_matrix`` (A, then B), ``sample_vector`` (xi, then gamma)
+and ``regroup_lift(sample_lift(...))`` (the level-k A, then B), so a
+report's ``worst_seed`` regenerates its instance through either.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blocks import BlockMatrix, unflatten
+from .blocks import BlockMatrix, _grid, _regroup, unflatten
 from .errors import ShapeError
 
 GINIBRE = "ginibre"
@@ -31,9 +37,39 @@ def mix64(seed: int, index: int) -> int:
     return z
 
 
-def _ginibre(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. standard complex Gaussian entries (unit variance per entry)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """i.i.d. standard complex Gaussian entries (unit variance per entry).
+
+    Built in place, with the bits of (re + 1j*im) / sqrt(2).
+    """
+    g = 1j * im
+    g += re
+    g /= np.sqrt(2.0)
+    return g
+
+
+def _operators(z: np.ndarray, ensemble: str) -> np.ndarray:
+    """The ensemble's (..., size, size) operators from (..., 2, size, size) normals.
+
+    Axis -3 holds the real, then the imaginary parts of a Ginibre draw.
+    Every step acts on each matrix of the stack alone, so a stack gives
+    the same bits as its matrices one at a time.
+    """
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}, expected one of {ENSEMBLES}")
+    x = _complex(z[..., 0, :, :], z[..., 1, :, :])
+    if ensemble == HERMITIAN:
+        x = x + x.conj().swapaxes(-1, -2)
+        x /= 2
+    elif ensemble == HAAR:
+        # Ginibre + QR with the phase fix that makes Q Haar distributed
+        x, r = np.linalg.qr(x)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        absd = np.abs(diag)
+        phases = diag / np.where(absd == 0, 1.0, absd)
+        x *= np.where(absd == 0, 1.0, phases)[..., None, :]
+    x *= 1.0 / np.sqrt(z.shape[-1])
+    return x
 
 
 def sample_operator(rng: np.random.Generator, size: int,
@@ -46,22 +82,7 @@ def sample_operator(rng: np.random.Generator, size: int,
     """
     if size < 1:
         raise ShapeError(f"matrix size must be positive, got {size}")
-    if ensemble not in ENSEMBLES:
-        raise ValueError(f"unknown ensemble {ensemble!r}, expected one of {ENSEMBLES}")
-    scale = 1.0 / np.sqrt(size)
-    g = _ginibre(rng, (size, size))
-    if ensemble == GINIBRE:
-        return scale * g
-    if ensemble == HERMITIAN:
-        return scale * ((g + g.conj().T) / 2)
-    # haar: Ginibre + QR with the phase fix that makes Q Haar distributed
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    absd = np.abs(diag)
-    phases = diag / np.where(absd == 0, 1.0, absd)
-    phases = np.where(absd == 0, 1.0, phases)
-    q = q * phases
-    return scale * q
+    return _operators(rng.standard_normal((2, size, size)), ensemble)
 
 
 def sample_block_matrix(rng: np.random.Generator, n: int, d: int,
@@ -71,11 +92,46 @@ def sample_block_matrix(rng: np.random.Generator, n: int, d: int,
 
 def sample_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Standard complex Gaussian vector of the given dimension."""
-    return _ginibre(rng, dim)
+    if dim < 1:
+        raise ShapeError(f"vector dimension must be positive, got {dim}")
+    return _complex(*rng.standard_normal((2, dim)))
 
 
 def sample_lift(rng: np.random.Generator, k: int, n: int, d: int,
                 ensemble: str = GINIBRE) -> list:
     """k-by-k grid of independent random BlockMatrix draws."""
+    if k < 1:
+        raise ShapeError(f"lift level must be positive, got {k}")
     return [[sample_block_matrix(rng, n, d, ensemble) for _ in range(k)]
             for _ in range(k)]
+
+
+def sample_chunk(seeds, n: int, d: int, k: int,
+                 ensemble: str = GINIBRE) -> tuple[dict, dict]:
+    """The trials of ``seeds``, stacked along a leading trial axis.
+
+    Trial t fills its row of one normals buffer with a single
+    ``standard_normal`` call on ``default_rng(seeds[t])``, in the order
+    the per-instance samplers draw them: A and B, xi and gamma, then the
+    k*k blocks of the level-k A and those of the level-k B in row-major
+    order, the real parts of each before its imaginary parts. Each
+    ensemble transform then runs once over the whole chunk. Returns the
+    mapping of A, B, xi and gamma, and that of the level-k pair,
+    regrouped at block size k*d, as A and B.
+    """
+    if min(n, d, k) < 1:
+        raise ShapeError(f"n, d and k must be positive, got n={n}, d={d}, k={k}")
+    t, m = len(seeds), n * d
+    widths = (2 * 2 * m * m, 2 * 2 * m, 2 * k * k * 2 * m * m)
+    normals = np.empty((t, sum(widths)))
+    for i, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=normals[i])
+    pair, vectors, lifts = np.split(normals, np.cumsum(widths[:-1]), axis=1)
+    a, b = np.moveaxis(_operators(pair.reshape(t, 2, 2, m, m), ensemble), 1, 0)
+    vectors = vectors.reshape(t, 2, 2, m)
+    xi, gamma = (_complex(vectors[:, j, 0], vectors[:, j, 1]) for j in range(2))
+    ops = _operators(lifts.reshape(t, 2, k, k, 2, m, m), ensemble)
+    del normals, pair, vectors, lifts  # free the normals before the regroup copy
+    ka, kb = np.moveaxis(_regroup(_grid(ops, n, d)), 1, 0)
+    return ({"A": unflatten(a, n, d), "B": unflatten(b, n, d), "xi": xi, "gamma": gamma},
+            {"A": BlockMatrix(n, k * d, ka), "B": BlockMatrix(n, k * d, kb)})
