@@ -21,7 +21,7 @@ from schurblock import (
     diag_block,
     flatten,
     row_norm,
-    row_norm_via_schur,
+    row_norms_via_schur,
     sample_block_matrix,
     sample_vector,
     schur_block_product,
@@ -43,8 +43,8 @@ print(f"||A [] B|| = {lhs:.6f}  <=  row_norm(A) * col_norm(B) "
 print()
 print("Equality case: pick B with identity blocks on one row only.")
 X = sample_block_matrix(rng, 3, 2)
-for k in range(3):
-    print(f"  ||X [] indicator(row {k})|| = {row_norm_via_schur(X, k):.6f}")
+for k, norm in enumerate(row_norms_via_schur(X)):
+    print(f"  ||X [] indicator(row {k})|| = {norm:.6f}")
 print(f"  max of those = row_norm(X) = {row_norm(X):.6f}")
 
 print()

@@ -46,9 +46,9 @@ MAX_N = 8
 MAX_D = 4
 MAX_K = 3
 
-# the suite runs its trials in chunks whose (n*d*n)-square complex
-# operators take at most this many bytes each: 256 trials at
-# (n, d) = (4, 2), 4 at (8, 4)
+# the suite runs its trials in chunks whose largest complex operator, on the
+# triple space or the flattened level-k pair, takes at most this many bytes:
+# 256 trials at (n, d) = (4, 2), 4 at (8, 4), 1820 at (n, d, k) = (1, 4, 3)
 CHUNK_BYTES = 4 << 20
 
 
@@ -134,9 +134,9 @@ class VerificationReport:
         }
 
 
-def chunk_trials(n: int, d: int) -> int:
-    """Trials per chunk: as many as fit CHUNK_BYTES in one operator each."""
-    return CHUNK_BYTES // (16 * triple_dim(n, d) ** 2)
+def chunk_trials(n: int, d: int, k: int) -> int:
+    """Trials per chunk: as many as fit CHUNK_BYTES in their largest operator each."""
+    return CHUNK_BYTES // (16 * max(triple_dim(n, d), n * k * d) ** 2)
 
 
 def run_suite(config: TrialConfig) -> VerificationReport:
@@ -145,9 +145,9 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     Trial t draws A, B, xi, gamma and the level-k pair, in that fixed
     order, from a generator seeded with mix64(config.seed, t), so any
     recorded worst_seed regenerates its instance exactly. The trials run
-    in chunks of ``chunk_trials(n, d)``: ``sample_chunk`` stacks a chunk's
-    draws along a leading trial axis, and each property runs once per
-    chunk, on the stacks, and is judged there; ``merge_results`` folds
+    in chunks of ``chunk_trials(n, d, k)``: ``sample_chunk`` stacks a
+    chunk's draws along a leading trial axis, and each property runs once
+    per chunk, on the stacks, and is judged there; ``merge_results`` folds
     the chunks and each property's ``seconds`` sums its chunks.
     ``cb_level`` runs on the level-k pair regrouped at block size k*d,
     the rest on A, B, xi, gamma.
@@ -155,7 +155,7 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     per_property: dict[str, list[PropertyResult]] = {p: [] for p in config.properties}
     seconds = {p: 0.0 for p in config.properties}
     system = StinespringSystem.build(config.n, config.d)
-    step = chunk_trials(config.n, config.d)
+    step = chunk_trials(config.n, config.d, config.k)
     for first in range(0, config.trials, step):
         seeds = [mix64(config.seed, t)
                  for t in range(first, min(first + step, config.trials))]

@@ -16,9 +16,9 @@ idx(i, s, k) for the flat index of (i, s, k):
     f_perm[idx(i,s,k)] = idx(k, s, i)
 
 so V* X = X[v_rows], X V = X[:, v_rows], F X = X[f_perm] and
-X F = X[:, f_perm]. The dense V and F are scattered from these arrays on
-first use, and ``operator_residual`` checks the laws of V and F exactly
-on the arrays themselves.
+X F = X[:, f_perm], which is how the checkers apply them. The dense V and
+F are scattered from these arrays on first use, and ``operator_residual``
+checks the laws of V and F exactly on the arrays themselves.
 
 Entry formulas, with row label (i, s, k) and column label (j, t, l):
 
@@ -92,10 +92,11 @@ class StinespringSystem:
     """The fixed operators V and F for one (n, d), defined by index arrays.
 
     ``v_rows`` and ``f_perm`` (closed forms in the module docstring) are the
-    single source; the dense V and F are scattered from them, and Q = VV*
-    computed from V, on first use. ``operator_residual`` checks the laws
-    exactly on the arrays, once per object, so a system checked in every
-    trial of a suite is checked once.
+    single source, and the checkers apply V and F through them by index.
+    The dense V, F and Q = VV*, made on first use, serve emit-system, the
+    demos and the tests. ``operator_residual`` checks the laws exactly on
+    the arrays, once per object, so a system checked in every trial of a
+    suite is checked once.
     """
 
     n: int

@@ -30,16 +30,16 @@ The laws of the fixed operators V, F and Q do not depend on the
 instance. They are checked exactly once per StinespringSystem object, on
 its index arrays and on first use, and ``structure`` and
 ``decomposition`` fold that stored value into each trial's max, so a
-broken system still fails every trial. Those two checkers apply the 0/1
+broken system still fails every trial. Every checker applies the 0/1
 operators V, F, Q and P = (F + I)/2 by index (``system.v_rows``,
-``system.f_perm``), the form the system is defined by;
-``factorization`` and ``norm_lemmas`` multiply by the dense V and F
-scattered from those arrays, so they state the paper's identities
-literally and tie the index route back to the matrices. An identity whose
-two sides agree bit for bit costs no SVD: an exactly zero difference is a
-residual of 0.0, which is what its norm would give. So only identities
-that can carry rounding (factorization, the Q lambda rho Q identity, the
-decomposition sum) pay for spectral norms.
+``system.f_perm``), the form the system is defined by: V* X = X[r],
+X V = X[:, r] and X F = X[:, f] with r = v_rows and f = f_perm. Each
+gathers exactly the entries a dense product with the 0/1 matrix would
+sum, so no checker reads the dense ``V``, ``F`` or ``Q``. An identity
+whose two sides agree bit for bit costs no SVD: an exactly zero
+difference is a residual of 0.0, which is what its norm would give. So
+only identities that can carry rounding (factorization, the Q lambda rho
+Q identity, the decomposition sum) pay for spectral norms.
 """
 
 from __future__ import annotations
@@ -224,11 +224,11 @@ def verify_factorization(a: BlockMatrix, b: BlockMatrix, *,
     """flatten(A [] B) = V* lambda(A) F lambda(B) V, and the rho form."""
     _check_same_shape(a, b)
     sys_ = _system_for(a, system)
+    r, f = sys_.v_rows, sys_.f_perm
     target = flatten(schur_block_product(a, b))
-    la, lb = build_lambda(a), build_lambda(b)
-    vh = sys_.V.conj().T
-    via_flip = vh @ la @ sys_.F @ lb @ sys_.V
-    via_rho = vh @ la @ build_rho(b) @ sys_.V
+    vla = build_lambda(a)[..., r, :]
+    via_flip = (vla[..., :, f] @ build_lambda(b))[..., :, r]
+    via_rho = (vla @ build_rho(b))[..., :, r]
     # both routes share the ||target|| denominator; a route that matches
     # target bit for bit contributes 0.0 without an SVD
     gap = _max(gap_norm(target - via_flip), gap_norm(target - via_rho))
@@ -279,19 +279,19 @@ def verify_livshits(a: BlockMatrix, b: BlockMatrix):
     return _livshits_violation(a, b)
 
 
-def row_norm_via_schur(x: BlockMatrix, k: int):
-    """Norm of block row k of X, recovered through the Schur block product.
+def row_norms_via_schur(x: BlockMatrix):
+    """Norm of each block row of X, recovered through the Schur block product.
 
-    Multiplies X slotwise by the indicator matrix whose row k holds I_d and
-    which vanishes elsewhere; the operator norm of the result is exactly
-    the norm of the k-th block row, and the max over k is row_norm(X).
+    X times, slotwise, the k-th indicator (I_d on block row k, zero
+    elsewhere) has operator norm exactly that of block row k; the max over
+    k is row_norm(X). One product and one SVD call give all n: (..., n).
     """
-    if not 0 <= k < x.n:
-        raise IndexError(f"row index {k} out of range for n={x.n}")
-    y = np.zeros((x.n, x.n, x.d, x.d), dtype=np.complex128)
-    y[k, :] = np.eye(x.d)
-    indicator = BlockMatrix(n=x.n, d=x.d, blocks=y)
-    return spectral_norm(flatten(schur_block_product(x, indicator)))
+    n, d, k = x.n, x.d, np.arange(x.n)
+    y = np.zeros((n, n, n, d, d), dtype=np.complex128)
+    y[k, k] = np.eye(d)
+    per_row = schur_block_product(BlockMatrix(n, d, x.blocks[..., None, :, :, :, :]),
+                                  BlockMatrix(n, d, y))
+    return spectral_norm(flatten(per_row))
 
 
 def verify_sharpness(x: BlockMatrix):
@@ -300,7 +300,7 @@ def verify_sharpness(x: BlockMatrix):
     The direct norm of block row k is that of the d-by-(n*d) strip of
     rows k*d .. k*d + d - 1 of flatten(x).
     """
-    via = np.stack([row_norm_via_schur(x, k) for k in range(x.n)], axis=-1)
+    via = row_norms_via_schur(x)
     direct = spectral_norm(flatten(x).reshape(*x.batch, x.n, x.d, x.n * x.d))
     return as_scalar(_max(_gap(via, direct).max(axis=-1),
                           _gap(via.max(axis=-1), row_norm(x))))
@@ -432,11 +432,10 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix, *,
 def verify_norm_lemmas(a: BlockMatrix, *,
                        system: StinespringSystem | None = None):
     """col_norm(A) = ||lambda(A) V|| and row_norm(A) = ||V* lambda(A)||."""
-    sys_ = _system_for(a, system)
+    r = _system_for(a, system).v_rows
     la = build_lambda(a)
-    cn, rn = col_norm(a), row_norm(a)
-    return as_scalar(_max(_gap(spectral_norm(la @ sys_.V), cn),
-                          _gap(spectral_norm(sys_.V.conj().T @ la), rn)))
+    return as_scalar(_max(_gap(spectral_norm(la[..., :, r]), col_norm(a)),
+                          _gap(spectral_norm(la[..., r, :]), row_norm(a))))
 
 
 def verify_cb_level(a: BlockMatrix, b: BlockMatrix):

@@ -27,8 +27,8 @@ from schurblock import (
     run_property,
     spectral_norm,
 )
-from schurblock import verify
-from schurblock.cli import TrialConfig, chunk_trials, run_suite
+from schurblock import cli, verify
+from schurblock.cli import CHUNK_BYTES, TrialConfig, chunk_trials, run_suite
 
 
 def _record_checkers(monkeypatch) -> list:
@@ -80,16 +80,31 @@ def test_chunk_residuals_are_the_single_trial_residuals(n, d, k, trials, ensembl
             assert _bits(single) == _bits(residual), (pid, t)
             checked[pid] += 1
     assert checked == {pid: trials for pid in PROPERTIES}
-    want = -(-trials // chunk_trials(n, d))
+    want = -(-trials // chunk_trials(n, d, k))
     assert chunks == {pid: want for pid in PROPERTIES}
     if (n, d) == (8, 4):
         assert want > 1
 
 
 def test_chunk_length_is_a_byte_budget():
-    assert chunk_trials(4, 2) == 256
-    assert chunk_trials(8, 4) == 4
-    assert chunk_trials(1, 1) == 262144
+    assert chunk_trials(4, 2, 2) == 256
+    assert chunk_trials(8, 4, 3) == 4
+    assert chunk_trials(1, 1, 1) == 262144
+    # the flattened level-k pair, 12-square, outgrows the 4-square triple space
+    assert chunk_trials(1, 4, 3) == 1820
+
+
+def test_level_k_chunk_fits_the_byte_budget(monkeypatch):
+    sizes = []
+
+    def record(p, x, **kw):
+        sizes.append(x["A"].blocks.nbytes)
+        return run_property(p, x, **kw)
+
+    monkeypatch.setattr(cli, "run_property", record)
+    run_suite(TrialConfig(n=1, d=4, k=3, trials=2000, seed=3, properties=("cb_level",)))
+    assert len(sizes) == 2
+    assert max(sizes) <= CHUNK_BYTES
 
 
 def test_ties_keep_the_first_trial_across_chunks():

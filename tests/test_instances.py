@@ -87,7 +87,7 @@ def test_a_trial_is_one_generator_call():
 def test_suite_chunks_regenerate_across_the_chunk_boundary(ensemble, monkeypatch):
     # 300 trials at (4, 2, 2) run as chunks of 256 and 44
     n, d, k, trials = 4, 2, 2, 300
-    assert chunk_trials(n, d) == 256
+    assert chunk_trials(n, d, k) == 256
     seen = {}
 
     def record(p, x, **kw):

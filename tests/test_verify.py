@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from conftest import random_bm, scalar_bm
 from schurblock import (
     PROPERTIES,
+    BlockMatrix,
     PropertyResult,
     ShapeError,
     StinespringSystem,
@@ -25,7 +26,7 @@ from schurblock import (
     merge_results,
     regroup_lift,
     row_norm,
-    row_norm_via_schur,
+    row_norms_via_schur,
     run_property,
     schur_block_product,
     schur_unit,
@@ -42,7 +43,7 @@ from schurblock import (
     verify_structure,
 )
 from schurblock import linalg, stinespring
-from schurblock.linalg import identity_residual
+from schurblock.linalg import ABS_FLOOR, gap_norm, identity_residual, relative_gap
 from schurblock.cli import TrialConfig, run_suite
 
 A2 = scalar_bm([[1.0, 2.0], [3.0, 4.0]])
@@ -130,24 +131,37 @@ class TestLivshits:
 
 class TestSharpness:
     def test_block_identity_rows(self):
-        i = block_identity(3, 2)
-        for k in range(3):
-            assert_allclose(row_norm_via_schur(i, k), 1.0)
+        assert_allclose(row_norms_via_schur(block_identity(3, 2)), np.ones(3))
 
     def test_hand_example_row(self):
-        assert_allclose(row_norm_via_schur(A2, 1), 5.0)
-        assert_allclose(row_norm_via_schur(A2, 0), np.sqrt(5.0))
+        assert_allclose(row_norms_via_schur(A2), [np.sqrt(5.0), 5.0])
 
     def test_max_over_rows_is_row_norm(self):
         rng = np.random.default_rng(227)
         x = random_bm(rng, 4, 2)
-        best = max(row_norm_via_schur(x, k) for k in range(4))
+        best = row_norms_via_schur(x).max()
         assert_allclose(best, row_norm(x), rtol=1e-10)
         assert verify_sharpness(x) <= PROPERTIES["sharpness"].tol
 
-    def test_row_index_range(self):
-        with pytest.raises(IndexError):
-            row_norm_via_schur(A2, 2)
+
+def _row_norm_via_indicator(x, k):
+    """Norm of block row k of x through one indicator product, row by row."""
+    y = np.zeros((x.n, x.n, x.d, x.d), dtype=complex)
+    y[k, :] = np.eye(x.d)
+    return spectral_norm(flatten(schur_block_product(x, block_matrix(y))))
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (4, 2), (8, 4)])
+def test_row_norms_via_schur_are_the_per_row_products_bit_for_bit(n, d):
+    rng = np.random.default_rng(307 + n * d)
+    singles = [random_bm(rng, n, d) for _ in range(3)]
+    stack = BlockMatrix(n, d, np.stack([x.blocks for x in singles]))
+    want = np.array([[_row_norm_via_indicator(x, k) for k in range(n)] for x in singles])
+    assert row_norms_via_schur(stack).tobytes() == want.tobytes()
+    per_row_on_stack = np.stack([_row_norm_via_indicator(stack, k) for k in range(n)], -1)
+    assert per_row_on_stack.tobytes() == want.tobytes()
+    for x, row in zip(singles, want):
+        assert row_norms_via_schur(x).tobytes() == row.tobytes()
 
 
 class TestSandwich:
@@ -431,6 +445,25 @@ def dense_structure_residual(a, b, sys_):
     )
 
 
+def dense_factorization_residual(a, b, sys_):
+    """``factorization``, by dense products with V and F."""
+    vh = sys_.V.conj().T
+    la, lb = build_lambda(a), build_lambda(b)
+    target = flatten(schur_block_product(a, b))
+    via_flip = vh @ la @ sys_.F @ lb @ sys_.V
+    via_rho = vh @ la @ build_rho(b) @ sys_.V
+    return relative_gap(max(gap_norm(target - via_flip), gap_norm(target - via_rho)),
+                        target)
+
+
+def dense_norm_lemmas_residual(a, sys_):
+    """``norm_lemmas``, by dense products with V."""
+    la = build_lambda(a)
+    cn, rn = col_norm(a), row_norm(a)
+    return max(abs(spectral_norm(la @ sys_.V) - cn) / max(cn, ABS_FLOOR),
+               abs(spectral_norm(sys_.V.conj().T @ la) - rn) / max(rn, ABS_FLOOR))
+
+
 def dense_decomposition_residual(a, b, sys_):
     """The instance part of ``decomposition``, by dense products with V and P."""
     big = a.n * a.d * a.n
@@ -461,6 +494,9 @@ def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
         assert structure[-1] == dense_structure_residual(a, b, sys_)
         assert (verify_decomposition(a, b, system=sys_)
                 == dense_decomposition_residual(a, b, sys_))
+        assert (verify_factorization(a, b, system=sys_)
+                == dense_factorization_residual(a, b, sys_))
+        assert verify_norm_lemmas(a, system=sys_) == dense_norm_lemmas_residual(a, sys_)
     if (n, d) == (4, 2):
         # the Q lambda rho Q identity carries rounding here, so its SVD runs
         assert min(structure) > 0.0
@@ -468,13 +504,18 @@ def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
 
 @pytest.fixture
 def norm_calls(monkeypatch):
-    """(largest side, all-zero input) of each spectral_norm call, via every binding."""
+    """(matrix side, matrices, all-zero input) of each spectral_norm call.
+
+    The side is the larger of the last two axes, so a stack of trials is
+    binned by its matrices, not by its trial count. Every binding of
+    spectral_norm in the package is wrapped.
+    """
     calls = []
     original = linalg.spectral_norm
 
     def counted(x, *args, **kwargs):
         x = np.asarray(x)
-        calls.append((max(x.shape), not x.any()))
+        calls.append((max(x.shape[-2:]), int(np.prod(x.shape[:-2])), not x.any()))
         return original(x, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -489,5 +530,28 @@ def test_svd_budget_per_trial_at_largest_config(norm_calls):
     report = run_suite(TrialConfig(n=8, d=4, k=3, trials=1, seed=7))
     assert report.passed
     assert norm_calls
-    assert sum(1 for dim, _ in norm_calls if dim == 256) <= 4
-    assert not any(zero for _, zero in norm_calls)
+    assert sum(1 for side, _, _ in norm_calls if side == 256) <= 4
+    assert not any(zero for _, _, zero in norm_calls)
+
+
+def test_sharpness_makes_three_svd_calls_per_chunk(norm_calls):
+    rng = np.random.default_rng(313)
+    x = BlockMatrix(4, 2, np.stack([random_bm(rng, 4, 2).blocks for _ in range(10)]))
+    verify_sharpness(x)
+    # the rows through [], the rows directly, and row_norm's 2x2 grams
+    assert norm_calls == [(8, 40, False), (8, 40, False), (2, 40, False)]
+
+
+def test_no_checker_reads_the_dense_operators(monkeypatch):
+    for name in ("V", "F", "Q"):
+        monkeypatch.setattr(StinespringSystem, name, property(
+            lambda self, name=name: pytest.fail(f"a checker read StinespringSystem.{name}")))
+    for n, d, k in [(4, 2, 2), (8, 4, 3)]:
+        assert run_suite(TrialConfig(n=n, d=d, k=k, trials=2, seed=7)).passed
+    # replay runs a property with no system, which the checker builds
+    rng = np.random.default_rng(317)
+    x = {"A": random_bm(rng, 3, 2), "B": random_bm(rng, 3, 2),
+         "xi": rng.standard_normal(6) + 1j * rng.standard_normal(6),
+         "gamma": rng.standard_normal(6) + 1j * rng.standard_normal(6)}
+    for pid in PROPERTIES:
+        assert run_property(pid, x, system=None).passed, pid
