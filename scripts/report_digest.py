@@ -1,0 +1,124 @@
+"""Print one sha256 over the reports that a schurblock source tree writes.
+
+Usage: python3 scripts/report_digest.py SRC_DIR
+
+SRC_DIR is the directory that holds the ``schurblock`` package (``src`` of
+a checkout). The script runs its command line in process and hashes, in a
+fixed order and each under a label:
+
+- ``verify`` for every (n, d, k) x trials of CONFIGS, every ensemble and
+  both SEEDS, once as JSON with each result's ``seconds`` dropped and once
+  as CSV without its seconds column, each with its exit code;
+- the ``replay`` line and exit code of all nine properties on the seeded
+  instances of REPLAY_SHAPES;
+- the ``emit-system`` bytes at (8, 4) with the (8, 4) instance.
+
+Two trees that print the same digest write the same reports, timings
+apart. The residual bits depend on the LAPACK that numpy calls, so
+compare two trees on one machine only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+CONFIGS = [((8, 4, 3), 3), ((4, 2, 2), 40), ((3, 1, 1), 20), ((2, 3, 2), 20),
+           ((1, 1, 1), 10), ((5, 3, 3), 5), ((1, 4, 3), 2000)]
+SEEDS = (7, 11)
+REPLAY_SHAPES = ((4, 2), (2, 2), (8, 4))
+
+
+def _pairs(x: np.ndarray) -> list:
+    return np.stack([x.real, x.imag], axis=-1).tolist()
+
+
+def write_instance(path: Path, n: int, d: int) -> None:
+    """A, B, xi and gamma with complex Gaussian entries, seeded by (n, d)."""
+    rng = np.random.default_rng([n, d])
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    path.write_text(json.dumps({
+        "A": {"n": n, "d": d, "blocks": _pairs(gauss(n, n, d, d))},
+        "B": {"n": n, "d": d, "blocks": _pairs(gauss(n, n, d, d))},
+        "xi": _pairs(gauss(n * d)),
+        "gamma": _pairs(gauss(n * d)),
+    }))
+
+
+def without_seconds(text: str, fmt: str) -> str:
+    if fmt == "json":
+        report = json.loads(text)
+        for result in report["results"]:
+            result.pop("seconds")
+        return json.dumps(report, sort_keys=True)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0][-1] == "seconds", rows[0]
+    return "\n".join(",".join(row[:-1]) for row in rows)
+
+
+def pieces(main, properties, ensembles, tmp: Path):
+    """(label, bytes) of every output, in a fixed order."""
+    out = tmp / "out"
+    for (n, d, k), trials in CONFIGS:
+        for ensemble in ensembles:
+            for seed in SEEDS:
+                for fmt in ("json", "csv"):
+                    argv = ["verify", "--n", str(n), "--d", str(d), "--k", str(k),
+                            "--trials", str(trials), "--seed", str(seed),
+                            "--ensemble", ensemble, "--format", fmt, "--out", str(out)]
+                    code = main(argv)
+                    text = without_seconds(out.read_text(encoding="utf-8"), fmt)
+                    yield " ".join(argv[:-2]), f"{code}\n{text}".encode()
+    for n, d in REPLAY_SHAPES:
+        path = tmp / f"instance_{n}_{d}.json"
+        write_instance(path, n, d)
+        for pid in properties:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(["replay", str(path), "--property", pid])
+            yield f"replay ({n}, {d}) {pid}", f"{code}\n{buf.getvalue()}".encode()
+    code = main(["emit-system", "--n", "8", "--d", "4",
+                 "--instance", str(tmp / "instance_8_4.json"), "--out", str(out)])
+    yield "emit-system (8, 4)", f"{code}\n".encode() + out.read_bytes()
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 scripts/report_digest.py SRC_DIR", file=sys.stderr)
+        return 2
+    src = Path(args[0]).resolve()
+    sys.path.insert(0, str(src))
+    import schurblock
+    from schurblock.cli import main as cli_main
+    from schurblock.instances import ENSEMBLES
+    from schurblock.verify import PROPERTIES
+
+    if not Path(schurblock.__file__).resolve().is_relative_to(src):
+        print(f"error: schurblock imported from {schurblock.__file__}, not {src}",
+              file=sys.stderr)
+        return 2
+    digest = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, data in pieces(cli_main, tuple(PROPERTIES), ENSEMBLES, Path(tmp)):
+            digest.update(f"{label}\n{len(data)}\n".encode())
+            digest.update(data)
+            count += 1
+    print(f"{digest.hexdigest()}  {count} outputs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -346,13 +346,15 @@ def block_matrix_from_json(obj, field: str = "block matrix") -> BlockMatrix:
         not isinstance(r, list) or len(r) != n for r in rows
     ):
         raise ValueError(f"{field}: blocks must be an {n}-by-{n} grid")
-    blocks = np.zeros((n, n, d, d), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            block = operator_from_json(rows[i][j], field=f"{field}.blocks[{i}][{j}]")
+    # each block is decoded and checked before any array of the declared
+    # shape is made, so a d the blocks do not have allocates nothing
+    blocks = []
+    for i, row in enumerate(rows):
+        for j, obj_ij in enumerate(row):
+            block = operator_from_json(obj_ij, field=f"{field}.blocks[{i}][{j}]")
             if block.shape != (d, d):
                 raise ValueError(
                     f"{field}.blocks[{i}][{j}]: expected {d}x{d}, got {block.shape}"
                 )
-            blocks[i, j] = block
-    return BlockMatrix(n=n, d=d, blocks=blocks)
+            blocks.append(block)
+    return BlockMatrix(n=n, d=d, blocks=np.array(blocks).reshape(n, n, d, d))

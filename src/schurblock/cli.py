@@ -154,7 +154,6 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     """
     per_property: dict[str, list[PropertyResult]] = {p: [] for p in config.properties}
     seconds = {p: 0.0 for p in config.properties}
-    system = StinespringSystem.build(config.n, config.d)
     step = chunk_trials(config.n, config.d, config.k)
     for first in range(0, config.trials, step):
         seeds = [mix64(config.seed, t)
@@ -164,8 +163,7 @@ def run_suite(config: TrialConfig) -> VerificationReport:
         for p in config.properties:
             t0 = time.perf_counter()
             result = run_property(p, level_k if p == "cb_level" else x,
-                                  tol=config.tolerance_for(p),
-                                  system=system, seeds=seeds)
+                                  tol=config.tolerance_for(p), seeds=seeds)
             seconds[p] += time.perf_counter() - t0
             per_property[p].append(result)
     results = [merge_results(per_property[p]) for p in config.properties

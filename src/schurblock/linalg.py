@@ -56,31 +56,33 @@ def spectral_norm(x):
     return as_scalar(np.linalg.svd(x, compute_uv=False)[..., 0])
 
 
+def _norm_where(x: np.ndarray, mask):
+    """spectral_norm of each matrix of x where mask holds, 0.0 elsewhere.
+
+    No SVD runs where mask fails, and no masked copy of the stack is made
+    where it holds everywhere.
+    """
+    if mask.all():
+        return spectral_norm(x)
+    out = np.zeros(mask.shape)
+    if mask.any():
+        out[mask] = spectral_norm(x[mask])
+    return as_scalar(out)
+
+
 def gap_norm(diff: np.ndarray):
     """spectral_norm of each matrix of diff; an exactly zero one is 0.0.
 
     The zero matrices cost no SVD: identities among 0/1 permutation
     operators hold bit for bit, and 0.0 is what the norm would give.
     """
-    nonzero = diff.reshape(*diff.shape[:-2], -1).any(axis=-1)
-    if nonzero.all():  # no masked copy of the stack
-        return spectral_norm(diff)
-    out = np.zeros(nonzero.shape)
-    if nonzero.any():
-        out[nonzero] = spectral_norm(diff[nonzero])
-    return as_scalar(out)
+    return _norm_where(diff, diff.reshape(*diff.shape[:-2], -1).any(axis=-1))
 
 
 def relative_gap(gap, ref: np.ndarray):
     """gap / max(1, ||ref||) per matrix; ref's SVD runs only where gap is nonzero."""
     gap = np.asarray(gap, dtype=np.float64)
-    nonzero = gap != 0
-    if nonzero.all():  # no masked copy of the stack
-        return as_scalar(gap / np.maximum(1.0, spectral_norm(ref)))
-    out = np.zeros(gap.shape)
-    if nonzero.any():
-        out[nonzero] = gap[nonzero] / np.maximum(1.0, spectral_norm(ref[nonzero]))
-    return as_scalar(out)
+    return as_scalar(gap / np.maximum(1.0, _norm_where(ref, gap != 0)))
 
 
 def identity_residual(lhs: np.ndarray, rhs: np.ndarray):

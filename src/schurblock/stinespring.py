@@ -17,7 +17,7 @@ idx(i, s, k) for the flat index of (i, s, k):
 
 so V* X = X[v_rows], X V = X[:, v_rows], F X = X[f_perm] and
 X F = X[:, f_perm], which is how the checkers apply them. The dense V and
-F are scattered from these arrays on first use, and ``operator_residual``
+F are scattered from these arrays on each access, and ``operator_residual``
 checks the laws of V and F exactly on the arrays themselves.
 
 Entry formulas, with row label (i, s, k) and column label (j, t, l):
@@ -43,7 +43,7 @@ product factors as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -93,10 +93,11 @@ class StinespringSystem:
 
     ``v_rows`` and ``f_perm`` (closed forms in the module docstring) are the
     single source, and the checkers apply V and F through them by index.
-    The dense V, F and Q = VV*, made on first use, serve emit-system, the
-    demos and the tests. ``operator_residual`` checks the laws exactly on
-    the arrays, once per object, so a system checked in every trial of a
-    suite is checked once.
+    ``build`` is memoised per (n, d), so every caller in a process shares
+    one system, and ``operator_residual`` checks the laws exactly on its
+    arrays once per (n, d). The dense V, F and Q = VV* serve emit-system,
+    the demos and the tests; they are derived on each access and never
+    kept, so a shared system holds only its index arrays.
     """
 
     n: int
@@ -105,6 +106,7 @@ class StinespringSystem:
     f_perm: np.ndarray
 
     @classmethod
+    @cache
     def build(cls, n: int, d: int) -> "StinespringSystem":
         if n < 1 or d < 1:
             raise ShapeError(f"n and d must be positive, got n={n}, d={d}")
@@ -117,7 +119,7 @@ class StinespringSystem:
             arr.setflags(write=False)
         return cls(n=n, d=d, v_rows=v_rows, f_perm=f_perm)
 
-    @cached_property
+    @property
     def V(self) -> np.ndarray:
         """The isometry with a 1 at (v_rows[c], c) in each column c."""
         r = self.v_rows
@@ -126,7 +128,7 @@ class StinespringSystem:
         v.setflags(write=False)
         return v
 
-    @cached_property
+    @property
     def F(self) -> np.ndarray:
         """The permutation matrix with a 1 at (i, f_perm[i]) in each row i."""
         p = self.f_perm
@@ -135,10 +137,11 @@ class StinespringSystem:
         f.setflags(write=False)
         return f
 
-    @cached_property
+    @property
     def Q(self) -> np.ndarray:
         """VV*, the projection onto the span of the (j, s, j) basis vectors."""
-        q = self.V @ self.V.conj().T
+        v = self.V
+        q = v @ v.conj().T
         q.setflags(write=False)
         return q
 

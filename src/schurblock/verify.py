@@ -26,13 +26,14 @@ the nine properties: each id's default tolerance, the instance pieces it
 needs, and the call that runs its checker; ``run_property`` dispatches
 through it and the CLI derives its flags and validation from it.
 
-The laws of the fixed operators V, F and Q do not depend on the
-instance. They are checked exactly once per StinespringSystem object, on
-its index arrays and on first use, and ``structure`` and
+The fixed operators V, F and Q depend on (n, d) alone, so each checker
+that needs them takes ``StinespringSystem.build(a.n, a.d)``, which is
+memoised per (n, d). Their laws are checked exactly once per (n, d) in a
+process, on the system's index arrays, and ``structure`` and
 ``decomposition`` fold that stored value into each trial's max, so a
 broken system still fails every trial. Every checker applies the 0/1
-operators V, F, Q and P = (F + I)/2 by index (``system.v_rows``,
-``system.f_perm``), the form the system is defined by: V* X = X[r],
+operators V, F, Q and P = (F + I)/2 by index (``v_rows``,
+``f_perm``), the form the system is defined by: V* X = X[r],
 X V = X[:, r] and X F = X[:, f] with r = v_rows and f = f_perm. Each
 gathers exactly the entries a dense product with the 0/1 matrix would
 sum, so no checker reads the dense ``V``, ``F`` or ``Q``. An identity
@@ -82,7 +83,7 @@ from .stinespring import (
 class Property(NamedTuple):
     """One row of PROPERTIES: default tolerance, needed inputs, checker call.
 
-    ``check(x, system)`` returns the checker's residual on the instance
+    ``check(x)`` returns the checker's residual on the instance
     mapping x, keyed like the instance file (A, B, xi, gamma), or one
     residual per trial when x holds stacks of trials; ``needs`` names the
     keys it must have. It reaches ``verify_<id>`` through its
@@ -96,23 +97,23 @@ class Property(NamedTuple):
 
 
 PROPERTIES = {
-    "factorization": Property(1e-10, ("A", "B"), lambda x, system: (
-        verify_factorization(x["A"], x["B"], system=system))),
-    "structure": Property(1e-12, ("A", "B"), lambda x, system: (
-        verify_structure(x["A"], x["B"], system=system))),
-    "livshits": Property(1e-8, ("A", "B"), lambda x, system: (
+    "factorization": Property(1e-10, ("A", "B"), lambda x: (
+        verify_factorization(x["A"], x["B"]))),
+    "structure": Property(1e-12, ("A", "B"), lambda x: (
+        verify_structure(x["A"], x["B"]))),
+    "livshits": Property(1e-8, ("A", "B"), lambda x: (
         verify_livshits(x["A"], x["B"]))),
-    "sharpness": Property(1e-8, ("A",), lambda x, system: (
+    "sharpness": Property(1e-8, ("A",), lambda x: (
         verify_sharpness(x["A"]))),
-    "sandwich": Property(1e-10, ("A",), lambda x, system: (
+    "sandwich": Property(1e-10, ("A",), lambda x: (
         verify_sandwich(x["A"]))),
-    "cauchy_schwarz": Property(1e-8, ("A", "B", "xi", "gamma"), lambda x, system: (
+    "cauchy_schwarz": Property(1e-8, ("A", "B", "xi", "gamma"), lambda x: (
         verify_cauchy_schwarz(x["A"], x["B"], x["xi"], x["gamma"]))),
-    "decomposition": Property(1e-10, ("A", "B"), lambda x, system: (
-        verify_decomposition(x["A"], x["B"], system=system))),
-    "norm_lemmas": Property(1e-8, ("A",), lambda x, system: (
-        verify_norm_lemmas(x["A"], system=system))),
-    "cb_level": Property(1e-8, ("A", "B"), lambda x, system: (
+    "decomposition": Property(1e-10, ("A", "B"), lambda x: (
+        verify_decomposition(x["A"], x["B"]))),
+    "norm_lemmas": Property(1e-8, ("A",), lambda x: (
+        verify_norm_lemmas(x["A"]))),
+    "cb_level": Property(1e-8, ("A", "B"), lambda x: (
         verify_cb_level(x["A"], x["B"]))),
 }
 
@@ -197,21 +198,10 @@ def _max(first, *rest):
     return out
 
 
-def _system_for(a: BlockMatrix, system: StinespringSystem | None) -> StinespringSystem:
-    if system is None:
-        return StinespringSystem.build(a.n, a.d)
-    if (system.n, system.d) != (a.n, a.d):
-        raise ShapeError(
-            f"system built for (n={system.n}, d={system.d}) does not match "
-            f"instance (n={a.n}, d={a.d})"
-        )
-    return system
-
-
 def _embed(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
     """The zero matrix of ``shape`` with x at ``rows`` by ``cols``, per matrix of x.
 
-    With r = system.v_rows, V x is _embed(x, r, all columns) and V x V* is
+    With r = v_rows, V x is _embed(x, r, all columns) and V x V* is
     _embed(x, r, r).
     """
     out = np.zeros((*x.shape[:-2], *shape), dtype=np.complex128)
@@ -219,11 +209,10 @@ def _embed(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarr
     return out
 
 
-def verify_factorization(a: BlockMatrix, b: BlockMatrix, *,
-                         system: StinespringSystem | None = None):
+def verify_factorization(a: BlockMatrix, b: BlockMatrix):
     """flatten(A [] B) = V* lambda(A) F lambda(B) V, and the rho form."""
     _check_same_shape(a, b)
-    sys_ = _system_for(a, system)
+    sys_ = StinespringSystem.build(a.n, a.d)
     r, f = sys_.v_rows, sys_.f_perm
     target = flatten(schur_block_product(a, b))
     vla = build_lambda(a)[..., r, :]
@@ -235,20 +224,19 @@ def verify_factorization(a: BlockMatrix, b: BlockMatrix, *,
     return relative_gap(gap, target)
 
 
-def verify_structure(a: BlockMatrix, b: BlockMatrix, *,
-                     system: StinespringSystem | None = None):
+def verify_structure(a: BlockMatrix, b: BlockMatrix):
     """Exactness of the fixed operators and the representation identities.
 
     Covers V*V = I, F self-adjoint and involutive, FV = V,
     sigma(I) = Q, F lambda(A) F = rho(A), sigma(A) V = V flatten(A),
     Q lambda(A) rho(B) Q = sigma(A [] B), and the diagonal compression
     flatten(diag(A)) = V* lambda(A) V. V, F and Q = VV* are applied by
-    index through ``system.v_rows`` and ``system.f_perm``; the
-    instance-independent identities come from
-    ``system.operator_residual``, checked once per system object.
+    index through the system's ``v_rows`` and ``f_perm``; the
+    instance-independent identities come from its
+    ``operator_residual``, checked once per (n, d).
     """
     _check_same_shape(a, b)
-    sys_ = _system_for(a, system)
+    sys_ = StinespringSystem.build(a.n, a.d)
     r, f = sys_.v_rows, sys_.f_perm
     la = build_lambda(a)
     big, nd = la.shape[-1], r.size
@@ -312,9 +300,8 @@ def verify_sandwich(a: BlockMatrix):
     s = flatten(schur_block_product(star, a))
     dmat = flatten(diag_block(block_matmul(star, a)))
     # both gaps are Hermitian up to rounding by the adjoint law; the
-    # min-eig routine gates on that and symmetrizes
-    lo = hermitian_min_eig(dmat - s, tol=1e-8)
-    hi = hermitian_min_eig(dmat + s, tol=1e-8)
+    # min-eig routine gates on that and symmetrizes, one call for both
+    lo, hi = hermitian_min_eig(np.stack([dmat - s, dmat + s]), tol=1e-8)
     deficit = _max(0.0, -lo, -hi)
     return as_scalar(deficit / np.maximum(spectral_norm(dmat), ABS_FLOOR))
 
@@ -356,8 +343,9 @@ def cauchy_schwarz_rhs_routes(a: BlockMatrix, b: BlockMatrix, xi, gamma):
 
     bsb = block_matmul(adjoint_block(b), b).blocks[..., i, i, :, :]
     aas = block_matmul(a, adjoint_block(a)).blocks[..., i, i, :, :]
-    left_sq = _sum_in_order(_sq_norms((psd_sqrt(bsb) @ xi)[..., 0]))
-    right_sq = _sum_in_order(_sq_norms((psd_sqrt(aas) @ gamma)[..., 0]))
+    root_b, root_a = psd_sqrt(np.stack([bsb, aas]))
+    left_sq = _sum_in_order(_sq_norms((root_b @ xi)[..., 0]))
+    right_sq = _sum_in_order(_sq_norms((root_a @ gamma)[..., 0]))
     rhs_diag = np.sqrt(left_sq) * np.sqrt(right_sq)
 
     # term (i, j) at i * n + j: the order of the sums over i, then j
@@ -399,19 +387,18 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma):
                           route_gap * (PROPERTIES["cauchy_schwarz"].tol / RHS_AGREEMENT_TOL)))
 
 
-def verify_decomposition(a: BlockMatrix, b: BlockMatrix, *,
-                         system: StinespringSystem | None = None):
+def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
     """Difference-of-positive-parts form and the absolute-value identity.
 
     With P = (F + I)/2, an orthogonal projection since F = F* = F^-1:
     flatten(A [] B) equals V* lambda(A) P lambda(B) V minus
     V* lambda(A) (I - P) lambda(B) V, and V* lambda(AB) V equals
     flatten(diag(AB)). V and P are applied by index, X P = (X + XF)/2 with
-    XF = X[:, f_perm]; the laws of V and F come from
-    ``system.operator_residual``, checked once per system object.
+    XF = X[:, f_perm]; the laws of V and F come from the system's
+    ``operator_residual``, checked once per (n, d).
     """
     _check_same_shape(a, b)
-    sys_ = _system_for(a, system)
+    sys_ = StinespringSystem.build(a.n, a.d)
     r, f = sys_.v_rows, sys_.f_perm
     vla = build_lambda(a)[..., r, :]
     vlaf = vla[..., :, f]
@@ -429,10 +416,9 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix, *,
     ))
 
 
-def verify_norm_lemmas(a: BlockMatrix, *,
-                       system: StinespringSystem | None = None):
+def verify_norm_lemmas(a: BlockMatrix):
     """col_norm(A) = ||lambda(A) V|| and row_norm(A) = ||V* lambda(A)||."""
-    r = _system_for(a, system).v_rows
+    r = StinespringSystem.build(a.n, a.d).v_rows
     la = build_lambda(a)
     return as_scalar(_max(_gap(spectral_norm(la[..., :, r]), col_norm(a)),
                           _gap(spectral_norm(la[..., r, :]), row_norm(a))))
@@ -453,7 +439,6 @@ def verify_cb_level(a: BlockMatrix, b: BlockMatrix):
 
 
 def run_property(property_id: str, x, *, tol: float | None = None,
-                 system: StinespringSystem | None = None,
                  seeds=None) -> PropertyResult:
     """Run one named property on the instance mapping x and judge each trial.
 
@@ -472,7 +457,7 @@ def run_property(property_id: str, x, *, tol: float | None = None,
         if what not in x:
             raise ValueError(f"property {property_id!r} needs {what}")
     tol = prop.tol if tol is None else tol
-    residuals = np.ravel(prop.check(x, system))
+    residuals = np.ravel(prop.check(x))
     worst = int(np.argmax(residuals))
     return PropertyResult(
         property_id=property_id,

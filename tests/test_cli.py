@@ -432,6 +432,16 @@ class TestCommandLine:
                 assert main(argv) == 3
                 assert "positive integers" in capsys.readouterr().err
 
+    def test_declared_dimension_is_checked_before_allocation(self, tmp_path, capsys):
+        # a 1x1 block under a declared d whose (n, n, d, d) array no machine holds
+        path = tmp_path / "huge_d.json"
+        path.write_text(json.dumps({"A": {"n": 1, "d": 10**6, "blocks": [[[[[0, 0]]]]]}}))
+        for argv in (["emit-system", "--n", "1", "--d", "1", "--instance", str(path)],
+                     ["replay", str(path), "--property", "sandwich"]):
+            assert main(argv) == 3
+            assert ("A.blocks[0][0]: expected 1000000x1000000, got (1, 1)"
+                    in capsys.readouterr().err)
+
     def test_duplicate_or_empty_properties_exit_code(self, capsys):
         for selection in ("livshits,livshits", ","):
             assert main(["verify", "--n", "2", "--d", "1", "--trials", "1",

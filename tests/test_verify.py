@@ -1,3 +1,4 @@
+import json
 import sys
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from schurblock import (
     block_identity,
     block_matmul,
     block_matrix,
+    block_matrix_to_json,
     build_lambda,
     build_rho,
     build_sigma,
@@ -41,10 +43,11 @@ from schurblock import (
     verify_sandwich,
     verify_sharpness,
     verify_structure,
+    vector_to_json,
 )
 from schurblock import linalg, stinespring
 from schurblock.linalg import ABS_FLOOR, gap_norm, identity_residual, relative_gap
-from schurblock.cli import TrialConfig, run_suite
+from schurblock.cli import TrialConfig, replay_instance, run_suite
 
 A2 = scalar_bm([[1.0, 2.0], [3.0, 4.0]])
 B2 = scalar_bm([[5.0, 6.0], [7.0, 8.0]])
@@ -96,11 +99,6 @@ class TestFactorization:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             verify_factorization(block_identity(2, 2), block_identity(3, 2))
-
-    def test_system_shape_checked(self):
-        from schurblock import StinespringSystem
-        with pytest.raises(ShapeError):
-            verify_factorization(A2, B2, system=StinespringSystem.build(3, 1))
 
 
 class TestLivshits:
@@ -368,18 +366,24 @@ class TestCheckerBehavior:
             run_property("cauchy_schwarz", {"A": A2, "B": B2})
 
 
-class TestFixedOperatorChecks:
-    """The laws of V, F and Q are checked once per system object."""
+def _use_system(monkeypatch, system):
+    """Make StinespringSystem.build return ``system``, whatever (n, d) it is asked for."""
+    monkeypatch.setattr(StinespringSystem, "build", classmethod(lambda cls, n, d: system))
 
-    def test_broken_system_fails(self):
+
+class TestFixedOperatorChecks:
+    """The laws of V, F and Q are checked once per (n, d)."""
+
+    def test_broken_system_fails(self, monkeypatch):
         n, d = 3, 2
         rng = np.random.default_rng(281)
         a, b = random_bm(rng, n, d), random_bm(rng, n, d)
         zero = _zero_like(a)
-        healthy = StinespringSystem.build(n, d)
+        build = StinespringSystem.build
+        healthy = build(n, d)
         # measure the healthy invariants first: replace() must not carry them over
-        assert verify_structure(a, b, system=healthy) <= PROPERTIES["structure"].tol
-        assert verify_decomposition(a, b, system=healthy) <= PROPERTIES["decomposition"].tol
+        assert verify_structure(a, b) <= PROPERTIES["structure"].tol
+        assert verify_decomposition(a, b) <= PROPERTIES["decomposition"].tol
         big = triple_dim(n, d)
         rows = healthy.v_rows.copy()
         rows[d:2 * d] = rows[:d]  # the j = 0 leg twice, the j = 1 leg gone
@@ -395,39 +399,57 @@ class TestFixedOperatorChecks:
         swap[[0, 1]] = [1, 0]
         moves_v = replace(healthy, f_perm=swap[healthy.f_perm[swap]])
         for broken in (flip_is_identity, leg_dropped):
-            assert not verify_structure(a, b, system=broken) <= PROPERTIES["structure"].tol
-        assert not (verify_decomposition(a, b, system=flip_is_identity)
-                    <= PROPERTIES["decomposition"].tol)
+            _use_system(monkeypatch, broken)
+            assert not verify_structure(a, b) <= PROPERTIES["structure"].tol
+        _use_system(monkeypatch, flip_is_identity)
+        assert not verify_decomposition(a, b) <= PROPERTIES["decomposition"].tol
         # every per-instance identity holds on the zero instance, so only the
         # fixed-operator invariants can fail there
-        assert not verify_structure(zero, zero, system=leg_dropped) <= PROPERTIES["structure"].tol
+        _use_system(monkeypatch, leg_dropped)
+        assert not verify_structure(zero, zero) <= PROPERTIES["structure"].tol
         for broken in (not_involutive, three_cycle, moves_v):
-            assert not (verify_decomposition(zero, zero, system=broken)
-                        <= PROPERTIES["decomposition"].tol)
-        for sys_ in (healthy, StinespringSystem.build(n, d)):
-            assert verify_structure(a, b, system=sys_) <= PROPERTIES["structure"].tol
-            assert verify_decomposition(a, b, system=sys_) <= PROPERTIES["decomposition"].tol
-            assert verify_structure(zero, zero, system=sys_) <= PROPERTIES["structure"].tol
+            _use_system(monkeypatch, broken)
+            assert not verify_decomposition(zero, zero) <= PROPERTIES["decomposition"].tol
+        # the healthy system, and one built afresh, still pass
+        build.cache_clear()
+        for sys_ in (healthy, build(n, d)):
+            _use_system(monkeypatch, sys_)
+            assert verify_structure(a, b) <= PROPERTIES["structure"].tol
+            assert verify_decomposition(a, b) <= PROPERTIES["decomposition"].tol
+            assert verify_structure(zero, zero) <= PROPERTIES["structure"].tol
 
-    def test_second_call_repeats_no_fixed_work(self, monkeypatch):
+    def test_second_call_repeats_no_fixed_work(self, monkeypatch, tmp_path):
+        n, d = 3, 2
         calls = []
         original = stinespring.build_sigma
+        one = block_identity(n, d)
 
         def counted(a):
-            calls.append(a.n)
+            if np.array_equal(a.blocks, one.blocks):
+                calls.append(a.n)
             return original(a)
 
         monkeypatch.setattr(stinespring, "build_sigma", counted)
+        StinespringSystem.build.cache_clear()
         rng = np.random.default_rng(283)
         for check in (verify_structure, verify_decomposition):
-            # a fresh system each: the two checkers share its fixed work
-            sys_ = StinespringSystem.build(3, 2)
-            calls.clear()
-            check(random_bm(rng, 3, 2), random_bm(rng, 3, 2), system=sys_)
-            first = len(calls)
-            assert first > 0
-            check(random_bm(rng, 3, 2), random_bm(rng, 3, 2), system=sys_)
-            assert len(calls) == first
+            for _ in range(2):
+                check(random_bm(rng, n, d), random_bm(rng, n, d))
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(
+            {key: block_matrix_to_json(random_bm(rng, n, d)) for key in ("A", "B")}
+            | {key: vector_to_json(rng.standard_normal(n * d)) for key in ("xi", "gamma")}))
+        for pid in PROPERTIES:
+            replay_instance(str(path), pid)
+        # the laws of V, F and Q were checked by the first call alone
+        assert calls == [n]
+
+    def test_one_system_per_shape_keeps_no_dense_operator(self):
+        system = StinespringSystem.build(3, 2)
+        assert StinespringSystem.build(3, 2) is system
+        for name in ("V", "F", "Q"):
+            getattr(system, name)
+            assert name not in vars(system), name
 
 
 def dense_structure_residual(a, b, sys_):
@@ -490,16 +512,28 @@ def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
     structure = []
     for _ in range(trials):
         a, b = random_bm(rng, n, d), random_bm(rng, n, d)
-        structure.append(verify_structure(a, b, system=sys_))
+        structure.append(verify_structure(a, b))
         assert structure[-1] == dense_structure_residual(a, b, sys_)
-        assert (verify_decomposition(a, b, system=sys_)
-                == dense_decomposition_residual(a, b, sys_))
-        assert (verify_factorization(a, b, system=sys_)
-                == dense_factorization_residual(a, b, sys_))
-        assert verify_norm_lemmas(a, system=sys_) == dense_norm_lemmas_residual(a, sys_)
+        assert verify_decomposition(a, b) == dense_decomposition_residual(a, b, sys_)
+        assert verify_factorization(a, b) == dense_factorization_residual(a, b, sys_)
+        assert verify_norm_lemmas(a) == dense_norm_lemmas_residual(a, sys_)
     if (n, d) == (4, 2):
         # the Q lambda rho Q identity carries rounding here, so its SVD runs
         assert min(structure) > 0.0
+
+
+def _record_calls(monkeypatch, original, record):
+    """Wrap every binding of ``original`` in the package so that each call
+    first passes its array argument to ``record``."""
+    def counted(x, *args, **kwargs):
+        record(np.asarray(x))
+        return original(x, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "schurblock" or name.startswith("schurblock."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
 
 
 @pytest.fixture
@@ -511,18 +545,8 @@ def norm_calls(monkeypatch):
     spectral_norm in the package is wrapped.
     """
     calls = []
-    original = linalg.spectral_norm
-
-    def counted(x, *args, **kwargs):
-        x = np.asarray(x)
-        calls.append((max(x.shape[-2:]), int(np.prod(x.shape[:-2])), not x.any()))
-        return original(x, *args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "schurblock" or name.startswith("schurblock."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    _record_calls(monkeypatch, linalg.spectral_norm, lambda x: calls.append(
+        (max(x.shape[-2:]), int(np.prod(x.shape[:-2])), not x.any())))
     return calls
 
 
@@ -542,16 +566,30 @@ def test_sharpness_makes_three_svd_calls_per_chunk(norm_calls):
     assert norm_calls == [(8, 40, False), (8, 40, False), (2, 40, False)]
 
 
+def test_one_eigen_call_per_rule_per_chunk(monkeypatch):
+    calls = []
+    for kernel in (linalg.hermitian_min_eig, linalg.psd_sqrt):
+        _record_calls(monkeypatch, kernel, lambda x, name=kernel.__name__: (
+            calls.append((name, x.shape))))
+    report = run_suite(TrialConfig(n=4, d=2, k=2, trials=300, seed=7,
+                                   properties=("sandwich", "cauchy_schwarz")))
+    assert report.passed
+    # two chunks, of 256 and 44 trials; sandwich stacks its lower and upper
+    # gaps, cauchy_schwarz its diag(B*B) and diag(AA*) blocks
+    assert calls == [("hermitian_min_eig", (2, 256, 8, 8)), ("psd_sqrt", (2, 256, 4, 2, 2)),
+                     ("hermitian_min_eig", (2, 44, 8, 8)), ("psd_sqrt", (2, 44, 4, 2, 2))]
+
+
 def test_no_checker_reads_the_dense_operators(monkeypatch):
     for name in ("V", "F", "Q"):
         monkeypatch.setattr(StinespringSystem, name, property(
             lambda self, name=name: pytest.fail(f"a checker read StinespringSystem.{name}")))
     for n, d, k in [(4, 2, 2), (8, 4, 3)]:
         assert run_suite(TrialConfig(n=n, d=d, k=k, trials=2, seed=7)).passed
-    # replay runs a property with no system, which the checker builds
+    # replay runs one property at a time on a single instance
     rng = np.random.default_rng(317)
     x = {"A": random_bm(rng, 3, 2), "B": random_bm(rng, 3, 2),
          "xi": rng.standard_normal(6) + 1j * rng.standard_normal(6),
          "gamma": rng.standard_normal(6) + 1j * rng.standard_normal(6)}
     for pid in PROPERTIES:
-        assert run_property(pid, x, system=None).passed, pid
+        assert run_property(pid, x).passed, pid
