@@ -1,4 +1,4 @@
-"""Print one sha256 over the reports that a schurblock source tree writes.
+"""Print a sha256 of each report that a schurblock source tree writes, and of all.
 
 Usage: python3 scripts/report_digest.py SRC_DIR
 
@@ -13,8 +13,11 @@ fixed order and each under a label:
   instances of REPLAY_SHAPES;
 - the ``emit-system`` bytes at (8, 4) with the (8, 4) instance.
 
-Two trees that print the same digest write the same reports, timings
-apart. The residual bits depend on the LAPACK that numpy calls, so
+It prints one line per output, a short digest and the label, then one
+sha256 over all of them, labels included, as ``<sha256>  112 outputs``.
+Two trees that print the same last line write the same reports, timings
+apart; where they differ, a diff of the two printouts names the outputs
+that changed. The residual bits depend on the LAPACK that numpy calls, so
 compare two trees on one machine only.
 """
 
@@ -116,6 +119,7 @@ def main(argv=None) -> int:
             digest.update(f"{label}\n{len(data)}\n".encode())
             digest.update(data)
             count += 1
+            print(f"{hashlib.sha256(data).hexdigest()[:16]}  {label}")
     print(f"{digest.hexdigest()}  {count} outputs")
     return 0
 

@@ -296,7 +296,11 @@ def vector_to_json(x) -> list:
 
 
 def vector_from_json(obj, field: str = "vector") -> np.ndarray:
-    return _from_pairs(obj, 1, field)
+    """The finite complex vector of a list of [re, im] pairs."""
+    x = _from_pairs(obj, 1, field)
+    if not np.isfinite(x).all():
+        raise ContractError(f"{field}: entries must be finite (no NaN/Inf)")
+    return x
 
 
 def json_chunks(obj: dict):

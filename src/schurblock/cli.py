@@ -7,9 +7,11 @@ Subcommands:
 
 Exit codes: 0 success / all properties passed, 1 verification failure,
 2 configuration or usage error (bad ranges, unknown, repeated or no
-property, negative or NaN tolerance, shape mismatch), 3 I/O or parse
-error. Property ids, their default tolerances and the --tol.<id> flags
-all come from ``verify.PROPERTIES``.
+property, negative or NaN tolerance, shape mismatch), 3 bad input (I/O
+or parse error, or a non-finite entry in an instance file). A wrong
+implementation fails its properties with 1 and never exits 3. Property
+ids, their default tolerances and the --tol.<id> flags all come from
+``verify.PROPERTIES``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import functools
 import io
 import json
 import sys
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -116,7 +117,6 @@ class TrialConfig:
 class VerificationReport:
     config: TrialConfig
     results: list
-    seconds: dict
 
     @property
     def passed(self) -> bool:
@@ -125,10 +125,7 @@ class VerificationReport:
     def as_dict(self) -> dict:
         return {
             "config": self.config.as_dict(),
-            "results": [
-                dict(r.as_dict(), seconds=self.seconds[r.property_id])
-                for r in self.results
-            ],
+            "results": [r.as_dict() for r in self.results],
             "pass": self.passed,
             "version": __version__,
         }
@@ -148,12 +145,11 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     in chunks of ``chunk_trials(n, d, k)``: ``sample_chunk`` stacks a
     chunk's draws along a leading trial axis, and each property runs once
     per chunk, on the stacks, and is judged there; ``merge_results`` folds
-    the chunks and each property's ``seconds`` sums its chunks.
+    the chunks, summing their ``seconds``.
     ``cb_level`` runs on the level-k pair regrouped at block size k*d,
     the rest on A, B, xi, gamma.
     """
     per_property: dict[str, list[PropertyResult]] = {p: [] for p in config.properties}
-    seconds = {p: 0.0 for p in config.properties}
     step = chunk_trials(config.n, config.d, config.k)
     for first in range(0, config.trials, step):
         seeds = [mix64(config.seed, t)
@@ -161,14 +157,12 @@ def run_suite(config: TrialConfig) -> VerificationReport:
         x, level_k = sample_chunk(seeds, config.n, config.d, config.k,
                                   config.ensemble)
         for p in config.properties:
-            t0 = time.perf_counter()
-            result = run_property(p, level_k if p == "cb_level" else x,
-                                  tol=config.tolerance_for(p), seeds=seeds)
-            seconds[p] += time.perf_counter() - t0
-            per_property[p].append(result)
+            per_property[p].append(run_property(
+                p, level_k if p == "cb_level" else x,
+                tol=config.tolerance_for(p), seeds=seeds))
     results = [merge_results(per_property[p]) for p in config.properties
                if per_property[p]]
-    return VerificationReport(config=config, results=results, seconds=seconds)
+    return VerificationReport(config=config, results=results)
 
 
 def _load_instance(path: str) -> dict:
@@ -243,7 +237,7 @@ def report_to_csv(report: VerificationReport) -> str:
         writer.writerow([
             r.property_id, r.trials, r.failures, repr(r.worst_residual),
             r.worst_seed, repr(r.tolerance_used),
-            repr(report.seconds[r.property_id]),
+            repr(r.seconds),
         ])
     return buf.getvalue()
 

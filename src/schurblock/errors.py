@@ -6,5 +6,5 @@ class ShapeError(ValueError):
 
 
 class ContractError(ValueError):
-    """An input violates a documented precondition (not Hermitian, not PSD, ...)."""
+    """An input has non-finite entries (NaN or Inf)."""
 

@@ -20,11 +20,13 @@ residual). Residuals are relative: matrix identities divide the
 deviation norm by max(1, ||reference||) (``identity_residual``), scalar
 equalities divide the gap by the reference (``_gap``), and bounds divide
 the excess over the right-hand side by it (``_excess``), both with the
-absolute floor ``ABS_FLOOR`` = 1e-12. A NaN residual (an overflow
-inside a checker) stays NaN and fails. ``PROPERTIES`` is the one list of
-the nine properties: each id's default tolerance, the instance pieces it
-needs, and the call that runs its checker; ``run_property`` dispatches
-through it and the CLI derives its flags and validation from it.
+absolute floor ``ABS_FLOOR`` = 1e-12. A NaN residual, from an overflow
+or from a kernel refusing a checker's own value (``hermitian_min_eig`` on
+a non-Hermitian matrix, ``psd_sqrt`` on an indefinite one), stays NaN
+and fails. ``PROPERTIES`` is the one list of the nine properties: each
+id's default tolerance, the instance pieces it needs, and the call that
+runs its checker; ``run_property`` dispatches through it and the CLI
+derives its flags and validation from it.
 
 The fixed operators V, F and Q depend on (n, d) alone, so each checker
 that needs them takes ``StinespringSystem.build(a.n, a.d)``, which is
@@ -45,6 +47,7 @@ Q identity, the decomposition sum) pay for spectral norms.
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -124,7 +127,8 @@ RHS_AGREEMENT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PropertyResult:
-    """Outcome of running one property over one or more trials."""
+    """Outcome of running one property over one or more trials; ``seconds``
+    is the wall time spent in its checker."""
 
     property_id: str
     trials: int
@@ -132,6 +136,7 @@ class PropertyResult:
     worst_residual: float
     worst_seed: int
     tolerance_used: float
+    seconds: float = 0.0
 
     def __post_init__(self):
         if self.failures > self.trials:
@@ -172,6 +177,7 @@ def merge_results(results) -> PropertyResult:
         worst_residual=worst.worst_residual,
         worst_seed=worst.worst_seed,
         tolerance_used=tol,
+        seconds=sum(r.seconds for r in results),
     )
 
 
@@ -300,7 +306,7 @@ def verify_sandwich(a: BlockMatrix):
     s = flatten(schur_block_product(star, a))
     dmat = flatten(diag_block(block_matmul(star, a)))
     # both gaps are Hermitian up to rounding by the adjoint law; the
-    # min-eig routine gates on that and symmetrizes, one call for both
+    # min-eig routine gives NaN where they are not, one call for both
     lo, hi = hermitian_min_eig(np.stack([dmat - s, dmat + s]), tol=1e-8)
     deficit = _max(0.0, -lo, -hi)
     return as_scalar(deficit / np.maximum(spectral_norm(dmat), ABS_FLOOR))
@@ -457,7 +463,9 @@ def run_property(property_id: str, x, *, tol: float | None = None,
         if what not in x:
             raise ValueError(f"property {property_id!r} needs {what}")
     tol = prop.tol if tol is None else tol
+    t0 = time.perf_counter()
     residuals = np.ravel(prop.check(x))
+    seconds = time.perf_counter() - t0
     worst = int(np.argmax(residuals))
     return PropertyResult(
         property_id=property_id,
@@ -466,4 +474,5 @@ def run_property(property_id: str, x, *, tol: float | None = None,
         worst_residual=float(residuals[worst]),
         worst_seed=0 if seeds is None else int(seeds[worst]),
         tolerance_used=tol,
+        seconds=seconds,
     )

@@ -432,6 +432,18 @@ class TestCommandLine:
                 assert main(argv) == 3
                 assert "positive integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_vector_exit_code(self, bad, tmp_path, capsys):
+        # bad input, like a non-finite entry of A, not a verdict on the bound
+        i = block_matrix_to_json(block_identity(2, 1))
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps({"A": i, "B": i, "xi": [[bad, 0.0], [0.0, 0.0]],
+                                    "gamma": [[1.0, 0.0], [0.0, 0.0]]}))
+        assert main(["replay", str(path), "--property", "cauchy_schwarz"]) == 3
+        captured = capsys.readouterr()
+        assert "xi: entries must be finite (no NaN/Inf)" in captured.err
+        assert captured.out == ""
+
     def test_declared_dimension_is_checked_before_allocation(self, tmp_path, capsys):
         # a 1x1 block under a declared d whose (n, n, d, d) array no machine holds
         path = tmp_path / "huge_d.json"
