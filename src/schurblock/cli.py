@@ -36,7 +36,7 @@ from .blocks import (
 from .errors import ShapeError
 from .instances import ENSEMBLES, GINIBRE, mix64, sample_chunk
 from .stinespring import StinespringSystem, build_lambda, triple_dim
-from .verify import PROPERTIES, PropertyResult, merge_results, run_property
+from .verify import PROPERTIES, PropertyResult, merge_results, run_property, unit_scale
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -144,8 +144,8 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     recorded worst_seed regenerates its instance exactly. The trials run
     in chunks of ``chunk_trials(n, d, k)``: ``sample_chunk`` stacks a
     chunk's draws along a leading trial axis, and each property runs once
-    per chunk, on the stacks, and is judged there; ``merge_results`` folds
-    the chunks, summing their ``seconds``.
+    per chunk, on the stacks ``unit_scale`` makes of them, and is judged
+    there; ``merge_results`` folds the chunks, summing their ``seconds``.
     ``cb_level`` runs on the level-k pair regrouped at block size k*d,
     the rest on A, B, xi, gamma.
     """
@@ -154,8 +154,8 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     for first in range(0, config.trials, step):
         seeds = [mix64(config.seed, t)
                  for t in range(first, min(first + step, config.trials))]
-        x, level_k = sample_chunk(seeds, config.n, config.d, config.k,
-                                  config.ensemble)
+        x, level_k = map(unit_scale, sample_chunk(seeds, config.n, config.d,
+                                                  config.k, config.ensemble))
         for p in config.properties:
             per_property[p].append(run_property(
                 p, level_k if p == "cb_level" else x,
@@ -176,7 +176,8 @@ def _load_instance(path: str) -> dict:
 
 def replay_instance(path: str, property_id: str,
                     tol: float | None = None) -> PropertyResult:
-    """Run one checker on a stored {"A": ..., "B": ..., "xi": ..., "gamma": ...} file."""
+    """Run one checker on a stored {"A": ..., "B": ..., "xi": ..., "gamma": ...} file,
+    each input scaled by a power of two as the suite scales its trials."""
     if property_id not in PROPERTIES:
         raise ConfigError(f"unknown property {property_id!r}")
     if tol is not None:
@@ -192,7 +193,7 @@ def replay_instance(path: str, property_id: str,
             raise ConfigError(
                 f"{key} has (n={x[key].n}, d={x[key].d}); replay takes n in "
                 f"1..{MAX_N} and d in 1..{MAX_K * MAX_D}")
-    return run_property(property_id, x, tol=tol)
+    return run_property(property_id, unit_scale(x), tol=tol)
 
 
 def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> dict:
@@ -204,13 +205,7 @@ def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> dict:
     if not (1 <= n <= MAX_N and 1 <= d <= MAX_D):
         raise ConfigError(f"n must be in 1..{MAX_N} and d in 1..{MAX_D}")
     system = StinespringSystem.build(n, d)
-    out = {
-        "n": n,
-        "d": d,
-        "V": system.V,
-        "F": system.F,
-        "Q": system.Q,
-    }
+    out = {"n": n, "d": d, "V": system.V, "F": system.F, "Q": system.Q}
     if instance_path is not None:
         a = block_matrix_from_json(_load_instance(instance_path)["A"], field="A")
         if (a.n, a.d) != (n, d):
@@ -229,16 +224,11 @@ def report_to_json(report: VerificationReport) -> str:
 def report_to_csv(report: VerificationReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow([
-        "property_id", "trials", "failures", "worst_residual",
-        "worst_seed", "tolerance_used", "seconds",
-    ])
+    writer.writerow(["property_id", "trials", "failures", "worst_residual",
+                     "worst_seed", "tolerance_used", "seconds"])
     for r in report.results:
-        writer.writerow([
-            r.property_id, r.trials, r.failures, repr(r.worst_residual),
-            r.worst_seed, repr(r.tolerance_used),
-            repr(r.seconds),
-        ])
+        writer.writerow([r.property_id, r.trials, r.failures, repr(r.worst_residual),
+                         r.worst_seed, repr(r.tolerance_used), repr(r.seconds)])
     return buf.getvalue()
 
 

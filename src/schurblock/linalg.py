@@ -10,6 +10,9 @@ for a stack. ``spectral_norm`` is a full SVD: the largest operator a
 suite config builds is n*d*n = 8*4*8 = 256 on a side, and replay, which
 takes block size up to 12 (a level-3 pair at d = 4), can build
 n*d*n = 8*12*8 = 768. Functions are pure and never mutate their arguments.
+Every residual is a deviation over its reference, by ``ratio``, with no
+floor. No kernel judges: an indefinite matrix gets an all-NaN
+``psd_sqrt``, which fails whichever residual it reaches.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-ABS_FLOOR = 1e-12
+# psd_sqrt clamps eigenvalues in [-PSD_TOL * max_eig, 0) to zero
+PSD_TOL = 1e-10
 
 
 def as_scalar(x):
@@ -79,14 +83,20 @@ def gap_norm(diff: np.ndarray):
     return _norm_where(diff, diff.reshape(*diff.shape[:-2], -1).any(axis=-1))
 
 
+def ratio(num, den):
+    """num / den per value, and 0.0 wherever num == 0, den == 0 included."""
+    num = np.asarray(num, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return as_scalar(np.where(num == 0, 0.0, num / den))
+
+
 def relative_gap(gap, ref: np.ndarray):
-    """gap / max(1, ||ref||) per matrix; ref's SVD runs only where gap is nonzero."""
-    gap = np.asarray(gap, dtype=np.float64)
-    return as_scalar(gap / np.maximum(1.0, _norm_where(ref, gap != 0)))
+    """ratio(gap, ||ref||) per matrix; ref's SVD runs only where gap is nonzero."""
+    return ratio(gap, _norm_where(ref, np.asarray(gap) != 0))
 
 
 def identity_residual(lhs: np.ndarray, rhs: np.ndarray):
-    """||lhs - rhs|| / max(1, ||rhs||) per matrix, the deviation from lhs = rhs.
+    """||lhs - rhs|| / ||rhs|| per matrix, the deviation from lhs = rhs.
 
     An exactly zero difference gives 0.0 without an SVD and without the
     ||rhs|| denominator (``gap_norm``).
@@ -94,31 +104,22 @@ def identity_residual(lhs: np.ndarray, rhs: np.ndarray):
     return relative_gap(gap_norm(lhs - rhs), rhs)
 
 
-def hermitian_min_eig(x, tol: float = 1e-10):
-    """Smallest eigenvalue of the Hermitian part (x + x*) / 2 of each matrix.
-
-    Each x must be square. A matrix that is not Hermitian up to
-    ||x - x*||_F <= tol * max(||x||_F, ABS_FLOOR) gets NaN, not the value
-    of its symmetrized part, so a caller's judge fails it.
-    """
+def hermitian_min_eig(x):
+    """Smallest eigenvalue of the Hermitian part (x + x*) / 2 of each square matrix."""
     x = _square(x, "hermitian_min_eig")
-    xh = _adjoint(x)
-    scale = np.linalg.norm(x, axis=(-2, -1))
-    bad = np.linalg.norm(x - xh, axis=(-2, -1)) > tol * np.maximum(scale, ABS_FLOOR)
-    return as_scalar(np.where(bad, np.nan, np.linalg.eigvalsh((x + xh) / 2)[..., 0]))
+    return as_scalar(np.linalg.eigvalsh((x + _adjoint(x)) / 2)[..., 0])
 
 
-def psd_sqrt(x, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(x) -> np.ndarray:
     """Hermitian square root of each positive semidefinite matrix of x.
 
-    Eigenvalues in [-lim, 0) with lim = tol * max(1, max_eig) are clamped to
-    zero; a matrix with one below -lim is indefinite, and its root is all
-    NaN, so a caller's judge fails it.
+    Eigenvalues in [-PSD_TOL * max_eig, 0) are clamped to zero; a matrix
+    with one below that is indefinite, and its root is all NaN.
     """
     x = _square(x, "psd_sqrt")
     w, u = np.linalg.eigh((x + _adjoint(x)) / 2)
     if w.shape[-1]:
-        low = w[..., 0] < -tol * np.maximum(1.0, w[..., -1])
+        low = w[..., 0] < -PSD_TOL * w[..., -1]
         w = np.where(low[..., None], np.nan, w)
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)[..., None, :]) @ _adjoint(u)

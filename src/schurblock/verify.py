@@ -14,41 +14,38 @@ fixed order whatever the stack.
 ``run_property`` judges a whole stack, which the suite feeds it one
 chunk of trials at a time: a residual passes at or below the tolerance,
 and the chunk's PropertyResult counts the trials that do not and keeps
-the first largest residual in trial order. ``merge_results`` folds the
-chunks into suite aggregates (sums of counts, the first largest
-residual). Residuals are relative: matrix identities divide the
-deviation norm by max(1, ||reference||) (``identity_residual``), scalar
-equalities divide the gap by the reference (``_gap``), and bounds divide
-the excess over the right-hand side by it (``_excess``), both with the
-absolute floor ``ABS_FLOOR`` = 1e-12. A NaN residual, from an overflow
-or from a kernel refusing a checker's own value (``hermitian_min_eig`` on
-a non-Hermitian matrix, ``psd_sqrt`` on an indefinite one), stays NaN
-and fails. ``PROPERTIES`` is the one list of the nine properties: each
-id's default tolerance, the instance pieces it needs, and the call that
-runs its checker; ``run_property`` dispatches through it and the CLI
-derives its flags and validation from it.
+the first largest residual in trial order; ``merge_results`` folds the
+chunks (sums of counts, the first largest residual). Every residual is a
+deviation over its reference by one rule, ``linalg.ratio``, with no
+floor: matrix identities through ``identity_residual``, scalar
+equalities through ``_gap``, bounds (the excess over the right-hand
+side) through ``_excess``. Every property is homogeneous in each input,
+so the CLI scales each input of each trial by a power of two once, where
+it builds an instance (``unit_scale``), and no finite instance
+overflows; the checkers and ``run_property`` take their inputs as given.
+A NaN residual stays NaN and fails. ``PROPERTIES`` is the one list of the
+nine properties: each id's default tolerance, the instance pieces it
+needs, and the call that runs its checker; ``run_property`` dispatches
+through it and the CLI derives its flags and validation from it.
 
-The fixed operators V, F and Q depend on (n, d) alone, so each checker
-that needs them takes ``StinespringSystem.build(a.n, a.d)``, which is
-memoised per (n, d). Their laws are checked exactly once per (n, d) in a
-process, on the system's index arrays, and ``structure`` and
-``decomposition`` fold that stored value into each trial's max, so a
-broken system still fails every trial. Every checker applies the 0/1
-operators V, F, Q and P = (F + I)/2 by index (``v_rows``,
-``f_perm``), the form the system is defined by: V* X = X[r],
-X V = X[:, r] and X F = X[:, f] with r = v_rows and f = f_perm. Each
-gathers exactly the entries a dense product with the 0/1 matrix would
-sum, so no checker reads the dense ``V``, ``F`` or ``Q``. An identity
-whose two sides agree bit for bit costs no SVD: an exactly zero
-difference is a residual of 0.0, which is what its norm would give. So
-only identities that can carry rounding (factorization, the Q lambda rho
-Q identity, the decomposition sum) pay for spectral norms.
+The fixed operators V, F and Q depend on (n, d) alone:
+``StinespringSystem.build(a.n, a.d)`` is memoised per (n, d) and checks
+their laws exactly once per (n, d), on its index arrays; ``structure``
+and ``decomposition`` fold that stored value into each trial's max, so a
+broken system fails every trial. Every checker applies the 0/1 operators
+V, F, Q and P = (F + I)/2 by index, the form the system is defined by:
+V* X = X[r], X V = X[:, r] and X F = X[:, f] with r = ``v_rows`` and
+f = ``f_perm``, which gathers exactly the entries a dense product would
+sum, so no checker reads the dense ``V``, ``F`` or ``Q``. An exactly
+zero difference is a residual of 0.0 with no SVD, so only identities
+that can carry rounding (factorization, the Q lambda rho Q identity, the
+decomposition sum) pay for spectral norms.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -66,12 +63,12 @@ from .blocks import (
 )
 from .errors import ShapeError
 from .linalg import (
-    ABS_FLOOR,
     as_scalar,
     gap_norm,
     hermitian_min_eig,
     identity_residual,
     psd_sqrt,
+    ratio,
     relative_gap,
     spectral_norm,
 )
@@ -143,13 +140,9 @@ class PropertyResult:
             raise ValueError("failures cannot exceed trials")
         if self.worst_residual < 0:
             raise ValueError("worst_residual must be nonnegative")
-        if self.trials > 0 and (self.failures == 0) != (
-            self.worst_residual <= self.tolerance_used
-        ):
-            raise ValueError(
-                "inconsistent result: failures == 0 must match "
-                "worst_residual <= tolerance_used"
-            )
+        if self.trials > 0 and self.passed != (self.worst_residual <= self.tolerance_used):
+            raise ValueError("inconsistent result: failures == 0 must match "
+                             "worst_residual <= tolerance_used")
 
     @property
     def passed(self) -> bool:
@@ -170,25 +163,19 @@ def merge_results(results) -> PropertyResult:
         raise ValueError("can only merge results of one property at one tolerance")
     # the first largest, as in run_property, with NaN the largest
     worst = results[int(np.argmax([r.worst_residual for r in results]))]
-    return PropertyResult(
-        property_id=pid,
-        trials=sum(r.trials for r in results),
-        failures=sum(r.failures for r in results),
-        worst_residual=worst.worst_residual,
-        worst_seed=worst.worst_seed,
-        tolerance_used=tol,
-        seconds=sum(r.seconds for r in results),
-    )
+    return replace(worst, trials=sum(r.trials for r in results),
+                   failures=sum(r.failures for r in results),
+                   seconds=sum(r.seconds for r in results))
 
 
 def _gap(x, ref):
     """How far the scalar x misses ref, relative to ref."""
-    return np.abs(x - ref) / np.maximum(ref, ABS_FLOOR)
+    return ratio(np.abs(x - ref), ref)
 
 
 def _excess(lhs, rhs):
     """How far lhs exceeds the bound rhs, relative to rhs; 0.0 within it."""
-    return _max(0.0, lhs - rhs) / np.maximum(rhs, ABS_FLOOR)
+    return ratio(_max(0.0, lhs - rhs), rhs)
 
 
 def _max(first, *rest):
@@ -265,7 +252,7 @@ def _livshits_violation(a: BlockMatrix, b: BlockMatrix):
     """How far ||A [] B|| exceeds row_norm(A) * col_norm(B), relative to it."""
     _check_same_shape(a, b)
     lhs = spectral_norm(flatten(schur_block_product(a, b)))
-    return as_scalar(_excess(lhs, row_norm(a) * col_norm(b)))
+    return _excess(lhs, row_norm(a) * col_norm(b))
 
 
 def verify_livshits(a: BlockMatrix, b: BlockMatrix):
@@ -305,11 +292,11 @@ def verify_sandwich(a: BlockMatrix):
     star = adjoint_block(a)
     s = flatten(schur_block_product(star, a))
     dmat = flatten(diag_block(block_matmul(star, a)))
-    # both gaps are Hermitian up to rounding by the adjoint law; the
-    # min-eig routine gives NaN where they are not, one call for both
-    lo, hi = hermitian_min_eig(np.stack([dmat - s, dmat + s]), tol=1e-8)
-    deficit = _max(0.0, -lo, -hi)
-    return as_scalar(deficit / np.maximum(spectral_norm(dmat), ABS_FLOOR))
+    # s is Hermitian by the adjoint law, so its skew part counts against it;
+    # both gaps are judged by their Hermitian parts, one call for both
+    lo, hi = hermitian_min_eig(np.stack([dmat - s, dmat + s]))
+    skew = np.linalg.norm(s - np.conj(s).swapaxes(-1, -2), axis=(-2, -1))
+    return ratio(_max(0.0, -lo, -hi) + skew, spectral_norm(dmat))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -442,6 +429,19 @@ def verify_cb_level(a: BlockMatrix, b: BlockMatrix):
 # ---------------------------------------------------------------------------
 # Dispatch used by the suite runner and replay
 # ---------------------------------------------------------------------------
+
+
+def unit_scale(x: dict) -> dict:
+    """x with each input of each trial times 2^-e, e the frexp exponent of
+    its largest |re| or |im|. ``np.ldexp`` on the float64 view makes this
+    exact, signed zeros kept; every property is homogeneous in each input,
+    so no residual changes but one whose arithmetic over- or underflowed."""
+    def scaled(z, ndim):
+        re_im = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+        top = np.abs(re_im).max(axis=tuple(range(-ndim, 0)), keepdims=True)
+        return np.ldexp(re_im, -np.frexp(top)[1]).view(np.complex128)
+    return {key: BlockMatrix(v.n, v.d, scaled(v.blocks, 4))
+            if isinstance(v, BlockMatrix) else scaled(v, 1) for key, v in x.items()}
 
 
 def run_property(property_id: str, x, *, tol: float | None = None,

@@ -106,7 +106,7 @@ def test_criterion_4_sharpness_of_row_recovery():
         worst = max(worst, verify_sharpness(x))
         recovered = row_norms_via_schur(x).max()
         rn = row_norm(x)
-        worst = max(worst, abs(recovered - rn) / max(rn, 1e-12))
+        worst = max(worst, abs(recovered - rn) / rn)
     _report(4, "row-norm sharpness", worst <= 1e-8,
             f"200 instances, worst relative error {worst:.3e}")
 
@@ -195,16 +195,15 @@ def test_criterion_8_norm_and_diag_lemmas():
         cn, rn = col_norm(a), row_norm(a)
         worst_norms = max(
             worst_norms,
-            abs(cn - spectral_norm(la @ sys_.V)) / max(cn, 1e-12),
-            abs(rn - spectral_norm(vh @ la)) / max(rn, 1e-12),
+            abs(cn - spectral_norm(la @ sys_.V)) / cn,
+            abs(rn - spectral_norm(vh @ la)) / rn,
         )
         diag_res = spectral_norm(flatten(diag_block(a)) - vh @ la @ sys_.V)
-        worst_diag = max(worst_diag, diag_res / max(1.0, spectral_norm(flatten(a))))
+        worst_diag = max(worst_diag, diag_res / spectral_norm(flatten(a)))
         prod = block_matmul(a, b)
         abs_res = spectral_norm(
             vh @ build_lambda(prod) @ sys_.V - flatten(diag_block(prod)))
-        worst_abs = max(worst_abs,
-                        abs_res / max(1.0, spectral_norm(flatten(prod))))
+        worst_abs = max(worst_abs, abs_res / spectral_norm(flatten(prod)))
     ok = worst_norms <= 1e-8 and worst_diag <= 1e-12 and worst_abs <= 1e-12
     _report(8, "norm and diagonal lemmas", ok,
             f"200 instances; norm ids {worst_norms:.3e} (<=1e-8), "

@@ -12,6 +12,7 @@ import pytest
 
 from schurblock import (
     BlockMatrix,
+    ContractError,
     block_identity,
     block_matrix,
     block_matrix_to_json,
@@ -226,38 +227,40 @@ def overflowing_instance(tmp_path, pair_scale):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({"A": block_matrix_to_json(a), "B": block_matrix_to_json(b),
                                 "xi": vector_to_json(xi), "gamma": vector_to_json(gamma)}))
-    return path
+    return path, {"A": a, "B": b, "xi": xi, "gamma": gamma}
 
 
 @pytest.mark.parametrize("pid", list(PROPERTIES))
-def test_overflow_never_passes(pid, tmp_path, capsys):
-    # an inf or NaN inside a checker is an error (exit 3) or a NaN residual
-    # that fails (exit 1), never a pass
-    path = overflowing_instance(tmp_path, 1e160)
+def test_overflow_never_passes(pid, tmp_path):
+    # run_property takes its inputs as given, so at 1e160 a product
+    # overflows inside the checker: the inf or NaN is an error or a NaN
+    # residual that fails, never a pass
+    _, x = overflowing_instance(tmp_path, 1e160)
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["replay", str(path), "--property", pid])
-    assert code in (1, 3)
-    assert "result=PASS" not in capsys.readouterr().out
+        try:
+            result = run_property(pid, x)
+        except ContractError:
+            return
+    assert not result.passed
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: a product overflows inside the "
-                   "checker and replay exits 3 (ROADMAP item 2)")
+@pytest.mark.parametrize("pair_scale", [1e160, 1.0])
 @pytest.mark.parametrize("pid", list(PROPERTIES))
-def test_finite_instance_at_scale_1e160_passes(pid, tmp_path):
-    # every property holds on any finite instance, so the verdict should be a pass
-    path = overflowing_instance(tmp_path, 1e160)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["replay", str(path), "--property", pid]) == 0
+def test_finite_instance_at_scale_1e160_passes(pid, pair_scale, tmp_path):
+    # every property holds on any finite instance, and replay scales each
+    # input by a power of two before any product can overflow
+    path, _ = overflowing_instance(tmp_path, pair_scale)
+    assert main(["replay", str(path), "--property", pid]) == 0
 
 
-def test_overflowing_vectors_fail_cauchy_schwarz(tmp_path, capsys):
+def test_overflowing_vectors_fail_cauchy_schwarz(tmp_path):
     # only the vectors overflow: both sides of the bound are inf, and the
-    # NaN their gap makes once folded into a max as a 0.0 pass
-    path = overflowing_instance(tmp_path, 1.0)
+    # NaN their gap makes must not fold into a max as a 0.0 pass
+    _, x = overflowing_instance(tmp_path, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["replay", str(path), "--property", "cauchy_schwarz"])
-    assert code == 1
-    assert "residual=nan" in capsys.readouterr().out
+        result = run_property("cauchy_schwarz", x)
+    assert result.failures == 1
+    assert np.isnan(result.worst_residual)
 
 
 def emit_text(tmp_path, n, d, instance=None) -> str:

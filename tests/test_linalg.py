@@ -66,9 +66,12 @@ class TestIdentityResidual:
         rhs = np.diag([4.0, 2.0])
         lhs = rhs + np.diag([0.0, 1e-3])
         assert identity_residual(lhs, rhs) == spectral_norm(lhs - rhs) / 4.0
-        small_lhs, small_rhs = lhs * 1e-3, rhs * 1e-3  # ||rhs|| < 1: no division
-        assert identity_residual(small_lhs, small_rhs) == spectral_norm(
-            small_lhs - small_rhs)
+        # below unit norm too: no floor, so a power-of-two scale changes nothing
+        for scale in (2.0 ** -20, 2.0 ** -600):
+            assert identity_residual(lhs * scale, rhs * scale) == identity_residual(lhs, rhs)
+
+    def test_nonzero_difference_from_zero_is_infinite(self):
+        assert identity_residual(np.eye(2), np.zeros((2, 2))) == np.inf
 
 
 class TestHermitianMinEig:
@@ -83,17 +86,17 @@ class TestHermitianMinEig:
     def test_diagonal(self):
         assert_allclose(hermitian_min_eig(np.diag([-2.0, 5.0])), -2.0)
 
-    def test_rejects_non_hermitian(self):
-        # refused with NaN, which the judge fails, not with an exception
-        assert np.isnan(hermitian_min_eig(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    def test_non_hermitian_gives_its_hermitian_part(self):
+        # (x + x*)/2 = [[0, 1/2], [1/2, 0]], eigenvalues -1/2 and 1/2
+        assert hermitian_min_eig(np.array([[0.0, 1.0], [0.0, 0.0]])) == -0.5
 
-    def test_stack_rejects_per_matrix(self):
+    def test_stack_gives_each_matrix_its_own_value(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        valid = g + g.conj().T
-        lo = hermitian_min_eig(np.stack([valid, g]))
-        assert lo[0] == hermitian_min_eig(valid)
-        assert np.isnan(lo[1])
+        hermitian = g + g.conj().T
+        lo = hermitian_min_eig(np.stack([hermitian, g]))
+        assert lo[0] == hermitian_min_eig(hermitian)
+        assert lo[1] == hermitian_min_eig(g)
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
@@ -111,7 +114,7 @@ class TestPsdSqrt:
 
     def test_clamps_tiny_negative(self):
         m = np.diag([1.0, -1e-14])
-        r = psd_sqrt(m, tol=1e-10)
+        r = psd_sqrt(m)
         assert_allclose(r, np.diag([1.0, 0.0]), atol=1e-7)
 
     def test_rejects_indefinite(self):

@@ -1,15 +1,28 @@
 """Checkers measure, ``run_property`` judges.
 
 Each ``verify_<id>`` returns its residual as a float and takes no tolerance
-or seed; the residual does not depend on the tolerance it is judged at.
+or seed; the residual does not depend on the tolerance it is judged at,
+nor on the scale of the inputs replay is given.
 """
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_bm
-from schurblock import PROPERTIES, block_identity, run_property
+from schurblock import (
+    PROPERTIES,
+    BlockMatrix,
+    block_identity,
+    block_matrix_to_json,
+    run_property,
+    vector_to_json,
+)
 from schurblock import verify
+from schurblock.cli import replay_instance
 
 
 def _instance(seed=307, n=3, d=2):
@@ -58,7 +71,7 @@ def _routes_scaled(monkeypatch, diag_factor, sum_factor):
     monkeypatch.setattr(verify, "cauchy_schwarz_rhs_routes", scaled)
 
 
-@pytest.mark.parametrize("s", [1.0, 1e-4, 1e-5])
+@pytest.mark.parametrize("s", [1.0, 1e-4, 1e-5, 1e-150, 1e150])
 def test_halved_cauchy_schwarz_bound_fails_at_every_scale(s, monkeypatch):
     # the identity pair reaches the bound exactly, so half of it is exceeded
     # by a factor 2 whatever the scale of the vectors
@@ -77,3 +90,41 @@ def test_rhs_routes_must_agree_to_1e_10(disagreement, passes, monkeypatch):
     assert run_property("cauchy_schwarz", x).passed
     _routes_scaled(monkeypatch, 1.0, 1.0 + disagreement)
     assert run_property("cauchy_schwarz", x).passed is passes
+
+
+def _replay_all(x, path):
+    """Each property's residual on instance x, written to path and replayed."""
+    encode = {"A": block_matrix_to_json, "B": block_matrix_to_json,
+              "xi": vector_to_json, "gamma": vector_to_json}
+    path.write_text(json.dumps({key: f(x[key]) for key, f in encode.items()}))
+    return {pid: replay_instance(str(path), pid) for pid in PROPERTIES}
+
+
+def _scaled(x, powers):
+    """x with each input multiplied by its own power of two, exactly."""
+    return {key: BlockMatrix(v.n, v.d, np.ldexp(1.0, k) * v.blocks)
+            if isinstance(v, BlockMatrix) else np.ldexp(1.0, k) * v
+            for (key, v), k in zip(x.items(), powers)}
+
+
+ZERO = BlockMatrix(3, 2, np.zeros((3, 3, 2, 2)))
+SCALE_INSTANCES = {
+    "gaussian": _instance(n=3, d=2),
+    # every deviation and every reference is 0, and 0 over 0 is a residual of 0.0
+    "zero": {"A": ZERO, "B": ZERO, "xi": np.zeros(6), "gamma": np.zeros(6)},
+}
+
+
+@pytest.mark.parametrize("name", SCALE_INSTANCES)
+@settings(max_examples=20, deadline=None)
+@given(powers=st.lists(st.integers(-900, 900), min_size=4, max_size=4))
+def test_power_of_two_scale_leaves_every_residual_bit_for_bit(name, powers,
+                                                              tmp_path_factory):
+    path = tmp_path_factory.mktemp("scale") / "x.json"
+    x = SCALE_INSTANCES[name]
+    at_one = _replay_all(x, path)
+    for pid, result in _replay_all(_scaled(x, powers), path).items():
+        assert result.worst_residual == at_one[pid].worst_residual, (pid, powers)
+        assert result.passed, pid
+        if name == "zero":
+            assert result.worst_residual == 0.0, pid

@@ -46,7 +46,7 @@ from schurblock import (
     vector_to_json,
 )
 from schurblock import linalg, stinespring
-from schurblock.linalg import ABS_FLOOR, gap_norm, identity_residual, relative_gap
+from schurblock.linalg import gap_norm, identity_residual, relative_gap
 from schurblock.cli import TrialConfig, replay_instance, run_suite
 
 A2 = scalar_bm([[1.0, 2.0], [3.0, 4.0]])
@@ -184,6 +184,22 @@ class TestSandwich:
         for _ in range(20):
             a = random_bm(rng, 5, 2)
             assert verify_sandwich(a) <= 1e-10
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 1), (8, 4)])
+def test_block_diagonal_a_meets_the_sandwich_bound(n, d, tmp_path):
+    # A* [] A = diag(A*A) for block-diagonal A, the equality case of the
+    # lower bound: dmat - s is zero up to rounding
+    rng = np.random.default_rng(n * d)
+    off = ~np.eye(n, dtype=bool)
+    blocks = np.stack([random_bm(rng, n, d).blocks for _ in range(200)])
+    blocks[:, off] = 0
+    result = run_property("sandwich", {"A": BlockMatrix(n, d, blocks)})
+    assert result.trials == 200 and result.passed, result
+    path = tmp_path / "a.json"
+    for a in blocks:
+        path.write_text(json.dumps({"A": block_matrix_to_json(block_matrix(a))}))
+        assert replay_instance(str(path), "sandwich").passed
 
 
 class TestCauchySchwarz:
@@ -482,8 +498,8 @@ def dense_norm_lemmas_residual(a, sys_):
     """``norm_lemmas``, by dense products with V."""
     la = build_lambda(a)
     cn, rn = col_norm(a), row_norm(a)
-    return max(abs(spectral_norm(la @ sys_.V) - cn) / max(cn, ABS_FLOOR),
-               abs(spectral_norm(sys_.V.conj().T @ la) - rn) / max(rn, ABS_FLOOR))
+    return max(abs(spectral_norm(la @ sys_.V) - cn) / cn,
+               abs(spectral_norm(sys_.V.conj().T @ la) - rn) / rn)
 
 
 def dense_decomposition_residual(a, b, sys_):
