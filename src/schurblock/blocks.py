@@ -17,6 +17,7 @@ distinct from ``block_identity`` (the ordinary matrix unit).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -66,6 +67,12 @@ class BlockMatrix:
         """The leading (stack) axes of ``blocks``; () for a single matrix."""
         return self.blocks.shape[:-4]
 
+    @functools.cached_property
+    def unit_scaled(self) -> "BlockMatrix":
+        """Each grid of the stack times a power of two (see ``_unit_scale``);
+        computed once per BlockMatrix."""
+        return BlockMatrix(self.n, self.d, _unit_scale(self.blocks, 4))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockMatrix):
             return NotImplemented
@@ -75,6 +82,18 @@ class BlockMatrix:
 
     def __hash__(self):
         return hash((self.n, self.d, self.batch, self.blocks.tobytes()))
+
+
+def _unit_scale(z, ndim: int) -> np.ndarray:
+    """z times 2^-e over each of its last ndim axes, e the frexp exponent of
+    the largest |re| or |im| there, so that largest is in [1/2, 1).
+
+    ``np.ldexp`` on the float64 view makes this exact, signed zeros kept,
+    and an all-zero z stays as it is.
+    """
+    re_im = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+    top = np.abs(re_im).max(axis=tuple(range(-ndim, 0)), keepdims=True)
+    return np.ldexp(re_im, -np.frexp(top)[1]).view(np.complex128)
 
 
 def block_matrix(blocks) -> BlockMatrix:
@@ -273,10 +292,17 @@ def operator_to_json(x) -> list:
 
 
 def _from_pairs(obj, ndim: int, field: str) -> np.ndarray:
-    """Inverse of ``_pairs`` for an ndim-dimensional complex array."""
+    """Inverse of ``_pairs`` for an ndim-dimensional complex array.
+
+    Each leaf must be an int or a float: numpy would convert "1.5", true
+    and null, and a bool among ints still infers an int dtype.
+    """
     try:
-        a = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        leaves = np.asarray(obj, dtype=object)
+        if not set(map(type, leaves.flat)) <= {int, float}:
+            raise TypeError("not a number")
+        a = leaves.astype(np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{field}: entries must be [re, im] number pairs") from exc
     if a.ndim != ndim + 1 or a.shape[-1] != 2:
         what = "list" if ndim == 1 else f"{ndim}-D grid"
@@ -350,15 +376,21 @@ def block_matrix_from_json(obj, field: str = "block matrix") -> BlockMatrix:
         not isinstance(r, list) or len(r) != n for r in rows
     ):
         raise ValueError(f"{field}: blocks must be an {n}-by-{n} grid")
-    # each block is decoded and checked before any array of the declared
-    # shape is made, so a d the blocks do not have allocates nothing
-    blocks = []
-    for i, row in enumerate(rows):
-        for j, obj_ij in enumerate(row):
-            block = operator_from_json(obj_ij, field=f"{field}.blocks[{i}][{j}]")
-            if block.shape != (d, d):
-                raise ValueError(
-                    f"{field}.blocks[{i}][{j}]: expected {d}x{d}, got {block.shape}"
-                )
-            blocks.append(block)
-    return BlockMatrix(n=n, d=d, blocks=np.array(blocks).reshape(n, n, d, d))
+    # the grid is decoded in one conversion, which allocates only what the
+    # file holds, so a d the blocks do not have allocates nothing. A grid
+    # that does not come out as (n, n, d, d) blocks has a bad block; the
+    # loop decodes block by block to name the first, and always raises,
+    # since n*n valid d-by-d blocks convert whole
+    try:
+        blocks = _from_pairs(rows, 4, field)
+    except ValueError:
+        blocks = None
+    if blocks is None or blocks.shape != (n, n, d, d):
+        for i, row in enumerate(rows):
+            for j, obj_ij in enumerate(row):
+                block = operator_from_json(obj_ij, field=f"{field}.blocks[{i}][{j}]")
+                if block.shape != (d, d):
+                    raise ValueError(
+                        f"{field}.blocks[{i}][{j}]: expected {d}x{d}, got {block.shape}"
+                    )
+    return BlockMatrix(n=n, d=d, blocks=blocks)

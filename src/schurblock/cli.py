@@ -7,8 +7,9 @@ Subcommands:
 
 Exit codes: 0 success / all properties passed, 1 verification failure,
 2 configuration or usage error (bad ranges, unknown, repeated or no
-property, negative or NaN tolerance, shape mismatch), 3 bad input (I/O
-or parse error, or a non-finite entry in an instance file). A wrong
+property, a tolerance that is not finite and nonnegative, shape
+mismatch), 3 bad input (I/O or parse error, or an entry of an instance
+file that is not a finite number). A wrong
 implementation fails its properties with 1 and never exits 3. Property
 ids, their default tolerances and the --tol.<id> flags all come from
 ``verify.PROPERTIES``.
@@ -21,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -36,7 +38,7 @@ from .blocks import (
 from .errors import ShapeError
 from .instances import ENSEMBLES, GINIBRE, mix64, sample_chunk
 from .stinespring import StinespringSystem, build_lambda, triple_dim
-from .verify import PROPERTIES, PropertyResult, merge_results, run_property, unit_scale
+from .verify import PROPERTIES, PropertyResult, merge_results, run_property
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -58,9 +60,9 @@ class ConfigError(ValueError):
 
 
 def _check_tolerance(property_id: str, tol: float) -> None:
-    if not tol >= 0:
+    if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(
-            f"tolerance for {property_id!r} must be nonnegative, got {tol}")
+            f"tolerance for {property_id!r} must be finite and nonnegative, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,8 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     recorded worst_seed regenerates its instance exactly. The trials run
     in chunks of ``chunk_trials(n, d, k)``: ``sample_chunk`` stacks a
     chunk's draws along a leading trial axis, and each property runs once
-    per chunk, on the stacks ``unit_scale`` makes of them, and is judged
-    there; ``merge_results`` folds the chunks, summing their ``seconds``.
+    per chunk, on those stacks, and is judged there; ``merge_results``
+    folds the chunks, summing their ``seconds``.
     ``cb_level`` runs on the level-k pair regrouped at block size k*d,
     the rest on A, B, xi, gamma.
     """
@@ -154,8 +156,7 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     for first in range(0, config.trials, step):
         seeds = [mix64(config.seed, t)
                  for t in range(first, min(first + step, config.trials))]
-        x, level_k = map(unit_scale, sample_chunk(seeds, config.n, config.d,
-                                                  config.k, config.ensemble))
+        x, level_k = sample_chunk(seeds, config.n, config.d, config.k, config.ensemble)
         for p in config.properties:
             per_property[p].append(run_property(
                 p, level_k if p == "cb_level" else x,
@@ -176,8 +177,7 @@ def _load_instance(path: str) -> dict:
 
 def replay_instance(path: str, property_id: str,
                     tol: float | None = None) -> PropertyResult:
-    """Run one checker on a stored {"A": ..., "B": ..., "xi": ..., "gamma": ...} file,
-    each input scaled by a power of two as the suite scales its trials."""
+    """Run one checker on a stored {"A": ..., "B": ..., "xi": ..., "gamma": ...} file."""
     if property_id not in PROPERTIES:
         raise ConfigError(f"unknown property {property_id!r}")
     if tol is not None:
@@ -193,7 +193,7 @@ def replay_instance(path: str, property_id: str,
             raise ConfigError(
                 f"{key} has (n={x[key].n}, d={x[key].d}); replay takes n in "
                 f"1..{MAX_N} and d in 1..{MAX_K * MAX_D}")
-    return run_property(property_id, unit_scale(x), tol=tol)
+    return run_property(property_id, x, tol=tol)
 
 
 def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> dict:

@@ -19,14 +19,20 @@ chunks (sums of counts, the first largest residual). Every residual is a
 deviation over its reference by one rule, ``linalg.ratio``, with no
 floor: matrix identities through ``identity_residual``, scalar
 equalities through ``_gap``, bounds (the excess over the right-hand
-side) through ``_excess``. Every property is homogeneous in each input,
-so the CLI scales each input of each trial by a power of two once, where
-it builds an instance (``unit_scale``), and no finite instance
-overflows; the checkers and ``run_property`` take their inputs as given.
-A NaN residual stays NaN and fails. ``PROPERTIES`` is the one list of the
-nine properties: each id's default tolerance, the instance pieces it
-needs, and the call that runs its checker; ``run_property`` dispatches
-through it and the CLI derives its flags and validation from it.
+side) through ``_excess``. A NaN residual stays NaN and fails.
+
+Every property is homogeneous in each input, so ``run_property`` judges
+each input of each trial scaled by a power of two, exactly, with its
+largest entry in [1/2, 1): its verdict does not depend on the scale of
+the input, and no finite instance overflows. A BlockMatrix keeps its
+scaled form (``BlockMatrix.unit_scaled``), so the properties of one
+chunk scale each matrix once. A ``verify_<id>`` residual is measured on
+its inputs as given.
+
+``PROPERTIES`` is the one list of the nine properties: each id's default
+tolerance, the instance pieces it needs, and the call that runs its
+checker; ``run_property`` dispatches through it and the CLI derives its
+flags and validation from it. No checker reads it.
 
 The fixed operators V, F and Q depend on (n, d) alone:
 ``StinespringSystem.build(a.n, a.d)`` is memoised per (n, d) and checks
@@ -44,6 +50,7 @@ decomposition sum) pay for spectral norms.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
@@ -53,6 +60,7 @@ import numpy as np
 from .blocks import (
     BlockMatrix,
     _check_same_shape,
+    _unit_scale,
     adjoint_block,
     block_matmul,
     col_norm,
@@ -117,9 +125,9 @@ PROPERTIES = {
         verify_cb_level(x["A"], x["B"]))),
 }
 
-# at the default cauchy_schwarz tolerance, the checker's two right-hand-side
-# routes must agree to this relative tolerance; at tolerance T, to T/100
-RHS_AGREEMENT_TOL = 1e-10
+# the weight of the gap between cauchy_schwarz's two right-hand-side routes:
+# at its default tolerance 1e-8 they must agree to 1e-10, at T to T/100
+RHS_ROUTE_WEIGHT = 100.0
 
 
 @dataclass(frozen=True)
@@ -179,16 +187,9 @@ def _excess(lhs, rhs):
 
 
 def _max(first, *rest):
-    """Elementwise max of per-trial values, NaN winning.
-
-    Of equal values the first stays, as with the builtin max, so 0.0
-    beats a later -0.0 (np.maximum may return either zero). Unlike the
-    builtin max, a NaN anywhere gives NaN, which never passes.
-    """
-    out = np.asarray(first)
-    for x in rest:
-        out = np.where((x > out) | np.isnan(x), x, out)
-    return out
+    """Elementwise max of per-trial values; a NaN anywhere gives NaN, which
+    never passes."""
+    return functools.reduce(np.maximum, rest, np.asarray(first))
 
 
 def _embed(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
@@ -354,10 +355,10 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma):
     """|<(A [] B) xi, gamma>| <= ||diag(B*B)^(1/2) xi|| ||diag(AA*)^(1/2) gamma||.
 
     Also recomputes the right-hand side by direct summation. The gap
-    between the two routes is weighted by the default tolerance over
-    RHS_AGREEMENT_TOL (100), so at the default tolerance the residual
-    fails whenever either the inequality or the 1e-10 route agreement
-    does, and it does not depend on the tolerance it is judged at.
+    between the two routes is weighted by RHS_ROUTE_WEIGHT (100), so at
+    the default tolerance 1e-8 the residual fails whenever either the
+    inequality or the 1e-10 route agreement does, and it does not depend
+    on the tolerance it is judged at.
     """
     _check_same_shape(a, b)
     dim = a.n * a.d
@@ -376,8 +377,7 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma):
     lhs = np.hypot(inner.real, inner.imag)
     rhs_diag, rhs_sum = cauchy_schwarz_rhs_routes(a, b, xi, gamma)
     route_gap = _gap(rhs_sum, rhs_diag)
-    return as_scalar(_max(_excess(lhs, rhs_diag),
-                          route_gap * (PROPERTIES["cauchy_schwarz"].tol / RHS_AGREEMENT_TOL)))
+    return as_scalar(_max(_excess(lhs, rhs_diag), route_gap * RHS_ROUTE_WEIGHT))
 
 
 def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
@@ -431,30 +431,20 @@ def verify_cb_level(a: BlockMatrix, b: BlockMatrix):
 # ---------------------------------------------------------------------------
 
 
-def unit_scale(x: dict) -> dict:
-    """x with each input of each trial times 2^-e, e the frexp exponent of
-    its largest |re| or |im|. ``np.ldexp`` on the float64 view makes this
-    exact, signed zeros kept; every property is homogeneous in each input,
-    so no residual changes but one whose arithmetic over- or underflowed."""
-    def scaled(z, ndim):
-        re_im = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
-        top = np.abs(re_im).max(axis=tuple(range(-ndim, 0)), keepdims=True)
-        return np.ldexp(re_im, -np.frexp(top)[1]).view(np.complex128)
-    return {key: BlockMatrix(v.n, v.d, scaled(v.blocks, 4))
-            if isinstance(v, BlockMatrix) else scaled(v, 1) for key, v in x.items()}
-
-
 def run_property(property_id: str, x, *, tol: float | None = None,
                  seeds=None) -> PropertyResult:
     """Run one named property on the instance mapping x and judge each trial.
 
     x holds one instance, or stacks of trials along a leading axis (see
-    the module docstring). Each residual of the checker (see ``Property``)
-    passes at or below tol, by default the property's own; ``failures``
-    counts those that do not, NaN included. The worst trial is the first
-    largest residual in trial order, with NaN the largest; its entry of
-    ``seeds``, the trials' seeds in order, is the result's
-    ``worst_seed`` (0 when seeds is None).
+    the module docstring). The checker (see ``Property``) runs on the
+    inputs the property needs, each one of each trial scaled by a power
+    of two (``BlockMatrix.unit_scaled``, ``blocks._unit_scale``), so the
+    verdict does not depend on the scale of x; ``seconds`` times the
+    checker alone. Each residual passes at or below tol, by default the
+    property's own; ``failures`` counts those that do not, NaN
+    included. The worst trial is the first largest residual in trial
+    order, with NaN the largest; its entry of ``seeds``, the trials' seeds
+    in order, is the result's ``worst_seed`` (0 when seeds is None).
     """
     if property_id not in PROPERTIES:
         raise ValueError(f"unknown property {property_id!r}")
@@ -462,9 +452,11 @@ def run_property(property_id: str, x, *, tol: float | None = None,
     for what in prop.needs:
         if what not in x:
             raise ValueError(f"property {property_id!r} needs {what}")
+    scaled = {key: x[key].unit_scaled if isinstance(x[key], BlockMatrix)
+              else _unit_scale(x[key], 1) for key in prop.needs}
     tol = prop.tol if tol is None else tol
     t0 = time.perf_counter()
-    residuals = np.ravel(prop.check(x))
+    residuals = np.ravel(prop.check(scaled))
     seconds = time.perf_counter() - t0
     worst = int(np.argmax(residuals))
     return PropertyResult(

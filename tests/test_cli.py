@@ -93,6 +93,13 @@ class TestTrialConfig:
         with pytest.raises(ConfigError, match="unknown property"):
             TrialConfig(tolerances={"bogus": 1e-8})
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # an infinite tolerance passes every finite residual, and a report
+        # holding it is not strict JSON
+        with pytest.raises(ConfigError, match="must be finite and nonnegative"):
+            TrialConfig(tolerances={"livshits": tol})
+
     def test_unknown_ensemble_rejected(self):
         with pytest.raises(ConfigError):
             TrialConfig(ensemble="levy")
@@ -232,24 +239,25 @@ def overflowing_instance(tmp_path, pair_scale):
 
 @pytest.mark.parametrize("pid", list(PROPERTIES))
 def test_overflow_never_passes(pid, tmp_path):
-    # run_property takes its inputs as given, so at 1e160 a product
-    # overflows inside the checker: the inf or NaN is an error or a NaN
-    # residual that fails, never a pass
+    # a checker takes its inputs as given, so at 1e160 a product overflows
+    # inside it: the inf or NaN is an error or a NaN residual that fails,
+    # never a pass
     _, x = overflowing_instance(tmp_path, 1e160)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            result = run_property(pid, x)
+            residual = PROPERTIES[pid].check(x)
         except ContractError:
             return
-    assert not result.passed
+    assert not residual <= PROPERTIES[pid].tol
 
 
 @pytest.mark.parametrize("pair_scale", [1e160, 1.0])
 @pytest.mark.parametrize("pid", list(PROPERTIES))
 def test_finite_instance_at_scale_1e160_passes(pid, pair_scale, tmp_path):
-    # every property holds on any finite instance, and replay scales each
-    # input by a power of two before any product can overflow
-    path, _ = overflowing_instance(tmp_path, pair_scale)
+    # every property holds on any finite instance, and run_property scales
+    # each input by a power of two before any product can overflow
+    path, x = overflowing_instance(tmp_path, pair_scale)
+    assert run_property(pid, x).passed
     assert main(["replay", str(path), "--property", pid]) == 0
 
 
@@ -258,9 +266,9 @@ def test_overflowing_vectors_fail_cauchy_schwarz(tmp_path):
     # NaN their gap makes must not fold into a max as a 0.0 pass
     _, x = overflowing_instance(tmp_path, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        result = run_property("cauchy_schwarz", x)
-    assert result.failures == 1
-    assert np.isnan(result.worst_residual)
+        residual = PROPERTIES["cauchy_schwarz"].check(x)
+    assert not residual <= PROPERTIES["cauchy_schwarz"].tol
+    assert np.isnan(residual)
 
 
 def emit_text(tmp_path, n, d, instance=None) -> str:
@@ -447,6 +455,25 @@ class TestCommandLine:
         assert "xi: entries must be finite (no NaN/Inf)" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("bad", ["1.5", True, None])
+    @pytest.mark.parametrize("field", ["A.blocks[0][0]", "xi"])
+    def test_non_number_entry_exit_code(self, bad, field, tmp_path, capsys):
+        # numpy would read "1.5" as 1.5, true as 1.0 and null as NaN; each
+        # is refused as bad input, whatever the property
+        i = block_matrix_to_json(block_identity(1, 1))
+        e0 = [[1.0, 0.0]]
+        instance = {"A": i, "B": i, "xi": e0, "gamma": e0}
+        if field == "xi":
+            instance["xi"] = [[bad, 0.0]]
+        else:
+            instance["A"] = {"n": 1, "d": 1, "blocks": [[[[[bad, 0.0]]]]]}
+        path = tmp_path / "not_a_number.json"
+        path.write_text(json.dumps(instance))
+        assert main(["replay", str(path), "--property", "cauchy_schwarz"]) == 3
+        captured = capsys.readouterr()
+        assert f"{field}: entries must be [re, im] number pairs" in captured.err
+        assert captured.out == ""
+
     def test_declared_dimension_is_checked_before_allocation(self, tmp_path, capsys):
         # a 1x1 block under a declared d whose (n, n, d, d) array no machine holds
         path = tmp_path / "huge_d.json"
@@ -465,10 +492,10 @@ class TestCommandLine:
 
     def test_replay_bad_tolerance_exit_code(self, tmp_path, capsys):
         path = identity_instance(tmp_path)
-        for tol in ("-1", "nan"):
+        for tol in ("-1", "nan", "inf"):
             assert main(["replay", str(path), "--property", "livshits",
                          "--tol", tol]) == 2
-            assert "must be nonnegative" in capsys.readouterr().err
+            assert "must be finite and nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pid", list(PROPERTIES))

@@ -21,7 +21,7 @@ from schurblock import (
 from schurblock import cli
 from schurblock.cli import TrialConfig, chunk_trials, run_suite
 from schurblock.errors import ShapeError
-from schurblock.verify import run_property, unit_scale
+from schurblock.verify import run_property
 
 ENSEMBLES = ("ginibre", "hermitian", "haar")
 
@@ -42,11 +42,10 @@ def _array(v):
     return v.blocks if isinstance(v, BlockMatrix) else v
 
 
-def assert_rows_regenerate(x, level_k, seeds, n, d, k, ensemble, scale=dict):
-    """Row t of every stack is, byte for byte, trial seeds[t] drawn alone
-    and passed through ``scale``."""
+def assert_rows_regenerate(x, level_k, seeds, n, d, k, ensemble):
+    """Row t of every stack is, byte for byte, trial seeds[t] drawn alone."""
     for t, seed in enumerate(seeds):
-        for got, want in zip((x, level_k), map(scale, per_instance(seed, n, d, k, ensemble))):
+        for got, want in zip((x, level_k), per_instance(seed, n, d, k, ensemble)):
             assert got.keys() == want.keys()
             for key, w in want.items():
                 g, w = _array(got[key])[t], _array(w)
@@ -103,9 +102,9 @@ def test_suite_chunks_regenerate_across_the_chunk_boundary(ensemble, monkeypatch
     assert [len(s) for s in seen] == [256, 44]
     assert [s for chunk in seen for s in chunk] == [mix64(42, t) for t in range(trials)]
     for seeds, by_property in seen.items():
-        # the suite runs each trial's inputs scaled by a power of two
+        # the suite hands run_property each trial as drawn
         assert_rows_regenerate(by_property["livshits"], by_property["cb_level"],
-                               seeds, n, d, k, ensemble, scale=unit_scale)
+                               seeds, n, d, k, ensemble)
 
 
 @pytest.mark.parametrize("dim", [0, -1])

@@ -5,6 +5,10 @@ version, in ``blocks`` and in ``verify``, the two modules that bind the
 name. A caught mutant fails its properties with exit code 1 and a
 written report, never with an error exit, and its ``worst_seed``
 regenerates an instance that replay fails too.
+
+A bug that only loosens an inequality's bound escapes random draws,
+which stay well inside it; the families that reach the bound, built in
+closed form below, catch it.
 """
 
 import json
@@ -15,9 +19,16 @@ import pytest
 from schurblock import (
     BlockMatrix,
     block_matrix_to_json,
+    col_norm,
     flatten,
+    mix64,
+    row_norm,
+    run_property,
     sample_block_matrix,
+    sample_chunk,
     sample_vector,
+    schur_block_product,
+    spectral_norm,
     unflatten,
     vector_to_json,
 )
@@ -98,18 +109,107 @@ def test_mutant_fails_its_properties(name, mutant, failing, nan, tmp_path,
 
 def test_wrong_order_product_fails_factorization_at_every_scale(tmp_path, monkeypatch,
                                                                 capsys):
-    # replay scales each input by a power of two, so the residual is the
-    # same at every scale: to the bit at 2**-600, and to the digits replay
-    # prints where a decimal scale rounds the entries
+    # run_property, and so replay, scales each input by a power of two, so
+    # the residual is the same at every scale: to the bit at 2**-600 and
+    # 2**-700, and to the digits replay prints where a decimal scale rounds
+    # the entries
     install(monkeypatch, "schur_block_product", schur_product_swapped)
     rng = np.random.default_rng(5)
     a, b = (sample_block_matrix(rng, N, D) for _ in range(2))
-    lines = set()
-    for scale in (1.0, 1e-5, 1e-100, 2.0 ** -600):
+    residuals, lines = set(), set()
+    for scale in (1.0, 1e-5, 1e-100, 1e-200, 2.0 ** -600, 2.0 ** -700):
+        pair = {"A": BlockMatrix(N, D, scale * a.blocks),
+                "B": BlockMatrix(N, D, scale * b.blocks)}
+        result = run_property("factorization", pair)
+        assert not result.passed, scale
+        residuals.add(f"{result.worst_residual:.6e}")
         path = tmp_path / "pair.json"
-        path.write_text(json.dumps({
-            "A": block_matrix_to_json(BlockMatrix(N, D, scale * a.blocks)),
-            "B": block_matrix_to_json(BlockMatrix(N, D, scale * b.blocks))}))
+        path.write_text(json.dumps({key: block_matrix_to_json(v)
+                                    for key, v in pair.items()}))
         assert main(["replay", str(path), "--property", "factorization"]) == 1, scale
         lines.add(capsys.readouterr().out)
+    assert len(residuals) == 1, residuals
     assert len(lines) == 1, lines
+    assert f"residual={residuals.pop()} " in lines.pop()
+
+
+DRAWS = 40
+
+
+def ginibre_pairs(n, d, draws=DRAWS):
+    """``draws`` suite trials of A and B at (n, d), stacked."""
+    x, _ = sample_chunk([mix64(2017, t) for t in range(draws)], n, d, 1)
+    return {"A": x["A"], "B": x["B"]}
+
+
+def livshits_column_family(n, d, draws=DRAWS, seed=11):
+    """Pairs at which ||A [] B|| = row_norm(A) col_norm(B), stacked.
+
+    Only block column 0 is nonzero. With v_i the columns of a unitary from
+    a QR factorisation, a_i0 = v_i v_i* and b_i0 is that unitary with its
+    columns rolled so that v_i comes first, for i < min(n, d). Then block
+    i of (A [] B) e_0 is v_i e_0*, so ||A [] B|| = sqrt(min(n, d)) =
+    col_norm(B), and row_norm(A) = 1.
+    """
+    rng = np.random.default_rng(seed)
+    a = np.zeros((draws, n, n, d, d), dtype=np.complex128)
+    b = np.zeros_like(a)
+    for t in range(draws):
+        v, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+        for i in range(min(n, d)):
+            a[t, i, 0] = np.outer(v[:, i], np.conj(v[:, i]))
+            b[t, i, 0] = np.roll(v, -i, axis=1)
+    return {"A": BlockMatrix(n, d, a), "B": BlockMatrix(n, d, b)}
+
+
+def sandwich_lower_family(n, d, draws=DRAWS, seed=13):
+    """A with only a_01 and a_10 nonzero, stacked: diag(A*A) + A* [] A is
+    then [a_10 a_01]* [a_10 a_01] on the first two block rows, which is
+    singular, so the lower side of the sandwich holds with equality."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((draws, n, n, d, d), dtype=np.complex128)
+    for i, j in ((0, 1), (1, 0)):
+        a[:, i, j] = (rng.standard_normal((draws, d, d))
+                      + 1j * rng.standard_normal((draws, d, d)))
+    return {"A": BlockMatrix(n, d, a)}
+
+
+def norms_swapped(monkeypatch):
+    monkeypatch.setattr(verify, "row_norm", blocks.col_norm)
+    monkeypatch.setattr(verify, "col_norm", blocks.row_norm)
+
+
+def row_norm_shrunk(monkeypatch):
+    monkeypatch.setattr(verify, "row_norm", lambda a: 0.999 * blocks.row_norm(a))
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (4, 4), (4, 8)])
+def test_livshits_column_family_reaches_the_bound(n, d):
+    x = livshits_column_family(n, d)
+    lhs = spectral_norm(flatten(schur_block_product(x["A"], x["B"])))
+    # equality up to the rounding of the SVDs: at most 7.8e-16 at seed 11
+    assert np.abs(lhs / (row_norm(x["A"]) * col_norm(x["B"])) - 1).max() <= 1e-15
+
+
+@pytest.mark.parametrize("mutant", [norms_swapped, row_norm_shrunk])
+@pytest.mark.parametrize("pid, n, d", [("livshits", 4, 2), ("cb_level", 4, 4),
+                                       ("cb_level", 4, 8)])
+def test_bound_mutant_is_killed_by_the_column_family(pid, n, d, mutant, monkeypatch):
+    # cb_level is the Livshits bound of a level-k pair at block size k*d
+    family = livshits_column_family(n, d)
+    assert run_property(pid, family).failures == 0
+    mutant(monkeypatch)
+    assert run_property(pid, family).failures == DRAWS
+    # random draws stay inside the loosened bound
+    assert run_property(pid, ginibre_pairs(n, d)).failures == 0
+
+
+def test_shrunk_diagonal_is_killed_by_the_sandwich_lower_family(monkeypatch):
+    n, d, draws = 4, 2, 50
+    family = sandwich_lower_family(n, d, draws)
+    assert run_property("sandwich", family).failures == 0
+    monkeypatch.setattr(verify, "diag_block", lambda a: BlockMatrix(
+        a.n, a.d, 0.999 * blocks.diag_block(a).blocks))
+    assert run_property("sandwich", family).failures == draws
+    assert run_property("sandwich", ginibre_pairs(n, d, draws)).failures == 0

@@ -8,7 +8,7 @@ INIT = Path(schurblock.__file__)
 
 def imported_public_names() -> set:
     """Names bound by the ``from .x import ...`` statements of __init__.py."""
-    tree = ast.parse(INIT.read_text(encoding="utf-8"))
+    tree = parse(INIT)
     return {
         alias.asname or alias.name
         for node in tree.body
@@ -28,14 +28,19 @@ def test_every_imported_public_name_is_in_all():
     assert sorted(imported_public_names() - set(schurblock.__all__)) == []
 
 
-def referenced_names(path: Path) -> set:
-    """Names a file loads, imports, reads as an attribute or spells as a string.
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def referenced_names(tree: ast.AST) -> set:
+    """Names a syntax tree loads, imports, reads as an attribute or spells
+    as a string.
 
     A ``def``, a ``class`` or an assignment binds a name without loading it,
     so a module's own definitions do not count as references to them.
     """
     refs = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -52,5 +57,14 @@ def test_every_public_name_is_used_outside_tests():
     root = INIT.parents[2]
     files = [p for p in INIT.parent.glob("*.py") if p != INIT]
     files += [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
-    used = set().union(*(referenced_names(p) for p in files))
+    used = set().union(*(referenced_names(parse(p)) for p in files))
     assert sorted(set(schurblock.__all__) - used) == []
+
+
+def test_no_checker_reads_the_property_table():
+    # tolerances belong to the judge: a verify_<id> measures its residual
+    # without reading PROPERTIES
+    readers = [node.name for node in parse(INIT.parent / "verify.py").body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
+               and "PROPERTIES" in referenced_names(node)]
+    assert readers == []

@@ -2,7 +2,7 @@
 
 Each ``verify_<id>`` returns its residual as a float and takes no tolerance
 or seed; the residual does not depend on the tolerance it is judged at,
-nor on the scale of the inputs replay is given.
+nor on the scale of the inputs ``run_property`` (and so replay) is given.
 """
 
 import json
@@ -21,8 +21,8 @@ from schurblock import (
     run_property,
     vector_to_json,
 )
-from schurblock import verify
-from schurblock.cli import replay_instance
+from schurblock import blocks, cli, verify
+from schurblock.cli import TrialConfig, replay_instance, run_suite
 
 
 def _instance(seed=307, n=3, d=2):
@@ -92,11 +92,15 @@ def test_rhs_routes_must_agree_to_1e_10(disagreement, passes, monkeypatch):
     assert run_property("cauchy_schwarz", x).passed is passes
 
 
-def _replay_all(x, path):
-    """Each property's residual on instance x, written to path and replayed."""
+def _write_instance(x, path):
     encode = {"A": block_matrix_to_json, "B": block_matrix_to_json,
               "xi": vector_to_json, "gamma": vector_to_json}
     path.write_text(json.dumps({key: f(x[key]) for key, f in encode.items()}))
+
+
+def _replay_all(x, path):
+    """Each property's residual on instance x, written to path and replayed."""
+    _write_instance(x, path)
     return {pid: replay_instance(str(path), pid) for pid in PROPERTIES}
 
 
@@ -123,8 +127,44 @@ def test_power_of_two_scale_leaves_every_residual_bit_for_bit(name, powers,
     path = tmp_path_factory.mktemp("scale") / "x.json"
     x = SCALE_INSTANCES[name]
     at_one = _replay_all(x, path)
-    for pid, result in _replay_all(_scaled(x, powers), path).items():
+    scaled = _scaled(x, powers)
+    for pid, result in _replay_all(scaled, path).items():
         assert result.worst_residual == at_one[pid].worst_residual, (pid, powers)
+        assert run_property(pid, scaled).worst_residual == result.worst_residual, pid
         assert result.passed, pid
         if name == "zero":
             assert result.worst_residual == 0.0, pid
+
+
+def _count_scalings(monkeypatch):
+    """The calls of the array-level scaler, one entry (its ndim) per call."""
+    calls = []
+    original = blocks._unit_scale
+
+    def counted(z, ndim):
+        calls.append(ndim)
+        return original(z, ndim)
+
+    for module in (blocks, verify):
+        monkeypatch.setattr(module, "_unit_scale", counted)
+    return calls
+
+
+def test_a_suite_chunk_scales_each_input_once(monkeypatch):
+    # A, B, xi, gamma and the level-k pair: a BlockMatrix keeps its scaled
+    # form for every property of the chunk, and the vectors are scaled for
+    # cauchy_schwarz alone
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 512)
+    assert cli.chunk_trials(2, 1, 1) == 2
+    calls = _count_scalings(monkeypatch)
+    report = run_suite(TrialConfig(n=2, d=1, k=1, trials=3))
+    assert [r.trials for r in report.results] == [3] * len(PROPERTIES)
+    assert sorted(calls) == [1] * 4 + [4] * 8
+
+
+def test_replay_scales_only_the_inputs_its_property_needs(monkeypatch, tmp_path):
+    path = tmp_path / "x.json"
+    _write_instance(_instance(), path)
+    calls = _count_scalings(monkeypatch)
+    assert cli.main(["replay", str(path), "--property", "sandwich"]) == 0
+    assert calls == [4]
