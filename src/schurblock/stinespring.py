@@ -17,8 +17,10 @@ idx(i, s, k) for the flat index of (i, s, k):
 
 so V* X = X[v_rows], X V = X[:, v_rows], F X = X[f_perm] and
 X F = X[:, f_perm], which is how the checkers apply them. The dense V and
-F are scattered from these arrays on each access, and ``operator_residual``
-checks the laws of V and F exactly on the arrays themselves.
+F are scattered from these arrays on each access. ``operator_residual``
+checks the laws of V and F exactly on the arrays themselves, and proves
+the builders' two gather laws, F lambda(A) F = rho(A) and
+sigma(A) V = V flatten(A), once per (n, d) on a labelled instance.
 
 Entry formulas, with row label (i, s, k) and column label (j, t, l):
 
@@ -94,8 +96,9 @@ class StinespringSystem:
     ``v_rows`` and ``f_perm`` (closed forms in the module docstring) are the
     single source, and the checkers apply V and F through them by index.
     ``build`` is memoised per (n, d), so every caller in a process shares
-    one system, and ``operator_residual`` checks the laws exactly on its
-    arrays once per (n, d). The dense V, F and Q = VV* serve emit-system,
+    one system, and ``operator_residual`` checks the laws of V and F on its
+    arrays, and the builders' gather laws on a labelled instance, exactly
+    and once per (n, d). The dense V, F and Q = VV* serve emit-system,
     the demos and the tests; they are derived on each access and never
     kept, so a shared system holds only its index arrays.
     """
@@ -147,23 +150,65 @@ class StinespringSystem:
 
     @cached_property
     def operator_residual(self) -> float:
-        """0.0 when the fixed-operator laws hold exactly, 1.0 otherwise.
+        """0.0 when the fixed-operator and gather laws hold exactly, 1.0 otherwise.
 
         With r = v_rows and p = f_perm: V*V = V[r] = I holds when no entry
         of r repeats; F = F* = F^-1 when p[p] is the identity permutation,
         which also makes p a permutation; FV = V when p[r] = r; and
         sigma(I) = Q when sigma(I) has exactly nd nonzero entries, the ones
-        at (r, r). A nonzero difference of 0/1 matrices has spectral norm
-        at least 1, so 1.0 is of the order a dense comparison gives, and
-        far above every tolerance.
+        at (r, r). F lambda(A) F = rho(A) and sigma(A) V = V flatten(A)
+        must hold bit for bit on ``_labelled``'s instance, alone and as a
+        stack of two. Every entry of each side is one entry of A or zero,
+        so this proves them for every A as long as the builders stay free
+        of branches on values. A nonzero difference of 0/1 matrices has
+        spectral norm at least 1, so 1.0 is of the order a dense
+        comparison gives, and far above every tolerance.
+
+        It runs lazily, on the first read: ``build`` stays cheap.
         """
         r, p = self.v_rows, self.f_perm
         sigma_one = build_sigma(block_identity(self.n, self.d))
+        stack = _labelled(self.n, self.d)
+        alone = BlockMatrix(self.n, self.d, stack.blocks[0])
         holds = (
             np.bincount(r).max() == 1
             and np.array_equal(p[p], np.arange(p.size))
             and np.array_equal(p[r], r)
             and np.count_nonzero(sigma_one) == r.size
             and (sigma_one[r, r] == 1).all()
+            and all(_gathers_hold(x, r, p) for x in (alone, stack))
         )
         return 0.0 if holds else 1.0
+
+
+def _labelled(n: int, d: int) -> BlockMatrix:
+    """A stack of two (n, d) block matrices whose real and imaginary parts
+    are distinct integers in [1, 2^52), with random signs, from a fixed seed.
+
+    Each label is exact in float64, so a gather reproduces it bit for bit,
+    while a dropped conj flips an imaginary sign, a wrong index lands
+    another label, a sum of two entries is no label, and a slip on the
+    stack axes lands the other grid's labels.
+    """
+    rng = np.random.default_rng(0)
+    shape = (2, 2, n, n, d, d)  # (re/im, stack, grid, block)
+    labels = rng.choice(2**52 - 1, size=np.prod(shape), replace=False) + 1
+    signed = (labels * rng.choice([-1, 1], size=labels.size)).reshape(shape)
+    return BlockMatrix(n, d, signed[0] + 1j * signed[1])
+
+
+def _gathers_hold(a: BlockMatrix, r: np.ndarray, p: np.ndarray) -> bool:
+    """F lambda(a) F = rho(a) and sigma(a) V = V flatten(a), bit for bit.
+
+    F lambda(a) F = lambda(a)[p, p] and sigma(a) V = sigma(a)[:, r].
+    lambda(a) is freed once gathered, before rho(a) is built, and no
+    difference array is formed, so the proof adds no peak memory to a trial.
+    """
+    flipped = build_lambda(a)[..., p[:, None], p]
+    if not np.array_equal(flipped, build_rho(a)):
+        return False
+    del flipped
+    sigma_v = build_sigma(a)[..., :, r]
+    v_flat = np.zeros_like(sigma_v)
+    v_flat[..., r, :] = flatten(a)
+    return np.array_equal(sigma_v, v_flat)

@@ -36,13 +36,16 @@ flags and validation from it. No checker reads it.
 
 The fixed operators V, F and Q depend on (n, d) alone:
 ``StinespringSystem.build(a.n, a.d)`` is memoised per (n, d) and checks
-their laws exactly once per (n, d), on its index arrays; ``structure``
+their laws exactly once per (n, d), on its index arrays, together with
+the builders' two gather laws F lambda(A) F = rho(A) and
+sigma(A) V = V flatten(A), proven on a labelled instance; ``structure``
 and ``decomposition`` fold that stored value into each trial's max, so a
-broken system fails every trial. Every checker applies the 0/1 operators
-V, F, Q and P = (F + I)/2 by index, the form the system is defined by:
-V* X = X[r], X V = X[:, r] and X F = X[:, f] with r = ``v_rows`` and
-f = ``f_perm``, which gathers exactly the entries a dense product would
-sum, so no checker reads the dense ``V``, ``F`` or ``Q``. An exactly
+broken system or builder fails every trial. Every checker applies the 0/1
+operators V, F, Q and P = (F + I)/2 by index, the form the system is
+defined by: V* X = X[r], X V = X[:, r] and X F = X[:, f] with
+r = ``v_rows`` and f = ``f_perm``, which gathers exactly the entries a
+dense product would sum, so no checker reads the dense ``V``, ``F`` or
+``Q``. An exactly
 zero difference is a residual of 0.0 with no SVD, so only identities
 that can carry rounding (factorization, the Q lambda rho Q identity, the
 decomposition sum) pay for spectral norms.
@@ -192,14 +195,11 @@ def _max(first, *rest):
     return functools.reduce(np.maximum, rest, np.asarray(first))
 
 
-def _embed(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
-    """The zero matrix of ``shape`` with x at ``rows`` by ``cols``, per matrix of x.
-
-    With r = v_rows, V x is _embed(x, r, all columns) and V x V* is
-    _embed(x, r, r).
-    """
-    out = np.zeros((*x.shape[:-2], *shape), dtype=np.complex128)
-    out[..., rows[:, None], cols] = x
+def _v_x_vstar(x: np.ndarray, r: np.ndarray, big: int) -> np.ndarray:
+    """V x V* per matrix of x, with r = v_rows: the (big, big) zero matrix
+    with x at rows r and columns r."""
+    out = np.zeros((*x.shape[:-2], big, big), dtype=np.complex128)
+    out[..., r[:, None], r] = x
     return out
 
 
@@ -221,32 +221,23 @@ def verify_factorization(a: BlockMatrix, b: BlockMatrix):
 def verify_structure(a: BlockMatrix, b: BlockMatrix):
     """Exactness of the fixed operators and the representation identities.
 
-    Covers V*V = I, F self-adjoint and involutive, FV = V,
-    sigma(I) = Q, F lambda(A) F = rho(A), sigma(A) V = V flatten(A),
-    Q lambda(A) rho(B) Q = sigma(A [] B), and the diagonal compression
-    flatten(diag(A)) = V* lambda(A) V. V, F and Q = VV* are applied by
-    index through the system's ``v_rows`` and ``f_perm``; the
-    instance-independent identities come from its
-    ``operator_residual``, checked once per (n, d).
+    Proven once per (n, d) by the system's ``operator_residual``, and
+    folded into each trial's max: V*V = I, F self-adjoint and involutive,
+    FV = V, sigma(I) = Q, and the two gather laws F lambda(A) F = rho(A)
+    and sigma(A) V = V flatten(A), on a labelled instance. Checked per
+    trial: the diagonal compression flatten(diag(A)) = V* lambda(A) V and
+    Q lambda(A) rho(B) Q = sigma(A [] B). V and Q = VV* are applied by
+    index through the system's ``v_rows``.
     """
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
-    r, f = sys_.v_rows, sys_.f_perm
-    la = build_lambda(a)
-    big, nd = la.shape[-1], r.size
-    flip = identity_residual(la[..., f[:, None], f], build_rho(a))
-    compression = identity_residual(flatten(diag_block(a)), la[..., r[:, None], r])
-    vla = la[..., r, :]
-    # the Q lambda(A) rho(B) Q identity needs only V* lambda(A); freeing
-    # lambda(A) first lets its operators reuse those pages (at (8, 4), 446
-    # fresh pages a trial instead of 702)
-    del la
-    sigma_v = identity_residual(build_sigma(a)[..., :, r],
-                                _embed(flatten(a), r, np.arange(nd), (big, nd)))
+    r = sys_.v_rows
+    vla = build_lambda(a)[..., r, :]
+    compression = identity_residual(flatten(diag_block(a)), vla[..., :, r])
     # Q M Q = V (V* M V) V*
-    qmq = identity_residual(_embed((vla @ build_rho(b))[..., :, r], r, r, (big, big)),
+    qmq = identity_residual(_v_x_vstar((vla @ build_rho(b))[..., :, r], r, vla.shape[-1]),
                             build_sigma(schur_block_product(a, b)))
-    return as_scalar(_max(sys_.operator_residual, flip, sigma_v, qmq, compression))
+    return as_scalar(_max(sys_.operator_residual, qmq, compression))
 
 
 def _livshits_violation(a: BlockMatrix, b: BlockMatrix):

@@ -6,6 +6,10 @@ name. A caught mutant fails its properties with exit code 1 and a
 written report, never with an error exit, and its ``worst_seed``
 regenerates an instance that replay fails too.
 
+A wrong representation builder, installed in ``stinespring`` alone, is
+caught by the labelled proof that ``StinespringSystem.operator_residual``
+runs once per (n, d), which fails every ``structure`` trial.
+
 A bug that only loosens an inequality's bound escapes random draws,
 which stay well inside it; the families that reach the bound, built in
 closed form below, catch it.
@@ -18,6 +22,7 @@ import pytest
 
 from schurblock import (
     BlockMatrix,
+    StinespringSystem,
     block_matrix_to_json,
     col_norm,
     flatten,
@@ -32,8 +37,9 @@ from schurblock import (
     unflatten,
     vector_to_json,
 )
-from schurblock import blocks, verify
+from schurblock import blocks, stinespring, verify
 from schurblock.cli import main
+from schurblock.stinespring import build_lambda, build_rho, build_sigma
 
 N, D = 3, 2
 
@@ -213,3 +219,58 @@ def test_shrunk_diagonal_is_killed_by_the_sandwich_lower_family(monkeypatch):
         a.n, a.d, 0.999 * blocks.diag_block(a).blocks))
     assert run_property("sandwich", family).failures == draws
     assert run_property("sandwich", ginibre_pairs(n, d, draws)).failures == 0
+
+
+def rho_with_blocks_transposed(a):
+    """rho(A) with A_kl[t, s] where A_kl[s, t] belongs: the s and t legs unswapped."""
+    return build_rho(BlockMatrix(a.n, a.d, a.blocks.swapaxes(-1, -2)))
+
+
+def sigma_with_grid_transposed(a):
+    """sigma(A) with block (j, i) where block (i, j) belongs."""
+    return build_sigma(BlockMatrix(a.n, a.d, a.blocks.swapaxes(-4, -3)))
+
+
+def lambda_of_conj(a):
+    return build_lambda(BlockMatrix(a.n, a.d, np.conj(a.blocks)))
+
+
+def rho_of_first_grid_everywhere(a):
+    """rho of the stack's first grid, written into every grid of the stack."""
+    first = a.blocks[(0,) * len(a.batch)]
+    return build_rho(BlockMatrix(a.n, a.d, np.broadcast_to(first, a.blocks.shape)))
+
+
+BUILDER_MUTANTS = [
+    ("build_rho", rho_with_blocks_transposed),
+    ("build_sigma", sigma_with_grid_transposed),
+    ("build_lambda", lambda_of_conj),
+    # agrees with build_rho on a single instance: only the stack of two
+    # catches it
+    ("build_rho", rho_of_first_grid_everywhere),
+]
+
+
+@pytest.fixture
+def fresh_systems():
+    """No memoised StinespringSystem before the test or after it."""
+    StinespringSystem.build.cache_clear()
+    yield
+    StinespringSystem.build.cache_clear()
+
+
+@pytest.mark.parametrize("name, mutant", BUILDER_MUTANTS,
+                         ids=[m[1].__name__ for m in BUILDER_MUTANTS])
+def test_labelled_proof_catches_builder_mutant(name, mutant, fresh_systems, tmp_path,
+                                               monkeypatch, capsys):
+    # verify keeps its own bindings of the builders, so every per-trial term
+    # stays correct and only the proof sees the mutant
+    monkeypatch.setattr(stinespring, name, mutant)
+    assert StinespringSystem.build(N, D).operator_residual == 1.0
+    out = tmp_path / "report.json"
+    code = main(["verify", "--n", str(N), "--d", str(D), "--k", "1", "--trials", "5",
+                 "--seed", "1", "--properties", "structure", "--out", str(out)])
+    assert code == 1, capsys.readouterr().err
+    [result] = json.loads(out.read_text())["results"]
+    assert result["property_id"] == "structure"
+    assert result["failures"] == result["trials"] == 5

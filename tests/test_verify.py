@@ -437,15 +437,17 @@ class TestFixedOperatorChecks:
     def test_second_call_repeats_no_fixed_work(self, monkeypatch, tmp_path):
         n, d = 3, 2
         calls = []
-        original = stinespring.build_sigma
-        one = block_identity(n, d)
 
-        def counted(a):
-            if np.array_equal(a.blocks, one.blocks):
-                calls.append(a.n)
-            return original(a)
+        def counted(builder):
+            def call(a):
+                calls.append((builder.__name__, a.batch))
+                return builder(a)
+            return call
 
-        monkeypatch.setattr(stinespring, "build_sigma", counted)
+        # verify binds the builders itself, so only the system's own checks
+        # reach these
+        for builder in (build_lambda, build_rho, build_sigma):
+            monkeypatch.setattr(stinespring, builder.__name__, counted(builder))
         StinespringSystem.build.cache_clear()
         rng = np.random.default_rng(283)
         for check in (verify_structure, verify_decomposition):
@@ -457,8 +459,11 @@ class TestFixedOperatorChecks:
             | {key: vector_to_json(rng.standard_normal(n * d)) for key in ("xi", "gamma")}))
         for pid in PROPERTIES:
             replay_instance(str(path), pid)
-        # the laws of V, F and Q were checked by the first call alone
-        assert calls == [n]
+        # the laws of V, F and Q, sigma(I) = Q, and the labelled proof alone
+        # and on a stack of two, were checked by the first call alone
+        assert calls == [("build_sigma", ())] + [
+            (name, batch) for batch in ((), (2,))
+            for name in ("build_lambda", "build_rho", "build_sigma")]
 
     def test_one_system_per_shape_keeps_no_dense_operator(self):
         system = StinespringSystem.build(3, 2)
@@ -468,19 +473,22 @@ class TestFixedOperatorChecks:
             assert name not in vars(system), name
 
 
-def dense_structure_residual(a, b, sys_):
-    """The instance part of ``structure``, by dense products with V, F and Q."""
+def dense_structure_terms(a, b, sys_):
+    """The instance terms of ``structure``, by dense products with V, F and Q.
+
+    ``flip`` and ``sigma_v`` are the gather laws the system proves once per
+    shape; ``qmq`` and ``compression`` are checked per trial.
+    """
     v, f, q = sys_.V, sys_.F, sys_.Q
     vh = v.conj().T
     la = build_lambda(a)
-    return max(
-        identity_residual(f @ la @ f, build_rho(a)),
-        identity_residual(build_sigma(a) @ v, v @ flatten(a)),
-        identity_residual(
-            q @ (la @ build_rho(b)) @ q, build_sigma(schur_block_product(a, b))
-        ),
-        identity_residual(flatten(diag_block(a)), vh @ la @ v),
-    )
+    return {
+        "flip": identity_residual(f @ la @ f, build_rho(a)),
+        "sigma_v": identity_residual(build_sigma(a) @ v, v @ flatten(a)),
+        "qmq": identity_residual(
+            q @ (la @ build_rho(b)) @ q, build_sigma(schur_block_product(a, b))),
+        "compression": identity_residual(flatten(diag_block(a)), vh @ la @ v),
+    }
 
 
 def dense_factorization_residual(a, b, sys_):
@@ -529,7 +537,11 @@ def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
     for _ in range(trials):
         a, b = random_bm(rng, n, d), random_bm(rng, n, d)
         structure.append(verify_structure(a, b))
-        assert structure[-1] == dense_structure_residual(a, b, sys_)
+        terms = dense_structure_terms(a, b, sys_)
+        assert structure[-1] == max(terms.values())
+        # the labelled proof covers the gather laws only while the builders
+        # stay free of branches on values; random draws check them here
+        assert terms["flip"] == terms["sigma_v"] == 0.0
         assert verify_decomposition(a, b) == dense_decomposition_residual(a, b, sys_)
         assert verify_factorization(a, b) == dense_factorization_residual(a, b, sys_)
         assert verify_norm_lemmas(a) == dense_norm_lemmas_residual(a, sys_)
@@ -564,6 +576,23 @@ def norm_calls(monkeypatch):
     _record_calls(monkeypatch, linalg.spectral_norm, lambda x: calls.append(
         (max(x.shape[-2:]), int(np.prod(x.shape[:-2])), not x.any())))
     return calls
+
+
+def test_structure_builds_each_representation_once_per_chunk(monkeypatch):
+    n, d = 3, 2
+    # the proof of the gather laws runs once per (n, d), before the count
+    assert StinespringSystem.build(n, d).operator_residual == 0.0
+    calls = []
+    for builder in (build_lambda, build_rho, build_sigma):
+        _record_calls(monkeypatch, builder, lambda x, name=builder.__name__: (
+            calls.append(name)))
+    rng = np.random.default_rng(311)
+    x = {key: BlockMatrix(n, d, np.stack([random_bm(rng, n, d).blocks
+                                          for _ in range(10)]))
+         for key in ("A", "B")}
+    assert run_property("structure", x).passed
+    # lambda(A), rho(B) and sigma(A [] B); no rho(A) or sigma(A)
+    assert sorted(calls) == ["build_lambda", "build_rho", "build_sigma"]
 
 
 def test_svd_budget_per_trial_at_largest_config(norm_calls):
