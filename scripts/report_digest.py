@@ -13,12 +13,18 @@ fixed order and each under a label:
   instances of REPLAY_SHAPES;
 - the ``emit-system`` bytes at (8, 4) with the (8, 4) instance.
 
-It prints one line per output, a short digest and the label, then one
-sha256 over all of them, labels included, as ``<sha256>  112 outputs``.
+It prints one line per output, a short digest and the label, then two
+sha256 lines over all of them, labels included:
+
+- ``<sha256>  verdicts`` hashes each output's exit code, each verify
+  result's ``trials`` and ``failures``, and each replay's PASS or FAIL;
+- ``<sha256>  112 outputs`` hashes the outputs whole.
+
 Two trees that print the same last line write the same reports, timings
 apart; where they differ, a diff of the two printouts names the outputs
-that changed. The residual bits depend on the LAPACK that numpy calls, so
-compare two trees on one machine only.
+that changed, and an equal ``verdicts`` line shows that no verdict moved,
+only residual bits. The residual bits depend on the LAPACK that numpy
+calls, so compare two trees on one machine only.
 """
 
 from __future__ import annotations
@@ -70,8 +76,20 @@ def without_seconds(text: str, fmt: str) -> str:
     return "\n".join(",".join(row[:-1]) for row in rows)
 
 
+def verdicts(text: str, fmt: str) -> str:
+    """Each result's property, trials and failures, one line each."""
+    if fmt == "json":
+        rows = [(r["property_id"], r["trials"], r["failures"])
+                for r in json.loads(text)["results"]]
+    else:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0][:3] == ["property_id", "trials", "failures"], rows[0]
+        rows = [row[:3] for row in rows[1:]]
+    return "\n".join(" ".join(map(str, row)) for row in rows)
+
+
 def pieces(main, properties, ensembles, tmp: Path):
-    """(label, bytes) of every output, in a fixed order."""
+    """(label, bytes, verdict) of every output, in a fixed order."""
     out = tmp / "out"
     for (n, d, k), trials in CONFIGS:
         for ensemble in ensembles:
@@ -81,8 +99,10 @@ def pieces(main, properties, ensembles, tmp: Path):
                             "--trials", str(trials), "--seed", str(seed),
                             "--ensemble", ensemble, "--format", fmt, "--out", str(out)]
                     code = main(argv)
-                    text = without_seconds(out.read_text(encoding="utf-8"), fmt)
-                    yield " ".join(argv[:-2]), f"{code}\n{text}".encode()
+                    text = out.read_text(encoding="utf-8")
+                    yield (" ".join(argv[:-2]),
+                           f"{code}\n{without_seconds(text, fmt)}".encode(),
+                           f"{code}\n{verdicts(text, fmt)}")
     for n, d in REPLAY_SHAPES:
         path = tmp / f"instance_{n}_{d}.json"
         write_instance(path, n, d)
@@ -90,10 +110,12 @@ def pieces(main, properties, ensembles, tmp: Path):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = main(["replay", str(path), "--property", pid])
-            yield f"replay ({n}, {d}) {pid}", f"{code}\n{buf.getvalue()}".encode()
+            line = buf.getvalue()
+            status = "PASS" if "result=PASS" in line else "FAIL"
+            yield f"replay ({n}, {d}) {pid}", f"{code}\n{line}".encode(), f"{code} {status}"
     code = main(["emit-system", "--n", "8", "--d", "4",
                  "--instance", str(tmp / "instance_8_4.json"), "--out", str(out)])
-    yield "emit-system (8, 4)", f"{code}\n".encode() + out.read_bytes()
+    yield "emit-system (8, 4)", f"{code}\n".encode() + out.read_bytes(), str(code)
 
 
 def main(argv=None) -> int:
@@ -112,14 +134,17 @@ def main(argv=None) -> int:
         print(f"error: schurblock imported from {schurblock.__file__}, not {src}",
               file=sys.stderr)
         return 2
-    digest = hashlib.sha256()
+    digest, verdict_digest = hashlib.sha256(), hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for label, data in pieces(cli_main, tuple(PROPERTIES), ENSEMBLES, Path(tmp)):
+        for label, data, verdict in pieces(cli_main, tuple(PROPERTIES), ENSEMBLES,
+                                           Path(tmp)):
             digest.update(f"{label}\n{len(data)}\n".encode())
             digest.update(data)
+            verdict_digest.update(f"{label}\n{verdict}\n".encode())
             count += 1
             print(f"{hashlib.sha256(data).hexdigest()[:16]}  {label}")
+    print(f"{verdict_digest.hexdigest()}  verdicts")
     print(f"{digest.hexdigest()}  {count} outputs")
     return 0
 

@@ -6,10 +6,12 @@ leading axes; ``as_operator`` is the single validation gate used at API
 boundaries. A kernel makes one batched LAPACK call for a whole stack,
 which gives the same bits as one call per matrix, and returns one value
 per matrix: a float for a plain 2-D input, an array over the leading axes
-for a stack. ``spectral_norm`` is a full SVD: the largest operator a
-suite config builds is n*d*n = 8*4*8 = 256 on a side, and replay, which
-takes block size up to 12 (a level-3 pair at d = 4), can build
-n*d*n = 8*12*8 = 768. Functions are pure and never mutate their arguments.
+for a stack. ``spectral_norm`` is a full SVD of the tall side: a wide
+matrix goes to LAPACK as its transposed view, which has the same
+singular values and costs less. The largest operator a suite config
+builds is n*d*n = 8*4*8 = 256 on a side, and replay, which takes block
+size up to 12 (a level-3 pair at d = 4), can build n*d*n = 8*12*8 = 768.
+Functions are pure and never mutate their arguments.
 Every residual is a deviation over its reference, by ``ratio``, with no
 floor. No kernel judges: an indefinite matrix gets an all-NaN
 ``psd_sqrt``, which fails whichever residual it reaches.
@@ -53,10 +55,18 @@ def _square(x, name: str) -> np.ndarray:
 
 
 def spectral_norm(x):
-    """Largest singular value of each nonempty matrix of x."""
+    """Largest singular value of each nonempty matrix of x.
+
+    A matrix and its transpose have the same singular values, and LAPACK's
+    SVD of a wide matrix costs more than that of its tall transpose, so a
+    wide x goes to ``np.linalg.svd`` as its transposed view, with no copy:
+    x and x.swapaxes(-1, -2) get the same bits.
+    """
     x = as_operator(x)
     if x.size == 0:
         raise ShapeError(f"spectral_norm of an empty matrix, shape {x.shape}")
+    if x.shape[-2] < x.shape[-1]:
+        x = x.swapaxes(-1, -2)
     return as_scalar(np.linalg.svd(x, compute_uv=False)[..., 0])
 
 

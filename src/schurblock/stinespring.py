@@ -60,12 +60,21 @@ def triple_dim(n: int, d: int) -> int:
 def build_lambda(a: BlockMatrix) -> np.ndarray:
     """Left representation: flatten(a) acting on the first two legs.
 
-    kron(flatten(a), I_n) for each matrix of a stack, by the same
-    broadcast product np.kron forms.
+    kron(flatten(a), I_n) for each matrix of a stack, bit for bit the
+    broadcast product np.kron forms, signed zeros included. Its entry at
+    row (i, k), column (j, l) is flat[i, j] * I_n[k, l], one of two complex
+    products: flat * 0.0 off the k = l diagonal and flat * 1.0 on it. So
+    every row is filled with flat * 0.0, each entry repeated n times and
+    the row copied whole for every k, and flat * 1.0 is then written on the
+    diagonal; no multiply runs over a length-n innermost axis.
     """
-    n, big = a.n, triple_dim(a.n, a.d)
-    flat = flatten(a)[..., :, None, :, None]
-    return (flat * np.eye(n)[:, None, :]).reshape(*a.batch, big, big)
+    n, m = a.n, a.n * a.d
+    flat = flatten(a)
+    out = np.empty((*a.batch, m, n, m * n), dtype=np.complex128)
+    out[...] = np.repeat(flat * 0.0, n, axis=-1)[..., :, None, :]
+    k = np.arange(n)
+    out.reshape(*a.batch, m, n, m, n)[..., :, k, :, k] = flat * 1.0
+    return out.reshape(*a.batch, m * n, m * n)
 
 
 def build_rho(a: BlockMatrix) -> np.ndarray:

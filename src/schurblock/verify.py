@@ -45,7 +45,11 @@ operators V, F, Q and P = (F + I)/2 by index, the form the system is
 defined by: V* X = X[r], X V = X[:, r] and X F = X[:, f] with
 r = ``v_rows`` and f = ``f_perm``, which gathers exactly the entries a
 dense product would sum, so no checker reads the dense ``V``, ``F`` or
-``Q``. An exactly
+``Q``. A product gathers before it multiplies: only the n*d columns
+lambda(B) V = lambda(B)[:, r] or rho(B) V reach the result, so
+V* lambda(A) F lambda(B) V is ``vla[..., :, f] @ build_lambda(b)[..., :, r]``
+with vla = lambda(A)[r], a (n*d) x (n*d*n) by (n*d*n) x (n*d) product,
+and none of the n*d*n-wide columns that V would drop is formed. An exactly
 zero difference is a residual of 0.0 with no SVD, so only identities
 that can carry rounding (factorization, the Q lambda rho Q identity, the
 decomposition sum) pay for spectral norms.
@@ -210,8 +214,8 @@ def verify_factorization(a: BlockMatrix, b: BlockMatrix):
     r, f = sys_.v_rows, sys_.f_perm
     target = flatten(schur_block_product(a, b))
     vla = build_lambda(a)[..., r, :]
-    via_flip = (vla[..., :, f] @ build_lambda(b))[..., :, r]
-    via_rho = (vla @ build_rho(b))[..., :, r]
+    via_flip = vla[..., :, f] @ build_lambda(b)[..., :, r]
+    via_rho = vla @ build_rho(b)[..., :, r]
     # both routes share the ||target|| denominator; a route that matches
     # target bit for bit contributes 0.0 without an SVD
     gap = _max(gap_norm(target - via_flip), gap_norm(target - via_rho))
@@ -235,7 +239,7 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix):
     vla = build_lambda(a)[..., r, :]
     compression = identity_residual(flatten(diag_block(a)), vla[..., :, r])
     # Q M Q = V (V* M V) V*
-    qmq = identity_residual(_v_x_vstar((vla @ build_rho(b))[..., :, r], r, vla.shape[-1]),
+    qmq = identity_residual(_v_x_vstar(vla @ build_rho(b)[..., :, r], r, vla.shape[-1]),
                             build_sigma(schur_block_product(a, b)))
     return as_scalar(_max(sys_.operator_residual, qmq, compression))
 
@@ -386,11 +390,11 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
     r, f = sys_.v_rows, sys_.f_perm
     vla = build_lambda(a)[..., r, :]
     vlaf = vla[..., :, f]
-    lb = build_lambda(b)
+    lbv = build_lambda(b)[..., :, r]
 
     target = flatten(schur_block_product(a, b))
-    plus = (((vla + vlaf) / 2) @ lb)[..., :, r]
-    minus = (((vla - vlaf) / 2) @ lb)[..., :, r]
+    plus = ((vla + vlaf) / 2) @ lbv
+    minus = ((vla - vlaf) / 2) @ lbv
     prod = block_matmul(a, b)
     return as_scalar(_max(
         sys_.operator_residual,

@@ -52,6 +52,15 @@ class TestSpectralNorm:
         with pytest.raises(ShapeError):
             spectral_norm(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (4, 3, 7), (2, 2, 7, 3), (32, 256)])
+    def test_transpose_gives_the_same_bits(self, shape):
+        rng = np.random.default_rng(shape)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        norm = np.asarray(spectral_norm(x))
+        assert norm.shape == shape[:-2]
+        assert np.array_equal(norm.view(np.uint64),
+                              np.asarray(spectral_norm(x.swapaxes(-1, -2))).view(np.uint64))
+
 
 class TestIdentityResidual:
     def test_exact_zero_difference_takes_no_norm(self, monkeypatch):

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_bm, scalar_bm
 from schurblock import (
+    BlockMatrix,
     StinespringSystem,
     block_identity,
     block_matmul,
@@ -102,6 +103,25 @@ class TestBuildersMatchIndexFormulas:
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_isometry(self, n, d):
         assert np.array_equal(StinespringSystem.build(n, d).V, isometry_oracle(n, d))
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 1), (2, 3), (4, 2), (8, 4), (3, 12)])
+    def test_lambda_is_the_kron_broadcast_bit_for_bit(self, n, d, batch):
+        rng = np.random.default_rng([n, d, len(batch)])
+        shape = (*batch, n, n, d, d)
+        blocks = np.empty(shape, dtype=np.complex128)
+        # signed zeros in both parts, so the zero entries' signs are pinned too
+        for part in (blocks.real, blocks.imag):
+            part[...] = rng.standard_normal(shape)
+            u = rng.random(shape)
+            part[u < 0.2] = -0.0
+            part[(0.2 <= u) & (u < 0.3)] = 0.0
+            part.flat[0] = -0.0
+        a = BlockMatrix(n, d, blocks)
+        big = triple_dim(n, d)
+        kron = (flatten(a)[..., :, None, :, None] * np.eye(n)[:, None, :]).reshape(
+            *batch, big, big)
+        assert np.array_equal(build_lambda(a).view(np.uint64), kron.view(np.uint64))
 
 
 class TestHandExamples:

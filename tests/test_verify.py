@@ -46,6 +46,7 @@ from schurblock import (
     vector_to_json,
 )
 from schurblock import linalg, stinespring
+from schurblock import verify as verify_module
 from schurblock.linalg import gap_norm, identity_residual, relative_gap
 from schurblock.cli import TrialConfig, replay_instance, run_suite
 
@@ -479,14 +480,15 @@ def dense_structure_terms(a, b, sys_):
     ``flip`` and ``sigma_v`` are the gather laws the system proves once per
     shape; ``qmq`` and ``compression`` are checked per trial.
     """
-    v, f, q = sys_.V, sys_.F, sys_.Q
+    v, f = sys_.V, sys_.F
     vh = v.conj().T
     la = build_lambda(a)
     return {
         "flip": identity_residual(f @ la @ f, build_rho(a)),
         "sigma_v": identity_residual(build_sigma(a) @ v, v @ flatten(a)),
         "qmq": identity_residual(
-            q @ (la @ build_rho(b)) @ q, build_sigma(schur_block_product(a, b))),
+            v @ ((vh @ la) @ (build_rho(b) @ v)) @ vh,
+            build_sigma(schur_block_product(a, b))),
         "compression": identity_residual(flatten(diag_block(a)), vh @ la @ v),
     }
 
@@ -496,8 +498,8 @@ def dense_factorization_residual(a, b, sys_):
     vh = sys_.V.conj().T
     la, lb = build_lambda(a), build_lambda(b)
     target = flatten(schur_block_product(a, b))
-    via_flip = vh @ la @ sys_.F @ lb @ sys_.V
-    via_rho = vh @ la @ build_rho(b) @ sys_.V
+    via_flip = (vh @ la @ sys_.F) @ (lb @ sys_.V)
+    via_rho = (vh @ la) @ (build_rho(b) @ sys_.V)
     return relative_gap(max(gap_norm(target - via_flip), gap_norm(target - via_rho)),
                         target)
 
@@ -517,8 +519,8 @@ def dense_decomposition_residual(a, b, sys_):
     vh = sys_.V.conj().T
     la, lb = build_lambda(a), build_lambda(b)
     target = flatten(schur_block_product(a, b))
-    plus = vh @ la @ p @ lb @ sys_.V
-    minus = vh @ la @ (np.eye(big) - p) @ lb @ sys_.V
+    plus = (vh @ la @ p) @ (lb @ sys_.V)
+    minus = (vh @ la @ (np.eye(big) - p)) @ (lb @ sys_.V)
     prod = block_matmul(a, b)
     return max(
         identity_residual(plus - minus, target),
@@ -601,6 +603,49 @@ def test_svd_budget_per_trial_at_largest_config(norm_calls):
     assert norm_calls
     assert sum(1 for side, _, _ in norm_calls if side == 256) <= 4
     assert not any(zero for _, _, zero in norm_calls)
+
+
+def test_every_svd_gets_the_tall_side(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(x, *args, **kwargs):
+        shapes.append(np.shape(x)[-2:])
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    assert run_suite(TrialConfig(n=8, d=4, k=3, trials=1, seed=7)).passed
+    assert shapes
+    assert all(rows >= cols for rows, cols in shapes), shapes
+
+
+def test_builder_products_keep_only_the_columns_v_keeps(monkeypatch):
+    """V keeps n*d of the n*d*n columns, so no product of a builder's
+    matrix in factorization, structure or decomposition is wider."""
+    n, d = 8, 4
+    shapes = []
+
+    class Recorded(np.ndarray):
+        """An array whose matmuls record their output shapes; what is
+        computed from it stays Recorded."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+            if ufunc is np.matmul:
+                shapes.append(out.shape)
+            return out.view(Recorded) if isinstance(out, np.ndarray) else out
+
+    for builder in (build_lambda, build_rho, build_sigma):
+        monkeypatch.setattr(verify_module, builder.__name__,
+                            lambda a, builder=builder: builder(a).view(Recorded))
+    rng = np.random.default_rng(331)
+    a, b = (BlockMatrix(n, d, np.stack([random_bm(rng, n, d).blocks for _ in range(2)]))
+            for _ in range(2))
+    for check in (verify_factorization, verify_structure, verify_decomposition):
+        shapes.clear()
+        check(a, b)
+        assert shapes, check.__name__
+        assert all(shape[-1] <= n * d for shape in shapes), (check.__name__, shapes)
 
 
 def test_sharpness_makes_three_svd_calls_per_chunk(norm_calls):
