@@ -20,7 +20,7 @@ X F = X[:, f_perm], which is how the checkers apply them. The dense V and
 F are scattered from these arrays on each access. ``operator_residual``
 checks the laws of V and F exactly on the arrays themselves, and proves
 the builders' two gather laws, F lambda(A) F = rho(A) and
-sigma(A) V = V flatten(A), once per (n, d) on a labelled instance.
+sigma(A) = V flatten(A) V*, once per (n, d) on a labelled instance.
 
 Entry formulas, with row label (i, s, k) and column label (j, t, l):
 
@@ -36,8 +36,8 @@ classical Kronecker product of the two scalar matrices.
 lambda and rho are unital *-homomorphisms; sigma is a *-homomorphism that
 is unital only for n = 1, with sigma(identity) the orthogonal projection Q
 onto the span of the (j, s, j) basis vectors. The isometry V satisfies
-V*V = I, VV* = Q, FV = V and sigma(A)V = V flatten(A), and the Schur block
-product factors as
+V*V = I, VV* = Q, FV = V and sigma(A) = V flatten(A) V*, and the Schur
+block product factors as
 
     flatten(A [] B) = V* lambda(A) F lambda(B) V = V* lambda(A) rho(B) V.
 """
@@ -49,7 +49,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .blocks import BlockMatrix, block_identity, flatten
+from .blocks import BlockMatrix, flatten
 from .errors import ShapeError
 
 
@@ -163,28 +163,24 @@ class StinespringSystem:
 
         With r = v_rows and p = f_perm: V*V = V[r] = I holds when no entry
         of r repeats; F = F* = F^-1 when p[p] is the identity permutation,
-        which also makes p a permutation; FV = V when p[r] = r; and
-        sigma(I) = Q when sigma(I) has exactly nd nonzero entries, the ones
-        at (r, r). F lambda(A) F = rho(A) and sigma(A) V = V flatten(A)
-        must hold bit for bit on ``_labelled``'s instance, alone and as a
-        stack of two. Every entry of each side is one entry of A or zero,
-        so this proves them for every A as long as the builders stay free
-        of branches on values. A nonzero difference of 0/1 matrices has
-        spectral norm at least 1, so 1.0 is of the order a dense
-        comparison gives, and far above every tolerance.
+        which also makes p a permutation; and FV = V when p[r] = r.
+        F lambda(A) F = rho(A) and sigma(A) = V flatten(A) V* must hold bit
+        for bit on ``_labelled``'s instance, alone and as a stack of two.
+        Every entry of each side is one entry of A or zero, so this proves
+        them for every A as long as the builders stay free of branches on
+        values; sigma(I) = Q is then the case A = I. A nonzero difference
+        of 0/1 matrices has spectral norm at least 1, so 1.0 is of the
+        order a dense comparison gives, and far above every tolerance.
 
         It runs lazily, on the first read: ``build`` stays cheap.
         """
         r, p = self.v_rows, self.f_perm
-        sigma_one = build_sigma(block_identity(self.n, self.d))
         stack = _labelled(self.n, self.d)
         alone = BlockMatrix(self.n, self.d, stack.blocks[0])
         holds = (
             np.bincount(r).max() == 1
             and np.array_equal(p[p], np.arange(p.size))
             and np.array_equal(p[r], r)
-            and np.count_nonzero(sigma_one) == r.size
-            and (sigma_one[r, r] == 1).all()
             and all(_gathers_hold(x, r, p) for x in (alone, stack))
         )
         return 0.0 if holds else 1.0
@@ -207,17 +203,20 @@ def _labelled(n: int, d: int) -> BlockMatrix:
 
 
 def _gathers_hold(a: BlockMatrix, r: np.ndarray, p: np.ndarray) -> bool:
-    """F lambda(a) F = rho(a) and sigma(a) V = V flatten(a), bit for bit.
+    """F lambda(a) F = rho(a) and sigma(a) = V flatten(a) V*, bit for bit.
 
-    F lambda(a) F = lambda(a)[p, p] and sigma(a) V = sigma(a)[:, r].
-    lambda(a) is freed once gathered, before rho(a) is built, and no
-    difference array is formed, so the proof adds no peak memory to a trial.
+    F lambda(a) F = lambda(a)[p, p], and V flatten(a) V* is flatten(a) at
+    rows r and columns r and zero elsewhere. lambda(a) is freed once
+    gathered, before rho(a) is built, and sigma(a)'s (r, r) block is
+    compared and then zeroed in place, so no difference array or second
+    full-size array is formed and the proof adds no peak memory to a trial.
     """
     flipped = build_lambda(a)[..., p[:, None], p]
     if not np.array_equal(flipped, build_rho(a)):
         return False
     del flipped
-    sigma_v = build_sigma(a)[..., :, r]
-    v_flat = np.zeros_like(sigma_v)
-    v_flat[..., r, :] = flatten(a)
-    return np.array_equal(sigma_v, v_flat)
+    sigma = build_sigma(a)
+    if not np.array_equal(sigma[..., r[:, None], r], flatten(a)):
+        return False
+    sigma[..., r[:, None], r] = 0
+    return not sigma.any()

@@ -38,7 +38,7 @@ The fixed operators V, F and Q depend on (n, d) alone:
 ``StinespringSystem.build(a.n, a.d)`` is memoised per (n, d) and checks
 their laws exactly once per (n, d), on its index arrays, together with
 the builders' two gather laws F lambda(A) F = rho(A) and
-sigma(A) V = V flatten(A), proven on a labelled instance; ``structure``
+sigma(A) = V flatten(A) V*, proven on a labelled instance; ``structure``
 and ``decomposition`` fold that stored value into each trial's max, so a
 broken system or builder fails every trial. Every checker applies the 0/1
 operators V, F, Q and P = (F + I)/2 by index, the form the system is
@@ -51,8 +51,9 @@ V* lambda(A) F lambda(B) V is ``vla[..., :, f] @ build_lambda(b)[..., :, r]``
 with vla = lambda(A)[r], a (n*d) x (n*d*n) by (n*d*n) x (n*d) product,
 and none of the n*d*n-wide columns that V would drop is formed. An exactly
 zero difference is a residual of 0.0 with no SVD, so only identities
-that can carry rounding (factorization, the Q lambda rho Q identity, the
-decomposition sum) pay for spectral norms.
+that can carry rounding (factorization, structure's bilinear term, the
+decomposition sum) pay for spectral norms, and none of them on a matrix
+wider than n*d.
 """
 
 from __future__ import annotations
@@ -87,12 +88,7 @@ from .linalg import (
     relative_gap,
     spectral_norm,
 )
-from .stinespring import (
-    StinespringSystem,
-    build_lambda,
-    build_rho,
-    build_sigma,
-)
+from .stinespring import StinespringSystem, build_lambda, build_rho
 
 
 class Property(NamedTuple):
@@ -199,14 +195,6 @@ def _max(first, *rest):
     return functools.reduce(np.maximum, rest, np.asarray(first))
 
 
-def _v_x_vstar(x: np.ndarray, r: np.ndarray, big: int) -> np.ndarray:
-    """V x V* per matrix of x, with r = v_rows: the (big, big) zero matrix
-    with x at rows r and columns r."""
-    out = np.zeros((*x.shape[:-2], big, big), dtype=np.complex128)
-    out[..., r[:, None], r] = x
-    return out
-
-
 def verify_factorization(a: BlockMatrix, b: BlockMatrix):
     """flatten(A [] B) = V* lambda(A) F lambda(B) V, and the rho form."""
     _check_same_shape(a, b)
@@ -227,21 +215,23 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix):
 
     Proven once per (n, d) by the system's ``operator_residual``, and
     folded into each trial's max: V*V = I, F self-adjoint and involutive,
-    FV = V, sigma(I) = Q, and the two gather laws F lambda(A) F = rho(A)
-    and sigma(A) V = V flatten(A), on a labelled instance. Checked per
-    trial: the diagonal compression flatten(diag(A)) = V* lambda(A) V and
-    Q lambda(A) rho(B) Q = sigma(A [] B). V and Q = VV* are applied by
-    index through the system's ``v_rows``.
+    FV = V, and the two gather laws F lambda(A) F = rho(A) and
+    sigma(A) = V flatten(A) V*, on a labelled instance. Checked per trial,
+    in the n*d space: the diagonal compression
+    flatten(diag(A)) = V* lambda(A) V, and the bilinear
+    V* lambda(A) rho(B) V = flatten(A [] B). The latter is
+    Q lambda(A) rho(B) Q = sigma(A [] B) compressed by V: sigma(X) =
+    V flatten(X) V*, and ||V D V*|| = ||D|| keeps the residual. V is
+    applied by index through the system's ``v_rows``.
     """
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
     r = sys_.v_rows
     vla = build_lambda(a)[..., r, :]
     compression = identity_residual(flatten(diag_block(a)), vla[..., :, r])
-    # Q M Q = V (V* M V) V*
-    qmq = identity_residual(_v_x_vstar(vla @ build_rho(b)[..., :, r], r, vla.shape[-1]),
-                            build_sigma(schur_block_product(a, b)))
-    return as_scalar(_max(sys_.operator_residual, qmq, compression))
+    bilinear = identity_residual(vla @ build_rho(b)[..., :, r],
+                                 flatten(schur_block_product(a, b)))
+    return as_scalar(_max(sys_.operator_residual, bilinear, compression))
 
 
 def _livshits_violation(a: BlockMatrix, b: BlockMatrix):

@@ -8,11 +8,13 @@ regenerates an instance that replay fails too.
 
 A wrong representation builder, installed in ``stinespring`` alone, is
 caught by the labelled proof that ``StinespringSystem.operator_residual``
-runs once per (n, d), which fails every ``structure`` trial.
+runs once per (n, d), which fails every ``structure`` trial. The proof
+checks sigma(A) = V flatten(A) V* whole, so it also catches a sigma that
+writes outside Q's range, where sigma(A) V and sigma(I) do not look.
 
 A bug that only loosens an inequality's bound escapes random draws,
 which stay well inside it; the families that reach the bound, built in
-closed form below, catch it.
+closed form below (Livshits, sandwich and Cauchy–Schwarz), catch it.
 """
 
 import json
@@ -23,7 +25,10 @@ import pytest
 from schurblock import (
     BlockMatrix,
     StinespringSystem,
+    adjoint_block,
+    block_matmul,
     block_matrix_to_json,
+    cauchy_schwarz_rhs_routes,
     col_norm,
     flatten,
     mix64,
@@ -142,10 +147,10 @@ def test_wrong_order_product_fails_factorization_at_every_scale(tmp_path, monkey
 DRAWS = 40
 
 
-def ginibre_pairs(n, d, draws=DRAWS):
-    """``draws`` suite trials of A and B at (n, d), stacked."""
+def ginibre_draws(n, d, draws=DRAWS):
+    """``draws`` suite trials of A, B, xi and gamma at (n, d), stacked."""
     x, _ = sample_chunk([mix64(2017, t) for t in range(draws)], n, d, 1)
-    return {"A": x["A"], "B": x["B"]}
+    return x
 
 
 def livshits_column_family(n, d, draws=DRAWS, seed=11):
@@ -181,6 +186,44 @@ def sandwich_lower_family(n, d, draws=DRAWS, seed=13):
     return {"A": BlockMatrix(n, d, a)}
 
 
+def _diag_pinv_root(x):
+    """flatten of the block diagonal whose block i is the pseudo-inverse of
+    the PSD square root of x_ii, for each grid of the stack x."""
+    i = np.arange(x.n)
+    w, u = np.linalg.eigh(x.blocks[..., i, i, :, :])
+    keep = w > 1e-12 * w[..., -1:]
+    root = np.where(keep, 1 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    blocks = np.zeros_like(x.blocks)
+    blocks[..., i, i, :, :] = (u * root[..., None, :]) @ np.conj(u).swapaxes(-1, -2)
+    return flatten(BlockMatrix(x.n, x.d, blocks))
+
+
+def cauchy_schwarz_row_family(n, d, draws=DRAWS, seed=17):
+    """A, B, xi and gamma at which Cauchy–Schwarz holds with equality, stacked.
+
+    Only block row 0 is nonzero: A's blocks are Ginibre and B's unitary.
+    With D_A = diag(AA*), D_B = diag(B*B) and pseudo-inverse roots on their
+    zero blocks, (u, v) is the top singular pair of
+    M = D_A^(-1/2) (A [] B) D_B^(-1/2), xi = D_B^(-1/2) v and
+    gamma = D_A^(-1/2) u. The left-hand side is then ||M||, the right-hand
+    side ||u|| ||v|| = 1, and MM* is the identity on block row 0, so
+    ||M|| = 1.
+    """
+    rng = np.random.default_rng(seed)
+    a = np.zeros((draws, n, n, d, d), dtype=np.complex128)
+    b = np.zeros_like(a)
+    row = (draws, n, d, d)
+    a[:, 0] = rng.standard_normal(row) + 1j * rng.standard_normal(row)
+    b[:, 0], _ = np.linalg.qr(rng.standard_normal(row) + 1j * rng.standard_normal(row))
+    a, b = BlockMatrix(n, d, a), BlockMatrix(n, d, b)
+    root_a = _diag_pinv_root(block_matmul(a, adjoint_block(a)))
+    root_b = _diag_pinv_root(block_matmul(adjoint_block(b), b))
+    u, _, vh = np.linalg.svd(root_a @ flatten(schur_block_product(a, b)) @ root_b)
+    xi = (root_b @ np.conj(vh[..., 0, :, None]))[..., 0]
+    gamma = (root_a @ u[..., :, :1])[..., 0]
+    return {"A": a, "B": b, "xi": xi, "gamma": gamma}
+
+
 def norms_swapped(monkeypatch):
     monkeypatch.setattr(verify, "row_norm", blocks.col_norm)
     monkeypatch.setattr(verify, "col_norm", blocks.row_norm)
@@ -208,7 +251,7 @@ def test_bound_mutant_is_killed_by_the_column_family(pid, n, d, mutant, monkeypa
     mutant(monkeypatch)
     assert run_property(pid, family).failures == DRAWS
     # random draws stay inside the loosened bound
-    assert run_property(pid, ginibre_pairs(n, d)).failures == 0
+    assert run_property(pid, ginibre_draws(n, d)).failures == 0
 
 
 def test_shrunk_diagonal_is_killed_by_the_sandwich_lower_family(monkeypatch):
@@ -218,7 +261,28 @@ def test_shrunk_diagonal_is_killed_by_the_sandwich_lower_family(monkeypatch):
     monkeypatch.setattr(verify, "diag_block", lambda a: BlockMatrix(
         a.n, a.d, 0.999 * blocks.diag_block(a).blocks))
     assert run_property("sandwich", family).failures == draws
-    assert run_property("sandwich", ginibre_pairs(n, d, draws)).failures == 0
+    assert run_property("sandwich", ginibre_draws(n, d, draws)).failures == 0
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3), (2, 1)])
+def test_cauchy_schwarz_row_family_reaches_the_bound(n, d):
+    x = cauchy_schwarz_row_family(n, d)
+    ab_xi = flatten(schur_block_product(x["A"], x["B"])) @ x["xi"][..., None]
+    lhs = np.abs((np.conj(x["gamma"])[..., None, :] @ ab_xi)[..., 0, 0])
+    rhs, _ = cauchy_schwarz_rhs_routes(x["A"], x["B"], x["xi"], x["gamma"])
+    # equality up to rounding: at most 1.8e-15 off at seed 17
+    assert np.abs(lhs / rhs - 1).max() <= 4e-15
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (3, 3), (2, 1)])
+def test_shrunk_bound_is_killed_by_the_cauchy_schwarz_family(n, d, monkeypatch):
+    family = cauchy_schwarz_row_family(n, d)
+    assert run_property("cauchy_schwarz", family).failures == 0
+    routes = verify.cauchy_schwarz_rhs_routes
+    monkeypatch.setattr(verify, "cauchy_schwarz_rhs_routes", lambda *x: tuple(
+        0.999 * rhs for rhs in routes(*x)))
+    assert run_property("cauchy_schwarz", family).failures == DRAWS
+    assert run_property("cauchy_schwarz", ginibre_draws(n, d)).failures == 0
 
 
 def rho_with_blocks_transposed(a):
@@ -229,6 +293,19 @@ def rho_with_blocks_transposed(a):
 def sigma_with_grid_transposed(a):
     """sigma(A) with block (j, i) where block (i, j) belongs."""
     return build_sigma(BlockMatrix(a.n, a.d, a.blocks.swapaxes(-4, -3)))
+
+
+def sigma_with_stray_block(a):
+    """sigma(A) that also writes each off-diagonal block (i, j) at row group
+    (i,*,i) and column group (j,*,i), outside Q's range: sigma(A) V and
+    sigma(I) are those of the true sigma."""
+    n, d = a.n, a.d
+    out = build_sigma(a).reshape(*a.batch, n, d, n, n, d, n)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                out[..., i, :, i, j, :, i] = a.blocks[..., i, j, :, :]
+    return out.reshape(*a.batch, n * d * n, n * d * n)
 
 
 def lambda_of_conj(a):
@@ -244,6 +321,9 @@ def rho_of_first_grid_everywhere(a):
 BUILDER_MUTANTS = [
     ("build_rho", rho_with_blocks_transposed),
     ("build_sigma", sigma_with_grid_transposed),
+    # agrees with build_sigma on Q's range: only the whole law
+    # sigma(A) = V flatten(A) V* catches it
+    ("build_sigma", sigma_with_stray_block),
     ("build_lambda", lambda_of_conj),
     # agrees with build_rho on a single instance: only the stack of two
     # catches it

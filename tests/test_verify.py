@@ -460,11 +460,10 @@ class TestFixedOperatorChecks:
             | {key: vector_to_json(rng.standard_normal(n * d)) for key in ("xi", "gamma")}))
         for pid in PROPERTIES:
             replay_instance(str(path), pid)
-        # the laws of V, F and Q, sigma(I) = Q, and the labelled proof alone
-        # and on a stack of two, were checked by the first call alone
-        assert calls == [("build_sigma", ())] + [
-            (name, batch) for batch in ((), (2,))
-            for name in ("build_lambda", "build_rho", "build_sigma")]
+        # the laws of V and F, and the labelled proof alone and on a stack
+        # of two, were checked by the first call alone
+        assert calls == [(name, batch) for batch in ((), (2,))
+                         for name in ("build_lambda", "build_rho", "build_sigma")]
 
     def test_one_system_per_shape_keeps_no_dense_operator(self):
         system = StinespringSystem.build(3, 2)
@@ -477,18 +476,18 @@ class TestFixedOperatorChecks:
 def dense_structure_terms(a, b, sys_):
     """The instance terms of ``structure``, by dense products with V, F and Q.
 
-    ``flip`` and ``sigma_v`` are the gather laws the system proves once per
-    shape; ``qmq`` and ``compression`` are checked per trial.
+    ``flip`` and ``sigma`` are the gather laws the system proves once per
+    shape; ``bilinear``, Q lambda(A) rho(B) Q = sigma(A [] B) compressed by
+    V, and ``compression`` are checked per trial.
     """
     v, f = sys_.V, sys_.F
     vh = v.conj().T
     la = build_lambda(a)
     return {
         "flip": identity_residual(f @ la @ f, build_rho(a)),
-        "sigma_v": identity_residual(build_sigma(a) @ v, v @ flatten(a)),
-        "qmq": identity_residual(
-            v @ ((vh @ la) @ (build_rho(b) @ v)) @ vh,
-            build_sigma(schur_block_product(a, b))),
+        "sigma": identity_residual(build_sigma(a), v @ flatten(a) @ vh),
+        "bilinear": identity_residual((vh @ la) @ (build_rho(b) @ v),
+                                      flatten(schur_block_product(a, b))),
         "compression": identity_residual(flatten(diag_block(a)), vh @ la @ v),
     }
 
@@ -543,12 +542,12 @@ def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
         assert structure[-1] == max(terms.values())
         # the labelled proof covers the gather laws only while the builders
         # stay free of branches on values; random draws check them here
-        assert terms["flip"] == terms["sigma_v"] == 0.0
+        assert terms["flip"] == terms["sigma"] == 0.0
         assert verify_decomposition(a, b) == dense_decomposition_residual(a, b, sys_)
         assert verify_factorization(a, b) == dense_factorization_residual(a, b, sys_)
         assert verify_norm_lemmas(a) == dense_norm_lemmas_residual(a, sys_)
     if (n, d) == (4, 2):
-        # the Q lambda rho Q identity carries rounding here, so its SVD runs
+        # the bilinear identity carries rounding here, so its SVD runs
         assert min(structure) > 0.0
 
 
@@ -593,8 +592,8 @@ def test_structure_builds_each_representation_once_per_chunk(monkeypatch):
                                           for _ in range(10)]))
          for key in ("A", "B")}
     assert run_property("structure", x).passed
-    # lambda(A), rho(B) and sigma(A [] B); no rho(A) or sigma(A)
-    assert sorted(calls) == ["build_lambda", "build_rho", "build_sigma"]
+    # lambda(A) and rho(B); no rho(A), and no sigma at all
+    assert sorted(calls) == ["build_lambda", "build_rho"]
 
 
 def test_svd_budget_per_trial_at_largest_config(norm_calls):
@@ -603,6 +602,20 @@ def test_svd_budget_per_trial_at_largest_config(norm_calls):
     assert norm_calls
     assert sum(1 for side, _, _ in norm_calls if side == 256) <= 4
     assert not any(zero for _, _, zero in norm_calls)
+
+
+@pytest.mark.parametrize("n, d", [(5, 3), (4, 2)])
+def test_structure_norms_nothing_wider_than_n_d(n, d, norm_calls):
+    # sigma(X) = V flatten(X) V* and ||V D V*|| = ||D||, so the bilinear
+    # identity is judged in the n*d space, never in the n*d*n one
+    rng = np.random.default_rng(337 + n * d)
+    x = {key: BlockMatrix(n, d, np.stack([random_bm(rng, n, d).blocks
+                                          for _ in range(4)]))
+         for key in ("A", "B")}
+    assert run_property("structure", x).passed
+    # the bilinear identity carries rounding here, so its SVDs run
+    assert norm_calls
+    assert max(side for side, _, _ in norm_calls) <= n * d, norm_calls
 
 
 def test_every_svd_gets_the_tall_side(monkeypatch):
@@ -635,7 +648,7 @@ def test_builder_products_keep_only_the_columns_v_keeps(monkeypatch):
                 shapes.append(out.shape)
             return out.view(Recorded) if isinstance(out, np.ndarray) else out
 
-    for builder in (build_lambda, build_rho, build_sigma):
+    for builder in (build_lambda, build_rho):
         monkeypatch.setattr(verify_module, builder.__name__,
                             lambda a, builder=builder: builder(a).view(Recorded))
     rng = np.random.default_rng(331)
