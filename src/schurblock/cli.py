@@ -49,9 +49,10 @@ MAX_N = 8
 MAX_D = 4
 MAX_K = 3
 
-# the suite runs its trials in chunks whose largest complex operator, on the
-# triple space or the flattened level-k pair, takes at most this many bytes:
-# 256 trials at (n, d) = (4, 2), 4 at (8, 4), 1820 at (n, d, k) = (1, 4, 3)
+# the suite runs its trials in chunks whose largest complex operator, an
+# n*d*n square or the flattened level-k pair, takes at most this many bytes:
+# 256 trials at (n, d) = (4, 2), 4 at (8, 4), 1820 at (n, d, k) = (1, 4, 3).
+# A trial now builds only n*d-wide strips, so the square is an upper bound
 CHUNK_BYTES = 4 << 20
 
 

@@ -6,20 +6,21 @@ in {0..d-1}, sits at flat index (i*d + s)*n + k. Left representations act
 on the (i, s) legs, right representations on the (s, k) legs, and the
 flip exchanges the two outer legs.
 
-The representation builders materialize dense matrices (n*d*n is at most
-256 on a side), one per grid of a stacked BlockMatrix. The fixed operators
-V and F are 0/1 matrices and are defined by index arrays, which
-StinespringSystem.build computes from the closed forms, writing
-idx(i, s, k) for the flat index of (i, s, k):
+The builders return one matrix per grid of a stacked BlockMatrix, n*d*n
+(at most 256) on a side, or for build_lambda the rows and columns asked
+for. The fixed operators V and F are 0/1 matrices and are defined by
+index arrays, which StinespringSystem.build computes from the closed
+forms, writing idx(i, s, k) for the flat index of (i, s, k):
 
     v_rows[j*d + t]    = idx(j, t, j)
     f_perm[idx(i,s,k)] = idx(k, s, i)
 
 so V* X = X[v_rows], X V = X[:, v_rows], F X = X[f_perm] and
-X F = X[:, f_perm], which is how the checkers apply them. The dense V and
-F are scattered from these arrays on each access. ``operator_residual``
-checks the laws of V and F exactly on the arrays themselves, and proves
-the builders' two gather laws, F lambda(A) F = rho(A) and
+X F = X[:, f_perm]: the checkers pass these arrays to build_lambda, and
+V* lambda(A) F is build_lambda(A, v_rows, f_perm). The dense V and F are
+scattered from them on each access. ``operator_residual`` checks the
+laws of V and F exactly on the arrays themselves, and proves the
+builders' two gather laws, F lambda(A) F = rho(A) and
 sigma(A) = V flatten(A) V*, once per (n, d) on a labelled instance.
 
 Entry formulas, with row label (i, s, k) and column label (j, t, l):
@@ -57,24 +58,24 @@ def triple_dim(n: int, d: int) -> int:
     return n * d * n
 
 
-def build_lambda(a: BlockMatrix) -> np.ndarray:
+def build_lambda(a: BlockMatrix, rows: np.ndarray | None = None,
+                 cols: np.ndarray | None = None) -> np.ndarray:
     """Left representation: flatten(a) acting on the first two legs.
 
-    kron(flatten(a), I_n) for each matrix of a stack, bit for bit the
-    broadcast product np.kron forms, signed zeros included. Its entry at
-    row (i, k), column (j, l) is flat[i, j] * I_n[k, l], one of two complex
-    products: flat * 0.0 off the k = l diagonal and flat * 1.0 on it. So
-    every row is filled with flat * 0.0, each entry repeated n times and
-    the row copied whole for every k, and flat * 1.0 is then written on the
-    diagonal; no multiply runs over a length-n innermost axis.
+    kron(flatten(a), I_n) for each matrix of a stack, at the given rows
+    and columns: lambda(a)[rows][:, cols], each index array defaulting to
+    all n*d*n. Entry (R, C) is flat[R // n, C // n] * delta(R % n, C % n)
+    with flat = flatten(a): two gathers of flat and one in-place multiply
+    by the 0/1 mask, so every entry is flat * 0.0 or flat * 1.0, bit for
+    bit what np.kron forms, signed zeros included. A checker passes the
+    index arrays of V and F here and so builds only the strip it reads.
     """
-    n, m = a.n, a.n * a.d
-    flat = flatten(a)
-    out = np.empty((*a.batch, m, n, m * n), dtype=np.complex128)
-    out[...] = np.repeat(flat * 0.0, n, axis=-1)[..., :, None, :]
-    k = np.arange(n)
-    out.reshape(*a.batch, m, n, m, n)[..., :, k, :, k] = flat * 1.0
-    return out.reshape(*a.batch, m * n, m * n)
+    full = np.arange(triple_dim(a.n, a.d))
+    rows = full if rows is None else rows
+    cols = full if cols is None else cols
+    out = np.take(np.take(flatten(a), rows // a.n, axis=-2), cols // a.n, axis=-1)
+    out *= rows[:, None] % a.n == cols % a.n
+    return out
 
 
 def build_rho(a: BlockMatrix) -> np.ndarray:
@@ -205,13 +206,12 @@ def _labelled(n: int, d: int) -> BlockMatrix:
 def _gathers_hold(a: BlockMatrix, r: np.ndarray, p: np.ndarray) -> bool:
     """F lambda(a) F = rho(a) and sigma(a) = V flatten(a) V*, bit for bit.
 
-    F lambda(a) F = lambda(a)[p, p], and V flatten(a) V* is flatten(a) at
-    rows r and columns r and zero elsewhere. lambda(a) is freed once
-    gathered, before rho(a) is built, and sigma(a)'s (r, r) block is
-    compared and then zeroed in place, so no difference array or second
-    full-size array is formed and the proof adds no peak memory to a trial.
+    F lambda(a) F = build_lambda(a, p, p), the formula every checker calls,
+    so this covers each entry of lambda. V flatten(a) V* is flatten(a) at
+    rows r and columns r and zero elsewhere. sigma(a)'s (r, r) block is
+    compared and then zeroed in place, so no difference array is formed.
     """
-    flipped = build_lambda(a)[..., p[:, None], p]
+    flipped = build_lambda(a, p, p)
     if not np.array_equal(flipped, build_rho(a)):
         return False
     del flipped

@@ -45,15 +45,15 @@ operators V, F, Q and P = (F + I)/2 by index, the form the system is
 defined by: V* X = X[r], X V = X[:, r] and X F = X[:, f] with
 r = ``v_rows`` and f = ``f_perm``, which gathers exactly the entries a
 dense product would sum, so no checker reads the dense ``V``, ``F`` or
-``Q``. A product gathers before it multiplies: only the n*d columns
-lambda(B) V = lambda(B)[:, r] or rho(B) V reach the result, so
-V* lambda(A) F lambda(B) V is ``vla[..., :, f] @ build_lambda(b)[..., :, r]``
-with vla = lambda(A)[r], a (n*d) x (n*d*n) by (n*d*n) x (n*d) product,
-and none of the n*d*n-wide columns that V would drop is formed. An exactly
-zero difference is a residual of 0.0 with no SVD, so only identities
-that can carry rounding (factorization, structure's bilinear term, the
-decomposition sum) pay for spectral norms, and none of them on a matrix
-wider than n*d.
+``Q``. V and F reach lambda as its index arguments, so a checker builds
+only the strip it reads, from one formula: V* lambda(A) F lambda(B) V is
+``build_lambda(a, r, f) @ build_lambda(b, None, r)``, a (n*d) x (n*d*n)
+by (n*d*n) x (n*d) product, and rho(B) V = F lambda(B) V is
+``build_lambda(b, f, r)``. No checker builds rho, and no array of a trial
+is n*d*n on both sides. An exactly zero difference is a residual of 0.0
+with no SVD, so only identities that can carry rounding (factorization,
+structure's bilinear term, the decomposition sum) pay for spectral
+norms, and none of them on a matrix wider than n*d.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from .linalg import (
     relative_gap,
     spectral_norm,
 )
-from .stinespring import StinespringSystem, build_lambda, build_rho
+from .stinespring import StinespringSystem, build_lambda
 
 
 class Property(NamedTuple):
@@ -196,18 +196,14 @@ def _max(first, *rest):
 
 
 def verify_factorization(a: BlockMatrix, b: BlockMatrix):
-    """flatten(A [] B) = V* lambda(A) F lambda(B) V, and the rho form."""
+    """flatten(A [] B) = V* lambda(A) F lambda(B) V."""
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
     r, f = sys_.v_rows, sys_.f_perm
     target = flatten(schur_block_product(a, b))
-    vla = build_lambda(a)[..., r, :]
-    via_flip = vla[..., :, f] @ build_lambda(b)[..., :, r]
-    via_rho = vla @ build_rho(b)[..., :, r]
-    # both routes share the ||target|| denominator; a route that matches
-    # target bit for bit contributes 0.0 without an SVD
-    gap = _max(gap_norm(target - via_flip), gap_norm(target - via_rho))
-    return relative_gap(gap, target)
+    via_flip = build_lambda(a, r, f) @ build_lambda(b, None, r)
+    # a product that matches target bit for bit gives 0.0 without an SVD
+    return relative_gap(gap_norm(target - via_flip), target)
 
 
 def verify_structure(a: BlockMatrix, b: BlockMatrix):
@@ -221,15 +217,16 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix):
     flatten(diag(A)) = V* lambda(A) V, and the bilinear
     V* lambda(A) rho(B) V = flatten(A [] B). The latter is
     Q lambda(A) rho(B) Q = sigma(A [] B) compressed by V: sigma(X) =
-    V flatten(X) V*, and ||V D V*|| = ||D|| keeps the residual. V is
-    applied by index through the system's ``v_rows``.
+    V flatten(X) V*, and ||V D V*|| = ||D|| keeps the residual. V* lambda(A)
+    is ``build_lambda(a, r)``, and rho(B) V = F lambda(B) V (by the flip
+    law and FV = V) is ``build_lambda(b, f, r)``.
     """
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
-    r = sys_.v_rows
-    vla = build_lambda(a)[..., r, :]
+    r, f = sys_.v_rows, sys_.f_perm
+    vla = build_lambda(a, r)
     compression = identity_residual(flatten(diag_block(a)), vla[..., :, r])
-    bilinear = identity_residual(vla @ build_rho(b)[..., :, r],
+    bilinear = identity_residual(vla @ build_lambda(b, f, r),
                                  flatten(schur_block_product(a, b)))
     return as_scalar(_max(sys_.operator_residual, bilinear, compression))
 
@@ -371,16 +368,16 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
     With P = (F + I)/2, an orthogonal projection since F = F* = F^-1:
     flatten(A [] B) equals V* lambda(A) P lambda(B) V minus
     V* lambda(A) (I - P) lambda(B) V, and V* lambda(AB) V equals
-    flatten(diag(AB)). V and P are applied by index, X P = (X + XF)/2 with
-    XF = X[:, f_perm]; the laws of V and F come from the system's
-    ``operator_residual``, checked once per (n, d).
+    flatten(diag(AB)). V is an index argument of ``build_lambda`` and P is
+    applied by index, X P = (X + XF)/2 with XF = X[:, f_perm]; the laws of
+    V and F come from the system's ``operator_residual``, once per (n, d).
     """
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
     r, f = sys_.v_rows, sys_.f_perm
-    vla = build_lambda(a)[..., r, :]
+    vla = build_lambda(a, r)
     vlaf = vla[..., :, f]
-    lbv = build_lambda(b)[..., :, r]
+    lbv = build_lambda(b, None, r)
 
     target = flatten(schur_block_product(a, b))
     plus = ((vla + vlaf) / 2) @ lbv
@@ -389,7 +386,7 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
     return as_scalar(_max(
         sys_.operator_residual,
         identity_residual(plus - minus, target),
-        identity_residual(build_lambda(prod)[..., r[:, None], r],
+        identity_residual(build_lambda(prod, r, r),
                           flatten(diag_block(prod))),
     ))
 
@@ -397,9 +394,8 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
 def verify_norm_lemmas(a: BlockMatrix):
     """col_norm(A) = ||lambda(A) V|| and row_norm(A) = ||V* lambda(A)||."""
     r = StinespringSystem.build(a.n, a.d).v_rows
-    la = build_lambda(a)
-    return as_scalar(_max(_gap(spectral_norm(la[..., :, r]), col_norm(a)),
-                          _gap(spectral_norm(la[..., r, :]), row_norm(a))))
+    return as_scalar(_max(_gap(spectral_norm(build_lambda(a, None, r)), col_norm(a)),
+                          _gap(spectral_norm(build_lambda(a, r)), row_norm(a))))
 
 
 def verify_cb_level(a: BlockMatrix, b: BlockMatrix):

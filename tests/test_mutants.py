@@ -308,8 +308,8 @@ def sigma_with_stray_block(a):
     return out.reshape(*a.batch, n * d * n, n * d * n)
 
 
-def lambda_of_conj(a):
-    return build_lambda(BlockMatrix(a.n, a.d, np.conj(a.blocks)))
+def lambda_of_conj(a, *idx):
+    return build_lambda(BlockMatrix(a.n, a.d, np.conj(a.blocks)), *idx)
 
 
 def rho_of_first_grid_everywhere(a):

@@ -80,6 +80,20 @@ def isometry_oracle(n, d):
     return out
 
 
+def signed_zero_bm(rng, n, d, batch):
+    """A stack of random block matrices with signed zeros in both parts, so
+    that a bitwise comparison pins the signs of the zero entries too."""
+    shape = (*batch, n, n, d, d)
+    blocks = np.empty(shape, dtype=np.complex128)
+    for part in (blocks.real, blocks.imag):
+        part[...] = rng.standard_normal(shape)
+        u = rng.random(shape)
+        part[u < 0.2] = -0.0
+        part[(0.2 <= u) & (u < 0.3)] = 0.0
+        part.flat[0] = -0.0
+    return BlockMatrix(n, d, blocks)
+
+
 class TestBuildersMatchIndexFormulas:
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_lambda(self, n, d):
@@ -107,21 +121,29 @@ class TestBuildersMatchIndexFormulas:
     @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
     @pytest.mark.parametrize("n,d", [(1, 1), (3, 1), (2, 3), (4, 2), (8, 4), (3, 12)])
     def test_lambda_is_the_kron_broadcast_bit_for_bit(self, n, d, batch):
-        rng = np.random.default_rng([n, d, len(batch)])
-        shape = (*batch, n, n, d, d)
-        blocks = np.empty(shape, dtype=np.complex128)
-        # signed zeros in both parts, so the zero entries' signs are pinned too
-        for part in (blocks.real, blocks.imag):
-            part[...] = rng.standard_normal(shape)
-            u = rng.random(shape)
-            part[u < 0.2] = -0.0
-            part[(0.2 <= u) & (u < 0.3)] = 0.0
-            part.flat[0] = -0.0
-        a = BlockMatrix(n, d, blocks)
+        a = signed_zero_bm(np.random.default_rng([n, d, len(batch)]), n, d, batch)
         big = triple_dim(n, d)
         kron = (flatten(a)[..., :, None, :, None] * np.eye(n)[:, None, :]).reshape(
             *batch, big, big)
         assert np.array_equal(build_lambda(a).view(np.uint64), kron.view(np.uint64))
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (8, 4)])
+    def test_lambda_at_indices_is_the_gather_bit_for_bit(self, n, d, batch):
+        rng = np.random.default_rng([n, d, len(batch), 1])
+        a = signed_zero_bm(rng, n, d, batch)
+        sys_ = StinespringSystem.build(n, d)
+        r, f = sys_.v_rows, sys_.f_perm
+        perm = rng.permutation(triple_dim(n, d))
+        full = build_lambda(a)
+        # the pairs the checkers and the proof pass, and one arbitrary pair
+        for rows, cols in [(r, None), (None, r), (r, f), (f, r), (r, r), (perm, perm[::-1])]:
+            gathered = full if rows is None else full[..., rows, :]
+            gathered = gathered if cols is None else gathered[..., cols]
+            got = build_lambda(a, rows, cols)
+            assert got.shape == gathered.shape
+            assert np.array_equal(got.view(np.uint64),
+                                  np.ascontiguousarray(gathered).view(np.uint64))
 
 
 class TestHandExamples:

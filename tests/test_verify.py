@@ -440,9 +440,9 @@ class TestFixedOperatorChecks:
         calls = []
 
         def counted(builder):
-            def call(a):
+            def call(a, *args):
                 calls.append((builder.__name__, a.batch))
-                return builder(a)
+                return builder(a, *args)
             return call
 
         # verify binds the builders itself, so only the system's own checks
@@ -495,12 +495,9 @@ def dense_structure_terms(a, b, sys_):
 def dense_factorization_residual(a, b, sys_):
     """``factorization``, by dense products with V and F."""
     vh = sys_.V.conj().T
-    la, lb = build_lambda(a), build_lambda(b)
     target = flatten(schur_block_product(a, b))
-    via_flip = (vh @ la @ sys_.F) @ (lb @ sys_.V)
-    via_rho = (vh @ la) @ (build_rho(b) @ sys_.V)
-    return relative_gap(max(gap_norm(target - via_flip), gap_norm(target - via_rho)),
-                        target)
+    via_flip = (vh @ build_lambda(a) @ sys_.F) @ (build_lambda(b) @ sys_.V)
+    return relative_gap(gap_norm(target - via_flip), target)
 
 
 def dense_norm_lemmas_residual(a, sys_):
@@ -551,6 +548,15 @@ def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
         assert min(structure) > 0.0
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Replace every binding of ``original`` in the package by ``replacement``."""
+    for name, module in list(sys.modules.items()):
+        if name == "schurblock" or name.startswith("schurblock."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def _record_calls(monkeypatch, original, record):
     """Wrap every binding of ``original`` in the package so that each call
     first passes its array argument to ``record``."""
@@ -558,11 +564,7 @@ def _record_calls(monkeypatch, original, record):
         record(np.asarray(x))
         return original(x, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "schurblock" or name.startswith("schurblock."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    _rebind(monkeypatch, original, counted)
 
 
 @pytest.fixture
@@ -592,8 +594,25 @@ def test_structure_builds_each_representation_once_per_chunk(monkeypatch):
                                           for _ in range(10)]))
          for key in ("A", "B")}
     assert run_property("structure", x).passed
-    # lambda(A) and rho(B); no rho(A), and no sigma at all
-    assert sorted(calls) == ["build_lambda", "build_rho"]
+    # V* lambda(A) and rho(B) V = F lambda(B) V; no rho, and no sigma at all
+    assert calls == ["build_lambda", "build_lambda"]
+
+
+def test_no_trial_builds_a_triple_space_square(monkeypatch):
+    n, d = 8, 4
+    big = triple_dim(n, d)
+    # the once-per-shape proof builds whole squares; it runs before the count
+    assert StinespringSystem.build(n, d).operator_residual == 0.0
+    shapes = []
+    for builder in (build_lambda, build_rho, build_sigma):
+        def recorded(*args, builder=builder):
+            out = builder(*args)
+            shapes.append(out.shape)
+            return out
+        _rebind(monkeypatch, builder, recorded)
+    assert run_suite(TrialConfig(n=n, d=d, k=3, trials=4)).passed
+    assert shapes
+    assert all(shape[-2:] != (big, big) for shape in shapes), shapes
 
 
 def test_svd_budget_per_trial_at_largest_config(norm_calls):
@@ -648,9 +667,8 @@ def test_builder_products_keep_only_the_columns_v_keeps(monkeypatch):
                 shapes.append(out.shape)
             return out.view(Recorded) if isinstance(out, np.ndarray) else out
 
-    for builder in (build_lambda, build_rho):
-        monkeypatch.setattr(verify_module, builder.__name__,
-                            lambda a, builder=builder: builder(a).view(Recorded))
+    monkeypatch.setattr(verify_module, "build_lambda",
+                        lambda a, *idx: build_lambda(a, *idx).view(Recorded))
     rng = np.random.default_rng(331)
     a, b = (BlockMatrix(n, d, np.stack([random_bm(rng, n, d).blocks for _ in range(2)]))
             for _ in range(2))
