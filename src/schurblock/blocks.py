@@ -329,32 +329,73 @@ def vector_from_json(obj, field: str = "vector") -> np.ndarray:
     return x
 
 
+class _PairText(dict):
+    """Indented JSON text of each [re, im] pair, formatted on first use.
+
+    Keyed by the pair's two float64 bit patterns as ints, so -0.0 and 0.0
+    stay apart where a float key would merge them. ``indent`` is the
+    newline and indent of the pair's line; ``repr`` of a finite float is
+    what json writes.
+    """
+
+    def __init__(self, indent: str):
+        super().__init__()
+        self.indent = indent
+
+    def __missing__(self, bits):
+        re, im = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+        inner = self.indent + "  "
+        text = self[bits] = f"{self.indent}[{inner}{re!r},{inner}{im!r}{self.indent}]"
+        return text
+
+
+def _array_chunks(bits: np.ndarray, indent: str, table: _PairText):
+    """The pieces of an array's nested [re, im] lists, from the uint64 bits
+    of its pairs, shape (..., m, 2); one piece per innermost row."""
+    if bits.ndim == 2:
+        flat = bits.ravel().tolist()
+        yield ("[" + ",".join(map(table.__getitem__, zip(flat[::2], flat[1::2])))
+               + indent + "]")
+    else:
+        inner = indent + "  "
+        for j, sub in enumerate(bits):
+            yield ("," if j else "[") + inner
+            yield from _array_chunks(sub, inner, table)
+        yield indent + "]"
+
+
+def _chunks(value, indent: str):
+    if isinstance(value, dict):
+        inner = indent + "  "
+        for i, key in enumerate(sorted(value)):
+            yield f"{',' if i else '{'}{inner}{json.dumps(key)}: "
+            yield from _chunks(value[key], inner)
+        yield indent + "}"
+    elif isinstance(value, np.ndarray):
+        # all pairs of one array sit at one depth, so one table serves them
+        bits = _pairs(value).view(np.uint64)
+        yield from _array_chunks(bits, indent,
+                                 _PairText(indent + "  " * value.ndim))
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
+
+
 def json_chunks(obj: dict):
     """Yield, piece by piece, the text of
     ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` once each ndarray
-    value of obj is replaced by its ``operator_to_json`` list.
+    in obj, at any depth of nested mappings, is replaced by its
+    ``operator_to_json`` lists. The mappings and arrays must be non-empty.
 
     With ``indent`` set, the json module runs its pure-Python encoder,
-    which is slow on large operators. So the ndarray values (2-D, finite,
-    non-empty) are written straight from their [re, im] pairs, with no
-    nested lists, one %-template per row: ``%r`` of a float is
-    ``float.__repr__``, which is what json writes. Each row is its own
-    piece, so a caller that writes the pieces as they come never holds
-    more than one row of text.
+    which is slow on large operators. So each (finite, ndim >= 1) array is
+    written straight from its [re, im] pairs: each distinct pair is
+    formatted once per array (V, F and Q hold only 0.0 and 1.0), and each
+    innermost row is joined from those texts as one piece, so a caller
+    that writes the pieces as they come never holds more than one row of
+    text. Other values go through ``json.dumps``.
     """
-    for i, key in enumerate(sorted(obj)):
-        yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
-        value = obj[key]
-        if isinstance(value, np.ndarray):
-            pairs = _pairs(value)
-            pair = "      [\n        %r,\n        %r\n      ]"
-            row = "    [\n" + ",\n".join([pair] * pairs.shape[1]) + "\n    ]"
-            for j, r in enumerate(pairs):
-                yield (",\n" if j else "[\n") + row % tuple(r.ravel().tolist())
-            yield "\n  ]"
-        else:
-            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-    yield "\n}\n"
+    yield from _chunks(obj, "\n")
+    yield "\n"
 
 
 def block_matrix_to_json(a: BlockMatrix) -> dict:

@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .blocks import (
     block_matrix_from_json,
-    block_matrix_to_json,
     json_chunks,
     vector_from_json,
 )
@@ -200,8 +199,9 @@ def replay_instance(path: str, property_id: str,
 def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> dict:
     """Dense V, F, Q for (n, d), plus lambda(A) and A when an instance is given.
 
-    The operators are ndarrays; ``blocks.json_chunks`` writes them as grids
-    of [re, im] pairs.
+    The operators, and A's ``blocks``, are ndarrays; ``blocks.json_chunks``
+    writes them as grids of [re, im] pairs, so A reads back as
+    ``block_matrix_to_json(A)``.
     """
     if not (1 <= n <= MAX_N and 1 <= d <= MAX_D):
         raise ConfigError(f"n must be in 1..{MAX_N} and d in 1..{MAX_D}")
@@ -214,7 +214,7 @@ def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> dict:
                 f"instance has (n={a.n}, d={a.d}), requested (n={n}, d={d})"
             )
         out["lambda_A"] = build_lambda(a)
-        out["A"] = block_matrix_to_json(a)
+        out["A"] = {"blocks": a.blocks, "d": a.d, "n": a.n}
     return out
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_bm, scalar_bm
+from conftest import as_json_lists, random_bm, scalar_bm
 from schurblock import (
     BlockMatrix,
     ShapeError,
@@ -33,6 +33,7 @@ from schurblock import (
     vector_to_json,
     zero_block_matrix,
 )
+from schurblock.blocks import json_chunks
 
 
 class TestFlatten:
@@ -349,6 +350,22 @@ class TestJson:
             assert np.array_equal(back, x)
             assert np.array_equal(np.signbit(back.real), np.signbit(x.real))
             assert np.array_equal(np.signbit(back.imag), np.signbit(x.imag))
+
+    def test_chunks_are_the_stdlib_dump_signed_zeros_apart(self):
+        # each distinct [re, im] pair is formatted once per array; a table
+        # keyed by float or complex value would write 0.0 for -0.0 or back
+        parts = [0.0, -0.0, 5e-324, 1e16, 0.1, -0.0, 0.1, 0.0, 1.0, -2.5]
+        pairs = [complex(re, im) for re in parts for im in parts]
+        x = np.array(pairs, dtype=np.complex128)
+        obj = {
+            "d": 2, "name": "signed zeros",
+            "row": x[:25],
+            "grid": x.reshape(10, 10),
+            "nested": {"n": 5, "blocks": x.reshape(5, 5, 2, 2),
+                       "more": {"z": x[::-1].reshape(2, 50), "k": [1, 2]}},
+        }
+        text = "".join(json_chunks(obj))
+        assert text == json.dumps(as_json_lists(obj), indent=2, sort_keys=True) + "\n"
 
     def test_bad_payloads_name_the_field(self):
         with pytest.raises(ValueError, match="missing field 'blocks'"):

@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import as_json_lists
 from schurblock import (
     BlockMatrix,
     ContractError,
     block_identity,
     block_matrix,
+    block_matrix_from_json,
     block_matrix_to_json,
     operator_to_json,
     sample_block_matrix,
@@ -23,6 +25,7 @@ from schurblock import (
     vector_to_json,
 )
 from schurblock import cli, verify
+from schurblock.blocks import json_chunks
 from schurblock.verify import PROPERTIES, run_property
 from schurblock.cli import (
     ConfigError,
@@ -329,8 +332,7 @@ class TestEmitSystem:
             instance = tmp_path / "zeros.json"
             instance.write_text(json.dumps({"A": {"n": n, "d": d, "blocks": blocks}}))
         out = emit_system_dict(n, d, None if instance is None else str(instance))
-        lists = {k: operator_to_json(v) if isinstance(v, np.ndarray) else v
-                 for k, v in out.items()}
+        lists = as_json_lists(out)
         text = emit_text(tmp_path, n, d, instance)
         assert text == json.dumps(lists, indent=2, sort_keys=True) + "\n"
         if instance is not None:
@@ -341,6 +343,23 @@ class TestEmitSystem:
         path = identity_instance(tmp_path)
         out = emit_system_dict(2, 1, str(path))
         assert np.array_equal(out["lambda_A"].real, np.eye(4))
+
+    def test_pieces_hold_at_most_one_row(self, tmp_path):
+        # the longest innermost [re, im] row of any array, as the stdlib
+        # writes it at its depth: A's blocks sit one level deeper
+        path = seeded_instance(tmp_path)
+        out = emit_system_dict(8, 4, str(path))
+        a = block_matrix_from_json(json.loads(path.read_text())["A"])
+        arrays = [(v, 1) for v in out.values() if isinstance(v, np.ndarray)]
+        arrays.append((a.blocks, 2))
+        longest = 0
+        for v, depth in arrays:
+            indent = "\n" + "  " * (depth + v.ndim - 1)
+            for row in operator_to_json(v.reshape(-1, v.shape[-1])):
+                longest = max(longest, len(json.dumps(row, indent=2).replace("\n", indent)))
+        pieces = list(json_chunks(out))
+        assert "".join(pieces) == emit_text(tmp_path, 8, 4, path)
+        assert max(map(len, pieces)) <= longest
 
     def test_memory_peak(self, tmp_path):
         # the parent route through nested [re, im] lists peaked near 78 MB
