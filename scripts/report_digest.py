@@ -11,14 +11,16 @@ fixed order and each under a label:
   as CSV without its seconds column, each with its exit code;
 - the ``replay`` line and exit code of all nine properties on the seeded
   instances of REPLAY_SHAPES;
-- the ``emit-system`` bytes at (8, 4) with the (8, 4) instance.
+- the ``emit-system`` bytes at (8, 4) with the (8, 4) instance, and at
+  (2, 2) with an A that holds all four signed-zero pairs, a subnormal and
+  1e16, so that the writer's zero-pair texts are part of the digest.
 
 It prints one line per output, a short digest and the label, then two
 sha256 lines over all of them, labels included:
 
 - ``<sha256>  verdicts`` hashes each output's exit code, each verify
   result's ``trials`` and ``failures``, and each replay's PASS or FAIL;
-- ``<sha256>  112 outputs`` hashes the outputs whole.
+- ``<sha256>  113 outputs`` hashes the outputs whole.
 
 Two trees that print the same last line write the same reports, timings
 apart; where they differ, a diff of the two printouts names the outputs
@@ -63,6 +65,14 @@ def write_instance(path: Path, n: int, d: int) -> None:
         "xi": _pairs(gauss(n * d)),
         "gamma": _pairs(gauss(n * d)),
     }))
+
+
+def write_zero_signs_instance(path: Path) -> None:
+    """A (2, 2) instance whose A holds every sign pair of zeros, 5e-324 and 1e16."""
+    pairs = [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0],
+             [5e-324, -2.5], [1e16, -0.0], [-0.0, 1.0], [0.1, 0.0]]
+    blocks = np.array(pairs * 2).reshape(2, 2, 2, 2, 2).tolist()
+    path.write_text(json.dumps({"A": {"n": 2, "d": 2, "blocks": blocks}}))
 
 
 def without_seconds(text: str, fmt: str) -> str:
@@ -116,6 +126,12 @@ def pieces(main, properties, ensembles, tmp: Path):
     code = main(["emit-system", "--n", "8", "--d", "4",
                  "--instance", str(tmp / "instance_8_4.json"), "--out", str(out)])
     yield "emit-system (8, 4)", f"{code}\n".encode() + out.read_bytes(), str(code)
+    path = tmp / "zero_signs_2_2.json"
+    write_zero_signs_instance(path)
+    code = main(["emit-system", "--n", "2", "--d", "2", "--instance", str(path),
+                 "--out", str(out)])
+    yield ("emit-system (2, 2) signed zeros", f"{code}\n".encode() + out.read_bytes(),
+           str(code))
 
 
 def main(argv=None) -> int:

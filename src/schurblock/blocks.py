@@ -329,38 +329,38 @@ def vector_from_json(obj, field: str = "vector") -> np.ndarray:
     return x
 
 
-class _PairText(dict):
-    """Indented JSON text of each [re, im] pair, formatted on first use.
-
-    Keyed by the pair's two float64 bit patterns as ints, so -0.0 and 0.0
-    stay apart where a float key would merge them. ``indent`` is the
-    newline and indent of the pair's line; ``repr`` of a finite float is
-    what json writes.
-    """
-
-    def __init__(self, indent: str):
-        super().__init__()
-        self.indent = indent
-
-    def __missing__(self, bits):
-        re, im = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
-        inner = self.indent + "  "
-        text = self[bits] = f"{self.indent}[{inner}{re!r},{inner}{im!r}{self.indent}]"
-        return text
+# the four [re, im] pairs of signed zeros, at 2*signbit(re) + signbit(im)
+_ZERO_PAIRS = [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
 
 
-def _array_chunks(bits: np.ndarray, indent: str, table: _PairText):
-    """The pieces of an array's nested [re, im] lists, from the uint64 bits
-    of its pairs, shape (..., m, 2); one piece per innermost row."""
-    if bits.ndim == 2:
-        flat = bits.ravel().tolist()
-        yield ("[" + ",".join(map(table.__getitem__, zip(flat[::2], flat[1::2])))
-               + indent + "]")
+def _pair_texts(value: np.ndarray, indent: str):
+    """(ids, texts): texts[ids] is the text of each [re, im] pair of value on
+    its line at ``indent``. Both are made at their final size, ids in place:
+    texts grown one by one left heap holes that cost emit ~2 MB of RSS."""
+    pairs = _pairs(value).reshape(-1, 2)
+    nz = np.flatnonzero(np.logical_or(pairs[:, 0], pairs[:, 1]))
+    # one sort of the pairs' 16 bytes, so -0.0 and 0.0 stay apart
+    _, first, inverse = np.unique(pairs[nz].view("V16").ravel(),
+                                  return_index=True, return_inverse=True)
+    ids = np.signbit(pairs[:, 0]).astype(np.int32)
+    ids <<= 1
+    ids += np.signbit(pairs[:, 1])
+    ids[nz] = inverse + len(_ZERO_PAIRS)
+    inner = indent + "  "
+    text = np.frompyfunc(f"{indent}[{inner}{{!r}},{inner}{{!r}}{indent}]".format, 2, 1)
+    distinct = np.concatenate([_ZERO_PAIRS, pairs[nz[first]]])
+    return ids.reshape(value.shape), text(distinct[:, 0], distinct[:, 1])
+
+
+def _array_chunks(ids: np.ndarray, texts: np.ndarray, indent: str):
+    """The pieces of an array's [re, im] lists by pair id, one per innermost row."""
+    if ids.ndim == 1:
+        yield "[" + ",".join(texts[ids].tolist()) + indent + "]"
     else:
         inner = indent + "  "
-        for j, sub in enumerate(bits):
+        for j, sub in enumerate(ids):
             yield ("," if j else "[") + inner
-            yield from _array_chunks(sub, inner, table)
+            yield from _array_chunks(sub, texts, inner)
         yield indent + "]"
 
 
@@ -372,10 +372,9 @@ def _chunks(value, indent: str):
             yield from _chunks(value[key], inner)
         yield indent + "}"
     elif isinstance(value, np.ndarray):
-        # all pairs of one array sit at one depth, so one table serves them
-        bits = _pairs(value).view(np.uint64)
-        yield from _array_chunks(bits, indent,
-                                 _PairText(indent + "  " * value.ndim))
+        # all pairs of one array sit at one depth, so one set of texts serves them
+        yield from _array_chunks(*_pair_texts(value, indent + "  " * value.ndim),
+                                 indent)
     else:
         yield json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
@@ -388,11 +387,12 @@ def json_chunks(obj: dict):
 
     With ``indent`` set, the json module runs its pure-Python encoder,
     which is slow on large operators. So each (finite, ndim >= 1) array is
-    written straight from its [re, im] pairs: each distinct pair is
-    formatted once per array (V, F and Q hold only 0.0 and 1.0), and each
-    innermost row is joined from those texts as one piece, so a caller
-    that writes the pieces as they come never holds more than one row of
-    text. Other values go through ``json.dumps``.
+    written from pair texts with no Python code per entry: two zeros take
+    one of four texts by their sign bits, and each other distinct pair,
+    told apart by its bytes, is formatted once per array by ``repr``, as
+    json does. Each innermost row is one piece, so a caller that writes the
+    pieces as they come never holds more than one row of text. Other values
+    go through ``json.dumps``.
     """
     yield from _chunks(obj, "\n")
     yield "\n"

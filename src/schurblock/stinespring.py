@@ -17,7 +17,7 @@ forms, writing idx(i, s, k) for the flat index of (i, s, k):
 
 so V* X = X[v_rows], X V = X[:, v_rows], F X = X[f_perm] and
 X F = X[:, f_perm]: the checkers pass these arrays to build_lambda, and
-V* lambda(A) F is build_lambda(A, v_rows, f_perm). The dense V and F are
+V* lambda(A) F is build_lambda(A, v_rows, f_perm). The dense V, F and Q are
 scattered from them on each access. ``operator_residual`` checks the
 laws of V and F exactly on the arrays themselves, and proves the
 builders' two gather laws, F lambda(A) F = rho(A) and
@@ -152,9 +152,11 @@ class StinespringSystem:
 
     @property
     def Q(self) -> np.ndarray:
-        """VV*, the projection onto the span of the (j, s, j) basis vectors."""
-        v = self.V
-        q = v @ v.conj().T
+        """VV*, the projection onto the span of the (j, s, j) basis vectors:
+        a 1 at (r, r) for each r in v_rows."""
+        r = self.v_rows
+        q = np.zeros((triple_dim(self.n, self.d),) * 2, dtype=np.complex128)
+        q[r, r] = 1
         q.setflags(write=False)
         return q
 

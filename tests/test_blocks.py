@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -400,3 +400,44 @@ def test_schur_associativity_property(a, b, c):
 @given(scalar_block_matrices(), scalar_block_matrices())
 def test_flatten_compat_property(a, b):
     assert np.array_equal(flatten(block_matmul(a, b)), flatten(a) @ flatten(b))
+
+
+# the writer's zero pairs take their text from two sign bits; the others
+# are formatted once per array, however often they repeat
+dump_parts = [0.0, -0.0, 5e-324, 1e-05, 0.1, 1.0, -2.5, 1e16]
+
+
+def pair_array(pairs, shape) -> np.ndarray:
+    """[re, im] pairs as a complex array of the given shape, zero signs kept."""
+    return np.array(pairs, dtype=np.float64).view(np.complex128).reshape(shape)
+
+
+@st.composite
+def dump_arrays(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    part = st.sampled_from(dump_parts)
+    pairs = draw(st.lists(st.tuples(part, part), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    return pair_array(pairs, shape)
+
+
+dump_keys = st.text(alphabet="abz_\"", min_size=1, max_size=3)
+dump_leaves = dump_arrays() | st.integers(-2, 2) | st.sampled_from(["s", None])
+dump_mappings = st.recursive(
+    st.dictionaries(dump_keys, dump_leaves, min_size=1, max_size=3),
+    lambda inner: st.dictionaries(dump_keys, dump_leaves | inner, min_size=1,
+                                  max_size=3),
+    max_leaves=6)
+zero_pairs = [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dump_mappings)
+@example({"zeros": pair_array(zero_pairs, (2, 2)),
+          "none": {"x": pair_array([[5e-324, 1e16], [-2.5, 1e-05]] * 3, (3, 1, 2))},
+          "one": pair_array([[-0.0, 0.1]], (1, 1, 1, 1))})
+@example({"mixed": pair_array(zero_pairs + [[1.0, -0.0], [-0.0, 1.0]], (6,)),
+          "one": pair_array([[0.0, -0.0]], (1,))})
+def test_chunks_match_the_stdlib_dump_property(obj):
+    text = "".join(json_chunks(obj))
+    assert text == json.dumps(as_json_lists(obj), indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -371,6 +372,19 @@ class TestEmitSystem:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    def test_writer_memory_peak(self, tmp_path):
+        # the writer's own allocations, each piece dropped as it comes (a
+        # list of them would hold the whole 9 MB text): one piece for a
+        # whole array, or a tolist of all its floats, exceeds this bound
+        out = emit_system_dict(8, 4, str(seeded_instance(tmp_path)))
+        tracemalloc.start()
+        try:
+            collections.deque(json_chunks(out), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestCommandLine:

@@ -203,7 +203,10 @@ class TestSystemInvariants:
         sys_ = StinespringSystem.build(n, d)
         big = triple_dim(n, d)
         assert np.array_equal(sys_.V.conj().T @ sys_.V, np.eye(n * d))
-        assert np.array_equal(sys_.V @ sys_.V.conj().T, sys_.Q)
+        vv = sys_.V @ sys_.V.conj().T
+        assert np.array_equal(vv, sys_.Q)
+        # bit for bit, so the scattered Q has VV*'s signs of zero too
+        assert np.array_equal(vv.view(np.uint64), sys_.Q.view(np.uint64))
         assert np.array_equal(sys_.F, sys_.F.conj().T)
         assert np.array_equal(sys_.F @ sys_.F, np.eye(big))
         assert np.array_equal(sys_.F @ sys_.V, sys_.V)
