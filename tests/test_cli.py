@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import io
 import json
 import os
 import re
@@ -292,6 +293,16 @@ def seeded_instance(tmp_path):
     return path
 
 
+def signed_zero_instance(tmp_path, n=2, d=2):
+    """An (n, d) instance whose [re, im] pairs take every sign of zero."""
+    pairs = [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 1.5],
+             [2.0, -0.0], [-1.0, -0.0], [0.0, 0.0], [-0.0, -3.0]]
+    blocks = np.array(pairs * 2).reshape(n, n, d, d, 2).tolist()
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps({"A": {"n": n, "d": d, "blocks": blocks}}))
+    return path
+
+
 class TestEmitSystem:
     def test_contains_exact_operators(self, tmp_path):
         out = emit_system_dict(2, 1)
@@ -325,19 +336,14 @@ class TestEmitSystem:
         (1, 1, False), (2, 1, False), (3, 2, False), (2, 2, True),
     ])
     def test_text_is_the_stdlib_indented_dump(self, n, d, signed_zeros, tmp_path):
-        instance = None
-        if signed_zeros:
-            pairs = [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 1.5],
-                     [2.0, -0.0], [-1.0, -0.0], [0.0, 0.0], [-0.0, -3.0]]
-            blocks = np.array(pairs * 2).reshape(n, n, d, d, 2).tolist()
-            instance = tmp_path / "zeros.json"
-            instance.write_text(json.dumps({"A": {"n": n, "d": d, "blocks": blocks}}))
+        instance = signed_zero_instance(tmp_path, n, d) if signed_zeros else None
         out = emit_system_dict(n, d, None if instance is None else str(instance))
         lists = as_json_lists(out)
         text = emit_text(tmp_path, n, d, instance)
         assert text == json.dumps(lists, indent=2, sort_keys=True) + "\n"
         if instance is not None:
             # the dump repeats the instance bit for bit, signs of zeros included
+            blocks = json.loads(instance.read_text())["A"]["blocks"]
             assert json.dumps(json.loads(text)["A"]["blocks"]) == json.dumps(blocks)
 
     def test_with_instance(self, tmp_path):
@@ -361,6 +367,42 @@ class TestEmitSystem:
         pieces = list(json_chunks(out))
         assert "".join(pieces) == emit_text(tmp_path, 8, 4, path)
         assert max(map(len, pieces)) <= longest
+
+    def test_out_file_takes_few_raw_writes(self, tmp_path, monkeypatch):
+        # the --out file as open() builds it, over a FileIO that counts its
+        # writes. With open()'s default buffer of a few KiB each longer row
+        # skips it, and a dump takes 1592 writes; a 256 KiB buffer takes 36
+        class CountingFileIO(io.FileIO):
+            writes = 0
+
+            def write(self, b):
+                CountingFileIO.writes += 1
+                return super().write(b)
+
+        def counting_open(file, mode, buffering=-1, encoding=None):
+            if mode != "w":  # the instance file
+                return open(file, mode, buffering, encoding)
+            raw = CountingFileIO(file, mode)
+            # open()'s own default: the file system's block size
+            size = buffering if buffering > 1 else os.fstat(raw.fileno()).st_blksize
+            return io.TextIOWrapper(io.BufferedWriter(raw, size), encoding=encoding)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        text = emit_text(tmp_path, 8, 4, seeded_instance(tmp_path))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "cae02536cbe76b13641849d519267d3ff3d1fd0ccab34b628313c34bac54fb6d")
+        assert 0 < CountingFileIO.writes <= 64
+
+    @pytest.mark.parametrize("n,d,make", [(8, 4, seeded_instance),
+                                          (2, 2, signed_zero_instance)])
+    def test_stdout_and_out_file_bytes_agree(self, n, d, make, tmp_path):
+        # stdout keeps the interpreter's buffer, --out gets its own
+        instance = make(tmp_path)
+        p = run_cli("emit-system", "--n", str(n), "--d", str(d),
+                    "--instance", str(instance))
+        assert p.returncode == 0
+        emit_text(tmp_path, n, d, instance)
+        assert p.stdout.encode() == (tmp_path / "emit.json").read_bytes()
 
     def test_memory_peak(self, tmp_path):
         # the parent route through nested [re, im] lists peaked near 78 MB
