@@ -5,6 +5,8 @@
 2. Sandwich in PSD order   -diag(A*A) <= A* [] A <= diag(A*A)
 3. Cauchy-Schwarz bound    |<(A [] B) xi, gamma>| <= ||diag(B*B)^(1/2) xi||
                                                    * ||diag(AA*)^(1/2) gamma||
+   for all xi and gamma, which holds exactly when the Gram matrix
+   G = [[diag(AA*), A [] B], [(A [] B)*, diag(B*B)]] is positive semidefinite
 
 Each is shown on the hand-checkable 2x2 scalar pair and then sampled on
 random block instances, including the equality cases.
@@ -14,16 +16,14 @@ import numpy as np
 
 from schurblock import (
     adjoint_block,
+    block_identity,
     block_matmul,
-    block_matrix,
-    cauchy_schwarz_rhs_routes,
     col_norm,
     diag_block,
     flatten,
     row_norm,
     row_norms_via_schur,
     sample_block_matrix,
-    sample_vector,
     schur_block_product,
     spectral_norm,
     unflatten,
@@ -73,14 +73,27 @@ for trial in range(5):
 
 print()
 print("=" * 70)
-print("3. Cauchy-Schwarz bound, with its two right-hand-side routes")
+print("3. Cauchy-Schwarz bound, for all vectors at once")
 print("=" * 70)
+
+
+def gram(Y, Z):
+    """G = [[diag(YY*), Y [] Z], [(Y [] Z)*, diag(Z*Z)]]."""
+    M = flatten(schur_block_product(Y, Z))
+    return np.block([[flatten(diag_block(block_matmul(Y, adjoint_block(Y)))), M],
+                     [M.conj().T, flatten(diag_block(block_matmul(adjoint_block(Z), Z)))]])
+
+
+G = gram(A, B)
+print("G =\n", G.real)
+print("eigenvalues of G:", np.linalg.eigvalsh(G))
+print()
+print("Equality case: the identity pair, G = [[I, I], [I, I]], is singular.")
+I2 = block_identity(2, 2)
+print("  eigenvalues of G:", np.linalg.eigvalsh(gram(I2, I2)))
+print()
+print("Random block instances, smallest eigenvalue of G:")
 for trial in range(5):
     Y = sample_block_matrix(rng, 4, 2)
     Z = sample_block_matrix(rng, 4, 2)
-    xi = sample_vector(rng, 8)
-    gamma = sample_vector(rng, 8)
-    lhs = abs(np.vdot(gamma, flatten(schur_block_product(Y, Z)) @ xi))
-    rhs_diag, rhs_sum = cauchy_schwarz_rhs_routes(Y, Z, xi, gamma)
-    print(f"  trial {trial}: lhs = {lhs:.6f} <= rhs = {rhs_diag:.6f} "
-          f"(route gap {abs(rhs_diag - rhs_sum):.1e})")
+    print(f"  trial {trial}: min eig(G) = {np.linalg.eigvalsh(gram(Y, Z))[0]:+.2e}")

@@ -71,7 +71,7 @@ class BlockMatrix:
     def unit_scaled(self) -> "BlockMatrix":
         """Each grid of the stack times a power of two (see ``_unit_scale``);
         computed once per BlockMatrix."""
-        return BlockMatrix(self.n, self.d, _unit_scale(self.blocks, 4))
+        return BlockMatrix(self.n, self.d, _unit_scale(self.blocks))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockMatrix):
@@ -84,15 +84,15 @@ class BlockMatrix:
         return hash((self.n, self.d, self.batch, self.blocks.tobytes()))
 
 
-def _unit_scale(z, ndim: int) -> np.ndarray:
-    """z times 2^-e over each of its last ndim axes, e the frexp exponent of
-    the largest |re| or |im| there, so that largest is in [1/2, 1).
+def _unit_scale(blocks: np.ndarray) -> np.ndarray:
+    """Each (n, n, d, d) grid of blocks times 2^-e, e the frexp exponent of
+    its largest |re| or |im|, so that largest is in [1/2, 1).
 
     ``np.ldexp`` on the float64 view makes this exact, signed zeros kept,
-    and an all-zero z stays as it is.
+    and an all-zero grid stays as it is.
     """
-    re_im = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
-    top = np.abs(re_im).max(axis=tuple(range(-ndim, 0)), keepdims=True)
+    re_im = np.ascontiguousarray(blocks, dtype=np.complex128).view(np.float64)
+    top = np.abs(re_im).max(axis=(-4, -3, -2, -1), keepdims=True)
     return np.ldexp(re_im, -np.frexp(top)[1]).view(np.complex128)
 
 

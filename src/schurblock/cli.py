@@ -26,14 +26,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import __version__
-from .blocks import (
-    block_matrix_from_json,
-    json_chunks,
-    vector_from_json,
-)
+from .blocks import block_matrix_from_json, json_chunks
 from .errors import ShapeError
 from .instances import ENSEMBLES, GINIBRE, mix64, sample_chunk
 from .stinespring import StinespringSystem, build_lambda, triple_dim
@@ -148,15 +142,14 @@ def chunk_trials(n: int, d: int, k: int) -> int:
 def run_suite(config: TrialConfig) -> VerificationReport:
     """Run every selected property over seeded random trials.
 
-    Trial t draws A, B, xi, gamma and the level-k pair, in that fixed
-    order, from a generator seeded with mix64(config.seed, t), so any
-    recorded worst_seed regenerates its instance exactly. The trials run
-    in chunks of ``chunk_trials(n, d, k)``: ``sample_chunk`` stacks a
-    chunk's draws along a leading trial axis, and each property runs once
-    per chunk, on those stacks, and is judged there; ``merge_results``
-    folds the chunks, summing their ``seconds``.
-    ``cb_level`` runs on the level-k pair regrouped at block size k*d,
-    the rest on A, B, xi, gamma.
+    Trial t draws A, B and the level-k pair, in that fixed order, from a
+    generator seeded with mix64(config.seed, t), so any recorded
+    worst_seed regenerates its instance exactly. The trials run in chunks
+    of ``chunk_trials(n, d, k)``: ``sample_chunk`` stacks a chunk's draws
+    along a leading trial axis, and each property runs once per chunk, on
+    those stacks, and is judged there; ``merge_results`` folds the chunks,
+    summing their ``seconds``. ``cb_level`` runs on the level-k pair
+    regrouped at block size k*d, the rest on A and B.
     """
     per_property: dict[str, list[PropertyResult]] = {p: [] for p in config.properties}
     step = chunk_trials(config.n, config.d, config.k)
@@ -184,16 +177,18 @@ def _load_instance(path: str) -> dict:
 
 def replay_instance(path: str, property_id: str,
                     tol: float | None = None) -> PropertyResult:
-    """Run one checker on a stored {"A": ..., "B": ..., "xi": ..., "gamma": ...} file."""
+    """Run one checker on a stored {"A": ..., "B": ...} file.
+
+    Any other key is ignored, so older files that also hold two random
+    vectors replay as they are.
+    """
     if property_id not in PROPERTIES:
         raise ConfigError(f"unknown property {property_id!r}")
     if tol is not None:
         _check_tolerance(property_id, tol)
     obj = _load_instance(path)
-    decoders = {"A": block_matrix_from_json, "B": block_matrix_from_json,
-                "xi": vector_from_json, "gamma": vector_from_json}
-    x = {key: decode(obj[key], field=key)
-         for key, decode in decoders.items() if key in obj}
+    x = {key: block_matrix_from_json(obj[key], field=key)
+         for key in ("A", "B") if key in obj}
     # at most a suite instance: cb_level's level-k pair has block size k*d
     for key in ("A", "B"):
         if key in x and not (x[key].n <= MAX_N and x[key].d <= MAX_K * MAX_D):

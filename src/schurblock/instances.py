@@ -6,9 +6,9 @@ functions are the per-instance API: each takes a live generator and draws
 one operator, block matrix, vector or lift from it. ``sample_chunk``
 draws a chunk of the suite's trials at once and reproduces that API: the
 trial of seed s is, byte for byte, what ``default_rng(s)`` gives through
-``sample_block_matrix`` (A, then B), ``sample_vector`` (xi, then gamma)
-and ``regroup_lift(sample_lift(...))`` (the level-k A, then B), so a
-report's ``worst_seed`` regenerates its instance through either.
+``sample_block_matrix`` (A, then B) and ``regroup_lift(sample_lift(...))``
+(the level-k A, then B), so a report's ``worst_seed`` regenerates its
+instance through either. No trial draws a vector.
 """
 
 from __future__ import annotations
@@ -112,26 +112,22 @@ def sample_chunk(seeds, n: int, d: int, k: int,
 
     Trial t fills its row of one normals buffer with a single
     ``standard_normal`` call on ``default_rng(seeds[t])``, in the order
-    the per-instance samplers draw them: A and B, xi and gamma, then the
-    k*k blocks of the level-k A and those of the level-k B in row-major
-    order, the real parts of each before its imaginary parts. Each
-    ensemble transform then runs once over the whole chunk. Returns the
-    mapping of A, B, xi and gamma, and that of the level-k pair,
-    regrouped at block size k*d, as A and B.
+    the per-instance samplers draw them: A and B, then the k*k blocks of
+    the level-k A and those of the level-k B in row-major order, the real
+    parts of each before its imaginary parts. Each ensemble transform then
+    runs once over the whole chunk. Returns the mapping of A and B, and
+    that of the level-k pair, regrouped at block size k*d, as A and B.
     """
     if min(n, d, k) < 1:
         raise ShapeError(f"n, d and k must be positive, got n={n}, d={d}, k={k}")
     t, m = len(seeds), n * d
-    widths = (2 * 2 * m * m, 2 * 2 * m, 2 * k * k * 2 * m * m)
-    normals = np.empty((t, sum(widths)))
+    normals = np.empty((t, 2 * (1 + k * k) * 2 * m * m))
     for i, seed in enumerate(seeds):
         np.random.default_rng(seed).standard_normal(out=normals[i])
-    pair, vectors, lifts = np.split(normals, np.cumsum(widths[:-1]), axis=1)
+    pair, lifts = np.split(normals, [2 * 2 * m * m], axis=1)
     a, b = np.moveaxis(_operators(pair.reshape(t, 2, 2, m, m), ensemble), 1, 0)
-    vectors = vectors.reshape(t, 2, 2, m)
-    xi, gamma = (_complex(vectors[:, j, 0], vectors[:, j, 1]) for j in range(2))
     ops = _operators(lifts.reshape(t, 2, k, k, 2, m, m), ensemble)
-    del normals, pair, vectors, lifts  # free the normals before the regroup copy
+    del normals, pair, lifts  # free the normals before the regroup copy
     ka, kb = np.moveaxis(_regroup(_grid(ops, n, d)), 1, 0)
-    return ({"A": unflatten(a, n, d), "B": unflatten(b, n, d), "xi": xi, "gamma": gamma},
+    return ({"A": unflatten(a, n, d), "B": unflatten(b, n, d)},
             {"A": BlockMatrix(n, k * d, ka), "B": BlockMatrix(n, k * d, kb)})

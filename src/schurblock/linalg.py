@@ -14,7 +14,7 @@ size up to 12 (a level-3 pair at d = 4), can build n*d*n = 8*12*8 = 768.
 Functions are pure and never mutate their arguments.
 Every residual is a deviation over its reference, by ``ratio``, with no
 floor. No kernel judges: an indefinite matrix gets an all-NaN
-``psd_sqrt``, which fails whichever residual it reaches.
+``psd_sqrt``. No checker calls ``psd_sqrt``: perfbench's tracer names it.
 """
 
 from __future__ import annotations

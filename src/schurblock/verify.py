@@ -3,13 +3,12 @@
 Each checker measures and returns residuals; only ``run_property``
 judges. A checker is written on stacks of trials: its BlockMatrix
 arguments may carry a leading trial axis (blocks of shape
-(T, n, n, d, d), vectors of shape (T, n*d)), each kernel runs once for
-the whole stack (one batched @, svd, eigh or eigvalsh), and it returns
-one residual per trial, an array of shape (T,). A single instance is the
-batch-of-one case of the same code and gives a float. Trial t's residual
-is, bit for bit, the one its instance gives alone: a batched LAPACK or
-BLAS call makes the same call per matrix, and every sum runs in one
-fixed order whatever the stack.
+(T, n, n, d, d)), each kernel runs once for the whole stack (one batched
+@, svd or eigvalsh), and it returns one residual per trial, an array of
+shape (T,). A single instance is the batch-of-one case of the same code
+and gives a float. Trial t's residual is, bit for bit, the one its
+instance gives alone: a batched LAPACK or BLAS call makes the same call
+per matrix, and every sum runs in one fixed order whatever the stack.
 
 ``run_property`` judges a whole stack, which the suite feeds it one
 chunk of trials at a time: a residual passes at or below the tolerance,
@@ -19,7 +18,9 @@ chunks (sums of counts, the first largest residual). Every residual is a
 deviation over its reference by one rule, ``linalg.ratio``, with no
 floor: matrix identities through ``identity_residual``, scalar
 equalities through ``_gap``, bounds (the excess over the right-hand
-side) through ``_excess``. A NaN residual stays NaN and fails.
+side) through ``_excess``, PSD orders (how far a smallest eigenvalue
+falls below 0) through ``ratio`` itself. A NaN residual stays NaN and
+fails.
 
 Every property is homogeneous in each input, so ``run_property`` judges
 each input of each trial scaled by a power of two, exactly, with its
@@ -68,7 +69,6 @@ import numpy as np
 from .blocks import (
     BlockMatrix,
     _check_same_shape,
-    _unit_scale,
     adjoint_block,
     block_matmul,
     col_norm,
@@ -77,13 +77,11 @@ from .blocks import (
     row_norm,
     schur_block_product,
 )
-from .errors import ShapeError
 from .linalg import (
     as_scalar,
     gap_norm,
     hermitian_min_eig,
     identity_residual,
-    psd_sqrt,
     ratio,
     relative_gap,
     spectral_norm,
@@ -95,11 +93,11 @@ class Property(NamedTuple):
     """One row of PROPERTIES: default tolerance, needed inputs, checker call.
 
     ``check(x)`` returns the checker's residual on the instance
-    mapping x, keyed like the instance file (A, B, xi, gamma), or one
-    residual per trial when x holds stacks of trials; ``needs`` names the
-    keys it must have. It reaches ``verify_<id>`` through its
-    module-level name at call time, so a wrapper installed on that name (a
-    profiler, a tracer) sees every call.
+    mapping x, keyed like the instance file (A, B), or one residual per
+    trial when x holds stacks of trials; ``needs`` names the keys it must
+    have. It reaches ``verify_<id>`` through its module-level name at call
+    time, so a wrapper installed on that name (a profiler, a tracer) sees
+    every call.
     """
 
     tol: float
@@ -118,8 +116,8 @@ PROPERTIES = {
         verify_sharpness(x["A"]))),
     "sandwich": Property(1e-10, ("A",), lambda x: (
         verify_sandwich(x["A"]))),
-    "cauchy_schwarz": Property(1e-8, ("A", "B", "xi", "gamma"), lambda x: (
-        verify_cauchy_schwarz(x["A"], x["B"], x["xi"], x["gamma"]))),
+    "cauchy_schwarz": Property(1e-8, ("A", "B"), lambda x: (
+        verify_cauchy_schwarz(x["A"], x["B"]))),
     "decomposition": Property(1e-10, ("A", "B"), lambda x: (
         verify_decomposition(x["A"], x["B"]))),
     "norm_lemmas": Property(1e-8, ("A",), lambda x: (
@@ -127,11 +125,6 @@ PROPERTIES = {
     "cb_level": Property(1e-8, ("A", "B"), lambda x: (
         verify_cb_level(x["A"], x["B"]))),
 }
-
-# the weight of the gap between cauchy_schwarz's two right-hand-side routes:
-# at its default tolerance 1e-8 they must agree to 1e-10, at T to T/100
-RHS_ROUTE_WEIGHT = 100.0
-
 
 @dataclass(frozen=True)
 class PropertyResult:
@@ -282,84 +275,29 @@ def verify_sandwich(a: BlockMatrix):
     return ratio(_max(0.0, -lo, -hi) + skew, spectral_norm(dmat))
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_k x_k y_k over the last axis, per vector of the stacks.
+def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
+    """|<(A [] B) u, v>| <= ||diag(B*B)^(1/2) u|| ||diag(AA*)^(1/2) v|| for
+    all vectors u and v.
 
-    A (1, m) by (m, 1) matmul is one BLAS dot per vector, the call
-    ndarray.dot and np.vdot make, so it gives their bits.
-    """
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _sq_norms(v: np.ndarray) -> np.ndarray:
-    """||v||^2 per vector over the last axis, as np.linalg.norm(v) ** 2 gives it."""
-    return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag)) ** 2
-
-
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis left to right, as the builtin sum adds.
-
-    np.sum adds in a pairwise order whose grouping depends on the layout;
-    the running sum of np.cumsum is strictly left to right.
-    """
-    return np.cumsum(terms, axis=-1)[..., -1]
-
-
-def cauchy_schwarz_rhs_routes(a: BlockMatrix, b: BlockMatrix, xi, gamma):
-    """The bound's right-hand side computed two independent ways.
-
-    Route one applies per-block PSD square roots of diag(B*B) and diag(AA*)
-    to the vectors; route two accumulates sum ||b_ij xi_j||^2 and
-    sum ||a_ij* gamma_i||^2 directly.
-    """
-    n, d = a.n, a.d
-    xi = np.asarray(xi, dtype=np.complex128).reshape(*a.batch, n, d, 1)
-    gamma = np.asarray(gamma, dtype=np.complex128).reshape(*a.batch, n, d, 1)
-    i = np.arange(n)
-
-    bsb = block_matmul(adjoint_block(b), b).blocks[..., i, i, :, :]
-    aas = block_matmul(a, adjoint_block(a)).blocks[..., i, i, :, :]
-    root_b, root_a = psd_sqrt(np.stack([bsb, aas]))
-    left_sq = _sum_in_order(_sq_norms((root_b @ xi)[..., 0]))
-    right_sq = _sum_in_order(_sq_norms((root_a @ gamma)[..., 0]))
-    rhs_diag = np.sqrt(left_sq) * np.sqrt(right_sq)
-
-    # term (i, j) at i * n + j: the order of the sums over i, then j
-    b_xi = (b.blocks @ xi[..., None, :, :, :])[..., 0]
-    a_gamma = (np.conj(a.blocks).swapaxes(-1, -2) @ gamma[..., :, None, :, :])[..., 0]
-    sum_b = _sum_in_order(_sq_norms(b_xi).reshape(*a.batch, n * n))
-    sum_a = _sum_in_order(_sq_norms(a_gamma).reshape(*a.batch, n * n))
-    rhs_sum = np.sqrt(sum_b) * np.sqrt(sum_a)
-    return as_scalar(rhs_diag), as_scalar(rhs_sum)
-
-
-def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix, xi, gamma):
-    """|<(A [] B) xi, gamma>| <= ||diag(B*B)^(1/2) xi|| ||diag(AA*)^(1/2) gamma||.
-
-    Also recomputes the right-hand side by direct summation. The gap
-    between the two routes is weighted by RHS_ROUTE_WEIGHT (100), so at
-    the default tolerance 1e-8 the residual fails whenever either the
-    inequality or the 1e-10 route agreement does, and it does not depend
-    on the tolerance it is judged at.
+    With D_A = diag(AA*) and D_B = diag(B*B), the bound holds for all u, v
+    exactly when G = [[D_A, A [] B], [(A [] B)*, D_B]] is positive
+    semidefinite, the positivity test for a 2x2 operator matrix (Paulsen,
+    *Completely Bounded Maps and Operator Algebras*, CUP 2002). G is the
+    Gram matrix of the columns of [lambda(A)* V, F lambda(B) V], as F is a
+    self-adjoint unitary, so this is the paper's proof step; it needs no
+    inverse of D_A or D_B and has no singular case. The residual is how far
+    G's smallest eigenvalue falls below 0, relative to r, the largest
+    spectral norm among the 2n diagonal blocks of D_A and D_B.
     """
     _check_same_shape(a, b)
-    dim = a.n * a.d
-    xi = np.asarray(xi, dtype=np.complex128)
-    gamma = np.asarray(gamma, dtype=np.complex128)
-    want = (*a.batch, dim)
-    if xi.shape != want or gamma.shape != want:
-        raise ShapeError(
-            f"vectors must have length n*d = {dim} (shape {want}), "
-            f"got {xi.shape} and {gamma.shape}"
-        )
-    ab_xi = (flatten(schur_block_product(a, b)) @ xi[..., None])[..., 0]
-    inner = _dot(np.conj(gamma), ab_xi)
-    # hypot is abs() of one complex number; np.abs of an array may round
-    # the last bit otherwise
-    lhs = np.hypot(inner.real, inner.imag)
-    rhs_diag, rhs_sum = cauchy_schwarz_rhs_routes(a, b, xi, gamma)
-    route_gap = _gap(rhs_sum, rhs_diag)
-    return as_scalar(_max(_excess(lhs, rhs_diag), route_gap * RHS_ROUTE_WEIGHT))
+    i = np.arange(a.n)
+    d_a = diag_block(block_matmul(a, adjoint_block(a)))
+    d_b = diag_block(block_matmul(adjoint_block(b), b))
+    ab = flatten(schur_block_product(a, b))
+    gram = np.block([[flatten(d_a), ab], [np.conj(ab).swapaxes(-1, -2), flatten(d_b)]])
+    r = spectral_norm(np.concatenate([d_a.blocks[..., i, i, :, :],
+                                      d_b.blocks[..., i, i, :, :]], axis=-3)).max(axis=-1)
+    return ratio(_max(0.0, -hermitian_min_eig(gram)), r)
 
 
 def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
@@ -419,9 +357,8 @@ def run_property(property_id: str, x, *, tol: float | None = None,
     x holds one instance, or stacks of trials along a leading axis (see
     the module docstring). The checker (see ``Property``) runs on the
     inputs the property needs, each one of each trial scaled by a power
-    of two (``BlockMatrix.unit_scaled``, ``blocks._unit_scale``), so the
-    verdict does not depend on the scale of x; ``seconds`` times the
-    checker alone. Each residual passes at or below tol, by default the
+    of two (``BlockMatrix.unit_scaled``), so the verdict does not depend
+    on the scale of x; ``seconds`` times the checker alone. Each residual passes at or below tol, by default the
     property's own; ``failures`` counts those that do not, NaN
     included. The worst trial is the first largest residual in trial
     order, with NaN the largest; its entry of ``seeds``, the trials' seeds
@@ -433,8 +370,7 @@ def run_property(property_id: str, x, *, tol: float | None = None,
     for what in prop.needs:
         if what not in x:
             raise ValueError(f"property {property_id!r} needs {what}")
-    scaled = {key: x[key].unit_scaled if isinstance(x[key], BlockMatrix)
-              else _unit_scale(x[key], 1) for key in prop.needs}
+    scaled = {key: x[key].unit_scaled for key in prop.needs}
     tol = prop.tol if tol is None else tol
     t0 = time.perf_counter()
     residuals = np.ravel(prop.check(scaled))

@@ -1,7 +1,7 @@
 """The chunk sampler against the per-instance samplers it reproduces.
 
 A report's ``worst_seed`` names one trial; regenerating it through
-``sample_block_matrix``, ``sample_vector`` and ``sample_lift`` must give
+``sample_block_matrix`` and ``sample_lift`` must give
 the exact instance the suite checked, compared as bytes so that a -0.0
 where +0.0 belongs counts as a difference.
 """
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from schurblock import (
-    BlockMatrix,
     mix64,
     regroup_lift,
     sample_block_matrix,
@@ -31,15 +30,9 @@ def per_instance(seed, n, d, k, ensemble):
     rng = np.random.default_rng(seed)
     a = sample_block_matrix(rng, n, d, ensemble)
     b = sample_block_matrix(rng, n, d, ensemble)
-    xi = sample_vector(rng, n * d)
-    gamma = sample_vector(rng, n * d)
     ka = regroup_lift(sample_lift(rng, k, n, d, ensemble))
     kb = regroup_lift(sample_lift(rng, k, n, d, ensemble))
-    return {"A": a, "B": b, "xi": xi, "gamma": gamma}, {"A": ka, "B": kb}
-
-
-def _array(v):
-    return v.blocks if isinstance(v, BlockMatrix) else v
+    return {"A": a, "B": b}, {"A": ka, "B": kb}
 
 
 def assert_rows_regenerate(x, level_k, seeds, n, d, k, ensemble):
@@ -48,7 +41,7 @@ def assert_rows_regenerate(x, level_k, seeds, n, d, k, ensemble):
         for got, want in zip((x, level_k), per_instance(seed, n, d, k, ensemble)):
             assert got.keys() == want.keys()
             for key, w in want.items():
-                g, w = _array(got[key])[t], _array(w)
+                g, w = got[key].blocks[t], w.blocks
                 assert g.shape == w.shape, key
                 assert g.tobytes() == w.tobytes(), (seed, key)
 
@@ -64,11 +57,11 @@ def test_chunk_rows_are_the_per_instance_draws(n, d, k, ensemble):
 
 
 def test_a_trial_is_one_generator_call():
-    # the row layout: A, B, xi, gamma, then the k*k blocks of each level-k
-    # matrix, every draw's real parts before its imaginary parts
+    # the row layout: A, B, then the k*k blocks of each level-k matrix,
+    # every draw's real parts before its imaginary parts
     n, d, k, seed = 3, 2, 2, 5
     m = n * d
-    size = 2 * (2 * m * m + 2 * m + 2 * k * k * m * m)
+    size = 2 * (2 * m * m + 2 * k * k * m * m)
     z = np.random.default_rng(seed).standard_normal(size)
     x, level_k = sample_chunk([seed], n, d, k)
 
@@ -78,7 +71,12 @@ def test_a_trial_is_one_generator_call():
 
     a = normals(0, m * m).reshape(m, m) / np.sqrt(m)
     assert np.array_equal(x["A"].blocks[0], a.reshape(n, d, n, d).swapaxes(1, 2))
-    assert np.array_equal(x["gamma"][0], normals(4 * m * m + 2 * m, m))
+    b = normals(2 * m * m, m * m).reshape(m, m) / np.sqrt(m)
+    assert np.array_equal(x["B"].blocks[0], b.reshape(n, d, n, d).swapaxes(1, 2))
+    # the level-k A's grid entry (0, 0) follows B directly
+    first = normals(4 * m * m, m * m).reshape(m, m) / np.sqrt(m)
+    corner = level_k["A"].blocks[0][:, :, :d, :d]
+    assert np.array_equal(corner, first.reshape(n, d, n, d).swapaxes(1, 2))
     # the last block drawn is the level-k B's grid entry (k-1, k-1)
     last = normals(z.size - 2 * m * m, m * m).reshape(m, m) / np.sqrt(m)
     corner = level_k["B"].blocks[0][:, :, (k - 1) * d:, (k - 1) * d:]

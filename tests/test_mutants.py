@@ -25,10 +25,7 @@ import pytest
 from schurblock import (
     BlockMatrix,
     StinespringSystem,
-    adjoint_block,
-    block_matmul,
     block_matrix_to_json,
-    cauchy_schwarz_rhs_routes,
     col_norm,
     flatten,
     mix64,
@@ -36,11 +33,9 @@ from schurblock import (
     run_property,
     sample_block_matrix,
     sample_chunk,
-    sample_vector,
     schur_block_product,
     spectral_norm,
     unflatten,
-    vector_to_json,
 )
 from schurblock import blocks, stinespring, verify
 from schurblock.cli import main
@@ -71,14 +66,13 @@ def diag_block_identity(a):
 
 # (name, mutant, the properties it fails, those whose residual is NaN)
 MUTANTS = [
-    ("adjoint_block", adjoint_without_conj, {"sandwich", "cauchy_schwarz"},
-     {"cauchy_schwarz"}),
-    ("adjoint_block", adjoint_without_slot_swap, {"sandwich", "cauchy_schwarz"},
-     {"cauchy_schwarz"}),
+    ("adjoint_block", adjoint_without_conj, {"sandwich", "cauchy_schwarz"}, set()),
+    ("adjoint_block", adjoint_without_slot_swap, {"sandwich", "cauchy_schwarz"}, set()),
     ("schur_block_product", schur_product_swapped,
-     {"factorization", "structure", "sandwich", "decomposition"}, set()),
+     {"factorization", "structure", "sandwich", "cauchy_schwarz", "decomposition"}, set()),
     ("block_matmul", block_matmul_swapped, {"sandwich", "cauchy_schwarz"}, set()),
-    ("diag_block", diag_block_identity, {"structure", "sandwich", "decomposition"}, set()),
+    ("diag_block", diag_block_identity,
+     {"structure", "sandwich", "cauchy_schwarz", "decomposition"}, set()),
 ]
 
 
@@ -88,13 +82,11 @@ def install(monkeypatch, name, mutant):
 
 
 def write_trial_instance(path, seed):
-    """The suite's trial for ``seed``: A, B, xi, gamma in their draw order."""
+    """The suite's trial for ``seed``: A and B in their draw order."""
     rng = np.random.default_rng(seed)
     a, b = (sample_block_matrix(rng, N, D) for _ in range(2))
-    xi, gamma = (sample_vector(rng, N * D) for _ in range(2))
     path.write_text(json.dumps({
-        "A": block_matrix_to_json(a), "B": block_matrix_to_json(b),
-        "xi": vector_to_json(xi), "gamma": vector_to_json(gamma)}))
+        "A": block_matrix_to_json(a), "B": block_matrix_to_json(b)}))
 
 
 @pytest.mark.parametrize("name, mutant, failing, nan", MUTANTS,
@@ -148,7 +140,7 @@ DRAWS = 40
 
 
 def ginibre_draws(n, d, draws=DRAWS):
-    """``draws`` suite trials of A, B, xi and gamma at (n, d), stacked."""
+    """``draws`` suite trials of A and B at (n, d), stacked."""
     x, _ = sample_chunk([mix64(2017, t) for t in range(draws)], n, d, 1)
     return x
 
@@ -186,28 +178,15 @@ def sandwich_lower_family(n, d, draws=DRAWS, seed=13):
     return {"A": BlockMatrix(n, d, a)}
 
 
-def _diag_pinv_root(x):
-    """flatten of the block diagonal whose block i is the pseudo-inverse of
-    the PSD square root of x_ii, for each grid of the stack x."""
-    i = np.arange(x.n)
-    w, u = np.linalg.eigh(x.blocks[..., i, i, :, :])
-    keep = w > 1e-12 * w[..., -1:]
-    root = np.where(keep, 1 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    blocks = np.zeros_like(x.blocks)
-    blocks[..., i, i, :, :] = (u * root[..., None, :]) @ np.conj(u).swapaxes(-1, -2)
-    return flatten(BlockMatrix(x.n, x.d, blocks))
-
-
 def cauchy_schwarz_row_family(n, d, draws=DRAWS, seed=17):
-    """A, B, xi and gamma at which Cauchy–Schwarz holds with equality, stacked.
+    """Pairs at which Cauchy–Schwarz holds with equality, stacked.
 
     Only block row 0 is nonzero: A's blocks are Ginibre and B's unitary.
-    With D_A = diag(AA*), D_B = diag(B*B) and pseudo-inverse roots on their
-    zero blocks, (u, v) is the top singular pair of
-    M = D_A^(-1/2) (A [] B) D_B^(-1/2), xi = D_B^(-1/2) v and
-    gamma = D_A^(-1/2) u. The left-hand side is then ||M||, the right-hand
-    side ||u|| ||v|| = 1, and MM* is the identity on block row 0, so
-    ||M|| = 1.
+    Then D_B = diag(B*B) is the identity, and D_A = diag(AA*) equals
+    (A [] B)(A [] B)* = sum_j a_0j b_0j b_0j* a_0j* on block row 0 and is 0
+    elsewhere. So the Schur complement D_A - (A [] B) D_B^-1 (A [] B)* of
+    the Gram matrix G = [[D_A, A [] B], [(A [] B)*, D_B]] is 0: G is
+    singular, and the bound is reached for some pair of vectors.
     """
     rng = np.random.default_rng(seed)
     a = np.zeros((draws, n, n, d, d), dtype=np.complex128)
@@ -215,13 +194,19 @@ def cauchy_schwarz_row_family(n, d, draws=DRAWS, seed=17):
     row = (draws, n, d, d)
     a[:, 0] = rng.standard_normal(row) + 1j * rng.standard_normal(row)
     b[:, 0], _ = np.linalg.qr(rng.standard_normal(row) + 1j * rng.standard_normal(row))
-    a, b = BlockMatrix(n, d, a), BlockMatrix(n, d, b)
-    root_a = _diag_pinv_root(block_matmul(a, adjoint_block(a)))
-    root_b = _diag_pinv_root(block_matmul(adjoint_block(b), b))
-    u, _, vh = np.linalg.svd(root_a @ flatten(schur_block_product(a, b)) @ root_b)
-    xi = (root_b @ np.conj(vh[..., 0, :, None]))[..., 0]
-    gamma = (root_a @ u[..., :, :1])[..., 0]
-    return {"A": a, "B": b, "xi": xi, "gamma": gamma}
+    return {"A": BlockMatrix(n, d, a), "B": BlockMatrix(n, d, b)}
+
+
+def cauchy_schwarz_gram(a, b):
+    """(lambda_min(G), r): G's smallest eigenvalue and the largest norm of
+    a diagonal block of D_A or D_B, from dense products of flatten(A), flatten(B)."""
+    fa, fb = flatten(a), flatten(b)
+    keep = np.kron(np.eye(a.n), np.ones((a.d, a.d)))
+    d_a = keep * (fa @ np.conj(fa).swapaxes(-1, -2))
+    d_b = keep * (np.conj(fb).swapaxes(-1, -2) @ fb)
+    ab = flatten(schur_block_product(a, b))
+    gram = np.block([[d_a, ab], [np.conj(ab).swapaxes(-1, -2), d_b]])
+    return np.linalg.eigvalsh(gram)[..., 0], np.maximum(spectral_norm(d_a), spectral_norm(d_b))
 
 
 def norms_swapped(monkeypatch):
@@ -267,22 +252,22 @@ def test_shrunk_diagonal_is_killed_by_the_sandwich_lower_family(monkeypatch):
 @pytest.mark.parametrize("n, d", [(4, 2), (3, 3), (2, 1)])
 def test_cauchy_schwarz_row_family_reaches_the_bound(n, d):
     x = cauchy_schwarz_row_family(n, d)
-    ab_xi = flatten(schur_block_product(x["A"], x["B"])) @ x["xi"][..., None]
-    lhs = np.abs((np.conj(x["gamma"])[..., None, :] @ ab_xi)[..., 0, 0])
-    rhs, _ = cauchy_schwarz_rhs_routes(x["A"], x["B"], x["xi"], x["gamma"])
-    # equality up to rounding: at most 1.8e-15 off at seed 17
-    assert np.abs(lhs / rhs - 1).max() <= 4e-15
+    lowest, r = cauchy_schwarz_gram(x["A"], x["B"])
+    # G is PSD and singular, up to rounding
+    assert np.abs(lowest / r).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (3, 3), (2, 1)])
 def test_shrunk_bound_is_killed_by_the_cauchy_schwarz_family(n, d, monkeypatch):
     family = cauchy_schwarz_row_family(n, d)
     assert run_property("cauchy_schwarz", family).failures == 0
-    routes = verify.cauchy_schwarz_rhs_routes
-    monkeypatch.setattr(verify, "cauchy_schwarz_rhs_routes", lambda *x: tuple(
-        0.999 * rhs for rhs in routes(*x)))
+    monkeypatch.setattr(verify, "diag_block", lambda a: BlockMatrix(
+        a.n, a.d, 0.999 * blocks.diag_block(a).blocks))
     assert run_property("cauchy_schwarz", family).failures == DRAWS
-    assert run_property("cauchy_schwarz", ginibre_draws(n, d)).failures == 0
+    # random draws stay inside the shrunk bound, but for one at (2, 1) whose
+    # G has its smallest eigenvalue within 3.2e-5 r of 0
+    random_kills = 1 if (n, d) == (2, 1) else 0
+    assert run_property("cauchy_schwarz", ginibre_draws(n, d)).failures == random_kills
 
 
 def rho_with_blocks_transposed(a):
