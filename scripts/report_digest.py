@@ -6,9 +6,9 @@ SRC_DIR is the directory that holds the ``schurblock`` package (``src`` of
 a checkout). The script runs its command line in process and hashes, in a
 fixed order and each under a label:
 
-- ``verify`` for every (n, d, k) x trials of CONFIGS, every ensemble and
-  both SEEDS, once as JSON with each result's ``seconds`` dropped and once
-  as CSV without its seconds column, each with its exit code;
+- ``verify`` for every (n, d, k) x trials of CONFIGS and both SEEDS, once
+  as JSON with each result's ``seconds`` dropped and once as CSV without
+  its seconds column, each with its exit code;
 - the ``replay`` line and exit code of all nine properties on the seeded
   instances of REPLAY_SHAPES;
 - the ``emit-system`` bytes at (8, 4) with the (8, 4) instance, and at
@@ -20,7 +20,7 @@ sha256 lines over all of them, labels included:
 
 - ``<sha256>  verdicts`` hashes each output's exit code, each verify
   result's ``trials`` and ``failures``, and each replay's PASS or FAIL;
-- ``<sha256>  113 outputs`` hashes the outputs whole.
+- ``<sha256>  57 outputs`` hashes the outputs whole.
 
 Two trees that print the same last line write the same reports, timings
 apart; where they differ, a diff of the two printouts names the outputs
@@ -98,21 +98,20 @@ def verdicts(text: str, fmt: str) -> str:
     return "\n".join(" ".join(map(str, row)) for row in rows)
 
 
-def pieces(main, properties, ensembles, tmp: Path):
+def pieces(main, properties, tmp: Path):
     """(label, bytes, verdict) of every output, in a fixed order."""
     out = tmp / "out"
     for (n, d, k), trials in CONFIGS:
-        for ensemble in ensembles:
-            for seed in SEEDS:
-                for fmt in ("json", "csv"):
-                    argv = ["verify", "--n", str(n), "--d", str(d), "--k", str(k),
-                            "--trials", str(trials), "--seed", str(seed),
-                            "--ensemble", ensemble, "--format", fmt, "--out", str(out)]
-                    code = main(argv)
-                    text = out.read_text(encoding="utf-8")
-                    yield (" ".join(argv[:-2]),
-                           f"{code}\n{without_seconds(text, fmt)}".encode(),
-                           f"{code}\n{verdicts(text, fmt)}")
+        for seed in SEEDS:
+            for fmt in ("json", "csv"):
+                argv = ["verify", "--n", str(n), "--d", str(d), "--k", str(k),
+                        "--trials", str(trials), "--seed", str(seed),
+                        "--format", fmt, "--out", str(out)]
+                code = main(argv)
+                text = out.read_text(encoding="utf-8")
+                yield (" ".join(argv[:-2]),
+                       f"{code}\n{without_seconds(text, fmt)}".encode(),
+                       f"{code}\n{verdicts(text, fmt)}")
     for n, d in REPLAY_SHAPES:
         path = tmp / f"instance_{n}_{d}.json"
         write_instance(path, n, d)
@@ -143,7 +142,6 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     import schurblock
     from schurblock.cli import main as cli_main
-    from schurblock.instances import ENSEMBLES
     from schurblock.verify import PROPERTIES
 
     if not Path(schurblock.__file__).resolve().is_relative_to(src):
@@ -153,8 +151,7 @@ def main(argv=None) -> int:
     digest, verdict_digest = hashlib.sha256(), hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for label, data, verdict in pieces(cli_main, tuple(PROPERTIES), ENSEMBLES,
-                                           Path(tmp)):
+        for label, data, verdict in pieces(cli_main, tuple(PROPERTIES), Path(tmp)):
             digest.update(f"{label}\n{len(data)}\n".encode())
             digest.update(data)
             verdict_digest.update(f"{label}\n{verdict}\n".encode())

@@ -33,15 +33,10 @@ from .blocks import (
 )
 from .errors import ContractError, ShapeError
 from .instances import (
-    ENSEMBLES,
-    GINIBRE,
-    HAAR,
-    HERMITIAN,
     mix64,
     sample_block_matrix,
     sample_chunk,
     sample_lift,
-    sample_operator,
     sample_vector,
 )
 from .linalg import (
@@ -79,10 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockMatrix",
     "ContractError",
-    "ENSEMBLES",
-    "GINIBRE",
-    "HAAR",
-    "HERMITIAN",
     "PROPERTIES",
     "PropertyResult",
     "ShapeError",
@@ -115,7 +106,6 @@ __all__ = [
     "sample_block_matrix",
     "sample_chunk",
     "sample_lift",
-    "sample_operator",
     "sample_vector",
     "schur_block_product",
     "schur_unit",

@@ -1,7 +1,8 @@
 """Command-line front end for the verification suite.
 
 Subcommands:
-  verify       run the randomized property suite for one configuration
+  verify       run the randomized property suite for one configuration,
+               on complex Ginibre draws (see ``instances``)
   replay       run a single checker on a stored instance file
   emit-system  dump V, F, Q (and, given an instance, lambda(A) and A)
 
@@ -29,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .blocks import block_matrix_from_json, json_chunks
 from .errors import ShapeError
-from .instances import ENSEMBLES, GINIBRE, mix64, sample_chunk
+from .instances import mix64, sample_chunk
 from .stinespring import StinespringSystem, build_lambda, triple_dim
 from .verify import PROPERTIES, PropertyResult, merge_results, run_property
 
@@ -75,7 +76,6 @@ class TrialConfig:
     k: int = 2
     trials: int = 200
     seed: int = 42
-    ensemble: str = GINIBRE
     tolerances: dict = field(default_factory=dict)
     properties: tuple = tuple(PROPERTIES)
 
@@ -90,10 +90,6 @@ class TrialConfig:
             raise ConfigError(f"trials must be nonnegative, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.ensemble not in ENSEMBLES:
-            raise ConfigError(
-                f"unknown ensemble {self.ensemble!r}, expected one of {ENSEMBLES}"
-            )
         props = tuple(self.properties)
         if not props:
             raise ConfigError("no properties selected")
@@ -156,7 +152,7 @@ def run_suite(config: TrialConfig) -> VerificationReport:
     for first in range(0, config.trials, step):
         seeds = [mix64(config.seed, t)
                  for t in range(first, min(first + step, config.trials))]
-        x, level_k = sample_chunk(seeds, config.n, config.d, config.k, config.ensemble)
+        x, level_k = sample_chunk(seeds, config.n, config.d, config.k)
         for p in config.properties:
             per_property[p].append(run_property(
                 p, level_k if p == "cb_level" else x,
@@ -274,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=TrialConfig.trials)
     pv.add_argument("--seed", type=int, default=TrialConfig.seed,
                     help="suite seed")
-    pv.add_argument("--ensemble", choices=ENSEMBLES, default=TrialConfig.ensemble)
     pv.add_argument("--properties", default=None,
                     help="comma-separated property ids (default: all)")
     for prop, spec in PROPERTIES.items():
@@ -307,7 +302,7 @@ def _cmd_verify(args) -> int:
     )
     config = TrialConfig(
         n=args.n, d=args.d, k=args.k, trials=args.trials, seed=args.seed,
-        ensemble=args.ensemble, tolerances=tolerances, properties=properties,
+        tolerances=tolerances, properties=properties,
     )
     report = run_suite(config)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)

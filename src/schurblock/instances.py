@@ -1,9 +1,13 @@
-"""Seeded random instance generation.
+"""Seeded random instance generation: complex Ginibre draws.
+
+Complex Ginibre is the one distribution the suite draws: normal
+matrices (A*A = AA*) and unitary blocks (row_norm = col_norm) hide
+adjoint-order and swapped-norm bugs that Ginibre draws expose.
 
 All sampling flows through an explicit ``numpy.random.Generator``, so a
 fixed seed reproduces every matrix bit for bit. The ``sample_*``
 functions are the per-instance API: each takes a live generator and draws
-one operator, block matrix, vector or lift from it. ``sample_chunk``
+one block matrix, vector or lift from it. ``sample_chunk``
 draws a chunk of the suite's trials at once and reproduces that API: the
 trial of seed s is, byte for byte, what ``default_rng(s)`` gives through
 ``sample_block_matrix`` (A, then B) and ``regroup_lift(sample_lift(...))``
@@ -17,11 +21,6 @@ import numpy as np
 
 from .blocks import BlockMatrix, _grid, _regroup, unflatten
 from .errors import ShapeError
-
-GINIBRE = "ginibre"
-HERMITIAN = "hermitian"
-HAAR = "haar"
-ENSEMBLES = (GINIBRE, HERMITIAN, HAAR)
 
 _MASK64 = (1 << 64) - 1
 
@@ -48,46 +47,25 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return g
 
 
-def _operators(z: np.ndarray, ensemble: str) -> np.ndarray:
-    """The ensemble's (..., size, size) operators from (..., 2, size, size) normals.
+def _operators(z: np.ndarray) -> np.ndarray:
+    """Ginibre (..., size, size) operators from (..., 2, size, size) normals.
 
-    Axis -3 holds the real, then the imaginary parts of a Ginibre draw.
-    Every step acts on each matrix of the stack alone, so a stack gives
-    the same bits as its matrices one at a time.
+    Axis -3 holds the real, then the imaginary parts. The draw is scaled
+    by 1/sqrt(size), which keeps spectral norms O(1) so relative
+    tolerances stay meaningful. Every step acts on each matrix of the
+    stack alone, so a stack gives the same bits as its matrices one at a
+    time.
     """
-    if ensemble not in ENSEMBLES:
-        raise ValueError(f"unknown ensemble {ensemble!r}, expected one of {ENSEMBLES}")
     x = _complex(z[..., 0, :, :], z[..., 1, :, :])
-    if ensemble == HERMITIAN:
-        x = x + x.conj().swapaxes(-1, -2)
-        x /= 2
-    elif ensemble == HAAR:
-        # Ginibre + QR with the phase fix that makes Q Haar distributed
-        x, r = np.linalg.qr(x)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        absd = np.abs(diag)
-        phases = diag / np.where(absd == 0, 1.0, absd)
-        x *= np.where(absd == 0, 1.0, phases)[..., None, :]
     x *= 1.0 / np.sqrt(z.shape[-1])
     return x
 
 
-def sample_operator(rng: np.random.Generator, size: int,
-                    ensemble: str = GINIBRE) -> np.ndarray:
-    """Draw one size-by-size random matrix from the given ensemble.
-
-    The draw is scaled by 1/sqrt(size), which keeps spectral norms O(1) so
-    relative tolerances stay meaningful. hermitian draws are exactly
-    Hermitian; haar draws are a scaled Haar unitary.
-    """
-    if size < 1:
-        raise ShapeError(f"matrix size must be positive, got {size}")
-    return _operators(rng.standard_normal((2, size, size)), ensemble)
-
-
-def sample_block_matrix(rng: np.random.Generator, n: int, d: int,
-                        ensemble: str = GINIBRE) -> BlockMatrix:
-    return unflatten(sample_operator(rng, n * d, ensemble), n, d)
+def sample_block_matrix(rng: np.random.Generator, n: int, d: int) -> BlockMatrix:
+    """One (n, d) block matrix: a Ginibre operator of size n*d, unflattened."""
+    if min(n, d) < 1:
+        raise ShapeError(f"n and d must be positive, got n={n}, d={d}")
+    return unflatten(_operators(rng.standard_normal((2, n * d, n * d))), n, d)
 
 
 def sample_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -97,24 +75,22 @@ def sample_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return _complex(*rng.standard_normal((2, dim)))
 
 
-def sample_lift(rng: np.random.Generator, k: int, n: int, d: int,
-                ensemble: str = GINIBRE) -> list:
+def sample_lift(rng: np.random.Generator, k: int, n: int, d: int) -> list:
     """k-by-k grid of independent random BlockMatrix draws."""
     if k < 1:
         raise ShapeError(f"lift level must be positive, got {k}")
-    return [[sample_block_matrix(rng, n, d, ensemble) for _ in range(k)]
+    return [[sample_block_matrix(rng, n, d) for _ in range(k)]
             for _ in range(k)]
 
 
-def sample_chunk(seeds, n: int, d: int, k: int,
-                 ensemble: str = GINIBRE) -> tuple[dict, dict]:
+def sample_chunk(seeds, n: int, d: int, k: int) -> tuple[dict, dict]:
     """The trials of ``seeds``, stacked along a leading trial axis.
 
     Trial t fills its row of one normals buffer with a single
     ``standard_normal`` call on ``default_rng(seeds[t])``, in the order
     the per-instance samplers draw them: A and B, then the k*k blocks of
     the level-k A and those of the level-k B in row-major order, the real
-    parts of each before its imaginary parts. Each ensemble transform then
+    parts of each before its imaginary parts. The Ginibre transform then
     runs once over the whole chunk. Returns the mapping of A and B, and
     that of the level-k pair, regrouped at block size k*d, as A and B.
     """
@@ -125,8 +101,8 @@ def sample_chunk(seeds, n: int, d: int, k: int,
     for i, seed in enumerate(seeds):
         np.random.default_rng(seed).standard_normal(out=normals[i])
     pair, lifts = np.split(normals, [2 * 2 * m * m], axis=1)
-    a, b = np.moveaxis(_operators(pair.reshape(t, 2, 2, m, m), ensemble), 1, 0)
-    ops = _operators(lifts.reshape(t, 2, k, k, 2, m, m), ensemble)
+    a, b = np.moveaxis(_operators(pair.reshape(t, 2, 2, m, m)), 1, 0)
+    ops = _operators(lifts.reshape(t, 2, k, k, 2, m, m))
     del normals, pair, lifts  # free the normals before the regroup copy
     ka, kb = np.moveaxis(_regroup(_grid(ops, n, d)), 1, 0)
     return ({"A": unflatten(a, n, d), "B": unflatten(b, n, d)},

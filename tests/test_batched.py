@@ -12,7 +12,6 @@ import pytest
 
 from conftest import random_bm
 from schurblock import (
-    ENSEMBLES,
     PROPERTIES,
     BlockMatrix,
     block_matrix,
@@ -51,16 +50,13 @@ def _bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
-CONFIGS = [(n, d, k, 5, ensemble)
-           for n, d, k in [(1, 1, 1), (3, 1, 1), (4, 2, 2), (2, 3, 1)]
-           for ensemble in ENSEMBLES] + [(8, 4, 3, 6, "ginibre")]
+CONFIGS = [(1, 1, 1, 5), (3, 1, 1, 5), (4, 2, 2, 5), (2, 3, 1, 5), (8, 4, 3, 6)]
 
 
-@pytest.mark.parametrize("n,d,k,trials,ensemble", CONFIGS)
-def test_chunk_residuals_are_the_single_trial_residuals(n, d, k, trials, ensemble,
-                                                        monkeypatch):
+@pytest.mark.parametrize("n,d,k,trials", CONFIGS)
+def test_chunk_residuals_are_the_single_trial_residuals(n, d, k, trials, monkeypatch):
     calls = _record_checkers(monkeypatch)
-    run_suite(TrialConfig(n=n, d=d, k=k, trials=trials, seed=29, ensemble=ensemble))
+    run_suite(TrialConfig(n=n, d=d, k=k, trials=trials, seed=29))
     monkeypatch.undo()
 
     chunks = {pid: 0 for pid in PROPERTIES}

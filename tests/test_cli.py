@@ -104,9 +104,10 @@ class TestTrialConfig:
         with pytest.raises(ConfigError, match="must be finite and nonnegative"):
             TrialConfig(tolerances={"livshits": tol})
 
-    def test_unknown_ensemble_rejected(self):
-        with pytest.raises(ConfigError):
-            TrialConfig(ensemble="levy")
+    def test_ensemble_setting_is_gone(self):
+        # every trial is Ginibre: the old setting fails loudly, not silently
+        with pytest.raises(TypeError, match="ensemble"):
+            TrialConfig(ensemble="ginibre")
 
     def test_duplicate_and_empty_selections_rejected(self):
         with pytest.raises(ConfigError, match="'livshits' selected twice"):
@@ -133,11 +134,6 @@ class TestRunSuite:
             TrialConfig().properties)
         for r in report.results:
             assert r.trials == 5
-
-    def test_all_ensembles(self):
-        for ensemble in ("ginibre", "hermitian", "haar"):
-            report = run_suite(small_config(ensemble=ensemble, trials=2))
-            assert report.passed, ensemble
 
     def test_csv_has_one_row_per_property(self):
         report = run_suite(small_config())
@@ -204,10 +200,8 @@ class TestReplay:
         with pytest.raises(ValueError, match="missing field"):
             replay_instance(str(path), "factorization")
 
-    @pytest.mark.parametrize("ensemble", ["ginibre", "hermitian", "haar"])
     @pytest.mark.parametrize("n, d, k", [(2, 1, 1), (3, 2, 2), (2, 3, 1)])
-    def test_replays_the_suite_worst_instance(self, n, d, k, ensemble, tmp_path,
-                                              monkeypatch):
+    def test_replays_the_suite_worst_instance(self, n, d, k, tmp_path, monkeypatch):
         # cb_level's instance is its level-k pair, written as A and B; the
         # suite passes a chunk of trials, stacked, with their seeds in order
         seen = {}
@@ -219,8 +213,7 @@ class TestReplay:
 
         with monkeypatch.context() as m:
             m.setattr(cli, "run_property", record)
-            report = run_suite(TrialConfig(n=n, d=d, k=k, trials=4, seed=5,
-                                           ensemble=ensemble))
+            report = run_suite(TrialConfig(n=n, d=d, k=k, trials=4, seed=5))
         assert len(report.results) == len(PROPERTIES)
         for r in report.results:
             x = seen[r.property_id, r.worst_seed]
@@ -444,6 +437,11 @@ class TestCommandLine:
     def test_unknown_property_exit_code(self):
         p = run_cli("verify", "--properties", "bogus", "--trials", "1")
         assert p.returncode == 2
+
+    def test_ensemble_flag_is_gone(self):
+        p = run_cli("verify", "--ensemble", "haar", "--trials", "1")
+        assert p.returncode == 2
+        assert "unrecognized arguments: --ensemble haar" in p.stderr
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "corrupt.json"

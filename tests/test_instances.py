@@ -22,23 +22,21 @@ from schurblock.cli import TrialConfig, chunk_trials, run_suite
 from schurblock.errors import ShapeError
 from schurblock.verify import run_property
 
-ENSEMBLES = ("ginibre", "hermitian", "haar")
 
-
-def per_instance(seed, n, d, k, ensemble):
+def per_instance(seed, n, d, k):
     """Trial ``seed`` through the public samplers, in the documented order."""
     rng = np.random.default_rng(seed)
-    a = sample_block_matrix(rng, n, d, ensemble)
-    b = sample_block_matrix(rng, n, d, ensemble)
-    ka = regroup_lift(sample_lift(rng, k, n, d, ensemble))
-    kb = regroup_lift(sample_lift(rng, k, n, d, ensemble))
+    a = sample_block_matrix(rng, n, d)
+    b = sample_block_matrix(rng, n, d)
+    ka = regroup_lift(sample_lift(rng, k, n, d))
+    kb = regroup_lift(sample_lift(rng, k, n, d))
     return {"A": a, "B": b}, {"A": ka, "B": kb}
 
 
-def assert_rows_regenerate(x, level_k, seeds, n, d, k, ensemble):
+def assert_rows_regenerate(x, level_k, seeds, n, d, k):
     """Row t of every stack is, byte for byte, trial seeds[t] drawn alone."""
     for t, seed in enumerate(seeds):
-        for got, want in zip((x, level_k), per_instance(seed, n, d, k, ensemble)):
+        for got, want in zip((x, level_k), per_instance(seed, n, d, k)):
             assert got.keys() == want.keys()
             for key, w in want.items():
                 g, w = got[key].blocks[t], w.blocks
@@ -46,14 +44,13 @@ def assert_rows_regenerate(x, level_k, seeds, n, d, k, ensemble):
                 assert g.tobytes() == w.tobytes(), (seed, key)
 
 
-@pytest.mark.parametrize("ensemble", ENSEMBLES)
 @pytest.mark.parametrize("n, d, k", [(1, 1, 1), (3, 2, 2), (2, 3, 1), (8, 4, 3)])
-def test_chunk_rows_are_the_per_instance_draws(n, d, k, ensemble):
+def test_chunk_rows_are_the_per_instance_draws(n, d, k):
     seeds = [mix64(2017, t) for t in range(3)]
-    x, level_k = sample_chunk(seeds, n, d, k, ensemble)
+    x, level_k = sample_chunk(seeds, n, d, k)
     assert (x["A"].n, x["A"].d, level_k["A"].n, level_k["A"].d) == (n, d, n, k * d)
     assert x["A"].batch == level_k["B"].batch == (len(seeds),)
-    assert_rows_regenerate(x, level_k, seeds, n, d, k, ensemble)
+    assert_rows_regenerate(x, level_k, seeds, n, d, k)
 
 
 def test_a_trial_is_one_generator_call():
@@ -83,8 +80,7 @@ def test_a_trial_is_one_generator_call():
     assert np.array_equal(corner, last.reshape(n, d, n, d).swapaxes(1, 2))
 
 
-@pytest.mark.parametrize("ensemble", ENSEMBLES)
-def test_suite_chunks_regenerate_across_the_chunk_boundary(ensemble, monkeypatch):
+def test_suite_chunks_regenerate_across_the_chunk_boundary(monkeypatch):
     # 300 trials at (4, 2, 2) run as chunks of 256 and 44
     n, d, k, trials = 4, 2, 2, 300
     assert chunk_trials(n, d, k) == 256
@@ -95,14 +91,14 @@ def test_suite_chunks_regenerate_across_the_chunk_boundary(ensemble, monkeypatch
         return run_property(p, x, **kw)
 
     monkeypatch.setattr(cli, "run_property", record)
-    run_suite(TrialConfig(n=n, d=d, k=k, trials=trials, seed=42, ensemble=ensemble,
+    run_suite(TrialConfig(n=n, d=d, k=k, trials=trials, seed=42,
                           properties=("livshits", "cb_level")))
     assert [len(s) for s in seen] == [256, 44]
     assert [s for chunk in seen for s in chunk] == [mix64(42, t) for t in range(trials)]
     for seeds, by_property in seen.items():
         # the suite hands run_property each trial as drawn
         assert_rows_regenerate(by_property["livshits"], by_property["cb_level"],
-                               seeds, n, d, k, ensemble)
+                               seeds, n, d, k)
 
 
 @pytest.mark.parametrize("dim", [0, -1])
@@ -120,3 +116,9 @@ def test_sample_lift_rejects_level_below_one(k):
 def test_sample_chunk_rejects_sizes_below_one():
     with pytest.raises(ShapeError, match="must be positive"):
         sample_chunk([1], 2, 2, 0)
+
+
+def test_sample_chunk_takes_no_ensemble():
+    # every trial is Ginibre: a distribution argument raises, not draws otherwise
+    with pytest.raises(TypeError):
+        sample_chunk([mix64(2017, 0)], 2, 1, 1, "haar")
