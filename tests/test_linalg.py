@@ -185,6 +185,36 @@ SAMPLER_DIGESTS = {
         "fde7d1a17174e978a6819b75ffae156ef450b16a635382f3284f99a891fd95d3",
         "74710953e5171a63e8cc8eded4c418f35bcccfcf6c659dd9ad3cac8530b99ba9",
     ),
+    (1, 1, 1): (
+        "1c418be30463b07c9ac264bf818808b3c19f72079152af10f10c7500fe2d8622",
+        "81124eb52617f856067825e358e57218aa97948bac23a906702b65805bdfae4d",
+        "43b9fb5ca9a6cfabf97db97dfab3367a52e097d31ac0a6dd07d6437894e6aa15",
+    ),
+    (2, 1, 2): (
+        "937137495333a17199816a6b5100527d8117ca70557e6810002c9a37145d0501",
+        "ce4f1456e392be2267443f60be3b81721d29544efca74e8d0ed4142294f1d56c",
+        "b7368eaf24f7ded6eb2c4ee69924546ce5f9d12702f6e1377b607157adff3ddd",
+    ),
+    (4, 2, 1): (
+        "9e885259b003f53998169f5894980261bcbc67f1ef82149e99cfea3009697eed",
+        "02a0d900aaf0b72c6ec4152640ae2ba9e933ab3116630a9845170ab44b98784f",
+        "de388405e2327031ce2d703c1a594fbfa7b37d2f7d825ee05fec211c5df713ea",
+    ),
+    (1, 2, 1): (
+        "937137495333a17199816a6b5100527d8117ca70557e6810002c9a37145d0501",
+        "ce4f1456e392be2267443f60be3b81721d29544efca74e8d0ed4142294f1d56c",
+        "7d81a6e6a3ff0e9f802bc7a45e5e8179c80cf771355dc2ebae3eeb6b7f8d3076",
+    ),
+    (2, 3, 1): (
+        "8861b36620290e20ffa860ae9f5a27ebfec1c5a9f794c4351e0d266900cc4023",
+        "96a1dac54f6dea0d7d7405821b88d66ad6ff9d8a9cc7f957cd4011aa01ef6066",
+        "aa3002ceaf3a57233b3e1e05bf9228918a38fbc0199d1c4bad2f9758cfcaedb6",
+    ),
+    (4, 2, 2): (
+        "9e885259b003f53998169f5894980261bcbc67f1ef82149e99cfea3009697eed",
+        "02a0d900aaf0b72c6ec4152640ae2ba9e933ab3116630a9845170ab44b98784f",
+        "828817d8ab463f84fe6378fec69e66c172d95bc9069838ce742c12c9032d7559",
+    ),
 }
 
 

@@ -38,7 +38,7 @@ from schurblock import (
     unflatten,
 )
 from schurblock import blocks, stinespring, verify
-from schurblock.cli import main
+from schurblock.cli import TrialConfig, main, run_suite
 from schurblock.stinespring import build_lambda, build_rho, build_sigma
 
 N, D = 3, 2
@@ -216,6 +216,51 @@ def norms_swapped(monkeypatch):
 
 def row_norm_shrunk(monkeypatch):
     monkeypatch.setattr(verify, "row_norm", lambda a: 0.999 * blocks.row_norm(a))
+
+
+def installer(mutant_name):
+    """Install a ``MUTANTS`` entry, ``norms_swapped`` or nothing ("correct")."""
+    if mutant_name == "correct":
+        return lambda monkeypatch: None
+    if mutant_name == "norms_swapped":
+        return norms_swapped
+    name, mutant = next((name, m) for name, m, *_ in MUTANTS if m.__name__ == mutant_name)
+    return lambda monkeypatch: install(monkeypatch, name, mutant)
+
+
+# The suite's Ginibre kill table: the properties each mutant fails on 20
+# suite trials (seed 42) at each (n, d, k). Normal draws (A*A = AA*) hide
+# block_matmul_swapped and unitary blocks (row_norm = col_norm) hide
+# norms_swapped, which is why every trial is Ginibre. An empty set is a
+# mutant equal to the correct operation at that shape: at n = 1 the slot
+# swap, diag_block and the norm swap change nothing, and at d = 1 the
+# blocks are scalars, which commute.
+KILL_SHAPES = [(3, 2, 2), (2, 1, 2), (4, 2, 1), (1, 2, 1)]
+ADJOINT = {"sandwich", "cauchy_schwarz"}
+PRODUCT = {"factorization", "structure", "sandwich", "cauchy_schwarz", "decomposition"}
+DIAGONAL = {"structure", "sandwich", "cauchy_schwarz", "decomposition"}
+NORMS = {"sharpness", "norm_lemmas"}
+GINIBRE_KILLS = {
+    "correct": [set(), set(), set(), set()],
+    "adjoint_without_conj": [ADJOINT, ADJOINT, ADJOINT, ADJOINT],
+    "adjoint_without_slot_swap": [ADJOINT, ADJOINT, ADJOINT, set()],
+    "schur_product_swapped": [PRODUCT, set(), PRODUCT, PRODUCT],
+    "block_matmul_swapped": [ADJOINT, {"cauchy_schwarz"}, ADJOINT, ADJOINT],
+    "diag_block_identity": [DIAGONAL, DIAGONAL, DIAGONAL, set()],
+    "norms_swapped": [NORMS, NORMS, NORMS, set()],
+}
+KILL_TABLE = [(mutant, shape, failing)
+              for mutant, row in GINIBRE_KILLS.items()
+              for shape, failing in zip(KILL_SHAPES, row)]
+
+
+@pytest.mark.parametrize("mutant, shape, failing", KILL_TABLE,
+                         ids=[f"{m}-{n}-{d}-{k}" for m, (n, d, k), _ in KILL_TABLE])
+def test_ginibre_kill_table(mutant, shape, failing, monkeypatch):
+    installer(mutant)(monkeypatch)
+    n, d, k = shape
+    report = run_suite(TrialConfig(n=n, d=d, k=k, trials=20, seed=42))
+    assert {r.property_id for r in report.results if r.failures} == failing
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (4, 4), (4, 8)])
