@@ -18,6 +18,7 @@ from schurblock import (
     schur_block_product,
     schur_unit,
     unflatten,
+    zero_block_matrix,
 )
 
 print("=" * 70)
@@ -53,6 +54,8 @@ Bblk = block_matrix(blocks_b)
 print("slot (0,1) of A [] B:\n", schur_block_product(Ablk, Bblk).blocks[0, 1].real)
 print("slot (0,1) of B [] A:\n", schur_block_product(Bblk, Ablk).blocks[0, 1].real)
 print("The two products differ: xy = diag(1,0) while yx = diag(0,1).")
+print("A [] A is zero though A is not (x^2 = 0), which no d = 1 matrix allows:",
+      schur_block_product(Ablk, Ablk) == zero_block_matrix(2, 2))
 
 print()
 print("=" * 70)

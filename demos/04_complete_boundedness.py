@@ -2,9 +2,10 @@
 """Complete boundedness: the Livshits bound holds at every level.
 
 The level-k lift multiplies k-by-k grids of (n, d) block matrices with the
-Schur block product as entry multiplication. M_k(M_n(M_d)) regroups as
-M_n(M_kd), and under that regrouping the lift is the plain Schur block
-product at block size k*d. So level k obeys the Livshits bound
+Schur block product as entry multiplication: entry (p, q) of the product
+is sum_l a_pl [] b_lq. A grid is one BlockMatrix stacked over (k, k).
+M_k(M_n(M_d)) regroups as M_n(M_kd), and under that regrouping the lift
+is the plain Schur block product at block size k*d. So level k obeys the Livshits bound
 ||A_k [] B_k|| <= row_norm(A_k) col_norm(B_k) of the regrouped pair,
 random draws stay below it, and the lifted identity and the Schur unit
 reach it exactly.
@@ -14,9 +15,11 @@ import numpy as np
 
 from schurblock import (
     PROPERTIES,
+    BlockMatrix,
     block_identity,
     col_norm,
     flatten,
+    lift_schur_k,
     regroup_lift,
     row_norm,
     sample_lift,
@@ -24,7 +27,6 @@ from schurblock import (
     schur_unit,
     spectral_norm,
     verify_cb_level,
-    zero_block_matrix,
 )
 
 rng = np.random.default_rng(11)
@@ -42,15 +44,15 @@ print("The lift is the Schur block product at block size k*d")
 print("=" * 70)
 k = 2
 a, b = sample_lift(rng, k, n, d), sample_lift(rng, k, n, d)
+lifted = lift_schur_k(a, b)
 regrouped = schur_block_product(regroup_lift(a), regroup_lift(b))
-for i in range(k):
-    for j in range(k):
-        # lift entry (i, j) is sum_l a[i][l] [] b[l][j]; it sits in the
-        # d-by-d sub-blocks (i, j) of the regrouped product's slots
-        entry = sum(schur_block_product(a[i][l], b[l][j]).blocks for l in range(k))
-        gap = np.abs(regrouped.blocks[:, :, i * d:(i + 1) * d, j * d:(j + 1) * d]
-                     - entry).max()
-        print(f"  k = {k}, lift entry ({i}, {j}): max deviation {gap:.1e}")
+for p in range(k):
+    for q in range(k):
+        # lift entry (p, q), sum_l a_pl [] b_lq, sits in the d-by-d
+        # sub-blocks (p, q) of the regrouped product's slots
+        gap = np.abs(regrouped.blocks[:, :, p * d:(p + 1) * d, q * d:(q + 1) * d]
+                     - lifted.blocks[p, q]).max()
+        print(f"  k = {k}, lift entry ({p}, {q}): max deviation {gap:.1e}")
 
 print()
 print("=" * 70)
@@ -71,10 +73,9 @@ print("=" * 70)
 print("Saturation: where lhs/rhs hits 1")
 print("=" * 70)
 identity = block_identity(n, d)
-zero = zero_block_matrix(n, d)
 for k in (1, 2, 3):
-    lifted_identity = regroup_lift([[identity if i == j else zero for j in range(k)]
-                                    for i in range(k)])
+    lifted_identity = regroup_lift(
+        BlockMatrix(n, d, np.multiply.outer(np.eye(k), identity.blocks)))
     unit = schur_unit(n, k * d)
     print(f"  k = {k}: lifted ordinary identity "
           f"{lhs_over_rhs(lifted_identity, lifted_identity):.15f}, "

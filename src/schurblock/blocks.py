@@ -204,40 +204,27 @@ def col_norm(a: BlockMatrix):
 # Level-k lifts
 # ---------------------------------------------------------------------------
 
-Lift = list  # k-by-k nested list of BlockMatrix
+
+def _lift_level(xs) -> int:
+    """k of the lift xs, a k-by-k grid of (n, d) block matrices stored as one
+    BlockMatrix whose stack axes end in (k, k): blocks[..., p, q] is entry (p, q)."""
+    if not isinstance(xs, BlockMatrix):
+        raise TypeError(f"a lift must be a BlockMatrix, not {type(xs).__name__}")
+    if len(xs.batch) < 2 or xs.batch[-1] != xs.batch[-2]:
+        raise ShapeError(f"a lift's stack axes must end in (k, k), got {xs.batch}")
+    return xs.batch[-1]
 
 
-def _check_lift(xs, name: str) -> tuple[int, int, int]:
-    """Validate a k-by-k grid of uniformly shaped BlockMatrix; return (k, n, d)."""
-    if not xs or not all(isinstance(row, (list, tuple)) for row in xs):
-        raise ShapeError(f"{name} must be a non-empty list of rows")
-    k = len(xs)
-    if any(len(row) != k for row in xs):
-        raise ShapeError(f"{name} must be a square {k}-by-{k} grid")
-    first = xs[0][0]
-    if not isinstance(first, BlockMatrix):
-        raise ShapeError(f"{name} entries must be BlockMatrix values")
-    n, d = first.n, first.d
-    for row in xs:
-        for x in row:
-            if not isinstance(x, BlockMatrix) or (x.n, x.d) != (n, d):
-                raise ShapeError(
-                    f"{name} entries must all be BlockMatrix of shape (n={n}, d={d})"
-                )
-    return k, n, d
-
-
-def regroup_lift(xs: Lift) -> BlockMatrix:
-    """The k-by-k grid xs of (n, d) block matrices as one (n, k*d) block matrix.
+def regroup_lift(xs: BlockMatrix) -> BlockMatrix:
+    """The lift xs, (n, d) grids stacked over (k, k), as (n, k*d) block matrices.
 
     M_k(M_n(M_d)) regroups as M_n(M_kd): d-by-d block (p, q) of slot (i, j)
-    is slot (i, j) of xs[p][q]. The flattenings differ by a permutation, so
-    the norms agree, and the level-k lift is the plain Schur block product
-    of the regrouped pair.
+    is slot (i, j) of xs.blocks[..., p, q]. The flattenings differ by a
+    permutation, so the norms agree, and the level-k lift is the plain
+    Schur block product of the regrouped pair.
     """
-    k, n, d = _check_lift(xs, "lift")
-    return BlockMatrix(n=n, d=k * d,
-                       blocks=_regroup(np.array([[x.blocks for x in row] for row in xs])))
+    k = _lift_level(xs)
+    return BlockMatrix(n=xs.n, d=k * xs.d, blocks=_regroup(xs.blocks))
 
 
 def _regroup(grids: np.ndarray) -> np.ndarray:
@@ -249,29 +236,25 @@ def _regroup(grids: np.ndarray) -> np.ndarray:
     return np.moveaxis(grids, (-6, -5), (-4, -2)).reshape(*batch, n, n, k * d, k * d)
 
 
-def lift_schur_k(a: Lift, b: Lift) -> Lift:
+def lift_schur_k(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
     """Level-k lift of the Schur block product.
 
-    Entry (i, j) of the result is sum_l a[i][l] [] b[l][j]: the Schur
-    block product of the regrouped pair, split back into the k-by-k grid.
-    For k = 1 this is the plain Schur block product.
+    Entry (p, q) of the result is sum_l a[..., p, l] [] b[..., l, q],
+    formed on the grids themselves, not through ``regroup_lift``, so that
+    it can check the regroup. For k = 1 this is the Schur block product.
     """
-    k, n, d = _check_lift(a, "a")
-    kb, nb, db = _check_lift(b, "b")
-    if (k, n, d) != (kb, nb, db):
-        raise ShapeError(
-            f"lift shapes differ: (k={k}, n={n}, d={d}) vs (k={kb}, n={nb}, d={db})"
-        )
-    c = schur_block_product(regroup_lift(a), regroup_lift(b)).blocks
-    grid = c.reshape(n, n, k, d, k, d).transpose(2, 4, 0, 1, 3, 5)
-    return [[BlockMatrix(n=n, d=d, blocks=grid[i, j]) for j in range(k)]
-            for i in range(k)]
+    k, kb = _lift_level(a), _lift_level(b)
+    if (k, a.n, a.d) != (kb, b.n, b.d):
+        raise ShapeError(f"lift shapes differ: (k={k}, n={a.n}, d={a.d}) "
+                         f"vs (k={kb}, n={b.n}, d={b.d})")
+    products = np.matmul(np.expand_dims(a.blocks, -5), np.expand_dims(b.blocks, -7))
+    return BlockMatrix(n=a.n, d=a.d, blocks=products.sum(axis=-6))  # sum over l
 
 
-def flatten_lift(xs: Lift) -> np.ndarray:
-    """Assemble a lift into one (k*n*d)-square operator, nesting order (grid, i, s)."""
-    _check_lift(xs, "lift")
-    return np.block([[flatten(x) for x in row] for row in xs])
+def flatten_lift(xs: BlockMatrix) -> np.ndarray:
+    """Each lift as one (k*n*d)-square operator, nesting order (grid, i, s)."""
+    k, m = _lift_level(xs), xs.n * xs.d
+    return flatten(xs).swapaxes(-3, -2).reshape(*xs.batch[:-2], k * m, k * m)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ adjoint-order and swapped-norm bugs that Ginibre draws expose.
 All sampling flows through an explicit ``numpy.random.Generator``, so a
 fixed seed reproduces every matrix bit for bit. The ``sample_*``
 functions are the per-instance API: each takes a live generator and draws
-one block matrix, vector or lift from it. ``sample_chunk``
+one block matrix, vector or (k, k)-stacked lift from it. ``sample_chunk``
 draws a chunk of the suite's trials at once and reproduces that API: the
 trial of seed s is, byte for byte, what ``default_rng(s)`` gives through
 ``sample_block_matrix`` (A, then B) and ``regroup_lift(sample_lift(...))``
@@ -75,12 +75,13 @@ def sample_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return _complex(*rng.standard_normal((2, dim)))
 
 
-def sample_lift(rng: np.random.Generator, k: int, n: int, d: int) -> list:
-    """k-by-k grid of independent random BlockMatrix draws."""
+def sample_lift(rng: np.random.Generator, k: int, n: int, d: int) -> BlockMatrix:
+    """k-by-k ``sample_block_matrix`` draws, row-major, as one lift stacked over (k, k)."""
     if k < 1:
         raise ShapeError(f"lift level must be positive, got {k}")
-    return [[sample_block_matrix(rng, n, d) for _ in range(k)]
-            for _ in range(k)]
+    if min(n, d) < 1:
+        raise ShapeError(f"n and d must be positive, got n={n}, d={d}")
+    return unflatten(_operators(rng.standard_normal((k, k, 2, n * d, n * d))), n, d)
 
 
 def sample_chunk(seeds, n: int, d: int, k: int) -> tuple[dict, dict]:

@@ -339,8 +339,9 @@ def verify_norm_lemmas(a: BlockMatrix):
 def verify_cb_level(a: BlockMatrix, b: BlockMatrix):
     """Complete boundedness at level k: the Livshits bound of a level-k pair.
 
-    The level-k lift is the Schur block product at block size k*d, so A
-    and B are a pair regrouped by ``blocks.regroup_lift``.
+    The level-k lift (``blocks.lift_schur_k``) is the Schur block product
+    at block size k*d, so A and B are a pair of lifts, each (n, d) grids
+    stacked over (k, k), regrouped by ``blocks.regroup_lift``.
     """
     return _livshits_violation(a, b)
 

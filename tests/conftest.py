@@ -16,6 +16,17 @@ def random_bm(rng, n, d) -> BlockMatrix:
     return unflatten(g, n, d)
 
 
+def random_lift(rng, k, n, d) -> BlockMatrix:
+    """k-by-k grid of ``random_bm`` draws, stacked over (k, k) as one lift."""
+    return BlockMatrix(n, d, np.array([[random_bm(rng, n, d).blocks for _ in range(k)]
+                                       for _ in range(k)]))
+
+
+def outer_lift(grid, x: BlockMatrix) -> BlockMatrix:
+    """The lift whose entry (p, q) is grid[p][q] times x."""
+    return BlockMatrix(x.n, x.d, np.multiply.outer(grid, x.blocks))
+
+
 def as_json_lists(value):
     """value with each ndarray, at any depth of nested dicts, as its
     nested [re, im] lists: what ``json_chunks`` must write, for json.dumps."""

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import scalar_bm
+from conftest import outer_lift, scalar_bm
 from schurblock import (
     StinespringSystem,
     adjoint_block,
@@ -35,7 +35,6 @@ from schurblock import (
     verify_sandwich,
     verify_sharpness,
     verify_structure,
-    zero_block_matrix,
 )
 from test_cli import run_cli, strip_timing
 
@@ -163,12 +162,10 @@ def test_criterion_7_complete_boundedness():
     # saturation: the Schur unit and the lifted ordinary identity reach the
     # bound at every level
     i = block_identity(3, 2)
-    zero = zero_block_matrix(3, 2)
     saturating = []
     for k in (1, 2, 3):
-        unit = regroup_lift([[schur_unit(3, 2)] * k] * k)
-        lift = regroup_lift([[i if p == q else zero for q in range(k)]
-                             for p in range(k)])
+        unit = regroup_lift(outer_lift(np.ones((k, k)), schur_unit(3, 2)))
+        lift = regroup_lift(outer_lift(np.eye(k), i))
         saturating += [_lhs_over_rhs(unit, unit), _lhs_over_rhs(lift, lift)]
     saturated = all(abs(r - 1.0) <= 1e-12 for r in saturating)
     _report(7, "complete boundedness at levels 1..3",

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import as_json_lists, random_bm, scalar_bm
+from conftest import as_json_lists, outer_lift, random_bm, random_lift, scalar_bm
 from schurblock import (
     BlockMatrix,
     ShapeError,
@@ -31,8 +32,8 @@ from schurblock import (
     unflatten,
     vector_from_json,
     vector_to_json,
-    zero_block_matrix,
 )
+from schurblock import blocks as blocks_module
 from schurblock.blocks import json_chunks
 
 
@@ -183,103 +184,150 @@ class TestRowColNorms:
 
 
 def lift_oracle(a, b):
-    """Brute-force (i, j, l) loop over slotwise block products."""
-    k = len(a)
-    n, d = a[0][0].n, a[0][0].d
-    out = [[np.zeros((n, n, d, d), dtype=complex) for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                for p in range(n):
-                    for q in range(n):
-                        out[i][j][p, q] += a[i][l].blocks[p, q] @ b[l][j].blocks[p, q]
+    """Brute-force (p, q, l, i, j) loop over slotwise block products."""
+    k = a.batch[-1]
+    out = np.zeros_like(a.blocks)
+    for p, q, l in itertools.product(range(k), repeat=3):
+        for i, j in itertools.product(range(a.n), repeat=2):
+            out[p, q, i, j] += a.blocks[p, l, i, j] @ b.blocks[l, q, i, j]
     return out
+
+
+def gaussian_integer_lift(rng, k, n, d):
+    """A lift with Gaussian-integer entries, |re| and |im| below 2^20.
+
+    A sum of at most 12 products of them stays below 2^45, so float64
+    forms it exactly in any order.
+    """
+    re, im = rng.integers(1 - 2**20, 2**20, size=(2, k, k, n, n, d, d))
+    return BlockMatrix(n, d, re + 1j * im)
 
 
 class TestLift:
     def test_k1_reduces_to_schur(self):
         rng = np.random.default_rng(53)
         a, b = random_bm(rng, 2, 2), random_bm(rng, 2, 2)
-        lifted = lift_schur_k([[a]], [[b]])
-        assert lifted[0][0] == schur_block_product(a, b)
+        lifted = lift_schur_k(outer_lift(np.ones((1, 1)), a), outer_lift(np.ones((1, 1)), b))
+        assert lifted.batch == (1, 1)
+        assert BlockMatrix(2, 2, lifted.blocks[0, 0]) == schur_block_product(a, b)
 
     def test_lift_identity_is_unit(self):
         # schur_unit on the grid diagonal, zero off it
-        unit, zero = schur_unit(2, 2), zero_block_matrix(2, 2)
-        e = [[unit if i == j else zero for j in range(2)] for i in range(2)]
-        out = lift_schur_k(e, e)
-        for i in range(2):
-            for j in range(2):
-                assert out[i][j] == e[i][j]
+        e = outer_lift(np.eye(2), schur_unit(2, 2))
+        assert lift_schur_k(e, e) == e
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(59)
         k, n, d = 2, 2, 1
-        a = [[scalar_bm(rng.integers(-3, 4, size=(n, n)).astype(float))
-              for _ in range(k)] for _ in range(k)]
-        b = [[scalar_bm(rng.integers(-3, 4, size=(n, n)).astype(float))
-              for _ in range(k)] for _ in range(k)]
-        expected = lift_oracle(a, b)
-        got = lift_schur_k(a, b)
-        for i in range(k):
-            for j in range(k):
-                assert_allclose(got[i][j].blocks, expected[i][j])
+        a = BlockMatrix(n, d, rng.integers(-3, 4, size=(k, k, n, n, d, d)))
+        b = BlockMatrix(n, d, rng.integers(-3, 4, size=(k, k, n, n, d, d)))
+        assert_allclose(lift_schur_k(a, b).blocks, lift_oracle(a, b))
 
     def test_level_k_contractive(self):
         rng = np.random.default_rng(61)
         for k in (1, 2, 3):
-            a = [[random_bm(rng, 2, 2) for _ in range(k)] for _ in range(k)]
-            b = [[random_bm(rng, 2, 2) for _ in range(k)] for _ in range(k)]
+            a, b = random_lift(rng, k, 2, 2), random_lift(rng, k, 2, 2)
             lhs = spectral_norm(flatten_lift(lift_schur_k(a, b)))
             rhs = spectral_norm(flatten_lift(a)) * spectral_norm(flatten_lift(b))
             assert lhs <= rhs + 1e-8
 
     def test_flatten_lift_nesting_order(self):
         rng = np.random.default_rng(67)
-        a = [[random_bm(rng, 2, 2) for _ in range(2)] for _ in range(2)]
+        a = random_lift(rng, 2, 2, 2)
         f = flatten_lift(a)
         assert f.shape == (8, 8)
-        assert_allclose(f[4:8, 0:4], flatten(a[1][0]))
+        assert_allclose(f[4:8, 0:4], flatten(BlockMatrix(2, 2, a.blocks[1, 0])))
 
     @pytest.mark.parametrize("k, n, d", [(1, 2, 2), (2, 2, 1), (2, 3, 2),
                                          (3, 1, 2), (3, 2, 3)])
     def test_regroup_against_brute_force(self, k, n, d):
         # the level-k lift is the Schur block product at block size k*d
         rng = np.random.default_rng(71 + 10 * k + n + d)
-        a = [[random_bm(rng, n, d) for _ in range(k)] for _ in range(k)]
-        b = [[random_bm(rng, n, d) for _ in range(k)] for _ in range(k)]
-        expected = regroup_lift([[block_matrix(x) for x in row]
-                                 for row in lift_oracle(a, b)])
+        a, b = random_lift(rng, k, n, d), random_lift(rng, k, n, d)
+        expected = regroup_lift(BlockMatrix(n, d, lift_oracle(a, b)))
         got = schur_block_product(regroup_lift(a), regroup_lift(b))
         assert (got.n, got.d) == (n, k * d)
         assert_allclose(got.blocks, expected.blocks, rtol=0, atol=1e-13)
+        assert_allclose(lift_schur_k(a, b).blocks, lift_oracle(a, b), rtol=0, atol=1e-13)
         whole = spectral_norm(flatten_lift(a))
         assert_allclose(spectral_norm(flatten(regroup_lift(a))), whole, rtol=1e-12)
-        assert regroup_lift([[a[0][0]]]) == a[0][0]
+        corner = BlockMatrix(n, d, a.blocks[0, 0])
+        assert regroup_lift(outer_lift(np.ones((1, 1)), corner)) == corner
+
+    @pytest.mark.parametrize("k, n, d", [(1, 1, 1), (2, 1, 2), (3, 2, 2),
+                                         (2, 3, 1), (1, 2, 1), (3, 8, 4)])
+    def test_regroup_is_exact(self, k, n, d):
+        # on exact arithmetic the regrouped product is the lift, bit for bit
+        rng = np.random.default_rng(83 + 100 * k + 10 * n + d)
+        a, b = gaussian_integer_lift(rng, k, n, d), gaussian_integer_lift(rng, k, n, d)
+        lifted = regroup_lift(lift_schur_k(a, b)).blocks
+        regrouped = schur_block_product(regroup_lift(a), regroup_lift(b)).blocks
+        assert np.array_equal(lifted.view(np.uint64), regrouped.view(np.uint64))
+
+    def test_lift_schur_k_does_not_use_regroup(self, monkeypatch):
+        # with the k-by-k grid transposed in the regroup, the lift is unchanged
+        rng = np.random.default_rng(89)
+        a, b = random_lift(rng, 2, 2, 2), random_lift(rng, 2, 2, 2)
+        want, regrouped = lift_schur_k(a, b).blocks, regroup_lift(a)
+        regroup = blocks_module._regroup
+        monkeypatch.setattr(blocks_module, "_regroup",
+                            lambda grids: regroup(grids.swapaxes(-6, -5)))
+        assert regroup_lift(a) != regrouped
+        assert np.array_equal(lift_schur_k(a, b).blocks.view(np.uint64),
+                              want.view(np.uint64))
+
+    def test_stacks_of_lifts(self):
+        # further leading axes stack lifts; each gives the bits it has alone
+        rng = np.random.default_rng(97)
+        a = BlockMatrix(2, 2, np.stack([random_lift(rng, 2, 2, 2).blocks for _ in range(3)]))
+        b = BlockMatrix(2, 2, np.stack([random_lift(rng, 2, 2, 2).blocks for _ in range(3)]))
+        lifted, regrouped, flat = lift_schur_k(a, b), regroup_lift(a), flatten_lift(a)
+        for t in range(3):
+            at, bt = BlockMatrix(2, 2, a.blocks[t]), BlockMatrix(2, 2, b.blocks[t])
+            assert np.array_equal(lifted.blocks[t], lift_schur_k(at, bt).blocks)
+            assert np.array_equal(regrouped.blocks[t], regroup_lift(at).blocks)
+            assert np.array_equal(flat[t], flatten_lift(at))
 
     def test_regroup_slot_layout(self):
-        # slot (i, j) entry (p*d + s, q*d + t) is xs[p][q].blocks[i, j, s, t]
+        # slot (i, j) entry (p*d + s, q*d + t) is xs.blocks[p, q, i, j, s, t]
         rng = np.random.default_rng(73)
-        xs = [[random_bm(rng, 3, 2) for _ in range(2)] for _ in range(2)]
+        xs = random_lift(rng, 2, 3, 2)
         r = regroup_lift(xs)
         for p in range(2):
             for q in range(2):
                 assert np.array_equal(r.blocks[:, :, 2 * p:2 * p + 2, 2 * q:2 * q + 2],
-                                      xs[p][q].blocks)
+                                      xs.blocks[p, q])
 
-    def test_ragged_rejected(self):
+    def test_nested_lists_rejected(self):
+        # the nested-list form of a lift is gone: a lift is one BlockMatrix
         a = block_identity(2, 2)
+        rows = [[a, a], [a, a]]
+        with pytest.raises(TypeError):
+            regroup_lift(rows)
+        with pytest.raises(TypeError):
+            flatten_lift(rows)
+        with pytest.raises(TypeError):
+            lift_schur_k(rows, rows)
+        with pytest.raises(TypeError):
+            lift_schur_k(outer_lift(np.eye(2), a), rows)
+
+    @pytest.mark.parametrize("batch", [(), (2,), (2, 3), (2, 2, 3)])
+    def test_stack_without_square_grid_rejected(self, batch):
+        x = BlockMatrix(2, 2, np.zeros(batch + (2, 2, 2, 2)))
         with pytest.raises(ShapeError):
-            lift_schur_k([[a], [a, a]], [[a, a], [a, a]])
+            regroup_lift(x)
         with pytest.raises(ShapeError):
-            lift_schur_k([[a, a], [a, block_identity(2, 3)]],
-                         [[a, a], [a, a]])
+            flatten_lift(x)
         with pytest.raises(ShapeError):
-            regroup_lift([[a, a], [a]])
+            lift_schur_k(x, x)
+
+    def test_shape_mismatch_rejected(self):
+        a, b = block_identity(2, 2), block_identity(2, 3)
+        with pytest.raises(ShapeError):
+            lift_schur_k(outer_lift(np.eye(2), a), outer_lift(np.eye(2), b))
         # k*d alone cannot tell (k, d) = (2, 3) from (3, 2)
-        b = block_identity(2, 3)
         with pytest.raises(ShapeError):
-            lift_schur_k([[a] * 3] * 3, [[b] * 2] * 2)
+            lift_schur_k(outer_lift(np.eye(3), a), outer_lift(np.eye(2), b))
 
 
 class TestConstruction:

@@ -231,6 +231,6 @@ def test_sampler_draws_are_pinned(n, d, k):
     a = sample_block_matrix(rng, n, d)
     xi = sample_vector(rng, n * d)
     lift = sample_lift(rng, k, n, d)
-    drawn = (_sha256(a.blocks), _sha256(xi),
-             _sha256(*(x.blocks for row in lift for x in row)))
+    assert lift.batch == (k, k)
+    drawn = (_sha256(a.blocks), _sha256(xi), _sha256(lift.blocks))
     assert drawn == SAMPLER_DIGESTS[n, d, k]

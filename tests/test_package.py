@@ -1,4 +1,7 @@
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import schurblock
@@ -68,3 +71,32 @@ def test_no_checker_reads_the_property_table():
                if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
                and "PROPERTIES" in referenced_names(node)]
     assert readers == []
+
+
+# Run in an isolated interpreter: importing perfbench's tracer puts the
+# checkout's src and perfbench on sys.path, which must not leak into the
+# test process. Prints the targets that do not resolve to a callable.
+RESOLVE_TRACER_TARGETS = """
+import functools, importlib, json, pathlib, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+src = pathlib.Path(sys.argv[1]).parent / "src"
+missing = []
+for module_name, attr, _ in tracer.TARGETS:
+    module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+    assert pathlib.Path(module.__file__).is_relative_to(src), module.__file__
+    target = functools.reduce(lambda o, a: getattr(o, a, None), attr.split("."), module)
+    if not callable(target):
+        missing.append(f"{module_name}.{attr}")
+print(json.dumps(missing))
+"""
+
+
+def test_every_tracer_target_resolves():
+    # perfbench/tracer.py wraps its TARGETS by name: a target deleted or
+    # renamed here would break a traced benchmark run, so it fails tier-1
+    perfbench = INIT.parents[2] / "perfbench"
+    p = subprocess.run([sys.executable, "-I", "-c", RESOLVE_TRACER_TARGETS, str(perfbench)],
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_bm, scalar_bm
+from conftest import outer_lift, random_bm, random_lift, scalar_bm
 from schurblock import (
     PROPERTIES,
     BlockMatrix,
@@ -276,8 +276,7 @@ class TestCbLevel:
     def test_lifted_block_identity_saturates(self):
         i = block_identity(3, 2)
         for k in (1, 2, 3):
-            lift = regroup_lift([[i if p == q else _zero_like(i) for q in range(k)]
-                                 for p in range(k)])
+            lift = regroup_lift(outer_lift(np.eye(k), i))
             assert lift == block_identity(3, 2 * k)
             assert verify_cb_level(lift, lift) == 0.0
             assert_allclose(_lhs_over_rhs(lift, lift), 1.0, rtol=1e-12)
@@ -292,8 +291,7 @@ class TestCbLevel:
     def test_lift_identity_of_lifted_product(self):
         # the Schur unit on the grid diagonal regroups to the Schur unit
         unit = schur_unit(2, 2)
-        e = regroup_lift([[unit if i == j else _zero_like(unit) for j in range(2)]
-                          for i in range(2)])
+        e = regroup_lift(outer_lift(np.eye(2), unit))
         assert e == schur_unit(2, 4)
         r = verify_cb_level(e, e)
         assert r <= PROPERTIES["cb_level"].tol and r == 0.0
@@ -302,10 +300,8 @@ class TestCbLevel:
     def test_random_contractive(self):
         rng = np.random.default_rng(257)
         for k in (1, 2, 3):
-            a = regroup_lift([[random_bm(rng, 3, 2) for _ in range(k)]
-                              for _ in range(k)])
-            b = regroup_lift([[random_bm(rng, 3, 2) for _ in range(k)]
-                              for _ in range(k)])
+            a = regroup_lift(random_lift(rng, k, 3, 2))
+            b = regroup_lift(random_lift(rng, k, 3, 2))
             r = verify_cb_level(a, b)
             assert r <= PROPERTIES["cb_level"].tol
             assert r <= 1e-8
@@ -314,7 +310,7 @@ class TestCbLevel:
         # a level-2 pair has block size 2d, so it does not meet a level-1 one
         i = block_identity(2, 2)
         with pytest.raises(ShapeError):
-            verify_cb_level(regroup_lift([[i, i], [i, i]]), i)
+            verify_cb_level(regroup_lift(outer_lift(np.ones((2, 2)), i)), i)
 
 
 def _zero_like(x):
