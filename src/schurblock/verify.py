@@ -4,9 +4,9 @@ Each checker measures and returns residuals; only ``run_property``
 judges. A checker is written on stacks of trials: its BlockMatrix
 arguments may carry a leading trial axis (blocks of shape
 (T, n, n, d, d)), each kernel runs once for the whole stack (one batched
-@, svd or eigvalsh), and it returns one residual per trial, an array of
-shape (T,). A single instance is the batch-of-one case of the same code
-and gives a float. Trial t's residual is, bit for bit, the one its
+@, cholesky, svd or eigvalsh), and it returns one residual per trial, an
+array of shape (T,). A single instance is the batch-of-one case of the
+same code and gives a float. Trial t's residual is, bit for bit, the one its
 instance gives alone: a batched LAPACK or BLAS call makes the same call
 per matrix, and every sum runs in one fixed order whatever the stack.
 
@@ -55,6 +55,16 @@ is n*d*n on both sides. An exactly zero difference is a residual of 0.0
 with no SVD, so only identities that can carry rounding (factorization,
 structure's bilinear term, the decomposition sum) pay for spectral
 norms, and none of them on a matrix wider than n*d.
+
+Each inequality says a Hermitian matrix is PSD (R^2 I - X* X for
+livshits and cb_level, diag(A*A) -+ A* [] A for sandwich, the Gram
+matrix G for cauchy_schwarz), and is proven before it is measured: one
+Cholesky factorization per chunk, shifted by ``PROOF_MARGIN`` times a
+scale (``_proves_psd``). A proven chunk is one on which the measured
+route would also give 0.0, so its residuals are 0.0 with no SVD and no
+eigvalsh; a chunk the factorization cannot prove (an instance on or near
+its bound, an overflow) is measured as if no proof had been tried, so
+the proof moves no residual bit.
 """
 
 from __future__ import annotations
@@ -125,6 +135,13 @@ PROPERTIES = {
     "cb_level": Property(1e-8, ("A", "B"), lambda x: (
         verify_cb_level(x["A"], x["B"]))),
 }
+
+# _proves_psd shifts by PROOF_MARGIN * scale. The factorization's backward
+# error, with the rounding of the Gram, the eigensolver and the SVD, is
+# about m^3 u relative to scale: below 1e-9 at m = 192, the largest Gram
+# replay builds. So a proven matrix is one the measured route gives 0.0
+PROOF_MARGIN = 2.0 ** -20
+
 
 @dataclass(frozen=True)
 class PropertyResult:
@@ -224,11 +241,41 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix):
     return as_scalar(_max(sys_.operator_residual, bilinear, compression))
 
 
+def _proves_psd(h, scale) -> bool:
+    """Whether one Cholesky factorization proves, for every matrix of the
+    stack h, that its Hermitian part is at least PROOF_MARGIN * scale * I.
+
+    A factorization that succeeds in floating point is the proof (Rump,
+    "Verification of positive definiteness", BIT 46, 2006): the shift is
+    far above its backward error. scale holds one value per matrix. False
+    proves nothing: a matrix of the stack failed to factor, or its factor
+    is not finite (LAPACK passes a NaN or an infinity through).
+    """
+    h = (h + np.conj(h).swapaxes(-1, -2)) / 2
+    i = np.arange(h.shape[-1])
+    h[..., i, i] -= PROOF_MARGIN * np.asarray(scale)[..., None]
+    try:
+        factor = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
+
+
 def _livshits_violation(a: BlockMatrix, b: BlockMatrix):
-    """How far ||A [] B|| exceeds row_norm(A) * col_norm(B), relative to it."""
+    """How far ||A [] B|| exceeds R = row_norm(A) * col_norm(B), relative to R.
+
+    ||X|| <= R exactly when R^2 I - X* X is PSD, X = flatten(A [] B). Where
+    ``_proves_psd`` proves that for the whole chunk, with scale R^2, every
+    residual is 0.0 and no SVD runs; otherwise ||X|| is measured.
+    """
     _check_same_shape(a, b)
-    lhs = spectral_norm(flatten(schur_block_product(a, b)))
-    return _excess(lhs, row_norm(a) * col_norm(b))
+    x = flatten(schur_block_product(a, b))
+    rhs = row_norm(a) * col_norm(b)
+    bound = np.square(rhs)
+    if _proves_psd(np.asarray(bound)[..., None, None] * np.eye(x.shape[-1])
+                   - np.conj(x).swapaxes(-1, -2) @ x, bound):
+        return as_scalar(np.zeros(a.batch))
+    return _excess(spectral_norm(x), rhs)
 
 
 def verify_livshits(a: BlockMatrix, b: BlockMatrix):
@@ -264,15 +311,28 @@ def verify_sharpness(x: BlockMatrix):
 
 
 def verify_sandwich(a: BlockMatrix):
-    """-diag(A*A) <= A* [] A <= diag(A*A) in the PSD order."""
+    """-diag(A*A) <= A* [] A <= diag(A*A) in the PSD order.
+
+    The residual is how far the smaller eigenvalue of the Hermitian parts
+    of diag(A*A) -+ A* [] A falls below 0, plus the Frobenius norm of
+    A* [] A's skew part, relative to ||diag(A*A)||. Where ``_proves_psd``
+    proves both sides for the whole chunk, with scale the largest diagonal
+    entry of diag(A*A), the eigenvalue term is 0 with no eigvalsh; the
+    norm of diag(A*A) is taken only where the sum is nonzero.
+    """
     star = adjoint_block(a)
     s = flatten(schur_block_product(star, a))
     dmat = flatten(diag_block(block_matmul(star, a)))
     # s is Hermitian by the adjoint law, so its skew part counts against it;
     # both gaps are judged by their Hermitian parts, one call for both
-    lo, hi = hermitian_min_eig(np.stack([dmat - s, dmat + s]))
+    gaps = np.stack([dmat - s, dmat + s])
+    if _proves_psd(gaps, np.diagonal(dmat, axis1=-2, axis2=-1).real.max(axis=-1)):
+        below = 0.0
+    else:
+        lo, hi = hermitian_min_eig(gaps)
+        below = _max(0.0, -lo, -hi)
     skew = np.linalg.norm(s - np.conj(s).swapaxes(-1, -2), axis=(-2, -1))
-    return ratio(_max(0.0, -lo, -hi) + skew, spectral_norm(dmat))
+    return relative_gap(below + skew, dmat)
 
 
 def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
@@ -286,8 +346,11 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
     Gram matrix of the columns of [lambda(A)* V, F lambda(B) V], as F is a
     self-adjoint unitary, so this is the paper's proof step; it needs no
     inverse of D_A or D_B and has no singular case. The residual is how far
-    G's smallest eigenvalue falls below 0, relative to r, the largest
-    spectral norm among the 2n diagonal blocks of D_A and D_B.
+    the smallest eigenvalue of G's Hermitian part falls below 0, relative
+    to r, the largest spectral norm among the 2n diagonal blocks of D_A and
+    D_B. Where ``_proves_psd`` proves G PSD for the whole chunk, with scale
+    G's largest diagonal entry, every residual is 0.0, with no eigvalsh and
+    no norm of a diagonal block.
     """
     _check_same_shape(a, b)
     i = np.arange(a.n)
@@ -295,6 +358,8 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
     d_b = diag_block(block_matmul(adjoint_block(b), b))
     ab = flatten(schur_block_product(a, b))
     gram = np.block([[flatten(d_a), ab], [np.conj(ab).swapaxes(-1, -2), flatten(d_b)]])
+    if _proves_psd(gram, np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)):
+        return as_scalar(np.zeros(a.batch))
     r = spectral_norm(np.concatenate([d_a.blocks[..., i, i, :, :],
                                       d_b.blocks[..., i, i, :, :]], axis=-3)).max(axis=-1)
     return ratio(_max(0.0, -hermitian_min_eig(gram)), r)

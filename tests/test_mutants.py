@@ -218,6 +218,12 @@ def row_norm_shrunk(monkeypatch):
     monkeypatch.setattr(verify, "row_norm", lambda a: 0.999 * blocks.row_norm(a))
 
 
+def row_norm_shrunk_by_2_to_the_minus_22(monkeypatch):
+    # an excess of 2.4e-7 over the 1e-8 tolerance, but a quarter of
+    # PROOF_MARGIN: a proof with its margin's sign flipped passes the family
+    monkeypatch.setattr(verify, "row_norm", lambda a: (1 - 2.0 ** -22) * blocks.row_norm(a))
+
+
 def installer(mutant_name):
     """Install a ``MUTANTS`` entry, ``norms_swapped`` or nothing ("correct")."""
     if mutant_name == "correct":
@@ -271,7 +277,8 @@ def test_livshits_column_family_reaches_the_bound(n, d):
     assert np.abs(lhs / (row_norm(x["A"]) * col_norm(x["B"])) - 1).max() <= 1e-15
 
 
-@pytest.mark.parametrize("mutant", [norms_swapped, row_norm_shrunk])
+@pytest.mark.parametrize("mutant", [norms_swapped, row_norm_shrunk,
+                                    row_norm_shrunk_by_2_to_the_minus_22])
 @pytest.mark.parametrize("pid, n, d", [("livshits", 4, 2), ("cb_level", 4, 4),
                                        ("cb_level", 4, 8)])
 def test_bound_mutant_is_killed_by_the_column_family(pid, n, d, mutant, monkeypatch):

@@ -669,15 +669,23 @@ def test_sharpness_makes_three_svd_calls_per_chunk(norm_calls):
     assert norm_calls == [(8, 40, False), (8, 40, False), (2, 40, False)]
 
 
-def test_one_eigen_call_per_rule_per_chunk(monkeypatch):
+@pytest.mark.parametrize("n, d, k, trials, expected", [
+    # Ginibre chunks sit well inside both orders: one Cholesky proves each
+    (4, 2, 2, 300, []),
+    # at n = 1 the sandwich's lower side is 0 and G has rank d, so no chunk
+    # can be proven; two chunks, of 1820 and 180 trials: sandwich stacks its
+    # lower and upper gaps, cauchy_schwarz has one 2*n*d-sided Gram per trial
+    (1, 4, 3, 2000, [(2, 1820, 4, 4), (1820, 8, 8), (2, 180, 4, 4), (180, 8, 8)]),
+    # at n = 2 the lower side is [a_21, -a_12]* [a_21, -a_12], of rank d
+    (2, 4, 3, 500, [(2, 455, 8, 8), (2, 45, 8, 8)]),
+])
+def test_one_eigen_call_per_rule_per_chunk(n, d, k, trials, expected, monkeypatch):
     calls = []
     _record_calls(monkeypatch, linalg.hermitian_min_eig, lambda x: calls.append(x.shape))
-    report = run_suite(TrialConfig(n=4, d=2, k=2, trials=300, seed=7,
+    report = run_suite(TrialConfig(n=n, d=d, k=k, trials=trials, seed=7,
                                    properties=("sandwich", "cauchy_schwarz")))
     assert report.passed
-    # two chunks, of 256 and 44 trials; sandwich stacks its lower and upper
-    # gaps, cauchy_schwarz has one 2*n*d-sided Gram matrix per trial
-    assert calls == [(2, 256, 8, 8), (256, 16, 16), (2, 44, 8, 8), (44, 16, 16)]
+    assert calls == expected
 
 
 def test_no_checker_reads_the_dense_operators(monkeypatch):
@@ -691,3 +699,131 @@ def test_no_checker_reads_the_dense_operators(monkeypatch):
     x = {"A": random_bm(rng, 3, 2), "B": random_bm(rng, 3, 2)}
     for pid in PROPERTIES:
         assert run_property(pid, x).passed, pid
+
+
+MARGIN = verify_module.PROOF_MARGIN
+PROOF_SIDES = [4, 8, 16, 32, 96]
+PROOF_DRAWS = 20
+
+
+def _bound_gap(x, bound):
+    """R^2 I - X* X, the matrix ``_livshits_violation`` proves PSD, with
+    bound = R^2 per matrix."""
+    return (np.asarray(bound)[..., None, None] * np.eye(x.shape[-1])
+            - np.conj(x).swapaxes(-1, -2) @ x)
+
+
+def _unit_norm_draws(rng, m, kind):
+    """PROOF_DRAWS m-by-m matrices of spectral norm 1 up to rounding:
+    complex Ginibre, or rank one (u v*)."""
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "ginibre":
+        x = gauss(PROOF_DRAWS, m, m)
+    else:
+        x = gauss(PROOF_DRAWS, m, 1) * np.conj(gauss(PROOF_DRAWS, 1, m))
+    return x / spectral_norm(x)[:, None, None]
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "rank_one"])
+@pytest.mark.parametrize("m", PROOF_SIDES)
+def test_proof_of_the_norm_bound_keeps_its_margin(m, kind):
+    # ||X|| = rel R: R^2 I - X* X has smallest eigenvalue (1 - rel^2) R^2,
+    # so the proof must hold at 4 margins and fail at 0.8 margin and below
+    rng = np.random.default_rng(401 + m)
+    unit = _unit_norm_draws(rng, m, kind)
+    r = rng.uniform(0.5, 2.0, PROOF_DRAWS)
+    bound = np.square(r)
+
+    def gap(rel):
+        return _bound_gap(unit * (rel * r)[:, None, None], bound)
+
+    assert verify_module._proves_psd(gap(1 - 2 * MARGIN), bound)
+    for rel in (1 - 0.4 * MARGIN, 1.0, 1 + 1e-12):
+        h = gap(rel)
+        assert not any(verify_module._proves_psd(h[t], bound[t])
+                       for t in range(PROOF_DRAWS)), rel
+
+
+@pytest.mark.parametrize("m", PROOF_SIDES)
+def test_proof_of_psd_keeps_its_margin(m):
+    # h = U diag(w) U* with w in [lowest, 1] and scale 1
+    rng = np.random.default_rng(409 + m)
+    g = (rng.standard_normal((PROOF_DRAWS, m, m))
+         + 1j * rng.standard_normal((PROOF_DRAWS, m, m)))
+    u, _ = np.linalg.qr(g)
+    w = rng.uniform(0.5, 1.0, (PROOF_DRAWS, m))
+
+    def with_lowest(lowest):
+        w[:, 0] = lowest
+        return (u * w[:, None, :]) @ np.conj(u).swapaxes(-1, -2)
+
+    ones = np.ones(PROOF_DRAWS)
+    assert verify_module._proves_psd(with_lowest(2 * MARGIN), ones)
+    for lowest in (0.4 * MARGIN, 0.0, -1e-12):
+        h = with_lowest(lowest)
+        assert not any(verify_module._proves_psd(h[t], 1.0)
+                       for t in range(PROOF_DRAWS)), lowest
+
+
+def test_proof_covers_the_whole_stack_and_only_finite_factors():
+    proven = np.stack([np.eye(3), 2 * np.eye(3)]).astype(complex)
+    assert verify_module._proves_psd(proven, [1.0, 2.0])
+    # one matrix of the stack below its margin refuses the stack
+    assert not verify_module._proves_psd(proven, [1.0, 2.0 / MARGIN])
+    # the factorization passes a NaN or an infinity through without an error
+    with np.errstate(invalid="ignore"):
+        for bad in (np.nan, np.inf):
+            h = proven.copy()
+            h[1, 2, 2] = bad
+            assert not verify_module._proves_psd(h, [1.0, 2.0])
+        assert not verify_module._proves_psd(np.eye(3), np.inf)
+    # a zero matrix at scale 0 is PSD, but not with room to spare
+    assert not verify_module._proves_psd(np.zeros((3, 3)), 0.0)
+    # only the Hermitian part counts: this one is the identity
+    assert verify_module._proves_psd(np.eye(3) + np.triu(np.ones((3, 3)), 1)
+                                     - np.tril(np.ones((3, 3)), -1), 1.0)
+
+
+def _results_text(results):
+    """Each PropertyResult as JSON with its seconds dropped; floats by repr,
+    so two texts are equal exactly when every residual's bits are."""
+    return [json.dumps(dict(r.as_dict(), seconds=None), sort_keys=True)
+            for r in results]
+
+
+def _suite_and_replay_results(tmp_path):
+    texts = []
+    for (n, d, k), trials in [((8, 4, 3), 3), ((4, 2, 2), 40), ((3, 1, 1), 20),
+                              ((2, 3, 2), 20), ((1, 4, 3), 50)]:
+        texts += _results_text(run_suite(TrialConfig(n=n, d=d, k=k, trials=trials,
+                                                     seed=7)).results)
+    rng = np.random.default_rng(419)
+    instances = [(random_bm(rng, n, d), random_bm(rng, n, d))
+                 for n, d in [(4, 2), (2, 2), (1, 3), (8, 4)]]
+    # pairs on the Livshits bound, which no proof can take
+    instances += [(schur_unit(3, 2), schur_unit(3, 2)),
+                  (block_identity(2, 3), block_identity(2, 3))]
+    path = tmp_path / "instance.json"
+    for a, b in instances:
+        path.write_text(json.dumps({"A": block_matrix_to_json(a),
+                                    "B": block_matrix_to_json(b)}))
+        texts += _results_text([replay_instance(str(path), pid) for pid in PROPERTIES])
+    return texts
+
+
+def test_proof_changes_no_report_byte(monkeypatch, tmp_path):
+    proofs = []
+    proves_psd = verify_module._proves_psd
+
+    def recorded(h, scale):
+        proofs.append(proves_psd(h, scale))
+        return proofs[-1]
+
+    monkeypatch.setattr(verify_module, "_proves_psd", recorded)
+    shipped = _suite_and_replay_results(tmp_path)
+    # both routes ran: chunks the factorization proved, and chunks it did not
+    assert True in proofs and False in proofs
+    monkeypatch.setattr(verify_module, "_proves_psd", lambda h, scale: False)
+    assert _suite_and_replay_results(tmp_path) == shipped
