@@ -189,15 +189,24 @@ def _max_sqrt_norm(grams: np.ndarray):
 
 
 def row_norm(a: BlockMatrix):
-    """max over i of || sum_j a_ij a_ij* ||^(1/2)."""
-    return _max_sqrt_norm(np.matmul(a.blocks, np.conj(a.blocks.swapaxes(-1, -2)))
-                          .sum(axis=-3))
+    """max over i of || sum_j a_ij a_ij* ||^(1/2).
+
+    sum_j a_ij a_ij* is s_i s_i*, with s_i = [a_i1 ... a_in] the d-by-(n*d)
+    strip of rows i*d .. i*d + d - 1 of flatten(a): one batched product
+    forms all n Grams.
+    """
+    rows = flatten(a).reshape(*a.batch, a.n, a.d, a.n * a.d)
+    return _max_sqrt_norm(rows @ np.conj(rows).swapaxes(-1, -2))
 
 
 def col_norm(a: BlockMatrix):
-    """max over j of || sum_i a_ij* a_ij ||^(1/2)."""
-    return _max_sqrt_norm(np.matmul(np.conj(a.blocks.swapaxes(-1, -2)), a.blocks)
-                          .sum(axis=-4))
+    """max over j of || sum_i a_ij* a_ij ||^(1/2).
+
+    sum_i a_ij* a_ij is c_j* c_j, with c_j the (n*d)-by-d strip of columns
+    j*d .. j*d + d - 1 of flatten(a): one batched product forms all n Grams.
+    """
+    cols = flatten(a).reshape(*a.batch, a.n * a.d, a.n, a.d).swapaxes(-3, -2)
+    return _max_sqrt_norm(np.conj(cols).swapaxes(-1, -2) @ cols)
 
 
 # ---------------------------------------------------------------------------

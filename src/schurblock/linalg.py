@@ -6,11 +6,12 @@ leading axes; ``as_operator`` is the single validation gate used at API
 boundaries. A kernel makes one batched LAPACK call for a whole stack,
 which gives the same bits as one call per matrix, and returns one value
 per matrix: a float for a plain 2-D input, an array over the leading axes
-for a stack. ``spectral_norm`` is a full SVD of the tall side: a wide
-matrix goes to LAPACK as its transposed view, which has the same
-singular values and costs less. The largest operator a suite config
-builds is n*d*n = 8*4*8 = 256 on a side, and replay, which takes block
-size up to 12 (a level-3 pair at d = 4), can build n*d*n = 8*12*8 = 768.
+for a stack. ``spectral_norm`` takes a square matrix by its SVD and a
+non-square one by the SVD of its Gram matrix on the narrow side, so no
+SVD is wider than that side: the suite's largest operator, n*d*n by n*d
+= 256 by 32 at (n, d) = (8, 4), costs a 32 by 256 by 32 product and a
+32-square SVD. Replay, which takes block size up to 12 (a level-3 pair
+at d = 4), can build n*d*n = 8*12*8 = 768 on a side.
 Functions are pure and never mutate their arguments.
 Every residual is a deviation over its reference, by ``ratio``, with no
 floor. No kernel judges: an indefinite matrix gets an all-NaN
@@ -25,6 +26,8 @@ from .errors import ContractError, ShapeError
 
 # psd_sqrt clamps eigenvalues in [-PSD_TOL * max_eig, 0) to zero
 PSD_TOL = 1e-10
+# the smallest normal float64; spectral_norm trusts a Gram at or above it
+NORMAL_MIN = 2.0 ** -1022
 
 
 def as_scalar(x):
@@ -54,20 +57,43 @@ def _square(x, name: str) -> np.ndarray:
     return x
 
 
+def _largest_sv(x: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
+
+
 def spectral_norm(x):
     """Largest singular value of each nonempty matrix of x.
 
-    A matrix and its transpose have the same singular values, and LAPACK's
-    SVD of a wide matrix costs more than that of its tall transpose, so a
-    wide x goes to ``np.linalg.svd`` as its transposed view, with no copy:
-    x and x.swapaxes(-1, -2) get the same bits.
+    A matrix and its transpose have the same singular values, so a wide x
+    is taken as its tall transposed view, with no copy: x and
+    x.swapaxes(-1, -2) get the same bits. A square matrix goes to
+    ``np.linalg.svd`` as it is. A tall m-by-c one is the square root of
+    the norm of its c-square Gram matrix x*x (||x||^2 = ||x* x||), whose
+    SVD is far cheaper than that of x. Forming x*x rounds its largest
+    eigenvalue by about m*u relative (u = 2^-53), so the norm by about
+    m*u/2. That holds where no entry of x*x overflowed and its largest
+    diagonal entry, the largest squared column norm, is normal; a matrix
+    of the stack where either fails, an all-zero one included, is the
+    SVD of x itself, which LAPACK scales internally.
     """
     x = as_operator(x)
     if x.size == 0:
         raise ShapeError(f"spectral_norm of an empty matrix, shape {x.shape}")
     if x.shape[-2] < x.shape[-1]:
         x = x.swapaxes(-1, -2)
-    return as_scalar(np.linalg.svd(x, compute_uv=False)[..., 0])
+    if x.shape[-2] == x.shape[-1]:
+        return as_scalar(_largest_sv(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.conj(x).swapaxes(-1, -2) @ x
+    top = np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)
+    ok = (top >= NORMAL_MIN) & np.isfinite(gram).all(axis=(-2, -1))
+    if ok.all():
+        return as_scalar(np.sqrt(_largest_sv(gram)))
+    norm = np.empty(ok.shape)
+    if ok.any():
+        norm[ok] = np.sqrt(_largest_sv(gram[ok]))
+    norm[~ok] = _largest_sv(x[~ok])
+    return as_scalar(norm)
 
 
 def _norm_where(x: np.ndarray, mask):

@@ -286,16 +286,27 @@ def verify_livshits(a: BlockMatrix, b: BlockMatrix):
 def row_norms_via_schur(x: BlockMatrix):
     """Norm of each block row of X, recovered through the Schur block product.
 
-    X times, slotwise, the k-th indicator (I_d on block row k, zero
+    X times, slotwise, the k-th indicator E_k (I_d on block row k, zero
     elsewhere) has operator norm exactly that of block row k; the max over
-    k is row_norm(X). One product and one SVD call give all n: (..., n).
+    k is row_norm(X). One product gives all n: (..., n). Every block row
+    of X [] E_k but row k is zero, so its norm is that of its block row k,
+    a d-by-(n*d) strip, and one norm call takes all n strips. Where a
+    nonzero lands in another block row (a product that leaks), the whole
+    (n*d)-square X [] E_k is measured instead.
     """
     n, d, k = x.n, x.d, np.arange(x.n)
     y = np.zeros((n, n, n, d, d), dtype=np.complex128)
     y[k, k] = np.eye(d)
     per_row = schur_block_product(BlockMatrix(n, d, x.blocks[..., None, :, :, :, :]),
                                   BlockMatrix(n, d, y))
-    return spectral_norm(flatten(per_row))
+    # block row k of X [] E_k: blocks (k, j) as rows k*d .. k*d + d - 1
+    own_rows = per_row.blocks[..., k, k, :, :, :].swapaxes(-3, -2)
+    norms = spectral_norm(own_rows.reshape(*x.batch, n, d, n * d))
+    nonzero_rows = per_row.blocks.reshape(*per_row.batch, n, -1).any(axis=-1)
+    leaks = (nonzero_rows & ~np.eye(n, dtype=bool)).any(axis=-1)
+    if leaks.any():
+        norms[leaks] = spectral_norm(flatten(per_row)[leaks])
+    return norms
 
 
 def verify_sharpness(x: BlockMatrix):

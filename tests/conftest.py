@@ -33,3 +33,17 @@ def as_json_lists(value):
     if isinstance(value, dict):
         return {k: as_json_lists(v) for k, v in value.items()}
     return operator_to_json(value) if isinstance(value, np.ndarray) else value
+
+
+def svd_shapes(monkeypatch) -> list:
+    """The matrix shape, the last two axes, of each ``np.linalg.svd`` call
+    from now on."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(x, *args, **kwargs):
+        shapes.append(np.shape(x)[-2:])
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes

@@ -16,6 +16,7 @@ from schurblock import (
     BlockMatrix,
     block_matrix,
     col_norm,
+    flatten,
     merge_results,
     mix64,
     row_norm,
@@ -130,13 +131,15 @@ def test_nan_residual_fails_and_is_the_worst(monkeypatch):
     assert (merged.trials, merged.failures) == (5, 2)
 
 
-# The stacked code replaced per-block loops whose sums ran in a fixed
-# order. The loops stay here as the reference its bits must match.
+# The stacked code replaced per-row and per-column loops. The loops stay
+# here as the reference its bits must match: the Gram of block row i is
+# s s* for the d-by-(n*d) strip s of flatten(a), that of block column j
+# is c* c for the (n*d)-by-d strip c.
 
 def _loop_row_col_norms(a):
-    star = np.conj(a.blocks.transpose(0, 1, 3, 2))
-    rows = np.matmul(a.blocks, star).sum(axis=1)
-    cols = np.matmul(star, a.blocks).sum(axis=0)
+    x, d = flatten(a), a.d
+    rows = [s @ np.conj(s).T for s in (x[i * d:(i + 1) * d, :] for i in range(a.n))]
+    cols = [np.conj(c).T @ c for c in (x[:, j * d:(j + 1) * d] for j in range(a.n))]
     return tuple(float(max(np.sqrt(spectral_norm(g)) for g in grams))
                  for grams in (rows, cols))
 

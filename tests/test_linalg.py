@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import svd_shapes
 from schurblock import (
     ContractError,
     ShapeError,
@@ -59,6 +60,59 @@ class TestSpectralNorm:
         assert norm.shape == shape[:-2]
         assert np.array_equal(norm.view(np.uint64),
                               np.asarray(spectral_norm(x.swapaxes(-1, -2))).view(np.uint64))
+
+
+def _ginibre(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+GRAM_SHAPES = [(256, 32), (96, 12), (32, 4)]
+
+
+class TestGramRoute:
+    """A non-square matrix is normed through its Gram on the narrow side."""
+
+    @pytest.mark.parametrize("shape", GRAM_SHAPES)
+    def test_matches_the_svd_of_the_matrix(self, shape, monkeypatch):
+        rng = np.random.default_rng(shape)
+        x = _ginibre(rng, (3, *shape))
+        want = np.linalg.svd(x, compute_uv=False)[..., 0]
+        sides = svd_shapes(monkeypatch)
+        assert_allclose(spectral_norm(x), want, rtol=1e-13)
+        assert_allclose(spectral_norm(x.swapaxes(-1, -2)), want, rtol=1e-13)
+        for t in range(3):
+            assert_allclose(spectral_norm(x[t]), want[t], rtol=1e-13)
+        # every SVD was of a Gram, on the narrow side
+        assert set(sides) == {(shape[1], shape[1])}
+
+    @pytest.mark.parametrize("shape", GRAM_SHAPES)
+    def test_stack_gives_each_matrix_its_bits_alone(self, shape):
+        rng = np.random.default_rng(shape)
+        x = _ginibre(rng, (2, 3, *shape))
+        # a stack that mixes the Gram route and the fallback
+        x[0, 1] *= 2.0 ** 600
+        x[1, 2] *= 2.0 ** -600
+        stacked = spectral_norm(x)
+        alone = np.array([[spectral_norm(m) for m in row] for row in x])
+        assert stacked.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600])
+    @pytest.mark.parametrize("shape", GRAM_SHAPES)
+    def test_gram_out_of_range_takes_the_svd_of_the_matrix(self, shape, scale,
+                                                            monkeypatch):
+        # at 2^600 the Gram overflows, at 2^-600 it underflows to zero
+        rng = np.random.default_rng(shape)
+        x = _ginibre(rng, shape)
+        unscaled = spectral_norm(x)
+        sides = svd_shapes(monkeypatch)
+        norm = spectral_norm(scale * x)
+        assert sides == [shape]
+        assert np.isfinite(norm)
+        assert_allclose(norm, scale * unscaled, rtol=1e-13)
+
+    def test_zero_matrix_has_norm_zero(self):
+        assert spectral_norm(np.zeros((7, 3))) == 0.0
+        assert spectral_norm(np.zeros((2, 3, 7))).tolist() == [0.0, 0.0]
 
 
 class TestIdentityResidual:

@@ -110,6 +110,28 @@ def test_mutant_fails_its_properties(name, mutant, failing, nan, tmp_path,
         assert "result=FAIL" in capsys.readouterr().out
 
 
+def schur_product_leaking(a, b):
+    """The slotwise product with half of each block row added to the next."""
+    out = np.matmul(a.blocks, b.blocks)
+    return BlockMatrix(a.n, a.d, out + 0.5 * np.roll(out, 1, axis=-4))
+
+
+def test_leaking_product_fails_sharpness(tmp_path, monkeypatch, capsys):
+    # sharpness takes the norm of X [] E_k on its block row k only where
+    # every other block row is exactly zero; this product writes half of
+    # row k into row k + 1, so the whole matrix is measured, and its norm
+    # is sqrt(5/4) times that of the row. Not in MUTANTS: it fails
+    # cauchy_schwarz on only 4 of these 5 trials
+    install(monkeypatch, "schur_block_product", schur_product_leaking)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--n", str(N), "--d", str(D), "--k", "1",
+                 "--trials", "5", "--seed", "1", "--out", str(out)])
+    assert code == 1, capsys.readouterr().err
+    results = {r["property_id"]: r for r in json.loads(out.read_text())["results"]}
+    assert results["sharpness"]["failures"] == 5
+    assert abs(results["sharpness"]["worst_residual"] - (np.sqrt(1.25) - 1)) <= 1e-12
+
+
 def test_wrong_order_product_fails_factorization_at_every_scale(tmp_path, monkeypatch,
                                                                 capsys):
     # run_property, and so replay, scales each input by a power of two, so

@@ -100,3 +100,17 @@ def test_every_tracer_target_resolves():
                        capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
     assert json.loads(p.stdout) == []
+
+
+# The verdicts line of scripts/report_digest.py: each verify result's
+# trials and failures and each replay's PASS or FAIL, over its fixed
+# configs. A change that moves only residual bits keeps it.
+REPORT_VERDICTS = "dc08842ca8df16a16d0dac55052a81a8bda57a9d6f51bbb0ac46ef79f213d613  verdicts"
+
+
+def test_report_verdicts_are_pinned():
+    root = INIT.parents[2]
+    p = subprocess.run([sys.executable, str(root / "scripts" / "report_digest.py"),
+                        str(root / "src")], capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+    assert REPORT_VERDICTS in p.stdout.splitlines()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import outer_lift, random_bm, random_lift, scalar_bm
+from conftest import outer_lift, random_bm, random_lift, scalar_bm, svd_shapes
 from schurblock import (
     PROPERTIES,
     BlockMatrix,
@@ -142,10 +142,13 @@ class TestSharpness:
 
 
 def _row_norm_via_indicator(x, k):
-    """Norm of block row k of x through one indicator product, row by row."""
+    """Norm of block row k of x through one indicator product, row by row:
+    the product is zero outside its block row k, the d-by-(n*d) strip
+    whose norm is taken."""
     y = np.zeros((x.n, x.n, x.d, x.d), dtype=complex)
     y[k, :] = np.eye(x.d)
-    return spectral_norm(flatten(schur_block_product(x, block_matrix(y))))
+    product = flatten(schur_block_product(x, block_matrix(y)))
+    return spectral_norm(product[..., k * x.d:(k + 1) * x.d, :])
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (4, 2), (8, 4)])
@@ -620,17 +623,13 @@ def test_structure_norms_nothing_wider_than_n_d(n, d, norm_calls):
 
 
 def test_every_svd_gets_the_tall_side(monkeypatch):
-    shapes = []
-    svd = np.linalg.svd
-
-    def recorded(x, *args, **kwargs):
-        shapes.append(np.shape(x)[-2:])
-        return svd(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    shapes = svd_shapes(monkeypatch)
     assert run_suite(TrialConfig(n=8, d=4, k=3, trials=1, seed=7)).passed
     assert shapes
     assert all(rows >= cols for rows, cols in shapes), shapes
+    # a non-square matrix is normed through its Gram on the narrow side:
+    # no SVD is wider than n*d, where lambda(A) V is 256 by 32
+    assert max(rows for rows, _ in shapes) <= 8 * 4, shapes
 
 
 def test_builder_products_keep_only_the_columns_v_keeps(monkeypatch):
