@@ -25,7 +25,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from . import __version__
 from .blocks import block_matrix_from_json, json_chunks
@@ -223,11 +223,9 @@ def report_to_json(report: VerificationReport) -> str:
 def report_to_csv(report: VerificationReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["property_id", "trials", "failures", "worst_residual",
-                     "worst_seed", "tolerance_used", "seconds"])
-    for r in report.results:
-        writer.writerow([r.property_id, r.trials, r.failures, repr(r.worst_residual),
-                         r.worst_seed, repr(r.tolerance_used), repr(r.seconds)])
+    # csv writes a float by repr, so a residual reads back bit for bit
+    writer.writerow([f.name for f in fields(PropertyResult)])
+    writer.writerows(astuple(r) for r in report.results)
     return buf.getvalue()
 
 
@@ -278,11 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"tolerance for {prop} (default {spec.tol:g})")
     pv.add_argument("--out", default=None, help="write the report here")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
+    pv.set_defaults(run=_cmd_verify)
 
     pr = sub.add_parser("replay", help="re-run one checker on a stored instance")
     pr.add_argument("instance", help="instance JSON file")
     pr.add_argument("--property", required=True, choices=tuple(PROPERTIES))
     pr.add_argument("--tol", type=float, default=None)
+    pr.set_defaults(run=_cmd_replay)
 
     pe = sub.add_parser("emit-system", help="dump V, F, Q (and lambda(A) and A) as JSON")
     pe.add_argument("--n", type=int, required=True)
@@ -290,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--instance", default=None,
                     help="optional instance file; adds lambda(A) and A to the dump")
     pe.add_argument("--out", default=None)
+    pe.set_defaults(run=_cmd_emit_system)
 
     return parser
 
@@ -328,11 +329,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        return _cmd_emit_system(args)
+        return args.run(args)
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse JSON: {exc.msg} at line {exc.lineno} "
               f"column {exc.colno}", file=sys.stderr)

@@ -1,14 +1,15 @@
 """Checkers for the identities and inequalities obeyed by the Schur block product.
 
 Each checker measures and returns residuals; only ``run_property``
-judges. A checker is written on stacks of trials: its BlockMatrix
-arguments may carry a leading trial axis (blocks of shape
-(T, n, n, d, d)), each kernel runs once for the whole stack (one batched
-@, cholesky, svd or eigvalsh), and it returns one residual per trial, an
-array of shape (T,). A single instance is the batch-of-one case of the
-same code and gives a float. Trial t's residual is, bit for bit, the one its
-instance gives alone: a batched LAPACK or BLAS call makes the same call
-per matrix, and every sum runs in one fixed order whatever the stack.
+judges them against a tolerance. A checker is written on stacks of
+trials: its BlockMatrix arguments may carry a leading trial axis (blocks
+of shape (T, n, n, d, d)), each kernel runs once for the whole stack
+(one batched @, cholesky, svd or eigvalsh), and it returns one residual
+per trial, an array of shape (T,). A single instance is the batch-of-one
+case of the same code and gives a float. Trial t's residual is, bit for
+bit, the one its instance gives alone: a batched LAPACK or BLAS call
+makes the same call per matrix, and every sum runs in one fixed order
+whatever the stack.
 
 ``run_property`` judges a whole stack, which the suite feeds it one
 chunk of trials at a time: a residual passes at or below the tolerance,
@@ -19,8 +20,7 @@ deviation over its reference by one rule, ``linalg.ratio``, with no
 floor: matrix identities through ``identity_residual``, scalar
 equalities through ``_gap``, bounds (the excess over the right-hand
 side) through ``_excess``, PSD orders (how far a smallest eigenvalue
-falls below 0) through ``ratio`` itself. A NaN residual stays NaN and
-fails.
+falls below 0) through ``_below``. A NaN residual stays NaN and fails.
 
 Every property is homogeneous in each input, so ``run_property`` judges
 each input of each trial scaled by a power of two, exactly, with its
@@ -56,15 +56,12 @@ with no SVD, so only identities that can carry rounding (factorization,
 structure's bilinear term, the decomposition sum) pay for spectral
 norms, and none of them on a matrix wider than n*d.
 
-Each inequality says a Hermitian matrix is PSD (R^2 I - X* X for
+Each inequality says a Hermitian matrix H is PSD (R^2 I - X* X for
 livshits and cb_level, diag(A*A) -+ A* [] A for sandwich, the Gram
-matrix G for cauchy_schwarz), and is proven before it is measured: one
-Cholesky factorization per chunk, shifted by ``PROOF_MARGIN`` times a
-scale (``_proves_psd``). A proven chunk is one on which the measured
-route would also give 0.0, so its residuals are 0.0 with no SVD and no
-eigvalsh; a chunk the factorization cannot prove (an instance on or near
-its bound, an overflow) is measured as if no proof had been tried, so
-the proof moves no residual bit.
+matrix G for cauchy_schwarz), and one judge, ``_judge``, proves it
+before it measures it. A checker states only its H, its proof scale
+(the largest diagonal entry of the bound side: R^2, diag(A*A) or G) and
+its measure; no checker calls the proof or branches on it.
 """
 
 from __future__ import annotations
@@ -261,21 +258,35 @@ def _proves_psd(h, scale) -> bool:
     return bool(np.isfinite(factor).all())
 
 
+def _judge(h, scale, measure):
+    """0.0 over h's stack where one Cholesky factorization (``_proves_psd``
+    at scale) proves the Hermitian part of every matrix of h PSD, else
+    ``measure()``. A proven chunk is one the measure would also give 0.0;
+    one it cannot prove (on or near its bound, an overflow) is measured as
+    if no proof had been tried, so the proof moves no residual bit."""
+    if _proves_psd(h, scale):
+        return as_scalar(np.zeros(h.shape[:-2]))
+    return measure()
+
+
+def _below(h):
+    """max(0, -lambda_min) of the Hermitian part of each matrix of h."""
+    return _max(0.0, -hermitian_min_eig(h))
+
+
 def _livshits_violation(a: BlockMatrix, b: BlockMatrix):
     """How far ||A [] B|| exceeds R = row_norm(A) * col_norm(B), relative to R.
 
-    ||X|| <= R exactly when R^2 I - X* X is PSD, X = flatten(A [] B). Where
-    ``_proves_psd`` proves that for the whole chunk, with scale R^2, every
-    residual is 0.0 and no SVD runs; otherwise ||X|| is measured.
+    ||X|| <= R, X = flatten(A [] B), exactly when H = R^2 I - X* X is PSD;
+    the judge takes H at scale R^2 and measures ||X|| by its SVD.
     """
     _check_same_shape(a, b)
     x = flatten(schur_block_product(a, b))
     rhs = row_norm(a) * col_norm(b)
     bound = np.square(rhs)
-    if _proves_psd(np.asarray(bound)[..., None, None] * np.eye(x.shape[-1])
-                   - np.conj(x).swapaxes(-1, -2) @ x, bound):
-        return as_scalar(np.zeros(a.batch))
-    return _excess(spectral_norm(x), rhs)
+    h = (np.asarray(bound)[..., None, None] * np.eye(x.shape[-1])
+         - np.conj(x).swapaxes(-1, -2) @ x)
+    return _judge(h, bound, lambda: _excess(spectral_norm(x), rhs))
 
 
 def verify_livshits(a: BlockMatrix, b: BlockMatrix):
@@ -326,22 +337,15 @@ def verify_sandwich(a: BlockMatrix):
 
     The residual is how far the smaller eigenvalue of the Hermitian parts
     of diag(A*A) -+ A* [] A falls below 0, plus the Frobenius norm of
-    A* [] A's skew part, relative to ||diag(A*A)||. Where ``_proves_psd``
-    proves both sides for the whole chunk, with scale the largest diagonal
-    entry of diag(A*A), the eigenvalue term is 0 with no eigvalsh; the
-    norm of diag(A*A) is taken only where the sum is nonzero.
+    A* [] A's skew part, relative to ||diag(A*A)|| where that sum is nonzero.
     """
     star = adjoint_block(a)
     s = flatten(schur_block_product(star, a))
     dmat = flatten(diag_block(block_matmul(star, a)))
-    # s is Hermitian by the adjoint law, so its skew part counts against it;
-    # both gaps are judged by their Hermitian parts, one call for both
+    # s is Hermitian by the adjoint law, so its skew part counts against it
     gaps = np.stack([dmat - s, dmat + s])
-    if _proves_psd(gaps, np.diagonal(dmat, axis1=-2, axis2=-1).real.max(axis=-1)):
-        below = 0.0
-    else:
-        lo, hi = hermitian_min_eig(gaps)
-        below = _max(0.0, -lo, -hi)
+    scale = np.diagonal(dmat, axis1=-2, axis2=-1).real.max(axis=-1)
+    below = _judge(gaps, scale, lambda: _below(gaps)).max(axis=0)
     skew = np.linalg.norm(s - np.conj(s).swapaxes(-1, -2), axis=(-2, -1))
     return relative_gap(below + skew, dmat)
 
@@ -358,10 +362,7 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
     self-adjoint unitary, so this is the paper's proof step; it needs no
     inverse of D_A or D_B and has no singular case. The residual is how far
     the smallest eigenvalue of G's Hermitian part falls below 0, relative
-    to r, the largest spectral norm among the 2n diagonal blocks of D_A and
-    D_B. Where ``_proves_psd`` proves G PSD for the whole chunk, with scale
-    G's largest diagonal entry, every residual is 0.0, with no eigvalsh and
-    no norm of a diagonal block.
+    to r, the largest spectral norm of the 2n diagonal blocks of D_A, D_B.
     """
     _check_same_shape(a, b)
     i = np.arange(a.n)
@@ -369,11 +370,9 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
     d_b = diag_block(block_matmul(adjoint_block(b), b))
     ab = flatten(schur_block_product(a, b))
     gram = np.block([[flatten(d_a), ab], [np.conj(ab).swapaxes(-1, -2), flatten(d_b)]])
-    if _proves_psd(gram, np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)):
-        return as_scalar(np.zeros(a.batch))
-    r = spectral_norm(np.concatenate([d_a.blocks[..., i, i, :, :],
-                                      d_b.blocks[..., i, i, :, :]], axis=-3)).max(axis=-1)
-    return ratio(_max(0.0, -hermitian_min_eig(gram)), r)
+    scale = np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)
+    return _judge(gram, scale, lambda: ratio(_below(gram), spectral_norm(np.concatenate(
+        [d_a.blocks[..., i, i, :, :], d_b.blocks[..., i, i, :, :]], axis=-3)).max(axis=-1)))
 
 
 def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
@@ -435,11 +434,12 @@ def run_property(property_id: str, x, *, tol: float | None = None,
     the module docstring). The checker (see ``Property``) runs on the
     inputs the property needs, each one of each trial scaled by a power
     of two (``BlockMatrix.unit_scaled``), so the verdict does not depend
-    on the scale of x; ``seconds`` times the checker alone. Each residual passes at or below tol, by default the
-    property's own; ``failures`` counts those that do not, NaN
-    included. The worst trial is the first largest residual in trial
-    order, with NaN the largest; its entry of ``seeds``, the trials' seeds
-    in order, is the result's ``worst_seed`` (0 when seeds is None).
+    on the scale of x; ``seconds`` times the checker alone. Each residual
+    passes at or below tol, by default the property's own; ``failures``
+    counts those that do not, NaN included. The worst trial is the first
+    largest residual in trial order, with NaN the largest; its entry of
+    ``seeds``, the trials' seeds in order, is the result's ``worst_seed``
+    (0 when seeds is None).
     """
     if property_id not in PROPERTIES:
         raise ValueError(f"unknown property {property_id!r}")

@@ -73,6 +73,20 @@ def test_no_checker_reads_the_property_table():
     assert readers == []
 
 
+def test_one_judge_proves_and_one_helper_takes_eigenvalues():
+    # every inequality reaches its proof through _judge and its eigenvalue
+    # deficit through _below, so a checker that hand-codes either fails here
+    readers = {name: [] for name in ("_proves_psd", "hermitian_min_eig")}
+    for node in parse(INIT.parent / "verify.py").body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        refs = referenced_names(node)
+        for name, found in readers.items():
+            if name in refs:
+                found.append(getattr(node, "name", type(node).__name__))
+    assert readers == {"_proves_psd": ["_judge"], "hermitian_min_eig": ["_below"]}
+
+
 # Run in an isolated interpreter: importing perfbench's tracer puts the
 # checkout's src and perfbench on sys.path, which must not leak into the
 # test process. Prints the targets that do not resolve to a callable.
