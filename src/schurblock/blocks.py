@@ -73,6 +73,12 @@ class BlockMatrix:
         computed once per BlockMatrix."""
         return BlockMatrix(self.n, self.d, _unit_scale(self.blocks))
 
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """Values computed from this matrix, kept as long as it is: the
+        quantities the properties of one chunk share (``verify._once``)."""
+        return {}
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockMatrix):
             return NotImplemented

@@ -25,7 +25,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 from . import __version__
 from .blocks import block_matrix_from_json, json_chunks
@@ -108,7 +108,8 @@ class TrialConfig:
         return self.tolerances.get(property_id, PROPERTIES[property_id].tol)
 
     def as_dict(self) -> dict:
-        return dict(asdict(self), properties=list(self.properties),
+        return dict({f.name: getattr(self, f.name) for f in fields(self)},
+                    properties=list(self.properties),
                     tolerances={p: self.tolerance_for(p) for p in self.properties})
 
 

@@ -48,8 +48,9 @@ r = ``v_rows`` and f = ``f_perm``, which gathers exactly the entries a
 dense product would sum, so no checker reads the dense ``V``, ``F`` or
 ``Q``. V and F reach lambda as its index arguments, so a checker builds
 only the strip it reads, from one formula: V* lambda(A) F lambda(B) V is
-``build_lambda(a, r, f) @ build_lambda(b, None, r)``, a (n*d) x (n*d*n)
-by (n*d*n) x (n*d) product, and rho(B) V = F lambda(B) V is
+V* lambda(A) = ``build_lambda(a, r)``, gathered at f, times
+``build_lambda(b, None, r)``, a (n*d) x (n*d*n) by (n*d*n) x (n*d)
+product, and rho(B) V = F lambda(B) V is
 ``build_lambda(b, f, r)``. No checker builds rho, and no array of a trial
 is n*d*n on both sides. An exactly zero difference is a residual of 0.0
 with no SVD, so only identities that can carry rounding (factorization,
@@ -62,13 +63,27 @@ matrix G for cauchy_schwarz), and one judge, ``_judge``, proves it
 before it measures it. A checker states only its H, its proof scale
 (the largest diagonal entry of the bound side: R^2, diag(A*A) or G) and
 its measure; no checker calls the proof or branches on it.
+
+The properties of one chunk share what they compute alike, through
+``_once``, which keeps each value on the chunk's scaled A
+(``BlockMatrix._memo``) and so drops it with the chunk: A [] B and its
+flatten X; ||X||, the denominator of the three identity residuals
+(factorization, structure's bilinear term, the decomposition sum), taken
+once over the whole stack and only when some trial's gap is nonzero, and
+also the Livshits measure; row_norm(A); V* lambda(A) and lambda(B) V;
+and A*. A value that one property alone reads, such as col_norm(B), is
+not kept. The first property in ``PROPERTIES`` order that reads a shared
+value pays for it in its ``seconds``. An entry's key is the function this module binds at call
+time and the identity of each argument, so a mutant or a wrapper
+installed on a name is a new key, never a stale hit. Replay runs one
+property on a new instance per call, so it shares nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -143,7 +158,8 @@ PROOF_MARGIN = 2.0 ** -20
 @dataclass(frozen=True)
 class PropertyResult:
     """Outcome of running one property over one or more trials; ``seconds``
-    is the wall time spent in its checker."""
+    is the wall time spent in its checker, including the shared values of
+    a chunk it is the first property to compute (see the module docstring)."""
 
     property_id: str
     trials: int
@@ -167,7 +183,7 @@ class PropertyResult:
         return self.failures == 0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def merge_results(results) -> PropertyResult:
@@ -202,15 +218,49 @@ def _max(first, *rest):
     return functools.reduce(np.maximum, rest, np.asarray(first))
 
 
+def _once(owner: BlockMatrix, fn, *args):
+    """fn(*args), computed once per owner, a checker's first input (the
+    chunk's scaled A), and reused by every property of the chunk. It lives
+    on the owner (``BlockMatrix._memo``), so it is dropped with the chunk.
+
+    The key is fn, the object this module binds at call time, so a mutant
+    or a wrapper installed on a name is a new key, never a stale hit, and
+    the identity of each argument. The entry holds its arguments, so no
+    identity in a live key is reused; not the owner, which holds the entry.
+    """
+    key = (fn, *map(id, args))
+    entry = owner._memo.get(key)
+    if entry is None:
+        entry = owner._memo[key] = fn(*args), [x for x in args if x is not owner]
+    return entry[0]
+
+
+def _ab(a: BlockMatrix, b: BlockMatrix) -> np.ndarray:
+    """flatten(A [] B), formed once per chunk."""
+    return _once(a, flatten, _once(a, schur_block_product, a, b))
+
+
+def _relative_to_ab(gap, a: BlockMatrix, b: BlockMatrix):
+    """gap / ||flatten(A [] B)|| per trial, and 0.0 where gap is 0.0.
+
+    The norm is taken once per chunk, over the whole stack, and only when
+    some trial's gap is nonzero; the SVD of a matrix gives the same bits
+    in any stack, so this is ``identity_residual``'s value.
+    """
+    return ratio(gap, _once(a, spectral_norm, _ab(a, b)) if np.any(gap) else 0.0)
+
+
 def verify_factorization(a: BlockMatrix, b: BlockMatrix):
     """flatten(A [] B) = V* lambda(A) F lambda(B) V."""
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
     r, f = sys_.v_rows, sys_.f_perm
-    target = flatten(schur_block_product(a, b))
-    via_flip = build_lambda(a, r, f) @ build_lambda(b, None, r)
-    # a product that matches target bit for bit gives 0.0 without an SVD
-    return relative_gap(gap_norm(target - via_flip), target)
+    # V* lambda(A) F: np.take gathers the contiguous array build_lambda(a, r, f)
+    # builds, so the product runs the same GEMM
+    via_flip = np.take(_once(a, build_lambda, a, r), f, axis=-1) @ _once(
+        a, build_lambda, b, None, r)
+    # a product that matches the target bit for bit gives 0.0 without an SVD
+    return _relative_to_ab(gap_norm(_ab(a, b) - via_flip), a, b)
 
 
 def verify_structure(a: BlockMatrix, b: BlockMatrix):
@@ -231,10 +281,9 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix):
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
     r, f = sys_.v_rows, sys_.f_perm
-    vla = build_lambda(a, r)
+    vla = _once(a, build_lambda, a, r)
     compression = identity_residual(flatten(diag_block(a)), vla[..., :, r])
-    bilinear = identity_residual(vla @ build_lambda(b, f, r),
-                                 flatten(schur_block_product(a, b)))
+    bilinear = _relative_to_ab(gap_norm(vla @ build_lambda(b, f, r) - _ab(a, b)), a, b)
     return as_scalar(_max(sys_.operator_residual, bilinear, compression))
 
 
@@ -281,12 +330,12 @@ def _livshits_violation(a: BlockMatrix, b: BlockMatrix):
     the judge takes H at scale R^2 and measures ||X|| by its SVD.
     """
     _check_same_shape(a, b)
-    x = flatten(schur_block_product(a, b))
-    rhs = row_norm(a) * col_norm(b)
+    x = _ab(a, b)
+    rhs = _once(a, row_norm, a) * col_norm(b)
     bound = np.square(rhs)
     h = (np.asarray(bound)[..., None, None] * np.eye(x.shape[-1])
          - np.conj(x).swapaxes(-1, -2) @ x)
-    return _judge(h, bound, lambda: _excess(spectral_norm(x), rhs))
+    return _judge(h, bound, lambda: _excess(_once(a, spectral_norm, x), rhs))
 
 
 def verify_livshits(a: BlockMatrix, b: BlockMatrix):
@@ -329,7 +378,7 @@ def verify_sharpness(x: BlockMatrix):
     via = row_norms_via_schur(x)
     direct = spectral_norm(flatten(x).reshape(*x.batch, x.n, x.d, x.n * x.d))
     return as_scalar(_max(_gap(via, direct).max(axis=-1),
-                          _gap(via.max(axis=-1), row_norm(x))))
+                          _gap(via.max(axis=-1), _once(x, row_norm, x))))
 
 
 def verify_sandwich(a: BlockMatrix):
@@ -339,7 +388,7 @@ def verify_sandwich(a: BlockMatrix):
     of diag(A*A) -+ A* [] A falls below 0, plus the Frobenius norm of
     A* [] A's skew part, relative to ||diag(A*A)|| where that sum is nonzero.
     """
-    star = adjoint_block(a)
+    star = _once(a, adjoint_block, a)
     s = flatten(schur_block_product(star, a))
     dmat = flatten(diag_block(block_matmul(star, a)))
     # s is Hermitian by the adjoint law, so its skew part counts against it
@@ -366,9 +415,9 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
     """
     _check_same_shape(a, b)
     i = np.arange(a.n)
-    d_a = diag_block(block_matmul(a, adjoint_block(a)))
+    d_a = diag_block(block_matmul(a, _once(a, adjoint_block, a)))
     d_b = diag_block(block_matmul(adjoint_block(b), b))
-    ab = flatten(schur_block_product(a, b))
+    ab = _ab(a, b)
     gram = np.block([[flatten(d_a), ab], [np.conj(ab).swapaxes(-1, -2), flatten(d_b)]])
     scale = np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)
     return _judge(gram, scale, lambda: ratio(_below(gram), spectral_norm(np.concatenate(
@@ -388,17 +437,16 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
     r, f = sys_.v_rows, sys_.f_perm
-    vla = build_lambda(a, r)
+    vla = _once(a, build_lambda, a, r)
     vlaf = vla[..., :, f]
-    lbv = build_lambda(b, None, r)
+    lbv = _once(a, build_lambda, b, None, r)
 
-    target = flatten(schur_block_product(a, b))
     plus = ((vla + vlaf) / 2) @ lbv
     minus = ((vla - vlaf) / 2) @ lbv
     prod = block_matmul(a, b)
     return as_scalar(_max(
         sys_.operator_residual,
-        identity_residual(plus - minus, target),
+        _relative_to_ab(gap_norm(plus - minus - _ab(a, b)), a, b),
         identity_residual(build_lambda(prod, r, r),
                           flatten(diag_block(prod))),
     ))
@@ -407,8 +455,9 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
 def verify_norm_lemmas(a: BlockMatrix):
     """col_norm(A) = ||lambda(A) V|| and row_norm(A) = ||V* lambda(A)||."""
     r = StinespringSystem.build(a.n, a.d).v_rows
-    return as_scalar(_max(_gap(spectral_norm(build_lambda(a, None, r)), col_norm(a)),
-                          _gap(spectral_norm(build_lambda(a, r)), row_norm(a))))
+    return as_scalar(_max(
+        _gap(spectral_norm(build_lambda(a, None, r)), col_norm(a)),
+        _gap(spectral_norm(_once(a, build_lambda, a, r)), _once(a, row_norm, a))))
 
 
 def verify_cb_level(a: BlockMatrix, b: BlockMatrix):

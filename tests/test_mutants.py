@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from schurblock import (
+    PROPERTIES,
     BlockMatrix,
     StinespringSystem,
     block_matrix_to_json,
@@ -289,6 +290,29 @@ def test_ginibre_kill_table(mutant, shape, failing, monkeypatch):
     n, d, k = shape
     report = run_suite(TrialConfig(n=n, d=d, k=k, trials=20, seed=42))
     assert {r.property_id for r in report.results if r.failures} == failing
+
+
+def failing_properties(x, level_k):
+    """The properties that fail on one chunk, ``cb_level`` on its level-k pair."""
+    return {p for p in PROPERTIES
+            if not run_property(p, level_k if p == "cb_level" else x).passed}
+
+
+@pytest.mark.parametrize("mutant", [m.__name__ for _, m, *_ in MUTANTS] + ["norms_swapped"])
+def test_shared_chunk_values_are_never_stale(mutant):
+    # the kill table's first shape and trials, as one chunk
+    (n, d, k), seeds = KILL_SHAPES[0], [mix64(42, t) for t in range(20)]
+    shared = sample_chunk(seeds, n, d, k)
+    assert failing_properties(*shared) == set()
+    # the correct run left the chunk's shared values on its matrices
+    assert shared[0]["A"].unit_scaled._memo
+    with pytest.MonkeyPatch.context() as mp:
+        installer(mutant)(mp)
+        fresh = failing_properties(*sample_chunk(seeds, n, d, k))
+        assert fresh == GINIBRE_KILLS[mutant][0]
+        assert failing_properties(*shared) == fresh
+    # nor does a value computed under the mutant outlive it
+    assert failing_properties(*shared) == set()
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (4, 4), (4, 8)])

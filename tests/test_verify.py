@@ -687,6 +687,38 @@ def test_one_eigen_call_per_rule_per_chunk(n, d, k, trials, expected, monkeypatc
     assert calls == expected
 
 
+@pytest.mark.parametrize("n, d, k, trials, svds", [(4, 2, 2, 10, 14), (8, 4, 3, 1, 11)])
+def test_one_chunk_computes_each_shared_quantity_once(n, d, k, trials, svds, monkeypatch):
+    calls = dict.fromkeys(["schur_block_product", "row_norm", "build_lambda", "svd"], 0)
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("schur_block_product", "row_norm", "build_lambda"):
+        counting(verify_module, name)
+    counting(np.linalg, "svd")
+    # each config is one chunk
+    assert run_suite(TrialConfig(n=n, d=d, k=k, trials=trials, seed=7)).passed
+    assert calls == {
+        # A [] B for five properties, A* [] A, sharpness' rows, the level-k pair
+        "schur_block_product": 4,
+        # row_norm(A) for livshits, sharpness and norm_lemmas, and the level-k A
+        "row_norm": 2,
+        # V* lambda(A) and lambda(B) V shared, F lambda(B) V, V* lambda(AB) V
+        # and lambda(A) V
+        "build_lambda": 5,
+        # ||A [] B|| once for the three identity residuals, where they carry
+        # rounding
+        "svd": svds,
+    }
+
+
 def test_no_checker_reads_the_dense_operators(monkeypatch):
     for name in ("V", "F", "Q"):
         monkeypatch.setattr(StinespringSystem, name, property(
