@@ -189,30 +189,23 @@ def diag_block(a: BlockMatrix) -> BlockMatrix:
     return BlockMatrix(n=a.n, d=a.d, blocks=b)
 
 
-def _max_sqrt_norm(grams: np.ndarray):
-    """max over the last stack axis of ||g||^(1/2), one SVD call for all g."""
-    return as_scalar(np.sqrt(spectral_norm(grams)).max(axis=-1))
+def _row_strips(a: BlockMatrix) -> np.ndarray:
+    """The (..., n, d, n*d) block-row strips of flatten(a): strip i is
+    [a_i1 ... a_in], rows i*d .. i*d + d - 1."""
+    return flatten(a).reshape(*a.batch, a.n, a.d, a.n * a.d)
 
 
 def row_norm(a: BlockMatrix):
-    """max over i of || sum_j a_ij a_ij* ||^(1/2).
-
-    sum_j a_ij a_ij* is s_i s_i*, with s_i = [a_i1 ... a_in] the d-by-(n*d)
-    strip of rows i*d .. i*d + d - 1 of flatten(a): one batched product
-    forms all n Grams.
-    """
-    rows = flatten(a).reshape(*a.batch, a.n, a.d, a.n * a.d)
-    return _max_sqrt_norm(rows @ np.conj(rows).swapaxes(-1, -2))
+    """max over i of || sum_j a_ij a_ij* ||^(1/2) = ||s_i||, the largest
+    ``spectral_norm`` of a block-row strip s_i (``_row_strips``)."""
+    return as_scalar(spectral_norm(_row_strips(a)).max(axis=-1))
 
 
 def col_norm(a: BlockMatrix):
-    """max over j of || sum_i a_ij* a_ij ||^(1/2).
-
-    sum_i a_ij* a_ij is c_j* c_j, with c_j the (n*d)-by-d strip of columns
-    j*d .. j*d + d - 1 of flatten(a): one batched product forms all n Grams.
-    """
+    """max over j of || sum_i a_ij* a_ij ||^(1/2) = ||c_j||, the largest
+    ``spectral_norm`` of a strip c_j, columns j*d .. j*d + d - 1 of flatten(a)."""
     cols = flatten(a).reshape(*a.batch, a.n * a.d, a.n, a.d).swapaxes(-3, -2)
-    return _max_sqrt_norm(np.conj(cols).swapaxes(-1, -2) @ cols)
+    return as_scalar(spectral_norm(cols).max(axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,10 @@ MAX_N = 8
 MAX_D = 4
 MAX_K = 3
 
-# the suite runs its trials in chunks whose largest complex operator, an
-# n*d*n square or the flattened level-k pair, takes at most this many bytes:
+# the suite runs its trials in chunks sized by one nominal complex operator
+# per trial, the n*d*n square or the flattened level-k pair, at this many bytes:
 # 256 trials at (n, d) = (4, 2), 4 at (8, 4), 1820 at (n, d, k) = (1, 4, 3).
-# A trial now builds only n*d-wide strips, so the square is an upper bound
+# No trial builds the square, only n*d-wide strips: it is a nominal size
 CHUNK_BYTES = 4 << 20
 
 # --out files are opened with this buffer. A piece longer than the buffer

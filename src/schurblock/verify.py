@@ -28,7 +28,11 @@ largest entry in [1/2, 1): its verdict does not depend on the scale of
 the input, and no finite instance overflows. A BlockMatrix keeps its
 scaled form (``BlockMatrix.unit_scaled``), so the properties of one
 chunk scale each matrix once. A ``verify_<id>`` residual is measured on
-its inputs as given.
+its inputs as given. Its row and column norms, ``row_norm`` and
+``col_norm``, are the largest ``spectral_norm`` of a block-row or
+block-column strip: ``spectral_norm``, the package's one Gram route to a
+norm, takes a strip's own SVD where its Gram overflows or underflows, so
+both norms are right at every finite scale of A.
 
 ``PROPERTIES`` is the one list of the nine properties: each id's default
 tolerance, the instance pieces it needs, and the call that runs its
@@ -73,10 +77,11 @@ once over the whole stack and only when some trial's gap is nonzero, and
 also the Livshits measure; row_norm(A); V* lambda(A) and lambda(B) V;
 and A*. A value that one property alone reads, such as col_norm(B), is
 not kept. The first property in ``PROPERTIES`` order that reads a shared
-value pays for it in its ``seconds``. An entry's key is the function this module binds at call
-time and the identity of each argument, so a mutant or a wrapper
-installed on a name is a new key, never a stale hit. Replay runs one
-property on a new instance per call, so it shares nothing.
+value pays for it in its ``seconds``. An entry's key is the function
+this module binds at call time and the identity of each argument, so a
+mutant or a wrapper installed on a name is a new key, never a stale hit.
+Replay runs one property on a new instance per call, so it shares
+nothing.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ import numpy as np
 from .blocks import (
     BlockMatrix,
     _check_same_shape,
+    _row_strips,
     adjoint_block,
     block_matmul,
     col_norm,
@@ -373,10 +379,10 @@ def verify_sharpness(x: BlockMatrix):
     """Row norms recovered through [] match direct block-row norms, every row.
 
     The direct norm of block row k is that of the d-by-(n*d) strip of
-    rows k*d .. k*d + d - 1 of flatten(x).
+    rows k*d .. k*d + d - 1 of flatten(x), the strip ``row_norm`` takes.
     """
     via = row_norms_via_schur(x)
-    direct = spectral_norm(flatten(x).reshape(*x.batch, x.n, x.d, x.n * x.d))
+    direct = spectral_norm(_row_strips(x))
     return as_scalar(_max(_gap(via, direct).max(axis=-1),
                           _gap(via.max(axis=-1), _once(x, row_norm, x))))
 

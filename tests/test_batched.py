@@ -132,16 +132,15 @@ def test_nan_residual_fails_and_is_the_worst(monkeypatch):
 
 
 # The stacked code replaced per-row and per-column loops. The loops stay
-# here as the reference its bits must match: the Gram of block row i is
-# s s* for the d-by-(n*d) strip s of flatten(a), that of block column j
-# is c* c for the (n*d)-by-d strip c.
+# here as the reference its bits must match: the norm of block row i is
+# that of the d-by-(n*d) strip s of flatten(a), that of block column j of
+# the (n*d)-by-d strip c, each taken by its own spectral_norm call.
 
 def _loop_row_col_norms(a):
     x, d = flatten(a), a.d
-    rows = [s @ np.conj(s).T for s in (x[i * d:(i + 1) * d, :] for i in range(a.n))]
-    cols = [np.conj(c).T @ c for c in (x[:, j * d:(j + 1) * d] for j in range(a.n))]
-    return tuple(float(max(np.sqrt(spectral_norm(g)) for g in grams))
-                 for grams in (rows, cols))
+    rows = (x[i * d:(i + 1) * d, :] for i in range(a.n))
+    cols = (x[:, j * d:(j + 1) * d] for j in range(a.n))
+    return tuple(max(spectral_norm(s) for s in strips) for strips in (rows, cols))
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (3, 1), (4, 2), (2, 3), (8, 4), (3, 12)])

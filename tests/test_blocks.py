@@ -182,6 +182,20 @@ class TestRowColNorms:
             assert row_norm(a) <= whole + 1e-10
             assert col_norm(a) <= whole + 1e-10
 
+    @pytest.mark.parametrize("stack", [False, True])
+    @pytest.mark.parametrize("n, d", itertools.product([1, 3, 8], [1, 2, 4]))
+    def test_hold_at_every_scale(self, n, d, stack):
+        # at 2^-600 and 2^600 a strip's Gram underflows or overflows, and
+        # spectral_norm takes the strip's own SVD, so the bits may differ
+        rng = np.random.default_rng(600 + 10 * n + d)
+        singles = [random_bm(rng, n, d).blocks for _ in range(3)]
+        a = BlockMatrix(n, d, np.stack(singles) if stack else singles[0])
+        for norm in (row_norm, col_norm):
+            unit = norm(a)
+            for k in (-600, 600):
+                assert_allclose(norm(BlockMatrix(n, d, 2.0 ** k * a.blocks)),
+                                2.0 ** k * np.asarray(unit), rtol=1e-13, atol=0)
+
 
 def lift_oracle(a, b):
     """Brute-force (p, q, l, i, j) loop over slotwise block products."""

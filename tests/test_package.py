@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import schurblock
 
 INIT = Path(schurblock.__file__)
@@ -128,3 +130,14 @@ def test_report_verdicts_are_pinned():
                         str(root / "src")], capture_output=True, text=True, timeout=300)
     assert p.returncode == 0, p.stderr
     assert REPORT_VERDICTS in p.stdout.splitlines()
+
+
+def test_version_is_declared_once():
+    # pip reads pyproject's version and reports print __version__: the
+    # first is read from the second, so they cannot drift apart
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((INIT.parents[2] / "pyproject.toml").read_text())
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "schurblock.__version__"}

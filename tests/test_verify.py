@@ -660,12 +660,24 @@ def test_builder_products_keep_only_the_columns_v_keeps(monkeypatch):
         assert all(shape[-1] <= n * d for shape in shapes), (check.__name__, shapes)
 
 
+@pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (8, 4)])
+@pytest.mark.parametrize("pid", ["livshits", "sharpness", "norm_lemmas", "cb_level"])
+def test_norm_checkers_pass_on_a_tiny_input_as_given(pid, n, d):
+    # row_norm and col_norm of A at 2^-600 take the strips' own SVDs where
+    # their Grams underflow, so the bound and the lemmas hold as given:
+    # the checker runs on A unscaled, not through run_property
+    rng = np.random.default_rng(601 + n * d)
+    a, b = (random_bm(rng, n, d) for _ in range(2))
+    tiny = BlockMatrix(n, d, 2.0 ** -600 * a.blocks)
+    assert PROPERTIES[pid].check({"A": tiny, "B": b}) <= PROPERTIES[pid].tol
+
+
 def test_sharpness_makes_three_svd_calls_per_chunk(norm_calls):
     rng = np.random.default_rng(313)
     x = BlockMatrix(4, 2, np.stack([random_bm(rng, 4, 2).blocks for _ in range(10)]))
     verify_sharpness(x)
-    # the rows through [], the rows directly, and row_norm's 2x2 grams
-    assert norm_calls == [(8, 40, False), (8, 40, False), (2, 40, False)]
+    # the rows through [], the rows directly, and row_norm's strips
+    assert norm_calls == [(8, 40, False), (8, 40, False), (8, 40, False)]
 
 
 @pytest.mark.parametrize("n, d, k, trials, expected", [
