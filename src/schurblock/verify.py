@@ -54,12 +54,13 @@ dense product would sum, so no checker reads the dense ``V``, ``F`` or
 only the strip it reads, from one formula: V* lambda(A) F lambda(B) V is
 V* lambda(A) = ``build_lambda(a, r)``, gathered at f, times
 ``build_lambda(b, None, r)``, a (n*d) x (n*d*n) by (n*d*n) x (n*d)
-product, and rho(B) V = F lambda(B) V is
-``build_lambda(b, f, r)``. No checker builds rho, and no array of a trial
-is n*d*n on both sides. An exactly zero difference is a residual of 0.0
-with no SVD, so only identities that can carry rounding (factorization,
-structure's bilinear term, the decomposition sum) pay for spectral
-norms, and none of them on a matrix wider than n*d.
+product. No checker builds rho, and no array of a trial is n*d*n on both
+sides. Each of the paper's statements is checked once: the identity by
+``factorization`` alone, while ``structure`` and ``decomposition`` compare
+exact gathers (V* lambda(X) V = flatten(diag(X))). An exactly zero
+difference is a residual of 0.0 with no SVD, so only ``factorization``,
+the one identity that can carry rounding, pays for a spectral norm, and
+not on a matrix wider than n*d.
 
 Each inequality says a Hermitian matrix H is PSD (R^2 I - X* X for
 livshits and cb_level, diag(A*A) -+ A* [] A for sandwich, the Gram
@@ -71,11 +72,10 @@ its measure; no checker calls the proof or branches on it.
 The properties of one chunk share what they compute alike, through
 ``_once``, which keeps each value on the chunk's scaled A
 (``BlockMatrix._memo``) and so drops it with the chunk: A [] B and its
-flatten X; ||X||, the denominator of the three identity residuals
-(factorization, structure's bilinear term, the decomposition sum), taken
+flatten X; ||X||, the denominator of the factorization residual, taken
 once over the whole stack and only when some trial's gap is nonzero, and
-also the Livshits measure; row_norm(A); V* lambda(A) and lambda(B) V;
-and A*. A value that one property alone reads, such as col_norm(B), is
+also the Livshits measure; row_norm(A); V* lambda(A); and A*. A value
+that one property alone reads, such as col_norm(B) or lambda(B) V, is
 not kept. The first property in ``PROPERTIES`` order that reads a shared
 value pays for it in its ``seconds``. An entry's key is the function
 this module binds at call time and the identity of each argument, so a
@@ -246,27 +246,24 @@ def _ab(a: BlockMatrix, b: BlockMatrix) -> np.ndarray:
     return _once(a, flatten, _once(a, schur_block_product, a, b))
 
 
-def _relative_to_ab(gap, a: BlockMatrix, b: BlockMatrix):
-    """gap / ||flatten(A [] B)|| per trial, and 0.0 where gap is 0.0.
+def verify_factorization(a: BlockMatrix, b: BlockMatrix):
+    """flatten(A [] B) = V* lambda(A) F lambda(B) V, the one identity
+    residual: ||X - V* lambda(A) F lambda(B) V|| / ||X||, X = flatten(A [] B).
 
-    The norm is taken once per chunk, over the whole stack, and only when
+    ||X|| is taken once per chunk, over the whole stack, and only when
     some trial's gap is nonzero; the SVD of a matrix gives the same bits
     in any stack, so this is ``identity_residual``'s value.
     """
-    return ratio(gap, _once(a, spectral_norm, _ab(a, b)) if np.any(gap) else 0.0)
-
-
-def verify_factorization(a: BlockMatrix, b: BlockMatrix):
-    """flatten(A [] B) = V* lambda(A) F lambda(B) V."""
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
     r, f = sys_.v_rows, sys_.f_perm
+    x = _ab(a, b)
     # V* lambda(A) F: np.take gathers the contiguous array build_lambda(a, r, f)
     # builds, so the product runs the same GEMM
-    via_flip = np.take(_once(a, build_lambda, a, r), f, axis=-1) @ _once(
-        a, build_lambda, b, None, r)
+    via_flip = np.take(_once(a, build_lambda, a, r), f, axis=-1) @ build_lambda(b, None, r)
     # a product that matches the target bit for bit gives 0.0 without an SVD
-    return _relative_to_ab(gap_norm(_ab(a, b) - via_flip), a, b)
+    gap = gap_norm(x - via_flip)
+    return ratio(gap, _once(a, spectral_norm, x) if np.any(gap) else 0.0)
 
 
 def verify_structure(a: BlockMatrix, b: BlockMatrix):
@@ -277,20 +274,17 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix):
     FV = V, and the two gather laws F lambda(A) F = rho(A) and
     sigma(A) = V flatten(A) V*, on a labelled instance. Checked per trial,
     in the n*d space: the diagonal compression
-    flatten(diag(A)) = V* lambda(A) V, and the bilinear
-    V* lambda(A) rho(B) V = flatten(A [] B). The latter is
-    Q lambda(A) rho(B) Q = sigma(A [] B) compressed by V: sigma(X) =
-    V flatten(X) V*, and ||V D V*|| = ||D|| keeps the residual. V* lambda(A)
-    is ``build_lambda(a, r)``, and rho(B) V = F lambda(B) V (by the flip
-    law and FV = V) is ``build_lambda(b, f, r)``.
+    flatten(diag(A)) = V* lambda(A) V, two gathers of A's entries, so it
+    reads exactly 0.0 on correct code and spends no SVD. B is read for its
+    shape alone: the identity V* lambda(A) rho(B) V = flatten(A [] B) is
+    ``factorization``'s, with rho(B) = F lambda(B) F and FV = V.
     """
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
-    r, f = sys_.v_rows, sys_.f_perm
-    vla = _once(a, build_lambda, a, r)
-    compression = identity_residual(flatten(diag_block(a)), vla[..., :, r])
-    bilinear = _relative_to_ab(gap_norm(vla @ build_lambda(b, f, r) - _ab(a, b)), a, b)
-    return as_scalar(_max(sys_.operator_residual, bilinear, compression))
+    r = sys_.v_rows
+    compression = identity_residual(flatten(diag_block(a)),
+                                    _once(a, build_lambda, a, r)[..., :, r])
+    return as_scalar(_max(sys_.operator_residual, compression))
 
 
 def _proves_psd(h, scale) -> bool:
@@ -433,28 +427,21 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
 def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
     """Difference-of-positive-parts form and the absolute-value identity.
 
-    With P = (F + I)/2, an orthogonal projection since F = F* = F^-1:
-    flatten(A [] B) equals V* lambda(A) P lambda(B) V minus
-    V* lambda(A) (I - P) lambda(B) V, and V* lambda(AB) V equals
-    flatten(diag(AB)). V is an index argument of ``build_lambda`` and P is
-    applied by index, X P = (X + XF)/2 with XF = X[:, f_perm]; the laws of
-    V and F come from the system's ``operator_residual``, once per (n, d).
+    With P = (F + I)/2, an orthogonal projection since F = F* = F^-1 (the
+    laws of F, which the system's ``operator_residual`` proves once per
+    (n, d)), flatten(A [] B) = V* lambda(A) P lambda(B) V minus
+    V* lambda(A) (I - P) lambda(B) V is ``factorization``'s identity with
+    F = P - (I - P). Checked per trial: V* lambda(AB) V equals
+    flatten(diag(AB)), two gathers of AB's entries, so it reads exactly
+    0.0 on correct code and spends no SVD.
     """
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
-    r, f = sys_.v_rows, sys_.f_perm
-    vla = _once(a, build_lambda, a, r)
-    vlaf = vla[..., :, f]
-    lbv = _once(a, build_lambda, b, None, r)
-
-    plus = ((vla + vlaf) / 2) @ lbv
-    minus = ((vla - vlaf) / 2) @ lbv
+    r = sys_.v_rows
     prod = block_matmul(a, b)
     return as_scalar(_max(
         sys_.operator_residual,
-        _relative_to_ab(gap_norm(plus - minus - _ab(a, b)), a, b),
-        identity_residual(build_lambda(prod, r, r),
-                          flatten(diag_block(prod))),
+        identity_residual(build_lambda(prod, r, r), flatten(diag_block(prod))),
     ))
 
 

@@ -11,6 +11,8 @@ caught by the labelled proof that ``StinespringSystem.operator_residual``
 runs once per (n, d), which fails every ``structure`` trial. The proof
 checks sigma(A) = V flatten(A) V* whole, so it also catches a sigma that
 writes outside Q's range, where sigma(A) V and sigma(I) do not look.
+A wrong lambda installed in ``verify`` alone is caught per trial, by
+``factorization``, ``structure`` and ``decomposition`` (the kill table).
 
 A bug that only loosens an inequality's bound escapes random draws,
 which stay well inside it; the families that reach the bound, built in
@@ -70,7 +72,7 @@ MUTANTS = [
     ("adjoint_block", adjoint_without_conj, {"sandwich", "cauchy_schwarz"}, set()),
     ("adjoint_block", adjoint_without_slot_swap, {"sandwich", "cauchy_schwarz"}, set()),
     ("schur_block_product", schur_product_swapped,
-     {"factorization", "structure", "sandwich", "cauchy_schwarz", "decomposition"}, set()),
+     {"factorization", "sandwich", "cauchy_schwarz"}, set()),
     ("block_matmul", block_matmul_swapped, {"sandwich", "cauchy_schwarz"}, set()),
     ("diag_block", diag_block_identity,
      {"structure", "sandwich", "cauchy_schwarz", "decomposition"}, set()),
@@ -247,12 +249,22 @@ def row_norm_shrunk_by_2_to_the_minus_22(monkeypatch):
     monkeypatch.setattr(verify, "row_norm", lambda a: (1 - 2.0 ** -22) * blocks.row_norm(a))
 
 
+def lambda_of_conj_in_verify(monkeypatch):
+    """``lambda_of_conj`` in verify's binding alone: every per-trial term
+    that builds lambda sees it, and the once-per-shape proof, which runs
+    stinespring's own builder, does not."""
+    monkeypatch.setattr(verify, "build_lambda", lambda_of_conj)
+
+
 def installer(mutant_name):
-    """Install a ``MUTANTS`` entry, ``norms_swapped`` or nothing ("correct")."""
+    """Install a ``MUTANTS`` entry, ``norms_swapped``, ``lambda_of_conj`` in
+    verify's binding, or nothing ("correct")."""
     if mutant_name == "correct":
         return lambda monkeypatch: None
     if mutant_name == "norms_swapped":
         return norms_swapped
+    if mutant_name == "lambda_of_conj":
+        return lambda_of_conj_in_verify
     name, mutant = next((name, m) for name, m, *_ in MUTANTS if m.__name__ == mutant_name)
     return lambda monkeypatch: install(monkeypatch, name, mutant)
 
@@ -266,9 +278,10 @@ def installer(mutant_name):
 # blocks are scalars, which commute.
 KILL_SHAPES = [(3, 2, 2), (2, 1, 2), (4, 2, 1), (1, 2, 1)]
 ADJOINT = {"sandwich", "cauchy_schwarz"}
-PRODUCT = {"factorization", "structure", "sandwich", "cauchy_schwarz", "decomposition"}
+PRODUCT = {"factorization", "sandwich", "cauchy_schwarz"}
 DIAGONAL = {"structure", "sandwich", "cauchy_schwarz", "decomposition"}
 NORMS = {"sharpness", "norm_lemmas"}
+LAMBDA = {"factorization", "structure", "decomposition"}
 GINIBRE_KILLS = {
     "correct": [set(), set(), set(), set()],
     "adjoint_without_conj": [ADJOINT, ADJOINT, ADJOINT, ADJOINT],
@@ -277,6 +290,7 @@ GINIBRE_KILLS = {
     "block_matmul_swapped": [ADJOINT, {"cauchy_schwarz"}, ADJOINT, ADJOINT],
     "diag_block_identity": [DIAGONAL, DIAGONAL, DIAGONAL, set()],
     "norms_swapped": [NORMS, NORMS, NORMS, set()],
+    "lambda_of_conj": [LAMBDA, LAMBDA, LAMBDA, LAMBDA],
 }
 KILL_TABLE = [(mutant, shape, failing)
               for mutant, row in GINIBRE_KILLS.items()

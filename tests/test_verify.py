@@ -458,12 +458,11 @@ class TestFixedOperatorChecks:
             assert name not in vars(system), name
 
 
-def dense_structure_terms(a, b, sys_):
+def dense_structure_terms(a, sys_):
     """The instance terms of ``structure``, by dense products with V, F and Q.
 
     ``flip`` and ``sigma`` are the gather laws the system proves once per
-    shape; ``bilinear``, Q lambda(A) rho(B) Q = sigma(A [] B) compressed by
-    V, and ``compression`` are checked per trial.
+    shape; ``compression`` is checked per trial.
     """
     v, f = sys_.V, sys_.F
     vh = v.conj().T
@@ -471,8 +470,6 @@ def dense_structure_terms(a, b, sys_):
     return {
         "flip": identity_residual(f @ la @ f, build_rho(a)),
         "sigma": identity_residual(build_sigma(a), v @ flatten(a) @ vh),
-        "bilinear": identity_residual((vh @ la) @ (build_rho(b) @ v),
-                                      flatten(schur_block_product(a, b))),
         "compression": identity_residual(flatten(diag_block(a)), vh @ la @ v),
     }
 
@@ -494,20 +491,10 @@ def dense_norm_lemmas_residual(a, sys_):
 
 
 def dense_decomposition_residual(a, b, sys_):
-    """The instance part of ``decomposition``, by dense products with V and P."""
-    big = a.n * a.d * a.n
-    p = (sys_.F + np.eye(big)) / 2
-    vh = sys_.V.conj().T
-    la, lb = build_lambda(a), build_lambda(b)
-    target = flatten(schur_block_product(a, b))
-    plus = (vh @ la @ p) @ (lb @ sys_.V)
-    minus = (vh @ la @ (np.eye(big) - p)) @ (lb @ sys_.V)
+    """The instance part of ``decomposition``, by dense products with V."""
     prod = block_matmul(a, b)
-    return max(
-        identity_residual(plus - minus, target),
-        identity_residual(vh @ build_lambda(prod) @ sys_.V,
-                          flatten(diag_block(prod))),
-    )
+    return identity_residual(sys_.V.conj().T @ build_lambda(prod) @ sys_.V,
+                             flatten(diag_block(prod)))
 
 
 @pytest.mark.parametrize("n,d,trials", [(3, 1, 4), (2, 3, 4), (4, 2, 4), (8, 4, 2)])
@@ -520,7 +507,7 @@ def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
     for _ in range(trials):
         a, b = random_bm(rng, n, d), random_bm(rng, n, d)
         structure.append(verify_structure(a, b))
-        terms = dense_structure_terms(a, b, sys_)
+        terms = dense_structure_terms(a, sys_)
         assert structure[-1] == max(terms.values())
         # the labelled proof covers the gather laws only while the builders
         # stay free of branches on values; random draws check them here
@@ -528,9 +515,8 @@ def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
         assert verify_decomposition(a, b) == dense_decomposition_residual(a, b, sys_)
         assert verify_factorization(a, b) == dense_factorization_residual(a, b, sys_)
         assert verify_norm_lemmas(a) == dense_norm_lemmas_residual(a, sys_)
-    if (n, d) == (4, 2):
-        # the bilinear identity carries rounding here, so its SVD runs
-        assert min(structure) > 0.0
+    # structure compares exact gathers, so it carries no rounding
+    assert max(structure) == 0.0
 
 
 def _rebind(monkeypatch, original, replacement):
@@ -579,8 +565,8 @@ def test_structure_builds_each_representation_once_per_chunk(monkeypatch):
                                           for _ in range(10)]))
          for key in ("A", "B")}
     assert run_property("structure", x).passed
-    # V* lambda(A) and rho(B) V = F lambda(B) V; no rho, and no sigma at all
-    assert calls == ["build_lambda", "build_lambda"]
+    # V* lambda(A) alone; no rho, and no sigma at all
+    assert calls == ["build_lambda"]
 
 
 def test_no_trial_builds_a_triple_space_square(monkeypatch):
@@ -610,16 +596,15 @@ def test_svd_budget_per_trial_at_largest_config(norm_calls):
 
 @pytest.mark.parametrize("n, d", [(5, 3), (4, 2)])
 def test_structure_norms_nothing_wider_than_n_d(n, d, norm_calls):
-    # sigma(X) = V flatten(X) V* and ||V D V*|| = ||D||, so the bilinear
-    # identity is judged in the n*d space, never in the n*d*n one
+    # structure's one per-trial term, flatten(diag(A)) = V* lambda(A) V,
+    # compares two gathers of A's entries: it is judged in the n*d space,
+    # and exactly, so it takes no norm at all
     rng = np.random.default_rng(337 + n * d)
     x = {key: BlockMatrix(n, d, np.stack([random_bm(rng, n, d).blocks
                                           for _ in range(4)]))
          for key in ("A", "B")}
     assert run_property("structure", x).passed
-    # the bilinear identity carries rounding here, so its SVDs run
-    assert norm_calls
-    assert max(side for side, _, _ in norm_calls) <= n * d, norm_calls
+    assert norm_calls == []
 
 
 def test_every_svd_gets_the_tall_side(monkeypatch):
@@ -634,7 +619,8 @@ def test_every_svd_gets_the_tall_side(monkeypatch):
 
 def test_builder_products_keep_only_the_columns_v_keeps(monkeypatch):
     """V keeps n*d of the n*d*n columns, so no product of a builder's
-    matrix in factorization, structure or decomposition is wider."""
+    matrix in factorization is wider; structure and decomposition compare
+    a builder's matrix by gathers and multiply none."""
     n, d = 8, 4
     shapes = []
 
@@ -653,11 +639,13 @@ def test_builder_products_keep_only_the_columns_v_keeps(monkeypatch):
     rng = np.random.default_rng(331)
     a, b = (BlockMatrix(n, d, np.stack([random_bm(rng, n, d).blocks for _ in range(2)]))
             for _ in range(2))
-    for check in (verify_factorization, verify_structure, verify_decomposition):
+    verify_factorization(a, b)
+    assert shapes
+    assert all(shape[-1] <= n * d for shape in shapes), shapes
+    for check in (verify_structure, verify_decomposition):
         shapes.clear()
         check(a, b)
-        assert shapes, check.__name__
-        assert all(shape[-1] <= n * d for shape in shapes), (check.__name__, shapes)
+        assert shapes == [], check.__name__
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (8, 4)])
@@ -699,7 +687,7 @@ def test_one_eigen_call_per_rule_per_chunk(n, d, k, trials, expected, monkeypatc
     assert calls == expected
 
 
-@pytest.mark.parametrize("n, d, k, trials, svds", [(4, 2, 2, 10, 14), (8, 4, 3, 1, 11)])
+@pytest.mark.parametrize("n, d, k, trials, svds", [(4, 2, 2, 10, 12), (8, 4, 3, 1, 9)])
 def test_one_chunk_computes_each_shared_quantity_once(n, d, k, trials, svds, monkeypatch):
     calls = dict.fromkeys(["schur_block_product", "row_norm", "build_lambda", "svd"], 0)
 
@@ -718,15 +706,13 @@ def test_one_chunk_computes_each_shared_quantity_once(n, d, k, trials, svds, mon
     # each config is one chunk
     assert run_suite(TrialConfig(n=n, d=d, k=k, trials=trials, seed=7)).passed
     assert calls == {
-        # A [] B for five properties, A* [] A, sharpness' rows, the level-k pair
+        # A [] B for three properties, A* [] A, sharpness' rows, the level-k pair
         "schur_block_product": 4,
         # row_norm(A) for livshits, sharpness and norm_lemmas, and the level-k A
         "row_norm": 2,
-        # V* lambda(A) and lambda(B) V shared, F lambda(B) V, V* lambda(AB) V
-        # and lambda(A) V
-        "build_lambda": 5,
-        # ||A [] B|| once for the three identity residuals, where they carry
-        # rounding
+        # V* lambda(A) shared, lambda(B) V, V* lambda(AB) V and lambda(A) V
+        "build_lambda": 4,
+        # ||A [] B|| once, where the factorization residual carries rounding
         "svd": svds,
     }
 
