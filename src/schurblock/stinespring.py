@@ -21,7 +21,11 @@ V* lambda(A) F is build_lambda(A, v_rows, f_perm). The dense V, F and Q are
 scattered from them on each access. ``operator_residual`` checks the
 laws of V and F exactly on the arrays themselves, and proves the
 builders' two gather laws, F lambda(A) F = rho(A) and
-sigma(A) = V flatten(A) V*, once per (n, d) on a labelled instance.
+sigma(A) = V flatten(A) V*, once per (n, d) on a labelled instance. The
+proof holds one dense n*d*n stack at a time: rho(A) is compared with
+F lambda(A) F one first-leg row group (d*n rows) at a time, and freed
+before sigma(A) is built, so its peak is one stack plus 1/n of one, not
+two.
 
 Entry formulas, with row label (i, s, k) and column label (j, t, l):
 
@@ -175,7 +179,13 @@ class StinespringSystem:
         of 0/1 matrices has spectral norm at least 1, so 1.0 is of the
         order a dense comparison gives, and far above every tolerance.
 
-        It runs lazily, on the first read: ``build`` stays cheap.
+        It runs lazily, on the first read: ``build`` stays cheap. It holds
+        one dense n*d*n stack at a time, plus one first-leg row group of
+        F lambda(A) F (1/n of a stack): rho(A) stays whole while lambda is
+        compared with it group by group, and is freed before sigma(A) is
+        built. At (8, 4) one stack of two is 2 MiB, more than a warm
+        one-trial verify call peaks at, so two of them at once would set
+        the peak memory of a verify run.
         """
         r, p = self.v_rows, self.f_perm
         stack = _labelled(self.n, self.d)
@@ -209,14 +219,22 @@ def _gathers_hold(a: BlockMatrix, r: np.ndarray, p: np.ndarray) -> bool:
     """F lambda(a) F = rho(a) and sigma(a) = V flatten(a) V*, bit for bit.
 
     F lambda(a) F = build_lambda(a, p, p), the formula every checker calls,
-    so this covers each entry of lambda. V flatten(a) V* is flatten(a) at
-    rows r and columns r and zero elsewhere. sigma(a)'s (r, r) block is
-    compared and then zeroed in place, so no difference array is formed.
+    so this covers each entry of lambda. It is built one first-leg row
+    group at a time: the d*n rows (i, *, *) of F lambda(a) F are
+    build_lambda(a, p[g], p) for the slice g of those rows, compared with
+    the same rows of rho(a). V flatten(a) V* is flatten(a) at rows r and
+    columns r and zero elsewhere. sigma(a)'s (r, r) block is compared and
+    then zeroed in place, so no difference array is formed. rho(a) is freed
+    before sigma(a) is built, so the proof holds one dense n*d*n stack,
+    plus 1/n of one, at a time.
     """
-    flipped = build_lambda(a, p, p)
-    if not np.array_equal(flipped, build_rho(a)):
-        return False
-    del flipped
+    rho = build_rho(a)
+    group = a.d * a.n
+    for start in range(0, p.size, group):
+        g = slice(start, start + group)
+        if not np.array_equal(build_lambda(a, p[g], p), rho[..., g, :]):
+            return False
+    del rho
     sigma = build_sigma(a)
     if not np.array_equal(sigma[..., r[:, None], r], flatten(a)):
         return False

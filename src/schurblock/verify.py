@@ -55,10 +55,11 @@ only the strip it reads, from one formula: V* lambda(A) F lambda(B) V is
 V* lambda(A) = ``build_lambda(a, r)``, gathered at f, times
 ``build_lambda(b, None, r)``, a (n*d) x (n*d*n) by (n*d*n) x (n*d)
 product. No checker builds rho, and no array of a trial is n*d*n on both
-sides. Each of the paper's statements is checked once: the identity by
-``factorization`` alone, while ``structure`` and ``decomposition`` compare
-exact gathers (V* lambda(X) V = flatten(diag(X))). An exactly zero
-difference is a residual of 0.0 with no SVD, so only ``factorization``,
+sides; the once-per-(n, d) proof holds one such stack at a time. Each of
+the paper's statements is checked once: the identity by ``factorization``
+alone, while ``structure`` and ``decomposition`` compare exact gathers
+(V* lambda(X) V = flatten(diag(X))). An exactly zero difference is a
+residual of 0.0 with no SVD, so only ``factorization``,
 the one identity that can carry rounding, pays for a spectral norm, and
 not on a matrix wider than n*d.
 

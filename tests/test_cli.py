@@ -185,14 +185,17 @@ class TestReplay:
 
     @pytest.mark.parametrize("n, d, code", [(9, 1, 2), (1, 13, 2), (8, 12, 0)])
     def test_instance_size_range(self, n, d, code, tmp_path, capsys):
-        # n up to MAX_N, d up to MAX_K * MAX_D: cb_level's level-k pair at (8, 4, 3)
+        # n up to MAX_N, d up to MAX_K * MAX_D: cb_level's level-k pair at
+        # (8, 4, 3); every property replays the largest accepted shape, so
+        # structure and decomposition run the labelled proof at (8, 12)
         a = sample_block_matrix(np.random.default_rng(7), n, d)
         path = tmp_path / "size.json"
         path.write_text(json.dumps({"A": block_matrix_to_json(a),
                                     "B": block_matrix_to_json(a)}))
-        assert main(["replay", str(path), "--property", "cb_level"]) == code
-        if code:
-            assert "replay takes n in 1..8 and d in 1..12" in capsys.readouterr().err
+        for pid in PROPERTIES:
+            assert main(["replay", str(path), "--property", pid]) == code, pid
+            if code:
+                assert "replay takes n in 1..8 and d in 1..12" in capsys.readouterr().err
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"

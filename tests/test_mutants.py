@@ -409,6 +409,15 @@ def lambda_of_conj(a, *idx):
     return build_lambda(BlockMatrix(a.n, a.d, np.conj(a.blocks)), *idx)
 
 
+def lambda_with_last_leg_negated(a, rows=None, cols=None):
+    """lambda(A) with its rows (i, s, n-1) negated: F lambda(A) F then
+    differs from rho(A) only in the rows whose first leg is n - 1."""
+    out = build_lambda(a, rows, cols)
+    rows = np.arange(out.shape[-2]) if rows is None else rows
+    out[..., rows % a.n == a.n - 1, :] *= -1
+    return out
+
+
 def rho_of_first_grid_everywhere(a):
     """rho of the stack's first grid, written into every grid of the stack."""
     first = a.blocks[(0,) * len(a.batch)]
@@ -422,6 +431,9 @@ BUILDER_MUTANTS = [
     # sigma(A) = V flatten(A) V* catches it
     ("build_sigma", sigma_with_stray_block),
     ("build_lambda", lambda_of_conj),
+    # wrong only in the last first-leg row group of F lambda(A) F, which
+    # the proof compares last
+    ("build_lambda", lambda_with_last_leg_negated),
     # agrees with build_rho on a single instance: only the stack of two
     # catches it
     ("build_rho", rho_of_first_grid_everywhere),

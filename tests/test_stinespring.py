@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -233,6 +235,27 @@ class TestSystemInvariants:
         assert sys_.operator_residual == 0.0
         for arr in (v, f, sys_.Q, r, perm):
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("n,d", [(8, 4), (8, 12)])
+    def test_proof_holds_one_dense_stack_at_a_time(self, n, d):
+        # below two dense stacks of two: 4,194,304 B at (8, 4) and
+        # 37,748,736 B at (8, 12); a proof that holds F lambda(A) F and
+        # rho(A) whole at once peaks near 4.4e6 and 39.4e6 B
+        bound = 2 * 2 * triple_dim(n, d) ** 2 * 16
+        # the labelled instance's first rng.choice imports numpy.random,
+        # which would retain 0.72 MiB inside the trace
+        import numpy.random  # noqa: F401
+        StinespringSystem.build.cache_clear()
+        sys_ = StinespringSystem.build(n, d)
+        tracemalloc.start()
+        try:
+            residual = sys_.operator_residual
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            StinespringSystem.build.cache_clear()
+        assert residual == 0.0
+        assert peak < bound
 
 
 class TestRepresentationProperties:

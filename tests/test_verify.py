@@ -446,9 +446,10 @@ class TestFixedOperatorChecks:
         for pid in PROPERTIES:
             replay_instance(str(path), pid)
         # the laws of V and F, and the labelled proof alone and on a stack
-        # of two, were checked by the first call alone
+        # of two, were checked by the first call alone: rho whole, lambda
+        # one first-leg row group at a time, then sigma
         assert calls == [(name, batch) for batch in ((), (2,))
-                         for name in ("build_lambda", "build_rho", "build_sigma")]
+                         for name in ("build_rho", *["build_lambda"] * n, "build_sigma")]
 
     def test_one_system_per_shape_keeps_no_dense_operator(self):
         system = StinespringSystem.build(3, 2)
