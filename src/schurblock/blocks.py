@@ -322,6 +322,8 @@ def vector_from_json(obj, field: str = "vector") -> np.ndarray:
 
 # the four [re, im] pairs of signed zeros, at 2*signbit(re) + signbit(im)
 _ZERO_PAIRS = [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
+# pairs of text per piece of an array; 1,024 and 4,096 timed alike
+_PIECE_PAIRS = 1024
 
 
 def _pair_texts(value: np.ndarray, indent: str):
@@ -344,15 +346,40 @@ def _pair_texts(value: np.ndarray, indent: str):
 
 
 def _array_chunks(ids: np.ndarray, texts: np.ndarray, indent: str):
-    """The pieces of an array's [re, im] lists by pair id, one per innermost row."""
-    if ids.ndim == 1:
-        yield "[" + ",".join(texts[ids].tolist()) + indent + "]"
-    else:
-        inner = indent + "  "
-        for j, sub in enumerate(ids):
-            yield ("," if j else "[") + inner
-            yield from _array_chunks(sub, texts, inner)
-        yield indent + "]"
+    """The pieces of an array's [re, im] lists by pair id, _PIECE_PAIRS pairs each.
+
+    Each pair's text carries the text that follows it: a comma inside an
+    innermost row; after the last pair of j innermost lists, their j closing
+    brackets, a comma and j opening ones; after the array's last pair, every
+    closing bracket. Only the pairs that end a row get texts of their own,
+    so each piece is one join. Writes into both arrays: the row ends' new
+    ids into ``ids``, and the commas into ``texts``.
+    """
+    k = ids.ndim
+    levels = [indent + "  " * depth for depth in range(k)]
+    # tails[j]: what follows a row that ends j lists; only the last ends k
+    tails = np.empty(k + 1, dtype=object)
+    for j in range(1, k + 1):
+        closes = "".join(level + "]" for level in reversed(levels[k - j:]))
+        opens = "".join(level + "[" for level in levels[k - j:])
+        tails[j] = closes if j == k else closes + "," + opens
+    rows = ids.reshape(-1, ids.shape[-1])
+    # a row also ends each enclosing list whose last row it is
+    ends = np.arange(1, len(rows) + 1)
+    closed = np.ones(len(rows), dtype=np.intp)
+    block = 1
+    for length in ids.shape[-2::-1]:
+        block *= length
+        closed += ends % block == 0
+    row_ends = texts[rows[:, -1]] + tails[closed]
+    # in place, so no second set of pair texts is ever alive
+    texts += ","
+    rows[:, -1] = np.arange(len(texts), len(texts) + len(rows))
+    table = np.concatenate([texts, row_ends])
+    yield "[" + "".join(level + "[" for level in levels[1:])
+    flat = ids.reshape(-1)
+    for start in range(0, flat.size, _PIECE_PAIRS):
+        yield "".join(table[flat[start:start + _PIECE_PAIRS]].tolist())
 
 
 def _chunks(value, indent: str):
@@ -378,12 +405,13 @@ def json_chunks(obj: dict):
 
     With ``indent`` set, the json module runs its pure-Python encoder,
     which is slow on large operators. So each (finite, ndim >= 1) array is
-    written from pair texts with no Python code per entry: two zeros take
-    one of four texts by their sign bits, and each other distinct pair,
-    told apart by its bytes, is formatted once per array by ``repr``, as
-    json does. Each innermost row is one piece, so a caller that writes the
-    pieces as they come never holds more than one row of text. Other values
-    go through ``json.dumps``.
+    written from pair texts with no Python code per entry or per row: two
+    zeros take one of four texts by their sign bits, and each other distinct
+    pair, told apart by its bytes, is formatted once per array by ``repr``,
+    as json does. An array's pieces are its opening brackets, then
+    _PIECE_PAIRS pairs at a time, each pair with the comma or brackets that
+    follow it; so a caller that writes the pieces as they come holds at most
+    that many pairs of text. Other values go through ``json.dumps``.
     """
     yield from _chunks(obj, "\n")
     yield "\n"

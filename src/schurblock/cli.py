@@ -50,9 +50,9 @@ MAX_K = 3
 CHUNK_BYTES = 4 << 20
 
 # --out files are opened with this buffer. A piece longer than the buffer
-# bypasses it and costs its own write(2), and 768 rows of an (8, 4)
-# emit-system dump run to 8-12 KB: the default few-KiB buffer makes 1592
-# raw writes per 9 MB dump, 256 KiB (about 20 of the longest rows) 36.
+# bypasses it and costs its own write(2), and the 1,024-pair pieces of an
+# (8, 4) emit-system dump run to 48-109 KB: the default few-KiB buffer makes
+# 207 raw writes per 9 MB dump, 256 KiB (two to five pieces) 36.
 # A 1 MiB buffer was no faster
 WRITE_BUFFER = 1 << 18
 
@@ -233,7 +233,7 @@ def report_to_csv(report: VerificationReport) -> str:
 def _write_output(pieces, out: str | None):
     """Write the strings of ``pieces`` in turn to ``out``, or to stdout.
 
-    ``out`` gets a WRITE_BUFFER buffer, so long emit-system rows reach the
+    ``out`` gets a WRITE_BUFFER buffer, so emit-system pieces reach the
     kernel in 256 KiB blocks rather than one write call each. stdout keeps
     the caller's stream and buffer: rewrapping fd 1 would bypass an
     in-process ``contextlib.redirect_stdout``, and a fallback for that

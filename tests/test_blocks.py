@@ -34,7 +34,7 @@ from schurblock import (
     vector_to_json,
 )
 from schurblock import blocks as blocks_module
-from schurblock.blocks import json_chunks
+from schurblock.blocks import _PIECE_PAIRS, json_chunks
 
 
 class TestFlatten:
@@ -426,6 +426,19 @@ class TestJson:
             "nested": {"n": 5, "blocks": x.reshape(5, 5, 2, 2),
                        "more": {"z": x[::-1].reshape(2, 50), "k": [1, 2]}},
         }
+        text = "".join(json_chunks(obj))
+        assert text == json.dumps(as_json_lists(obj), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("shape", [(_PIECE_PAIRS + 1,), (3, 1500)])
+    def test_chunks_over_several_pieces_are_the_stdlib_dump(self, shape):
+        # arrays longer than a piece, with rows that do not divide it, so
+        # row ends and the array's end fall inside pieces and at their edges
+        parts = np.array(zero_pairs + [[5e-324, -0.0], [-0.0, 5e-324],
+                                       [0.1, -2.5], [1e16, 1.0]])
+        draws = np.random.default_rng(11).integers(len(parts), size=np.prod(shape))
+        pairs = parts[draws]
+        obj = {"x": pair_array(pairs, shape),
+               "y": {"n": 1, "z": pair_array(pairs[::-1], shape)}}
         text = "".join(json_chunks(obj))
         assert text == json.dumps(as_json_lists(obj), indent=2, sort_keys=True) + "\n"
 

@@ -26,7 +26,7 @@ from schurblock import (
     vector_to_json,
 )
 from schurblock import cli, verify
-from schurblock.blocks import json_chunks
+from schurblock.blocks import _PIECE_PAIRS, json_chunks
 from schurblock.verify import PROPERTIES, run_property
 from schurblock.cli import (
     ConfigError,
@@ -276,6 +276,10 @@ def test_finite_instance_at_scale_1e160_passes(pid, pair_scale, tmp_path):
     assert main(["replay", str(path), "--property", pid]) == 0
 
 
+# one [re, im] pair as the dump writes it, over its lines
+PAIR_TEXT = re.compile(r"\[\s+[^\s\[\],]+,\s+[^\s\[\],]+\s+\]")
+
+
 def emit_text(tmp_path, n, d, instance=None) -> str:
     """The text `emit-system` writes with --out."""
     out = tmp_path / "emit.json"
@@ -351,27 +355,36 @@ class TestEmitSystem:
         out = emit_system_dict(2, 1, str(path))
         assert np.array_equal(out["lambda_A"].real, np.eye(4))
 
-    def test_pieces_hold_at_most_one_row(self, tmp_path):
-        # the longest innermost [re, im] row of any array, as the stdlib
-        # writes it at its depth: A's blocks sit one level deeper
+    def test_pieces_hold_at_most_piece_pairs(self, tmp_path):
+        # each piece holds at most _PIECE_PAIRS whole [re, im] pairs of one
+        # array, each followed by a comma or by brackets; so no piece is
+        # longer than that many of the dump's longest pair lines, each with
+        # one array's brackets
         path = seeded_instance(tmp_path)
         out = emit_system_dict(8, 4, str(path))
         a = block_matrix_from_json(json.loads(path.read_text())["A"])
         arrays = [(v, 1) for v in out.values() if isinstance(v, np.ndarray)]
         arrays.append((a.blocks, 2))
-        longest = 0
+        longest = brackets = 0
         for v, depth in arrays:
-            indent = "\n" + "  " * (depth + v.ndim - 1)
-            for row in operator_to_json(v.reshape(-1, v.shape[-1])):
-                longest = max(longest, len(json.dumps(row, indent=2).replace("\n", indent)))
+            indent = "\n" + "  " * (depth + v.ndim)
+            for pair in operator_to_json(v.reshape(-1)):
+                line = indent + json.dumps(pair, indent=2).replace("\n", indent)
+                longest = max(longest, len(line))
+            # every bracket of the array, each on its line, and a comma
+            levels = ["\n" + "  " * (depth + i) for i in range(v.ndim)]
+            brackets = max(brackets, 2 * sum(len(level) + 1 for level in levels) + 1)
         pieces = list(json_chunks(out))
         assert "".join(pieces) == emit_text(tmp_path, 8, 4, path)
-        assert max(map(len, pieces)) <= longest
+        pairs = [len(PAIR_TEXT.findall(piece)) for piece in pieces]
+        assert sum(pairs) == sum(v.size for v, _ in arrays)
+        assert max(pairs) <= _PIECE_PAIRS
+        assert max(map(len, pieces)) <= _PIECE_PAIRS * (longest + brackets) + brackets
 
     def test_out_file_takes_few_raw_writes(self, tmp_path, monkeypatch):
         # the --out file as open() builds it, over a FileIO that counts its
-        # writes. With open()'s default buffer of a few KiB each longer row
-        # skips it, and a dump takes 1592 writes; a 256 KiB buffer takes 36
+        # writes. With open()'s default buffer of a few KiB each piece skips
+        # it, and a dump takes 207 writes; a 256 KiB buffer takes 36
         class CountingFileIO(io.FileIO):
             writes = 0
 
@@ -418,7 +431,9 @@ class TestEmitSystem:
     def test_writer_memory_peak(self, tmp_path):
         # the writer's own allocations, each piece dropped as it comes (a
         # list of them would hold the whole 9 MB text): one piece for a
-        # whole array, or a tolist of all its floats, exceeds this bound
+        # whole array, a tolist of all its floats, or a table of every tail
+        # of every distinct pair (1.26 MB) exceeds this bound; the writer
+        # peaks near 0.7 MB
         out = emit_system_dict(8, 4, str(seeded_instance(tmp_path)))
         tracemalloc.start()
         try:
@@ -426,7 +441,7 @@ class TestEmitSystem:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2e6
+        assert peak < 1e6
 
 
 class TestCommandLine:
