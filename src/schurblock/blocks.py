@@ -18,7 +18,9 @@ distinct from ``block_identity`` (the ordinary matrix unit).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,26 +324,44 @@ def vector_from_json(obj, field: str = "vector") -> np.ndarray:
 
 # the four [re, im] pairs of signed zeros, at 2*signbit(re) + signbit(im)
 _ZERO_PAIRS = [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
-# pairs of text per piece of an array; 1,024 and 4,096 timed alike
+# pairs of text per piece of an array; with runs, 4,096 and 16,384 timed
+# within noise of 1,024
 _PIECE_PAIRS = 1024
+
+
+def _pair_keys(words: np.ndarray) -> np.ndarray:
+    """One 64-bit key per row of (m, 2) uint64 words, the same for equal rows."""
+    keys = words[:, 0] * np.uint64(0x9E3779B97F4A7C15)
+    keys ^= words[:, 1]
+    return keys
 
 
 def _pair_texts(value: np.ndarray, indent: str):
     """(ids, texts): texts[ids] is the text of each [re, im] pair of value on
     its line at ``indent``. Both are made at their final size, ids in place:
-    texts grown one by one left heap holes that cost emit ~2 MB of RSS."""
+    texts grown one by one left heap holes that cost emit ~2 MB of RSS.
+
+    The nonzero pairs are partitioned by one integer sort of ``_pair_keys``
+    of their two words, and a pair starts a new id where its 16 bytes differ
+    from those of the pair before it, so -0.0 and 0.0 stay apart. Different
+    pairs whose keys collide may interleave in that order, which gives one
+    pair several ids with equal texts, but no id ever holds two pairs.
+    """
     pairs = _pairs(value).reshape(-1, 2)
     nz = np.flatnonzero(np.logical_or(pairs[:, 0], pairs[:, 1]))
-    # one sort of the pairs' 16 bytes, so -0.0 and 0.0 stay apart
-    _, first, inverse = np.unique(pairs[nz].view("V16").ravel(),
-                                  return_index=True, return_inverse=True)
+    order = np.argsort(_pair_keys(pairs[nz].view(np.uint64)))
+    nz = nz[order]
+    words = pairs[nz].view(np.uint64)
+    starts = np.empty(len(nz), dtype=bool)
+    starts[:1] = True
+    np.any(words[1:] != words[:-1], axis=1, out=starts[1:])
     ids = np.signbit(pairs[:, 0]).astype(np.int32)
     ids <<= 1
     ids += np.signbit(pairs[:, 1])
-    ids[nz] = inverse + len(_ZERO_PAIRS)
+    ids[nz] = np.cumsum(starts) + (len(_ZERO_PAIRS) - 1)
     inner = indent + "  "
     text = np.frompyfunc(f"{indent}[{inner}{{!r}},{inner}{{!r}}{indent}]".format, 2, 1)
-    distinct = np.concatenate([_ZERO_PAIRS, pairs[nz[first]]])
+    distinct = np.concatenate([_ZERO_PAIRS, pairs[nz[starts]]])
     return ids.reshape(value.shape), text(distinct[:, 0], distinct[:, 1])
 
 
@@ -352,8 +372,10 @@ def _array_chunks(ids: np.ndarray, texts: np.ndarray, indent: str):
     innermost row; after the last pair of j innermost lists, their j closing
     brackets, a comma and j opening ones; after the array's last pair, every
     closing bracket. Only the pairs that end a row get texts of their own,
-    so each piece is one join. Writes into both arrays: the row ends' new
-    ids into ``ids``, and the commas into ``texts``.
+    so a row end also ends a run of equal ids, and each piece is one join
+    over its runs, ``text * length`` each: a row of zeros is one item, not
+    one per pair. Writes into both arrays: the row ends' new ids into
+    ``ids``, and the commas into ``texts``.
     """
     k = ids.ndim
     levels = [indent + "  " * depth for depth in range(k)]
@@ -376,28 +398,42 @@ def _array_chunks(ids: np.ndarray, texts: np.ndarray, indent: str):
     texts += ","
     rows[:, -1] = np.arange(len(texts), len(texts) + len(rows))
     table = np.concatenate([texts, row_ends])
-    yield "[" + "".join(level + "[" for level in levels[1:])
+    # runs of equal ids; a run also starts at each piece's first pair, and
+    # a sentinel start at the end closes the last
     flat = ids.reshape(-1)
-    for start in range(0, flat.size, _PIECE_PAIRS):
-        yield "".join(table[flat[start:start + _PIECE_PAIRS]].tolist())
+    firsts = np.ones(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=firsts[1:-1])
+    firsts[::_PIECE_PAIRS] = True
+    firsts = np.flatnonzero(firsts)
+    runs = flat[firsts[:-1]]
+    lengths = np.subtract(firsts[1:], firsts[:-1], dtype=np.int32)
+    # piece p is runs bounds[p] to bounds[p + 1]
+    bounds = np.searchsorted(firsts, [*range(0, flat.size, _PIECE_PAIRS), flat.size])
+    # a generator over what the pieces need, so ids is dropped on return
+    return itertools.chain(
+        ["[" + "".join(level + "[" for level in levels[1:])],
+        ("".join((table[runs[lo:hi]] * lengths[lo:hi]).tolist())
+         for lo, hi in itertools.pairwise(bounds.tolist())))
 
 
 def _chunks(value, indent: str):
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         inner = indent + "  "
         for i, key in enumerate(sorted(value)):
             yield f"{',' if i else '{'}{inner}{json.dumps(key)}: "
             yield from _chunks(value[key], inner)
         yield indent + "}"
     elif isinstance(value, np.ndarray):
-        # all pairs of one array sit at one depth, so one set of texts serves them
-        yield from _array_chunks(*_pair_texts(value, indent + "  " * value.ndim),
-                                 indent)
+        # all pairs of one array sit at one depth, so one set of texts serves
+        # them; the array is let go once they are made, before its pieces
+        pieces = _array_chunks(*_pair_texts(value, indent + "  " * value.ndim), indent)
+        del value
+        yield from pieces
     else:
         yield json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
 
-def json_chunks(obj: dict):
+def json_chunks(obj: Mapping):
     """Yield, piece by piece, the text of
     ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` once each ndarray
     in obj, at any depth of nested mappings, is replaced by its
@@ -407,11 +443,15 @@ def json_chunks(obj: dict):
     which is slow on large operators. So each (finite, ndim >= 1) array is
     written from pair texts with no Python code per entry or per row: two
     zeros take one of four texts by their sign bits, and each other distinct
-    pair, told apart by its bytes, is formatted once per array by ``repr``,
-    as json does. An array's pieces are its opening brackets, then
-    _PIECE_PAIRS pairs at a time, each pair with the comma or brackets that
-    follow it; so a caller that writes the pieces as they come holds at most
-    that many pairs of text. Other values go through ``json.dumps``.
+    pair, told apart by its bytes after one integer sort, is formatted once
+    per array by ``repr``, as json does. An array's pieces are its opening
+    brackets, then _PIECE_PAIRS pairs at a time, each pair with the comma or
+    brackets that follow it and each run of equal pair texts written as one;
+    so a caller that writes the pieces as they come holds at most that many
+    pairs of text. Other values go through ``json.dumps``. Each value is read
+    from its mapping once, when its text is due, and an array is let go as
+    soon as its pair ids and texts are made, so a mapping that builds its
+    values on access has at most one alive at a time.
     """
     yield from _chunks(obj, "\n")
     yield "\n"
@@ -419,6 +459,21 @@ def json_chunks(obj: dict):
 
 def block_matrix_to_json(a: BlockMatrix) -> dict:
     return {"n": a.n, "d": a.d, "blocks": _pairs(a.blocks).tolist()}
+
+
+def _grid_found(rows, n: int) -> str | None:
+    """What a ``blocks`` field holds where an n-by-n list of lists belongs,
+    or None when it is one."""
+    if not isinstance(rows, list):
+        return f"a value of type {type(rows).__name__}"
+    if len(rows) != n:
+        return f"{len(rows)} row(s)"
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            return f"a value of type {type(row).__name__} as row {i}"
+        if len(row) != n:
+            return f"{len(row)} block(s) in row {i}"
+    return None
 
 
 def block_matrix_from_json(obj, field: str = "block matrix") -> BlockMatrix:
@@ -432,10 +487,10 @@ def block_matrix_from_json(obj, field: str = "block matrix") -> BlockMatrix:
     if not (type(n) is int and type(d) is int and n >= 1 and d >= 1):
         raise ValueError(f"{field}: n and d must be positive integers")
     rows = obj["blocks"]
-    if not isinstance(rows, list) or len(rows) != n or any(
-        not isinstance(r, list) or len(r) != n for r in rows
-    ):
-        raise ValueError(f"{field}: blocks must be an {n}-by-{n} grid")
+    found = _grid_found(rows, n)
+    if found is not None:
+        raise ValueError(f"{field}: blocks must be a {n}-by-{n} grid of blocks, "
+                         f"got {found}")
     # the grid is decoded in one conversion, which allocates only what the
     # file holds, so a d the blocks do not have allocates nothing. A grid
     # that does not come out as (n, n, d, d) blocks has a bad block; the

@@ -25,6 +25,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field, fields
 
 from . import __version__
@@ -195,26 +196,47 @@ def replay_instance(path: str, property_id: str,
     return run_property(property_id, x, tol=tol)
 
 
-def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> dict:
+class _BuiltOnAccess(Mapping):
+    """A read-only mapping that calls its key's builder on each access and
+    keeps no value, so a writer that takes one value at a time holds one."""
+
+    def __init__(self, builders: dict):
+        self._builders = builders
+
+    def __getitem__(self, key):
+        return self._builders[key]()
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self):
+        return len(self._builders)
+
+
+def emit_system_dict(n: int, d: int, instance_path: str | None = None) -> Mapping:
     """Dense V, F, Q for (n, d), plus lambda(A) and A when an instance is given.
 
     The operators, and A's ``blocks``, are ndarrays; ``blocks.json_chunks``
     writes them as grids of [re, im] pairs, so A reads back as
-    ``block_matrix_to_json(A)``.
+    ``block_matrix_to_json(A)``. The instance is read and checked here, but
+    each dense operator is built on each access to its key and kept by no
+    one but the caller: ``json_chunks``, which takes one key at a time, holds
+    one n*d*n square at a time, not all four.
     """
     if not (1 <= n <= MAX_N and 1 <= d <= MAX_D):
         raise ConfigError(f"n must be in 1..{MAX_N} and d in 1..{MAX_D}")
     system = StinespringSystem.build(n, d)
-    out = {"n": n, "d": d, "V": system.V, "F": system.F, "Q": system.Q}
+    builders = {"n": lambda: n, "d": lambda: d, "V": lambda: system.V,
+                "F": lambda: system.F, "Q": lambda: system.Q}
     if instance_path is not None:
         a = block_matrix_from_json(_load_instance(instance_path)["A"], field="A")
         if (a.n, a.d) != (n, d):
             raise ShapeError(
                 f"instance has (n={a.n}, d={a.d}), requested (n={n}, d={d})"
             )
-        out["lambda_A"] = build_lambda(a)
-        out["A"] = {"blocks": a.blocks, "d": a.d, "n": a.n}
-    return out
+        builders["lambda_A"] = lambda: build_lambda(a)
+        builders["A"] = lambda: {"blocks": a.blocks, "d": a.d, "n": a.n}
+    return _BuiltOnAccess(builders)
 
 
 def report_to_json(report: VerificationReport) -> str:

@@ -1,4 +1,9 @@
+import json
+import re
+from collections.abc import Mapping
+
 import numpy as np
+import pytest
 
 from schurblock import BlockMatrix, operator_to_json, unflatten
 
@@ -27,12 +32,29 @@ def outer_lift(grid, x: BlockMatrix) -> BlockMatrix:
     return BlockMatrix(x.n, x.d, np.multiply.outer(grid, x.blocks))
 
 
+# one [re, im] pair as the dump writes it, over its lines
+PAIR_TEXT = re.compile(r"\[\s+[^\s\[\],]+,\s+[^\s\[\],]+\s+\]")
+
+
 def as_json_lists(value):
-    """value with each ndarray, at any depth of nested dicts, as its
+    """value with each ndarray, at any depth of nested mappings, as its
     nested [re, im] lists: what ``json_chunks`` must write, for json.dumps."""
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {k: as_json_lists(v) for k, v in value.items()}
     return operator_to_json(value) if isinstance(value, np.ndarray) else value
+
+
+def assert_stdlib_dump(text: str, obj) -> None:
+    """text is ``json.dumps(as_json_lists(obj), indent=2, sort_keys=True)``
+    plus a newline. A mismatch names its first differing line: pytest's own
+    diff of two texts of thousands of lines runs for minutes."""
+    want = json.dumps(as_json_lists(obj), indent=2, sort_keys=True) + "\n"
+    if text != want:
+        got, ref = text.split("\n"), want.split("\n")
+        i = next(i for i, (g, w) in enumerate(zip(got + [None], ref + [None]))
+                 if g != w)
+        pytest.fail(f"line {i + 1} is {got[i:i + 1]}, not {ref[i:i + 1]} "
+                    f"({len(got)} lines, not {len(ref)})", pytrace=False)
 
 
 def svd_shapes(monkeypatch) -> list:

@@ -7,7 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import as_json_lists, outer_lift, random_bm, random_lift, scalar_bm
+from conftest import (
+    PAIR_TEXT,
+    as_json_lists,
+    assert_stdlib_dump,
+    outer_lift,
+    random_bm,
+    random_lift,
+    scalar_bm,
+)
 from schurblock import (
     BlockMatrix,
     ShapeError,
@@ -439,8 +447,45 @@ class TestJson:
         pairs = parts[draws]
         obj = {"x": pair_array(pairs, shape),
                "y": {"n": 1, "z": pair_array(pairs[::-1], shape)}}
-        text = "".join(json_chunks(obj))
-        assert text == json.dumps(as_json_lists(obj), indent=2, sort_keys=True) + "\n"
+        assert_stdlib_dump("".join(json_chunks(obj)), obj)
+
+    def test_long_runs_across_pieces_are_the_stdlib_dump(self):
+        # each row of the grid is four long runs, one per signed-zero pair, so
+        # runs cross piece edges; nonzero pairs sit at the last pair of the
+        # first piece, the first of the second and a row end. The line is one
+        # run of equal nonzero pairs that only the piece edges cut
+        width = 2 * _PIECE_PAIRS + 5
+        quarter = np.arange(width) * 4 // width
+        pairs = np.array(zero_pairs)[(quarter + np.arange(3)[:, None]) % 4]
+        pairs[0, _PIECE_PAIRS - 1] = [0.1, -0.0]
+        pairs[0, _PIECE_PAIRS] = [-0.0, 1e16]
+        pairs[1, -1] = [5e-324, 0.0]
+        obj = {"grid": pair_array(pairs, (3, width)),
+               "line": pair_array([[-2.5, 0.1]] * (3 * _PIECE_PAIRS), (3 * _PIECE_PAIRS,))}
+        pieces = list(json_chunks(obj))
+        assert_stdlib_dump("".join(pieces), obj)
+        counts = [len(PAIR_TEXT.findall(piece)) for piece in pieces]
+        assert sum(counts) == 3 * width + 3 * _PIECE_PAIRS
+        assert max(counts) == _PIECE_PAIRS
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_pair_ids_never_join_different_pairs(self, collide, monkeypatch):
+        # pairs equal as complex numbers but not in their zero signs, and
+        # pairs that share one of their two words; with every key made to
+        # collide, equal keys interleave different pairs in the sort
+        if collide:
+            monkeypatch.setattr(blocks_module, "_pair_keys",
+                                lambda words: np.zeros(len(words), dtype=np.uint64))
+        pairs = [[1.0, 0.0], [1.0, -0.0], [-0.0, 2.0], [0.0, 2.0], [1.0, 2.0],
+                 [2.0, 1.0], [2.0, 2.0], [1.0, 1.0], [-1.0, 2.0], [5e-324, 1.0]]
+        order = np.random.default_rng(3).permutation(5 * len(pairs))
+        x = pair_array(np.array(pairs * 5)[order], (5, len(pairs)))
+        ids, _ = blocks_module._pair_texts(x, "\n")
+        words = x.view(np.uint64).reshape(-1, 2)
+        for i in np.unique(ids):
+            assert len(np.unique(words[ids.reshape(-1) == i], axis=0)) == 1
+        obj = {"x": x, "y": {"row": x[::-1].reshape(-1)}}
+        assert_stdlib_dump("".join(json_chunks(obj)), obj)
 
     def test_bad_payloads_name_the_field(self):
         with pytest.raises(ValueError, match="missing field 'blocks'"):

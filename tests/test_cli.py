@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_json_lists
+from conftest import PAIR_TEXT, as_json_lists
 from schurblock import (
     ContractError,
     block_identity,
@@ -276,10 +276,6 @@ def test_finite_instance_at_scale_1e160_passes(pid, pair_scale, tmp_path):
     assert main(["replay", str(path), "--property", pid]) == 0
 
 
-# one [re, im] pair as the dump writes it, over its lines
-PAIR_TEXT = re.compile(r"\[\s+[^\s\[\],]+,\s+[^\s\[\],]+\s+\]")
-
-
 def emit_text(tmp_path, n, d, instance=None) -> str:
     """The text `emit-system` writes with --out."""
     out = tmp_path / "emit.json"
@@ -433,8 +429,9 @@ class TestEmitSystem:
         # list of them would hold the whole 9 MB text): one piece for a
         # whole array, a tolist of all its floats, or a table of every tail
         # of every distinct pair (1.26 MB) exceeds this bound; the writer
-        # peaks near 0.7 MB
-        out = emit_system_dict(8, 4, str(seeded_instance(tmp_path)))
+        # peaks near 0.85 MB. emit_system_dict builds each operator on
+        # access, so they are built first, outside the traced writer
+        out = dict(emit_system_dict(8, 4, str(seeded_instance(tmp_path))))
         tracemalloc.start()
         try:
             collections.deque(json_chunks(out), maxlen=0)
@@ -442,6 +439,35 @@ class TestEmitSystem:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_one_operator_alive(self, tmp_path):
+        # emit_system_dict builds V, F, Q and lambda(A) each when the writer
+        # reaches it, and the writer drops each once its pair texts are made,
+        # so a warm (8, 4) call holds one 1 MiB n*d*n square at a time. With
+        # all four built up front the call peaked at 4.26 MB; it now peaks
+        # near 2.2 MB
+        instance, out = seeded_instance(tmp_path), tmp_path / "emit.json"
+        argv = ["emit-system", "--n", "8", "--d", "4", "--instance", str(instance),
+                "--out", str(out)]
+        assert main(argv) == 0  # the system and its once-per-shape proof are cached
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "cae02536cbe76b13641849d519267d3ff3d1fd0ccab34b628313c34bac54fb6d")
+
+    def test_emit_system_dict_builds_on_access(self, tmp_path):
+        # a read-only mapping: each access builds its operator anew
+        out = emit_system_dict(2, 2, str(signed_zero_instance(tmp_path)))
+        assert set(out) == {"n", "d", "V", "F", "Q", "lambda_A", "A"}
+        assert out["F"] is not out["F"]
+        assert np.array_equal(out["F"], out["F"])
+        with pytest.raises(TypeError):
+            out["V"] = None
 
 
 class TestCommandLine:
@@ -537,6 +563,23 @@ class TestCommandLine:
                          ["replay", str(path), "--property", "sandwich"]):
                 assert main(argv) == 3
                 assert "positive integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocks,found", [
+        ([[[[[1.0, 0.0]]], [[[0.0, 0.0]]]]], "1 row(s)"),
+        ([[[[[1.0, 0.0]]]], [[[[0.0, 0.0]]], [[[1.0, 0.0]]]]], "1 block(s) in row 0"),
+        ([[[[[1.0, 0.0]]], [[[0.0, 0.0]]]], 7], "a value of type int as row 1"),
+        ({"0": []}, "a value of type dict"),
+    ])
+    def test_grid_shape_error_says_what_it_found(self, blocks, found, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"A": {"n": 2, "d": 1, "blocks": blocks}}))
+        for argv in (["emit-system", "--n", "2", "--d", "1", "--instance", str(path)],
+                     ["replay", str(path), "--property", "sandwich"]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: A: blocks must be a 2-by-2 grid of blocks, got {found}\n")
+            assert captured.out == ""
 
     @pytest.mark.parametrize("bad", ["1.5", True, None])
     @pytest.mark.parametrize("field", ["A.blocks[0][0]"])
