@@ -6,13 +6,15 @@ Subcommands:
   replay       run a single checker on a stored instance file
   emit-system  dump V, F, Q (and, given an instance, lambda(A) and A)
 
-Exit codes: 0 success / all properties passed, 1 verification failure,
+Exit codes: 0 success / all properties passed, 1 verification failure
+(a property failed, or the judge failed one of its controls and wrote
+one ``error: judge control failed: <relation>`` line on stderr),
 2 configuration or usage error (bad ranges, unknown, repeated or no
 property, a tolerance that is not finite and nonnegative, shape
 mismatch), 3 bad input (I/O or parse error, or an entry of an instance
-file that is not a finite number). A wrong
-implementation fails its properties with 1 and never exits 3. Property
-ids, their default tolerances and the --tol.<id> flags all come from
+file that is not a finite number). A wrong implementation fails its
+properties with 1 and never exits 3. Property ids, their default
+tolerances and the --tol.<id> flags all come from
 ``verify.PROPERTIES``.
 """
 
@@ -30,7 +32,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 from . import __version__
 from .blocks import block_matrix_from_json, json_chunks
-from .errors import ShapeError
+from .errors import JudgeError, ShapeError
 from .instances import mix64, sample_chunk
 from .stinespring import StinespringSystem, build_lambda, triple_dim
 from .verify import PROPERTIES, PropertyResult, merge_results, run_property
@@ -353,6 +355,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
+    except JudgeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse JSON: {exc.msg} at line {exc.lineno} "
               f"column {exc.colno}", file=sys.stderr)

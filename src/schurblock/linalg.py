@@ -14,8 +14,9 @@ SVD is wider than that side: the suite's largest operator, n*d*n by n*d
 at d = 4), can build n*d*n = 8*12*8 = 768 on a side.
 Functions are pure and never mutate their arguments.
 Every residual is a deviation over its reference, by ``ratio``, with no
-floor. No kernel judges: an indefinite matrix gets an all-NaN
-``psd_sqrt``. No checker calls ``psd_sqrt``: perfbench's tracer names it.
+floor, and ``verify``'s judge alone forms one. No kernel judges: an
+indefinite matrix gets an all-NaN ``psd_sqrt``. No checker calls
+``psd_sqrt``: perfbench's tracer names it.
 """
 
 from __future__ import annotations
@@ -124,20 +125,6 @@ def ratio(num, den):
     num = np.asarray(num, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         return as_scalar(np.where(num == 0, 0.0, num / den))
-
-
-def relative_gap(gap, ref: np.ndarray):
-    """ratio(gap, ||ref||) per matrix; ref's SVD runs only where gap is nonzero."""
-    return ratio(gap, _norm_where(ref, np.asarray(gap) != 0))
-
-
-def identity_residual(lhs: np.ndarray, rhs: np.ndarray):
-    """||lhs - rhs|| / ||rhs|| per matrix, the deviation from lhs = rhs.
-
-    An exactly zero difference gives 0.0 without an SVD and without the
-    ||rhs|| denominator (``gap_norm``).
-    """
-    return relative_gap(gap_norm(lhs - rhs), rhs)
 
 
 def hermitian_min_eig(x):

@@ -1,26 +1,33 @@
 """Checkers for the identities and inequalities obeyed by the Schur block product.
 
-Each checker measures and returns residuals; only ``run_property``
-judges them against a tolerance. A checker is written on stacks of
-trials: its BlockMatrix arguments may carry a leading trial axis (blocks
-of shape (T, n, n, d, d)), each kernel runs once for the whole stack
-(one batched @, cholesky, svd or eigvalsh), and it returns one residual
-per trial, an array of shape (T,). A single instance is the batch-of-one
-case of the same code and gives a float. Trial t's residual is, bit for
-bit, the one its instance gives alone: a batched LAPACK or BLAS call
-makes the same call per matrix, and every sum runs in one fixed order
-whatever the stack.
+Each checker states a claim and returns the residual the judge forms
+from it; only ``run_property`` compares residuals with a tolerance. A
+checker is written on stacks of trials: its BlockMatrix arguments may
+carry a leading trial axis (blocks of shape (T, n, n, d, d)), each
+kernel runs once for the whole stack (one batched @, cholesky, svd or
+eigvalsh), and it returns one residual per trial, an array of shape
+(T,). A single instance is the batch-of-one case of the same code and
+gives a float. Trial t's residual is, bit for bit, the one its instance
+gives alone: a batched LAPACK or BLAS call makes the same call per
+matrix, and every sum runs in one fixed order whatever the stack.
 
 ``run_property`` judges a whole stack, which the suite feeds it one
 chunk of trials at a time: a residual passes at or below the tolerance,
 and the chunk's PropertyResult counts the trials that do not and keeps
 the first largest residual in trial order; ``merge_results`` folds the
-chunks (sums of counts, the first largest residual). Every residual is a
-deviation over its reference by one rule, ``linalg.ratio``, with no
-floor: matrix identities through ``identity_residual``, scalar
-equalities through ``_gap``, bounds (the excess over the right-hand
-side) through ``_excess``, PSD orders (how far a smallest eigenvalue
-falls below 0) through ``_below``. A NaN residual stays NaN and fails.
+chunks (sums of counts, the first largest residual). A checker states a
+claim, and one judge, ``_residual``, alone turns it into the residual,
+by the rule of the claim's relation (``_RULES``): ``equal`` for matrix
+sides, ||lhs - rhs|| over ||lhs||; ``same`` for per-trial values,
+|lhs - rhs| over lhs; ``at_most`` for a norm bound ||X|| <= R, the
+excess over R relative to R; ``psd`` for a PSD order, how far a
+smallest eigenvalue falls below 0 relative to a reference. Each divides
+by ``linalg.ratio``, with no floor, and takes a reference norm only
+where the deviation is nonzero. A NaN residual stays NaN and fails.
+Once per process, before the first property runs, the judge judges
+planted claims, one that its rule must fail and one that it must pass
+per relation (``_check_judge``); a wrong verdict raises ``JudgeError``,
+so a run whose judge could not fail gives no report.
 
 Every property is homogeneous in each input, so ``run_property`` judges
 each input of each trial scaled by a power of two, exactly, with its
@@ -65,22 +72,21 @@ not on a matrix wider than n*d.
 
 Each inequality says a Hermitian matrix H is PSD (R^2 I - X* X for
 livshits and cb_level, diag(A*A) -+ A* [] A for sandwich, the Gram
-matrix G for cauchy_schwarz), and one judge, ``_judge``, proves it
-before it measures it. A checker states only its H, its proof scale
-(the largest diagonal entry of the bound side: R^2, diag(A*A) or G) and
-its measure; no checker calls the proof or branches on it.
+matrix G for cauchy_schwarz), and the ``at_most`` and ``psd`` rules prove
+it through ``_judge`` before they measure it, at a proof scale: R^2, or
+the largest diagonal entry of the bound side (diag(A*A) or G), which
+the ``psd`` claim states. No checker calls the proof or branches on it.
 
 The properties of one chunk share what they compute alike, through
 ``_once``, which keeps each value on the chunk's scaled A
 (``BlockMatrix._memo``) and so drops it with the chunk: A [] B and its
-flatten X; ||X||, the denominator of the factorization residual, taken
-once over the whole stack and only when some trial's gap is nonzero, and
-also the Livshits measure; row_norm(A); V* lambda(A); and A*. A value
-that one property alone reads, such as col_norm(B) or lambda(B) V, is
-not kept. The first property in ``PROPERTIES`` order that reads a shared
-value pays for it in its ``seconds``. An entry's key is the function
-this module binds at call time and the identity of each argument, so a
-mutant or a wrapper installed on a name is a new key, never a stale hit.
+flatten X; row_norm(A); V* lambda(A); and A*. A value that one property
+alone reads, such as col_norm(B) or lambda(B) V, is not kept, nor is a
+norm a rule takes only where a claim misses. The first property in
+``PROPERTIES`` order that reads a shared value pays for it in its
+``seconds``. An entry's key is the function this module binds at call
+time and the identity of each argument, so a mutant or a wrapper
+installed on a name is a new key, never a stale hit.
 Replay runs one property on a new instance per call, so it shares
 nothing.
 """
@@ -106,13 +112,13 @@ from .blocks import (
     row_norm,
     schur_block_product,
 )
+from .errors import JudgeError
 from .linalg import (
+    _norm_where,
     as_scalar,
     gap_norm,
     hermitian_min_eig,
-    identity_residual,
     ratio,
-    relative_gap,
     spectral_norm,
 )
 from .stinespring import StinespringSystem, build_lambda
@@ -209,16 +215,6 @@ def merge_results(results) -> PropertyResult:
                    seconds=sum(r.seconds for r in results))
 
 
-def _gap(x, ref):
-    """How far the scalar x misses ref, relative to ref."""
-    return ratio(np.abs(x - ref), ref)
-
-
-def _excess(lhs, rhs):
-    """How far lhs exceeds the bound rhs, relative to rhs; 0.0 within it."""
-    return ratio(_max(0.0, lhs - rhs), rhs)
-
-
 def _max(first, *rest):
     """Elementwise max of per-trial values; a NaN anywhere gives NaN, which
     never passes."""
@@ -247,45 +243,9 @@ def _ab(a: BlockMatrix, b: BlockMatrix) -> np.ndarray:
     return _once(a, flatten, _once(a, schur_block_product, a, b))
 
 
-def verify_factorization(a: BlockMatrix, b: BlockMatrix):
-    """flatten(A [] B) = V* lambda(A) F lambda(B) V, the one identity
-    residual: ||X - V* lambda(A) F lambda(B) V|| / ||X||, X = flatten(A [] B).
-
-    ||X|| is taken once per chunk, over the whole stack, and only when
-    some trial's gap is nonzero; the SVD of a matrix gives the same bits
-    in any stack, so this is ``identity_residual``'s value.
-    """
-    _check_same_shape(a, b)
-    sys_ = StinespringSystem.build(a.n, a.d)
-    r, f = sys_.v_rows, sys_.f_perm
-    x = _ab(a, b)
-    # V* lambda(A) F: np.take gathers the contiguous array build_lambda(a, r, f)
-    # builds, so the product runs the same GEMM
-    via_flip = np.take(_once(a, build_lambda, a, r), f, axis=-1) @ build_lambda(b, None, r)
-    # a product that matches the target bit for bit gives 0.0 without an SVD
-    gap = gap_norm(x - via_flip)
-    return ratio(gap, _once(a, spectral_norm, x) if np.any(gap) else 0.0)
-
-
-def verify_structure(a: BlockMatrix, b: BlockMatrix):
-    """Exactness of the fixed operators and the representation identities.
-
-    Proven once per (n, d) by the system's ``operator_residual``, and
-    folded into each trial's max: V*V = I, F self-adjoint and involutive,
-    FV = V, and the two gather laws F lambda(A) F = rho(A) and
-    sigma(A) = V flatten(A) V*, on a labelled instance. Checked per trial,
-    in the n*d space: the diagonal compression
-    flatten(diag(A)) = V* lambda(A) V, two gathers of A's entries, so it
-    reads exactly 0.0 on correct code and spends no SVD. B is read for its
-    shape alone: the identity V* lambda(A) rho(B) V = flatten(A [] B) is
-    ``factorization``'s, with rho(B) = F lambda(B) F and FV = V.
-    """
-    _check_same_shape(a, b)
-    sys_ = StinespringSystem.build(a.n, a.d)
-    r = sys_.v_rows
-    compression = identity_residual(flatten(diag_block(a)),
-                                    _once(a, build_lambda, a, r)[..., :, r])
-    return as_scalar(_max(sys_.operator_residual, compression))
+# ---------------------------------------------------------------------------
+# The judge: one rule per relation turns a claim into its residual
+# ---------------------------------------------------------------------------
 
 
 def _proves_psd(h, scale) -> bool:
@@ -319,24 +279,131 @@ def _judge(h, scale, measure):
     return measure()
 
 
-def _below(h):
-    """max(0, -lambda_min) of the Hermitian part of each matrix of h."""
-    return _max(0.0, -hermitian_min_eig(h))
+def _equal(lhs, rhs):
+    """lhs = rhs, matrix sides: ||lhs - rhs|| / ||lhs||. An exactly zero
+    gap is 0.0 with no SVD (``gap_norm``), and ||lhs|| is taken only where
+    the gap is not."""
+    gap = gap_norm(lhs - rhs)
+    return ratio(gap, _norm_where(lhs, np.asarray(gap) != 0))
+
+
+def _same(lhs, rhs):
+    """lhs = rhs, per-trial values: |lhs - rhs| / lhs."""
+    return ratio(np.abs(lhs - rhs), lhs)
+
+
+def _at_most(x, r):
+    """||X|| <= R per matrix of x: (||X|| - R) / R where it is positive.
+
+    It holds exactly when H = R^2 I - X* X is PSD, so the judge proves H
+    at scale R^2 and takes ||X|| by its SVD only where the proof fails.
+    """
+    bound = np.square(r)
+    h = bound[..., None, None] * np.eye(x.shape[-1]) - np.conj(x).swapaxes(-1, -2) @ x
+    return _judge(h, bound, lambda: ratio(_max(0.0, spectral_norm(x) - r), r))
+
+
+def _psd(h, scale, ref, extra=0.0):
+    """H >= 0 for each matrix of h, proven at scale, one value per trial.
+
+    Where the proof fails, the deviation is max(0, -lambda_min) of H's
+    Hermitian part; h may stack several sides of a trial ahead of scale's
+    axes, and the worst side counts. ``extra`` is added to it, and the sum
+    is divided by the largest spectral norm of the stack ref (..., k, p, q)
+    of each trial, taken only where the sum is nonzero: a claim that holds
+    everywhere, the usual case, forms no reference at all.
+    """
+    deficit = np.asarray(_judge(h, scale, lambda: _max(0.0, -hermitian_min_eig(h))))
+    dev = deficit.max(axis=tuple(range(deficit.ndim - np.ndim(scale)))) + extra
+    if not dev.any():
+        return dev
+    nonzero = np.broadcast_to((dev != 0)[..., None], ref.shape[:-2])
+    return ratio(dev, _norm_where(ref, nonzero).max(axis=-1))
+
+
+_RULES = {"equal": _equal, "same": _same, "at_most": _at_most, "psd": _psd}
+
+
+def _residual(relation, *claim):
+    """The judge: the residual of a claim, by its relation's rule in
+    ``_RULES``; a float for one instance, one value per trial for a stack."""
+    return as_scalar(_RULES[relation](*claim))
+
+
+# Each relation's planted claims, one its rule must fail at every default
+# tolerance and one it must pass at every one: a gap far above them, a norm
+# at (1 + 2^-10) times its bound, an eigenvalue at -2^-10 of its scale; the
+# passing claims hold exactly, or with room to spare. The matrices are
+# complex, as the checkers' are, so the controls run the same LAPACK routines
+_I2 = np.eye(2, dtype=np.complex128)
+_CONTROLS = {
+    "equal": ((_I2, 2 * _I2), (_I2, _I2)),
+    "same": ((1.0, 2.0), (1.0, 1.0)),
+    "at_most": ((_I2 * [1 + 2.0 ** -10, 0.5], 1.0), (_I2 * [1 - 2.0 ** -10, 0.5], 1.0)),
+    "psd": ((_I2 * [1, -2.0 ** -10], 1.0, _I2[None]), (_I2 * [1, 2.0 ** -10], 1.0, _I2[None])),
+}
+
+
+@functools.cache
+def _check_judge() -> None:
+    """Judge each relation's planted claims, once per process; raise
+    ``JudgeError`` naming the first relation given a wrong verdict, so a
+    judge that cannot fail a claim (or cannot pass one) gives no report.
+    The controls go through the names this module binds at call time, so
+    they judge the rules the checkers use."""
+    tols = [prop.tol for prop in PROPERTIES.values()]
+    for relation, (failing, passing) in _CONTROLS.items():
+        if not (_residual(relation, *failing) > max(tols)
+                and _residual(relation, *passing) <= min(tols)):
+            raise JudgeError(f"judge control failed: {relation}")
+
+
+# ---------------------------------------------------------------------------
+# The checkers: each states its claim
+# ---------------------------------------------------------------------------
+
+
+def verify_factorization(a: BlockMatrix, b: BlockMatrix):
+    """flatten(A [] B) = V* lambda(A) F lambda(B) V, the one identity
+    residual: ||X - V* lambda(A) F lambda(B) V|| / ||X||, X = flatten(A [] B).
+
+    ||X|| is taken, by the ``equal`` rule, only for the trials whose gap is
+    nonzero; the SVD of a matrix gives the same bits in any stack.
+    """
+    _check_same_shape(a, b)
+    sys_ = StinespringSystem.build(a.n, a.d)
+    r, f = sys_.v_rows, sys_.f_perm
+    # V* lambda(A) F: np.take gathers the contiguous array build_lambda(a, r, f)
+    # builds, so the product runs the same GEMM
+    via_flip = np.take(_once(a, build_lambda, a, r), f, axis=-1) @ build_lambda(b, None, r)
+    return _residual("equal", _ab(a, b), via_flip)
+
+
+def verify_structure(a: BlockMatrix, b: BlockMatrix):
+    """Exactness of the fixed operators and the representation identities.
+
+    Proven once per (n, d) by the system's ``operator_residual``, and
+    folded into each trial's max: V*V = I, F self-adjoint and involutive,
+    FV = V, and the two gather laws F lambda(A) F = rho(A) and
+    sigma(A) = V flatten(A) V*, on a labelled instance. Checked per trial,
+    in the n*d space: the diagonal compression
+    flatten(diag(A)) = V* lambda(A) V, two gathers of A's entries, so it
+    reads exactly 0.0 on correct code and spends no SVD. B is read for its
+    shape alone: the identity V* lambda(A) rho(B) V = flatten(A [] B) is
+    ``factorization``'s, with rho(B) = F lambda(B) F and FV = V.
+    """
+    _check_same_shape(a, b)
+    sys_ = StinespringSystem.build(a.n, a.d)
+    r = sys_.v_rows
+    gather = _once(a, build_lambda, a, r)[..., :, r]
+    return as_scalar(_max(sys_.operator_residual,
+                          _residual("equal", flatten(diag_block(a)), gather)))
 
 
 def _livshits_violation(a: BlockMatrix, b: BlockMatrix):
-    """How far ||A [] B|| exceeds R = row_norm(A) * col_norm(B), relative to R.
-
-    ||X|| <= R, X = flatten(A [] B), exactly when H = R^2 I - X* X is PSD;
-    the judge takes H at scale R^2 and measures ||X|| by its SVD.
-    """
+    """||A [] B|| <= R = row_norm(A) * col_norm(B), an ``at_most`` claim."""
     _check_same_shape(a, b)
-    x = _ab(a, b)
-    rhs = _once(a, row_norm, a) * col_norm(b)
-    bound = np.square(rhs)
-    h = (np.asarray(bound)[..., None, None] * np.eye(x.shape[-1])
-         - np.conj(x).swapaxes(-1, -2) @ x)
-    return _judge(h, bound, lambda: _excess(_once(a, spectral_norm, x), rhs))
+    return _residual("at_most", _ab(a, b), _once(a, row_norm, a) * col_norm(b))
 
 
 def verify_livshits(a: BlockMatrix, b: BlockMatrix):
@@ -378,8 +445,8 @@ def verify_sharpness(x: BlockMatrix):
     """
     via = row_norms_via_schur(x)
     direct = spectral_norm(_row_strips(x))
-    return as_scalar(_max(_gap(via, direct).max(axis=-1),
-                          _gap(via.max(axis=-1), _once(x, row_norm, x))))
+    return as_scalar(_max(_residual("same", direct, via).max(axis=-1),
+                          _residual("same", _once(x, row_norm, x), via.max(axis=-1))))
 
 
 def verify_sandwich(a: BlockMatrix):
@@ -392,12 +459,10 @@ def verify_sandwich(a: BlockMatrix):
     star = _once(a, adjoint_block, a)
     s = flatten(schur_block_product(star, a))
     dmat = flatten(diag_block(block_matmul(star, a)))
-    # s is Hermitian by the adjoint law, so its skew part counts against it
-    gaps = np.stack([dmat - s, dmat + s])
     scale = np.diagonal(dmat, axis1=-2, axis2=-1).real.max(axis=-1)
-    below = _judge(gaps, scale, lambda: _below(gaps)).max(axis=0)
+    # s is Hermitian by the adjoint law, so its skew part counts against it
     skew = np.linalg.norm(s - np.conj(s).swapaxes(-1, -2), axis=(-2, -1))
-    return relative_gap(below + skew, dmat)
+    return _residual("psd", np.stack([dmat - s, dmat + s]), scale, dmat[..., None, :, :], skew)
 
 
 def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
@@ -421,8 +486,8 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
     ab = _ab(a, b)
     gram = np.block([[flatten(d_a), ab], [np.conj(ab).swapaxes(-1, -2), flatten(d_b)]])
     scale = np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)
-    return _judge(gram, scale, lambda: ratio(_below(gram), spectral_norm(np.concatenate(
-        [d_a.blocks[..., i, i, :, :], d_b.blocks[..., i, i, :, :]], axis=-3)).max(axis=-1)))
+    diagonal = np.concatenate([d.blocks[..., i, i, :, :] for d in (d_a, d_b)], axis=-3)
+    return _residual("psd", gram, scale, diagonal)
 
 
 def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
@@ -440,18 +505,16 @@ def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
     sys_ = StinespringSystem.build(a.n, a.d)
     r = sys_.v_rows
     prod = block_matmul(a, b)
-    return as_scalar(_max(
-        sys_.operator_residual,
-        identity_residual(build_lambda(prod, r, r), flatten(diag_block(prod))),
-    ))
+    return as_scalar(_max(sys_.operator_residual, _residual(
+        "equal", flatten(diag_block(prod)), build_lambda(prod, r, r))))
 
 
 def verify_norm_lemmas(a: BlockMatrix):
     """col_norm(A) = ||lambda(A) V|| and row_norm(A) = ||V* lambda(A)||."""
     r = StinespringSystem.build(a.n, a.d).v_rows
     return as_scalar(_max(
-        _gap(spectral_norm(build_lambda(a, None, r)), col_norm(a)),
-        _gap(spectral_norm(_once(a, build_lambda, a, r)), _once(a, row_norm, a))))
+        _residual("same", col_norm(a), spectral_norm(build_lambda(a, None, r))),
+        _residual("same", _once(a, row_norm, a), spectral_norm(_once(a, build_lambda, a, r)))))
 
 
 def verify_cb_level(a: BlockMatrix, b: BlockMatrix):
@@ -482,10 +545,13 @@ def run_property(property_id: str, x, *, tol: float | None = None,
     counts those that do not, NaN included. The worst trial is the first
     largest residual in trial order, with NaN the largest; its entry of
     ``seeds``, the trials' seeds in order, is the result's ``worst_seed``
-    (0 when seeds is None).
+    (0 when seeds is None). The first call of a process first runs the
+    judge's controls (``_check_judge``), and raises ``JudgeError`` if the
+    judge gives a planted claim the wrong verdict.
     """
     if property_id not in PROPERTIES:
         raise ValueError(f"unknown property {property_id!r}")
+    _check_judge()
     prop = PROPERTIES[property_id]
     for what in prop.needs:
         if what not in x:

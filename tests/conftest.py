@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 from schurblock import BlockMatrix, operator_to_json, unflatten
+from schurblock import verify
+
+# The judge's controls run once per process, on its first run_property
+# call. Run them here, before any test, so that no test that counts kernel
+# calls (SVDs, eigensolves, builders) counts theirs
+verify._check_judge()
 
 
 def scalar_bm(rows) -> BlockMatrix:
@@ -44,17 +50,21 @@ def as_json_lists(value):
     return operator_to_json(value) if isinstance(value, np.ndarray) else value
 
 
-def assert_stdlib_dump(text: str, obj) -> None:
-    """text is ``json.dumps(as_json_lists(obj), indent=2, sort_keys=True)``
-    plus a newline. A mismatch names its first differing line: pytest's own
-    diff of two texts of thousands of lines runs for minutes."""
-    want = json.dumps(as_json_lists(obj), indent=2, sort_keys=True) + "\n"
+def assert_same_text(text: str, want: str) -> None:
+    """text == want. A mismatch names its first differing line: pytest's
+    own diff of two texts of thousands of lines runs for minutes."""
     if text != want:
         got, ref = text.split("\n"), want.split("\n")
         i = next(i for i, (g, w) in enumerate(zip(got + [None], ref + [None]))
                  if g != w)
         pytest.fail(f"line {i + 1} is {got[i:i + 1]}, not {ref[i:i + 1]} "
                     f"({len(got)} lines, not {len(ref)})", pytrace=False)
+
+
+def assert_stdlib_dump(text: str, obj) -> None:
+    """text is ``json.dumps(as_json_lists(obj), indent=2, sort_keys=True)``
+    plus a newline (``assert_same_text``)."""
+    assert_same_text(text, json.dumps(as_json_lists(obj), indent=2, sort_keys=True) + "\n")
 
 
 def svd_shapes(monkeypatch) -> list:

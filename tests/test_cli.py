@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PAIR_TEXT, as_json_lists
+from conftest import PAIR_TEXT, as_json_lists, assert_same_text
 from schurblock import (
     ContractError,
     block_identity,
@@ -371,7 +371,7 @@ class TestEmitSystem:
             levels = ["\n" + "  " * (depth + i) for i in range(v.ndim)]
             brackets = max(brackets, 2 * sum(len(level) + 1 for level in levels) + 1)
         pieces = list(json_chunks(out))
-        assert "".join(pieces) == emit_text(tmp_path, 8, 4, path)
+        assert_same_text("".join(pieces), emit_text(tmp_path, 8, 4, path))
         pairs = [len(PAIR_TEXT.findall(piece)) for piece in pieces]
         assert sum(pairs) == sum(v.size for v, _ in arrays)
         assert max(pairs) <= _PIECE_PAIRS

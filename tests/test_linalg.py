@@ -17,7 +17,6 @@ from schurblock import (
     spectral_norm,
 )
 from schurblock import linalg
-from schurblock.linalg import identity_residual
 
 
 def sv2_oracle(m):
@@ -113,27 +112,6 @@ class TestGramRoute:
     def test_zero_matrix_has_norm_zero(self):
         assert spectral_norm(np.zeros((7, 3))) == 0.0
         assert spectral_norm(np.zeros((2, 3, 7))).tolist() == [0.0, 0.0]
-
-
-class TestIdentityResidual:
-    def test_exact_zero_difference_takes_no_norm(self, monkeypatch):
-        def no_norm(*args, **kwargs):
-            raise AssertionError("spectral_norm called on an exact identity")
-
-        monkeypatch.setattr(linalg, "spectral_norm", no_norm)
-        f = np.eye(6)[::-1]
-        assert identity_residual(f @ f, np.eye(6)) == 0.0
-
-    def test_nonzero_difference_is_relative_to_rhs(self):
-        rhs = np.diag([4.0, 2.0])
-        lhs = rhs + np.diag([0.0, 1e-3])
-        assert identity_residual(lhs, rhs) == spectral_norm(lhs - rhs) / 4.0
-        # below unit norm too: no floor, so a power-of-two scale changes nothing
-        for scale in (2.0 ** -20, 2.0 ** -600):
-            assert identity_residual(lhs * scale, rhs * scale) == identity_residual(lhs, rhs)
-
-    def test_nonzero_difference_from_zero_is_infinite(self):
-        assert identity_residual(np.eye(2), np.zeros((2, 2))) == np.inf
 
 
 class TestHermitianMinEig:

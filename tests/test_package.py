@@ -75,10 +75,13 @@ def test_no_checker_reads_the_property_table():
     assert readers == []
 
 
-def test_one_judge_proves_and_one_helper_takes_eigenvalues():
-    # every inequality reaches its proof through _judge and its eigenvalue
-    # deficit through _below, so a checker that hand-codes either fails here
-    readers = {name: [] for name in ("_proves_psd", "hermitian_min_eig")}
+def test_only_the_judges_rules_form_residuals():
+    # a checker states a claim and the judge's rules alone divide, take gap
+    # norms, prove and take eigenvalues, so a verify_<id> that hand-codes a
+    # residual fails here; the Cholesky proof is _judge's alone
+    readers = {name: [] for name in
+               ("ratio", "gap_norm", "_judge", "_proves_psd", "hermitian_min_eig")}
+    claims = {}
     for node in parse(INIT.parent / "verify.py").body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
@@ -86,7 +89,17 @@ def test_one_judge_proves_and_one_helper_takes_eigenvalues():
         for name, found in readers.items():
             if name in refs:
                 found.append(getattr(node, "name", type(node).__name__))
-    assert readers == {"_proves_psd": ["_judge"], "hermitian_min_eig": ["_below"]}
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_"):
+            claims[node.name] = bool(refs & {"_residual", "_livshits_violation"})
+    assert readers == {
+        "ratio": ["_equal", "_same", "_at_most", "_psd"],
+        "gap_norm": ["_equal"],
+        "_judge": ["_at_most", "_psd"],
+        "_proves_psd": ["_judge"],
+        "hermitian_min_eig": ["_psd"],
+    }
+    # every checker reaches the judge (cb_level and livshits through one claim)
+    assert len(claims) == 9 and all(claims.values()), claims
 
 
 # Run in an isolated interpreter: importing perfbench's tracer puts the
