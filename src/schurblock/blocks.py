@@ -323,7 +323,7 @@ def vector_from_json(obj, field: str = "vector") -> np.ndarray:
 
 
 # the four [re, im] pairs of signed zeros, at 2*signbit(re) + signbit(im)
-_ZERO_PAIRS = [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
+_ZERO_PAIRS = np.array([[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
 # pairs of text per piece of an array; with runs, 4,096 and 16,384 timed
 # within noise of 1,024
 _PIECE_PAIRS = 1024
@@ -336,33 +336,99 @@ def _pair_keys(words: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _pair_texts(value: np.ndarray, indent: str):
-    """(ids, texts): texts[ids] is the text of each [re, im] pair of value on
-    its line at ``indent``. Both are made at their final size, ids in place:
-    texts grown one by one left heap holes that cost emit ~2 MB of RSS.
+def _float_texts(pairs: np.ndarray) -> np.ndarray:
+    """The (m, 2) texts of m [re, im] pairs: ``repr``, as json writes a float."""
+    return np.frompyfunc(repr, 1, 1)(pairs)
 
-    The nonzero pairs are partitioned by one integer sort of ``_pair_keys``
-    of their two words, and a pair starts a new id where its 16 bytes differ
-    from those of the pair before it, so -0.0 and 0.0 stay apart. Different
-    pairs whose keys collide may interleave in that order, which gives one
-    pair several ids with equal texts, but no id ever holds two pairs.
+
+_ZERO_TEXTS = _float_texts(_ZERO_PAIRS)
+
+
+class _PairTable:
+    """The distinct nonzero [re, im] pairs one ``json_chunks`` call has
+    formatted, in the order of their ``_pair_keys``: the keys, the pairs'
+    two uint64 words and the texts of their two floats."""
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.words = np.empty((0, 2), dtype=np.uint64)
+        self.texts = np.empty((0, 2), dtype=object)
+
+    def find(self, words: np.ndarray):
+        """(at, found) for (m, 2) uint64 words: at is where each pair's key
+        sits in the table, found whether the pair there has the same 16
+        bytes. A key collision is never a hit."""
+        at = np.searchsorted(self.keys, _pair_keys(words))
+        if not len(self.keys):
+            return at, np.zeros(len(words), dtype=bool)
+        np.minimum(at, len(self.keys) - 1, out=at)
+        found = np.take(self.words[:, 0], at) == words[:, 0]
+        found &= np.take(self.words[:, 1], at) == words[:, 1]
+        return at, found
+
+    def add(self, keys: np.ndarray, words: np.ndarray, texts: np.ndarray):
+        """Merge in pairs given in key order, by insertion, with no sort."""
+        at = np.searchsorted(self.keys, keys)
+        self.keys = np.insert(self.keys, at, keys)
+        self.words = np.insert(self.words, at, words, axis=0)
+        self.texts = np.insert(self.texts, at, texts, axis=0)
+
+
+def _pair_ids(value: np.ndarray, known: _PairTable):
+    """(ids, floats): floats[ids] are the texts of the two floats of each
+    [re, im] pair of value, ids made at its final size and in place.
+
+    Two zeros take one of four ids by their sign bits. The nonzero pairs
+    are looked up in ``known`` (``_PairTable.find``), and each known pair
+    that value holds takes an id after the zeros', in table order, so its
+    texts are copied, not formatted. The others are partitioned by one
+    integer sort of their keys, and one starts a new id where its 16 bytes
+    differ from those of the pair before it, so -0.0 and 0.0 stay apart.
+    Different pairs whose keys collide may interleave in that order, which
+    gives one pair several ids with equal texts, but no id ever holds two
+    pairs. Their floats go through ``_float_texts`` and join ``known``.
     """
     pairs = _pairs(value).reshape(-1, 2)
     nz = np.flatnonzero(np.logical_or(pairs[:, 0], pairs[:, 1]))
-    order = np.argsort(_pair_keys(pairs[nz].view(np.uint64)))
-    nz = nz[order]
-    words = pairs[nz].view(np.uint64)
-    starts = np.empty(len(nz), dtype=bool)
-    starts[:1] = True
-    np.any(words[1:] != words[:-1], axis=1, out=starts[1:])
-    ids = np.signbit(pairs[:, 0]).astype(np.int32)
+    # the smallest type that holds every text id, the row ends' included
+    # (``_array_chunks``)
+    top = len(_ZERO_PAIRS) + nz.size + value.size // value.shape[-1]
+    ids = np.signbit(pairs[:, 0]).astype(np.min_scalar_type(top))
     ids <<= 1
     ids += np.signbit(pairs[:, 1])
-    ids[nz] = np.cumsum(starts) + (len(_ZERO_PAIRS) - 1)
+    at, found = known.find(np.take(pairs, nz, axis=0).view(np.uint64))
+    hits = at[found]
+    used = np.zeros(len(known.keys), dtype=bool)
+    used[hits] = True
+    rank = np.cumsum(used, dtype=ids.dtype)
+    rank += len(_ZERO_PAIRS) - 1
+    ids[nz[found]] = np.take(rank, hits)
+    floats = [_ZERO_TEXTS, known.texts[used]]
+    new = nz[~found]
+    if new.size:
+        keys = _pair_keys(np.take(pairs, new, axis=0).view(np.uint64))
+        order = np.argsort(keys)
+        keys, new = keys[order], new[order]
+        words = np.take(pairs, new, axis=0).view(np.uint64)
+        starts = np.empty(len(new), dtype=bool)
+        starts[:1] = True
+        np.any(words[1:] != words[:-1], axis=1, out=starts[1:])
+        ids[new] = np.cumsum(starts) + (sum(map(len, floats)) - 1)
+        texts = _float_texts(words[starts].view(np.float64))
+        known.add(keys[starts], words[starts], texts)
+        floats.append(texts)
+    return ids.reshape(value.shape), np.concatenate(floats)
+
+
+def _pair_texts(value: np.ndarray, indent: str, known: _PairTable):
+    """(ids, texts): texts[ids] is the text of each [re, im] pair of value on
+    its line at ``indent``. The ids are ``_pair_ids``', and each text is
+    joined once from its two float texts, by object-array adds, which cost
+    a third of a ``str.format`` per pair."""
+    ids, floats = _pair_ids(value, known)
     inner = indent + "  "
-    text = np.frompyfunc(f"{indent}[{inner}{{!r}},{inner}{{!r}}{indent}]".format, 2, 1)
-    distinct = np.concatenate([_ZERO_PAIRS, pairs[nz[starts]]])
-    return ids.reshape(value.shape), text(distinct[:, 0], distinct[:, 1])
+    head, middle, tail = indent + "[" + inner, "," + inner, indent + "]"
+    return ids, head + floats[:, 0] + middle + floats[:, 1] + tail
 
 
 def _array_chunks(ids: np.ndarray, texts: np.ndarray, indent: str):
@@ -416,17 +482,18 @@ def _array_chunks(ids: np.ndarray, texts: np.ndarray, indent: str):
          for lo, hi in itertools.pairwise(bounds.tolist())))
 
 
-def _chunks(value, indent: str):
+def _chunks(value, indent: str, known: _PairTable):
     if isinstance(value, Mapping):
         inner = indent + "  "
         for i, key in enumerate(sorted(value)):
             yield f"{',' if i else '{'}{inner}{json.dumps(key)}: "
-            yield from _chunks(value[key], inner)
+            yield from _chunks(value[key], inner, known)
         yield indent + "}"
     elif isinstance(value, np.ndarray):
         # all pairs of one array sit at one depth, so one set of texts serves
         # them; the array is let go once they are made, before its pieces
-        pieces = _array_chunks(*_pair_texts(value, indent + "  " * value.ndim), indent)
+        pieces = _array_chunks(*_pair_texts(value, indent + "  " * value.ndim, known),
+                              indent)
         del value
         yield from pieces
     else:
@@ -443,8 +510,12 @@ def json_chunks(obj: Mapping):
     which is slow on large operators. So each (finite, ndim >= 1) array is
     written from pair texts with no Python code per entry or per row: two
     zeros take one of four texts by their sign bits, and each other distinct
-    pair, told apart by its bytes after one integer sort, is formatted once
-    per array by ``repr``, as json does. An array's pieces are its opening
+    pair, told apart by its 16 bytes, has its two floats formatted once per
+    call by ``repr``, as json does. One table of the pairs formatted so far
+    (``_PairTable``) lives for the call: a later array finds its known pairs
+    there by one ``np.searchsorted`` and builds their texts at its own
+    indent, and only its new pairs take an integer sort and ``repr``, so
+    lambda(A) after A costs neither. An array's pieces are its opening
     brackets, then _PIECE_PAIRS pairs at a time, each pair with the comma or
     brackets that follow it and each run of equal pair texts written as one;
     so a caller that writes the pieces as they come holds at most that many
@@ -453,7 +524,7 @@ def json_chunks(obj: Mapping):
     soon as its pair ids and texts are made, so a mapping that builds its
     values on access has at most one alive at a time.
     """
-    yield from _chunks(obj, "\n")
+    yield from _chunks(obj, "\n", _PairTable())
     yield "\n"
 
 

@@ -15,8 +15,10 @@ at d = 4), can build n*d*n = 8*12*8 = 768 on a side.
 Functions are pure and never mutate their arguments.
 Every residual is a deviation over its reference, by ``ratio``, with no
 floor, and ``verify``'s judge alone forms one. No kernel judges: an
-indefinite matrix gets an all-NaN ``psd_sqrt``. No checker calls
-``psd_sqrt``: perfbench's tracer names it.
+indefinite matrix gets an all-NaN ``psd_sqrt``, and a matrix with a NaN
+or infinite entry, which a wrong checker can build, gets a NaN
+``spectral_norm`` and ``hermitian_min_eig``, not an exception. No
+checker calls ``psd_sqrt``: perfbench's tracer names it.
 """
 
 from __future__ import annotations
@@ -37,22 +39,40 @@ def as_scalar(x):
     return float(x) if x.ndim == 0 else x
 
 
-def as_operator(x) -> np.ndarray:
-    """Coerce to a finite complex128 matrix, or stack of matrices, raising on anything else."""
+def _matrices(x) -> np.ndarray:
+    """Coerce to a complex128 matrix, or stack of matrices, entries unchecked."""
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim < 2:
         raise ShapeError(f"expected a 2-D operator, got ndim={a.ndim}")
+    return a
+
+
+def as_operator(x) -> np.ndarray:
+    """Coerce to a finite complex128 matrix, or stack of matrices, raising on anything else."""
+    a = _matrices(x)
     if not np.isfinite(a).all():
         raise ContractError("operator entries must be finite (no NaN/Inf)")
     return a
+
+
+def _finite_or_nan(kernel, x: np.ndarray):
+    """kernel(x) for a stack of finite matrices; NaN for each matrix of x
+    with a NaN or infinite entry, which the judge fails. A finite x costs
+    the one pass of ``as_operator``'s check and no per-matrix mask."""
+    if np.isfinite(x).all():
+        return kernel(x)
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    out = np.full(finite.shape, np.nan)
+    if finite.any():
+        out[finite] = kernel(x[finite])
+    return as_scalar(out)
 
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def _square(x, name: str) -> np.ndarray:
-    x = as_operator(x)
+def _square(x: np.ndarray, name: str) -> np.ndarray:
     if x.shape[-1] != x.shape[-2]:
         raise ShapeError(f"{name} needs a square matrix, got {x.shape[-2:]}")
     return x
@@ -75,11 +95,17 @@ def spectral_norm(x):
     m*u/2. That holds where no entry of x*x overflowed and its largest
     diagonal entry, the largest squared column norm, is normal; a matrix
     of the stack where either fails, an all-zero one included, is the
-    SVD of x itself, which LAPACK scales internally.
+    SVD of x itself, which LAPACK scales internally. A matrix with a NaN
+    or infinite entry gets NaN (``_finite_or_nan``).
     """
-    x = as_operator(x)
+    x = _matrices(x)
     if x.size == 0:
         raise ShapeError(f"spectral_norm of an empty matrix, shape {x.shape}")
+    return _finite_or_nan(_finite_norm, x)
+
+
+def _finite_norm(x: np.ndarray):
+    """``spectral_norm`` of a stack of finite matrices."""
     if x.shape[-2] < x.shape[-1]:
         x = x.swapaxes(-1, -2)
     if x.shape[-2] == x.shape[-1]:
@@ -128,9 +154,11 @@ def ratio(num, den):
 
 
 def hermitian_min_eig(x):
-    """Smallest eigenvalue of the Hermitian part (x + x*) / 2 of each square matrix."""
-    x = _square(x, "hermitian_min_eig")
-    return as_scalar(np.linalg.eigvalsh((x + _adjoint(x)) / 2)[..., 0])
+    """Smallest eigenvalue of the Hermitian part (x + x*) / 2 of each square
+    matrix; NaN for one with a NaN or infinite entry (``_finite_or_nan``)."""
+    return _finite_or_nan(
+        lambda h: as_scalar(np.linalg.eigvalsh((h + _adjoint(h)) / 2)[..., 0]),
+        _square(_matrices(x), "hermitian_min_eig"))
 
 
 def psd_sqrt(x) -> np.ndarray:
@@ -139,7 +167,7 @@ def psd_sqrt(x) -> np.ndarray:
     Eigenvalues in [-PSD_TOL * max_eig, 0) are clamped to zero; a matrix
     with one below that is indefinite, and its root is all NaN.
     """
-    x = _square(x, "psd_sqrt")
+    x = _square(as_operator(x), "psd_sqrt")
     w, u = np.linalg.eigh((x + _adjoint(x)) / 2)
     if w.shape[-1]:
         low = w[..., 0] < -PSD_TOL * w[..., -1]

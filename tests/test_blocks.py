@@ -472,19 +472,36 @@ class TestJson:
     def test_pair_ids_never_join_different_pairs(self, collide, monkeypatch):
         # pairs equal as complex numbers but not in their zero signs, and
         # pairs that share one of their two words; with every key made to
-        # collide, equal keys interleave different pairs in the sort
+        # collide, equal keys interleave different pairs in the sort, and
+        # every lookup in the table of known pairs hits a key
+        pairs = [[1.0, 0.0], [1.0, -0.0], [-0.0, 2.0], [0.0, 2.0], [1.0, 2.0],
+                 [2.0, 1.0], [2.0, 2.0], [1.0, 1.0], [-1.0, 2.0], [5e-324, 1.0],
+                 [0.5, 0.0], [-0.0, -3.0]]
+        order = np.random.default_rng(3).permutation(5 * len(pairs))
+        x = pair_array(np.array(pairs * 5)[order], (5, len(pairs)))
+        # later arrays: x's pairs; each with the key of one of x's pairs
+        # and other bytes; x's zero-sign twins that x does not hold; and
+        # all of these mixed with new pairs
+        twins = [key_twin(pair) for pair in pairs]
+        signs = [[0.5, -0.0], [0.0, -3.0], [-0.0, -3.0], [0.5, 0.0]]
+        mixed = np.array(pairs + twins + signs + [[3.0, -0.0], [0.25, 4.0]])
+        mixed = mixed[np.random.default_rng(4).permutation(len(mixed))]
+        later = [x[::-1].reshape(-1), pair_array(twins, (len(twins),)),
+                 pair_array(signs, (2, 2)), pair_array(mixed, (len(mixed), 1))]
         if collide:
             monkeypatch.setattr(blocks_module, "_pair_keys",
                                 lambda words: np.zeros(len(words), dtype=np.uint64))
-        pairs = [[1.0, 0.0], [1.0, -0.0], [-0.0, 2.0], [0.0, 2.0], [1.0, 2.0],
-                 [2.0, 1.0], [2.0, 2.0], [1.0, 1.0], [-1.0, 2.0], [5e-324, 1.0]]
-        order = np.random.default_rng(3).permutation(5 * len(pairs))
-        x = pair_array(np.array(pairs * 5)[order], (5, len(pairs)))
-        ids, _ = blocks_module._pair_texts(x, "\n")
-        words = x.view(np.uint64).reshape(-1, 2)
-        for i in np.unique(ids):
-            assert len(np.unique(words[ids.reshape(-1) == i], axis=0)) == 1
-        obj = {"x": x, "y": {"row": x[::-1].reshape(-1)}}
+        known = blocks_module._PairTable()
+        for value in [x, *later]:
+            ids, texts = blocks_module._pair_texts(value, "\n", known)
+            words = value.view(np.uint64).reshape(-1, 2)
+            for i in np.unique(ids):
+                assert len(np.unique(words[ids.reshape(-1) == i], axis=0)) == 1
+            assert texts[ids].reshape(-1).tolist() == [
+                "\n" + json.dumps(pair, indent=2)
+                for pair in operator_to_json(value.reshape(-1))]
+        obj = {"x": x, "y": {"row": later[0], "twins": later[1]},
+               "z": {"signs": later[2], "mixed": later[3]}}
         assert_stdlib_dump("".join(json_chunks(obj)), obj)
 
     def test_bad_payloads_name_the_field(self):
@@ -525,6 +542,24 @@ def test_flatten_compat_property(a, b):
 # the writer's zero pairs take their text from two sign bits; the others
 # are formatted once per array, however often they repeat
 dump_parts = [0.0, -0.0, 5e-324, 1e-05, 0.1, 1.0, -2.5, 1e16]
+
+
+def key_twin(pair) -> list:
+    """A finite [re, im] pair with pair's ``_pair_keys`` key and other bytes.
+
+    The key of words (w0, w1) is the key of (w0, 0) xor w1, so for any
+    other first word the second word that keeps the key is one xor away.
+    """
+    words = np.array([pair], dtype=np.float64).view(np.uint64)
+    key = blocks_module._pair_keys(words)[0]
+    for re in (3.0, -7.5, 0.25, 1e300, 2.0 ** -1000):
+        w = np.array([[re, 0.0]]).view(np.uint64)
+        w[0, 1] = blocks_module._pair_keys(w)[0] ^ key
+        twin = w.view(np.float64)[0]
+        if np.isfinite(twin).all():
+            assert blocks_module._pair_keys(w)[0] == key and twin[0] != pair[0]
+            return twin.tolist()
+    raise AssertionError(f"no finite key twin of {pair}")
 
 
 def pair_array(pairs, shape) -> np.ndarray:

@@ -25,7 +25,7 @@ from schurblock import (
     triple_dim,
     vector_to_json,
 )
-from schurblock import cli, verify
+from schurblock import blocks, cli, verify
 from schurblock.blocks import _PIECE_PAIRS, json_chunks
 from schurblock.verify import PROPERTIES, run_property
 from schurblock.cli import (
@@ -424,13 +424,32 @@ class TestEmitSystem:
             tracemalloc.stop()
         assert peak < 40e6
 
+    def test_each_distinct_pair_is_formatted_once(self, tmp_path, monkeypatch):
+        # A, first in key order, formats its 1,024 distinct pairs and F its
+        # [1.0, 0.0]; lambda(A), Q and V find theirs in the table of known
+        # pairs. Formatting each array's pairs apart would take 2,051
+        formatted = []
+        float_texts = blocks._float_texts
+
+        def counting(pairs):
+            formatted.append(len(pairs))
+            return float_texts(pairs)
+
+        monkeypatch.setattr(blocks, "_float_texts", counting)
+        text = emit_text(tmp_path, 8, 4, seeded_instance(tmp_path))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "cae02536cbe76b13641849d519267d3ff3d1fd0ccab34b628313c34bac54fb6d")
+        assert formatted == [1024, 1]
+
     def test_writer_memory_peak(self, tmp_path):
         # the writer's own allocations, each piece dropped as it comes (a
         # list of them would hold the whole 9 MB text): one piece for a
         # whole array, a tolist of all its floats, or a table of every tail
-        # of every distinct pair (1.26 MB) exceeds this bound; the writer
-        # peaks near 0.85 MB. emit_system_dict builds each operator on
-        # access, so they are built first, outside the traced writer
+        # of every distinct pair (1.26 MB) exceeds this bound. The table of
+        # known pairs holds about 190 KB of texts, keys and words, paid for
+        # by pair ids of the smallest unsigned type; the writer peaks near
+        # 0.86 MB. emit_system_dict builds each operator on access, so they
+        # are built first, outside the traced writer
         out = dict(emit_system_dict(8, 4, str(seeded_instance(tmp_path))))
         tracemalloc.start()
         try:

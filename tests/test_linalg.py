@@ -113,6 +113,19 @@ class TestGramRoute:
         assert spectral_norm(np.zeros((7, 3))) == 0.0
         assert spectral_norm(np.zeros((2, 3, 7))).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("shape", [(3, 3), (7, 3), (3, 7)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j])
+    def test_non_finite_matrix_has_norm_nan(self, shape, bad):
+        # a NaN the judge fails, not an exception; the stack's finite
+        # matrices keep their own bits
+        x = _ginibre(np.random.default_rng(9), (3, *shape))
+        finite = spectral_norm(x)
+        x[1, -1, 0] = bad
+        assert np.isnan(spectral_norm(x[1]))
+        norms = spectral_norm(x)
+        assert np.isnan(norms[1])
+        assert norms[[0, 2]].tolist() == finite[[0, 2]].tolist()
+
 
 class TestHermitianMinEig:
     def test_identity(self):
@@ -137,6 +150,16 @@ class TestHermitianMinEig:
         lo = hermitian_min_eig(np.stack([hermitian, g]))
         assert lo[0] == hermitian_min_eig(hermitian)
         assert lo[1] == hermitian_min_eig(g)
+
+    def test_non_finite_matrix_gives_nan(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        bad = g.copy()
+        bad[0, 1, 2] = np.inf
+        assert np.isnan(hermitian_min_eig(bad[0]))
+        lo = hermitian_min_eig(bad)
+        assert np.isnan(lo[0])
+        assert lo[1] == hermitian_min_eig(g[1])
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):

@@ -329,6 +329,36 @@ def test_shared_chunk_values_are_never_stale(mutant):
     assert failing_properties(*shared) == set()
 
 
+def lambda_with_one_nan(a, rows=None, cols=None):
+    """lambda(A) with a NaN as its first entry: an operator a checker builds
+    itself, which no input gate sees."""
+    out = build_lambda(a, rows, cols)
+    out[..., 0, 0] = np.nan
+    return out
+
+
+def test_nan_in_lambda_fails_its_properties_with_a_report(tmp_path, monkeypatch,
+                                                          capsys):
+    # the kernels give NaN for a matrix that is not finite, so the judge
+    # fails every property whose terms build lambda(A), with exit 1 and a
+    # report, where a raising kernel made verify exit 3 with none
+    monkeypatch.setattr(verify, "build_lambda", lambda_with_one_nan)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--n", str(N), "--d", str(D), "--k", "1",
+                 "--trials", "5", "--seed", "1", "--out", str(out)])
+    assert code == 1, capsys.readouterr().err
+    results = {r["property_id"]: r for r in json.loads(out.read_text())["results"]}
+    failing = LAMBDA | {"norm_lemmas"}
+    assert {p for p, r in results.items() if r["failures"]} == failing
+    for p in failing:
+        assert results[p]["failures"] == 5, p
+        assert np.isnan(results[p]["worst_residual"]), p
+        path = tmp_path / f"{p}.json"
+        write_trial_instance(path, results[p]["worst_seed"])
+        assert main(["replay", str(path), "--property", p]) == 1
+        assert "result=FAIL" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("n, d", [(4, 2), (4, 4), (4, 8)])
 def test_livshits_column_family_reaches_the_bound(n, d):
     x = livshits_column_family(n, d)
