@@ -5,7 +5,8 @@ Walks through the triple tensor space construction at n = 2, d = 1, where
 every operator is small enough to print: the isometry V duplicating the
 outer index, the flip F exchanging the outer legs, the projection
 Q = VV*, and the left representation lambda. Then checks the identity on
-random instances at a larger size.
+random instances at a larger size, and reads the suite's named claims
+on one of them.
 """
 
 import numpy as np
@@ -20,6 +21,11 @@ from schurblock import (
     schur_block_product,
     spectral_norm,
     unflatten,
+    verify_decomposition,
+    verify_factorization,
+    verify_norm_lemmas,
+    verify_structure,
+    worst_residual,
 )
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
@@ -67,3 +73,13 @@ for trial in range(5):
            @ build_lambda(Y) @ sys43.V)
     res = spectral_norm(via - target) / spectral_norm(target)
     print(f"  trial {trial}: relative residual = {res:.3e}")
+
+print()
+print("=" * 70)
+print("The suite's named claims on the last instance, each judged alone")
+print("=" * 70)
+for check, args in ((verify_factorization, (X, Y)), (verify_structure, (X, Y)),
+                    (verify_decomposition, (X, Y)), (verify_norm_lemmas, (X,))):
+    for name, claim in check(*args).items():
+        print(f"  {check.__name__}: {name} ({claim[0]}) residual = "
+              f"{worst_residual({name: claim}):.3e}")

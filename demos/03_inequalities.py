@@ -9,7 +9,8 @@
    G = [[diag(AA*), A [] B], [(A [] B)*, diag(B*B)]] is positive semidefinite
 
 Each is shown on the hand-checkable 2x2 scalar pair and then sampled on
-random block instances, including the equality cases.
+random block instances, including the equality cases. Last, the suite's
+named claims for each inequality are read on one random pair.
 """
 
 import numpy as np
@@ -27,6 +28,11 @@ from schurblock import (
     schur_block_product,
     spectral_norm,
     unflatten,
+    verify_cauchy_schwarz,
+    verify_livshits,
+    verify_sandwich,
+    verify_sharpness,
+    worst_residual,
 )
 
 rng = np.random.default_rng(7)
@@ -97,3 +103,14 @@ for trial in range(5):
     Y = sample_block_matrix(rng, 4, 2)
     Z = sample_block_matrix(rng, 4, 2)
     print(f"  trial {trial}: min eig(G) = {np.linalg.eigvalsh(gram(Y, Z))[0]:+.2e}")
+
+print()
+print("=" * 70)
+print("The suite's named claims on one random pair, each judged alone")
+print("=" * 70)
+Y, Z = sample_block_matrix(rng, 4, 2), sample_block_matrix(rng, 4, 2)
+for check, args in ((verify_livshits, (Y, Z)), (verify_sharpness, (Y,)),
+                    (verify_sandwich, (Y,)), (verify_cauchy_schwarz, (Y, Z))):
+    for name, claim in check(*args).items():
+        print(f"  {check.__name__}: {name} ({claim[0]}) residual = "
+              f"{worst_residual({name: claim}):.3e}")

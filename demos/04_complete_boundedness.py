@@ -27,6 +27,7 @@ from schurblock import (
     schur_unit,
     spectral_norm,
     verify_cb_level,
+    worst_residual,
 )
 
 rng = np.random.default_rng(11)
@@ -63,7 +64,8 @@ for k in (1, 2, 3):
     for _ in range(200):
         a = regroup_lift(sample_lift(rng, k, n, d))
         b = regroup_lift(sample_lift(rng, k, n, d))
-        assert verify_cb_level(a, b) <= PROPERTIES["cb_level"].tol
+        # the level-k claim, "bound", judged as the suite judges it
+        assert worst_residual(verify_cb_level(a, b)) <= PROPERTIES["cb_level"].tol
         ratios.append(lhs_over_rhs(a, b))
     print(f"  k = {k}: closest approach over 200 draws = {max(ratios):.6f} "
           f"(mean {np.mean(ratios):.4f})")

@@ -67,6 +67,7 @@ from .verify import (
     verify_sandwich,
     verify_sharpness,
     verify_structure,
+    worst_residual,
 )
 
 __version__ = "0.1.0"
@@ -123,5 +124,6 @@ __all__ = [
     "verify_sandwich",
     "verify_sharpness",
     "verify_structure",
+    "worst_residual",
     "zero_block_matrix",
 ]

@@ -73,7 +73,7 @@ class BlockMatrix:
     def unit_scaled(self) -> "BlockMatrix":
         """Each grid of the stack times a power of two (see ``_unit_scale``);
         computed once per BlockMatrix."""
-        return BlockMatrix(self.n, self.d, _unit_scale(self.blocks))
+        return _unchecked(self.n, self.d, _unit_scale(self.blocks))
 
     @functools.cached_property
     def _memo(self) -> dict:
@@ -90,6 +90,19 @@ class BlockMatrix:
 
     def __hash__(self):
         return hash((self.n, self.d, self.batch, self.blocks.tobytes()))
+
+
+def _unchecked(n: int, d: int, blocks: np.ndarray) -> BlockMatrix:
+    """A BlockMatrix of (..., n, n, d, d) complex blocks the package computed
+    from checked ones, with no shape or finiteness pass: a NaN that a wrong
+    operation makes reaches the judge, which fails it, where the constructor
+    would raise. The blocks are made C-ordered, as the constructor's copy
+    is, so every later kernel sees the same layout, and read-only."""
+    a = np.ascontiguousarray(blocks, dtype=np.complex128)
+    a.setflags(write=False)
+    out = object.__new__(BlockMatrix)
+    vars(out).update(n=n, d=d, blocks=a)
+    return out
 
 
 def _unit_scale(blocks: np.ndarray) -> np.ndarray:
@@ -164,8 +177,7 @@ def _check_same_shape(a: BlockMatrix, b: BlockMatrix):
 
 def adjoint_block(a: BlockMatrix) -> BlockMatrix:
     """Adjoint of the whole matrix: slot (i, j) becomes blocks[j, i]*."""
-    return BlockMatrix(n=a.n, d=a.d,
-                       blocks=np.conj(a.blocks.swapaxes(-4, -3).swapaxes(-2, -1)))
+    return _unchecked(a.n, a.d, np.conj(a.blocks.swapaxes(-4, -3).swapaxes(-2, -1)))
 
 
 def schur_block_product(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
@@ -174,13 +186,13 @@ def schur_block_product(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
     Stacks broadcast: a single matrix multiplies every matrix of a stack.
     """
     _check_same_shape(a, b)
-    return BlockMatrix(n=a.n, d=a.d, blocks=np.matmul(a.blocks, b.blocks))
+    return _unchecked(a.n, a.d, np.matmul(a.blocks, b.blocks))
 
 
 def block_matmul(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
     """Ordinary matrix product; flatten(block_matmul(a, b)) == flatten(a) @ flatten(b)."""
     _check_same_shape(a, b)
-    return unflatten(flatten(a) @ flatten(b), a.n, a.d)
+    return _unchecked(a.n, a.d, _grid(flatten(a) @ flatten(b), a.n, a.d))
 
 
 def diag_block(a: BlockMatrix) -> BlockMatrix:
@@ -188,7 +200,7 @@ def diag_block(a: BlockMatrix) -> BlockMatrix:
     b = np.zeros_like(a.blocks)
     i = np.arange(a.n)
     b[..., i, i, :, :] = a.blocks[..., i, i, :, :]
-    return BlockMatrix(n=a.n, d=a.d, blocks=b)
+    return _unchecked(a.n, a.d, b)
 
 
 def _row_strips(a: BlockMatrix) -> np.ndarray:

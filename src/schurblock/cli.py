@@ -13,10 +13,13 @@ one ``error: judge control failed: <relation>`` line on stderr),
 property, a tolerance that is not finite and nonnegative, shape
 mismatch), 3 bad input (I/O or parse error, or an entry of an instance
 file that is not a finite number). A wrong implementation fails its
-properties with 1 and never exits 3: a kernel gives NaN for a matrix
-with a NaN or infinite entry that a checker built, and the judge fails
-that NaN. Property ids, their default tolerances and the --tol.<id>
-flags all come from ``verify.PROPERTIES``.
+properties with 1 and never exits 3: only the input gates (an instance
+file, ``BlockMatrix(...)``, the samplers) check entries for finiteness,
+not the block matrices the package builds from checked ones, such as a
+checker's Schur block product; a kernel gives NaN for a matrix with a
+NaN or infinite entry that a checker built; and the judge fails that
+NaN. Property ids, their default tolerances and the --tol.<id> flags all
+come from ``verify.PROPERTIES``.
 """
 
 from __future__ import annotations

@@ -96,20 +96,17 @@ def spectral_norm(x):
     diagonal entry, the largest squared column norm, is normal; a matrix
     of the stack where either fails, an all-zero one included, is the
     SVD of x itself, which LAPACK scales internally. A matrix with a NaN
-    or infinite entry gets NaN (``_finite_or_nan``).
+    or infinite entry gets NaN (``_finite_or_nan``). Its Gram is not
+    finite either, so x itself is checked for finiteness only on the
+    square route and where the Gram fails: a finite Gram needs no pass.
     """
     x = _matrices(x)
     if x.size == 0:
         raise ShapeError(f"spectral_norm of an empty matrix, shape {x.shape}")
-    return _finite_or_nan(_finite_norm, x)
-
-
-def _finite_norm(x: np.ndarray):
-    """``spectral_norm`` of a stack of finite matrices."""
     if x.shape[-2] < x.shape[-1]:
         x = x.swapaxes(-1, -2)
     if x.shape[-2] == x.shape[-1]:
-        return as_scalar(_largest_sv(x))
+        return as_scalar(_finite_or_nan(_largest_sv, x))
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.conj(x).swapaxes(-1, -2) @ x
     top = np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)
@@ -119,7 +116,7 @@ def _finite_norm(x: np.ndarray):
     norm = np.empty(ok.shape)
     if ok.any():
         norm[ok] = np.sqrt(_largest_sv(gram[ok]))
-    norm[~ok] = _largest_sv(x[~ok])
+    norm[~ok] = _finite_or_nan(_largest_sv, x[~ok])
     return as_scalar(norm)
 
 

@@ -1,58 +1,62 @@
 """Checkers for the identities and inequalities obeyed by the Schur block product.
 
-Each checker states a claim and returns the residual the judge forms
-from it; only ``run_property`` compares residuals with a tolerance. A
-checker is written on stacks of trials: its BlockMatrix arguments may
-carry a leading trial axis (blocks of shape (T, n, n, d, d)), each
-kernel runs once for the whole stack (one batched @, cholesky, svd or
-eigvalsh), and it returns one residual per trial, an array of shape
-(T,). A single instance is the batch-of-one case of the same code and
-gives a float. Trial t's residual is, bit for bit, the one its instance
-gives alone: a batched LAPACK or BLAS call makes the same call per
-matrix, and every sum runs in one fixed order whatever the stack.
+Each checker, ``verify_<id>``, returns its named claims,
+``{name: (relation, *sides)}``, and judges none of them; only
+``run_property`` compares residuals with a tolerance. A checker is
+written on stacks of trials: its BlockMatrix arguments may carry a
+leading trial axis (blocks of shape (T, n, n, d, d)), each kernel runs
+once for the whole stack (one batched @, cholesky, svd or eigvalsh), and
+each side holds one value or matrix per trial, or per trial and row. A
+single instance is the batch-of-one case of the same code. Trial t's
+residual is, bit for bit, the one its instance gives alone: a batched
+LAPACK or BLAS call makes the same call per matrix, and every sum runs in
+one fixed order whatever the stack.
 
+One judge, ``_residual``, alone turns a claim into its residual, by the
+rule of the claim's relation (``_RULES``): ``equal`` for matrix sides,
+||lhs - rhs|| over ||lhs||; ``same`` for per-trial values, |lhs - rhs|
+over lhs; ``at_most`` for a norm bound ||X|| <= R, the excess over R
+relative to R; ``psd`` for a PSD order, how far a smallest eigenvalue
+falls below 0 relative to a reference. Each divides by ``linalg.ratio``,
+with no floor, and takes a reference norm only where the deviation is
+nonzero. One fold, ``worst_residual``, judges each claim of a checker
+and keeps, per trial, the largest residual over its rows and its claims,
+with NaN the largest, so a NaN residual stays NaN and fails.
 ``run_property`` judges a whole stack, which the suite feeds it one
 chunk of trials at a time: a residual passes at or below the tolerance,
 and the chunk's PropertyResult counts the trials that do not and keeps
 the first largest residual in trial order; ``merge_results`` folds the
-chunks (sums of counts, the first largest residual). A checker states a
-claim, and one judge, ``_residual``, alone turns it into the residual,
-by the rule of the claim's relation (``_RULES``): ``equal`` for matrix
-sides, ||lhs - rhs|| over ||lhs||; ``same`` for per-trial values,
-|lhs - rhs| over lhs; ``at_most`` for a norm bound ||X|| <= R, the
-excess over R relative to R; ``psd`` for a PSD order, how far a
-smallest eigenvalue falls below 0 relative to a reference. Each divides
-by ``linalg.ratio``, with no floor, and takes a reference norm only
-where the deviation is nonzero. A NaN residual stays NaN and fails.
-Once per process, before the first property runs, the judge judges
-planted claims, one that its rule must fail and one that it must pass
-per relation (``_check_judge``); a wrong verdict raises ``JudgeError``,
-so a run whose judge could not fail gives no report.
+chunks (sums of counts, the first largest residual). Once per process,
+before the first property runs, the judge judges planted claims, one
+that its rule must fail and one that it must pass per relation
+(``_check_judge``); a wrong verdict raises ``JudgeError``, so a run whose
+judge could not fail gives no report.
 
 Every property is homogeneous in each input, so ``run_property`` judges
 each input of each trial scaled by a power of two, exactly, with its
 largest entry in [1/2, 1): its verdict does not depend on the scale of
 the input, and no finite instance overflows. A BlockMatrix keeps its
 scaled form (``BlockMatrix.unit_scaled``), so the properties of one
-chunk scale each matrix once. A ``verify_<id>`` residual is measured on
-its inputs as given. Its row and column norms, ``row_norm`` and
+chunk scale each matrix once. A ``verify_<id>`` states its claims on its
+inputs as given. Its row and column norms, ``row_norm`` and
 ``col_norm``, are the largest ``spectral_norm`` of a block-row or
 block-column strip: ``spectral_norm``, the package's one Gram route to a
 norm, takes a strip's own SVD where its Gram overflows or underflows, so
 both norms are right at every finite scale of A.
 
 ``PROPERTIES`` is the one list of the nine properties: each id's default
-tolerance, the instance pieces it needs, and the call that runs its
-checker; ``run_property`` dispatches through it and the CLI derives its
-flags and validation from it. No checker reads it.
+tolerance and the instance pieces its checker takes; ``run_property``
+dispatches through it and the CLI derives its flags and validation from
+it. No checker reads it.
 
 The fixed operators V, F and Q depend on (n, d) alone:
 ``StinespringSystem.build(a.n, a.d)`` is memoised per (n, d) and checks
 their laws exactly once per (n, d), on its index arrays, together with
 the builders' two gather laws F lambda(A) F = rho(A) and
 sigma(A) = V flatten(A) V*, proven on a labelled instance; ``structure``
-and ``decomposition`` fold that stored value into each trial's max, so a
-broken system or builder fails every trial. Every checker applies the 0/1
+and ``decomposition`` state that stored value as their ``operators``
+claim, which the fold takes into each trial's max, so a broken system or
+builder fails every trial. Every checker applies the 0/1
 operators V, F, Q and P = (F + I)/2 by index, the form the system is
 defined by: V* X = X[r], X V = X[:, r] and X F = X[:, f] with
 r = ``v_rows`` and f = ``f_perm``, which gathers exactly the entries a
@@ -96,7 +100,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +108,7 @@ from .blocks import (
     BlockMatrix,
     _check_same_shape,
     _row_strips,
+    _unchecked,
     adjoint_block,
     block_matmul,
     col_norm,
@@ -125,40 +130,26 @@ from .stinespring import StinespringSystem, build_lambda
 
 
 class Property(NamedTuple):
-    """One row of PROPERTIES: default tolerance, needed inputs, checker call.
+    """One row of PROPERTIES: default tolerance and needed inputs.
 
-    ``check(x)`` returns the checker's residual on the instance
-    mapping x, keyed like the instance file (A, B), or one residual per
-    trial when x holds stacks of trials; ``needs`` names the keys it must
-    have. It reaches ``verify_<id>`` through its module-level name at call
-    time, so a wrapper installed on that name (a profiler, a tracer) sees
-    every call.
+    ``needs`` names the keys of the instance mapping (A, B), keyed like
+    the instance file, that the checker ``verify_<id>`` takes, in order.
     """
 
     tol: float
     needs: tuple
-    check: Callable
 
 
 PROPERTIES = {
-    "factorization": Property(1e-10, ("A", "B"), lambda x: (
-        verify_factorization(x["A"], x["B"]))),
-    "structure": Property(1e-12, ("A", "B"), lambda x: (
-        verify_structure(x["A"], x["B"]))),
-    "livshits": Property(1e-8, ("A", "B"), lambda x: (
-        verify_livshits(x["A"], x["B"]))),
-    "sharpness": Property(1e-8, ("A",), lambda x: (
-        verify_sharpness(x["A"]))),
-    "sandwich": Property(1e-10, ("A",), lambda x: (
-        verify_sandwich(x["A"]))),
-    "cauchy_schwarz": Property(1e-8, ("A", "B"), lambda x: (
-        verify_cauchy_schwarz(x["A"], x["B"]))),
-    "decomposition": Property(1e-10, ("A", "B"), lambda x: (
-        verify_decomposition(x["A"], x["B"]))),
-    "norm_lemmas": Property(1e-8, ("A",), lambda x: (
-        verify_norm_lemmas(x["A"]))),
-    "cb_level": Property(1e-8, ("A", "B"), lambda x: (
-        verify_cb_level(x["A"], x["B"]))),
+    "factorization": Property(1e-10, ("A", "B")),
+    "structure": Property(1e-12, ("A", "B")),
+    "livshits": Property(1e-8, ("A", "B")),
+    "sharpness": Property(1e-8, ("A",)),
+    "sandwich": Property(1e-10, ("A",)),
+    "cauchy_schwarz": Property(1e-8, ("A", "B")),
+    "decomposition": Property(1e-10, ("A", "B")),
+    "norm_lemmas": Property(1e-8, ("A",)),
+    "cb_level": Property(1e-8, ("A", "B")),
 }
 
 # _proves_psd shifts by PROOF_MARGIN * scale. The factorization's backward
@@ -171,8 +162,9 @@ PROOF_MARGIN = 2.0 ** -20
 @dataclass(frozen=True)
 class PropertyResult:
     """Outcome of running one property over one or more trials; ``seconds``
-    is the wall time spent in its checker, including the shared values of
-    a chunk it is the first property to compute (see the module docstring)."""
+    is the wall time spent building and judging its claims, including the
+    shared values of a chunk it is the first property to compute (see the
+    module docstring)."""
 
     property_id: str
     trials: int
@@ -358,14 +350,29 @@ def _check_judge() -> None:
             raise JudgeError(f"judge control failed: {relation}")
 
 
+def worst_residual(claims: dict, batch=()):
+    """The residual of a checker's claims ``{name: (relation, *sides)}``.
+
+    Each claim is judged by ``_residual``; its residuals over the axes
+    after ``batch``, the trial axes (a claim's rows), and then over the
+    claims, fold into their largest per trial, with NaN the largest: a
+    float for one instance (batch ()), an array of shape batch for a stack.
+    """
+    def per_trial(claim):
+        r = np.asarray(_residual(*claim))
+        return r.max(axis=tuple(range(len(batch), r.ndim)))
+
+    return as_scalar(_max(np.zeros(batch), *map(per_trial, claims.values())))
+
+
 # ---------------------------------------------------------------------------
-# The checkers: each states its claim
+# The checkers: each returns its named claims
 # ---------------------------------------------------------------------------
 
 
-def verify_factorization(a: BlockMatrix, b: BlockMatrix):
-    """flatten(A [] B) = V* lambda(A) F lambda(B) V, the one identity
-    residual: ||X - V* lambda(A) F lambda(B) V|| / ||X||, X = flatten(A [] B).
+def verify_factorization(a: BlockMatrix, b: BlockMatrix) -> dict:
+    """flatten(A [] B) = V* lambda(A) F lambda(B) V, the one identity:
+    ``identity``, X = flatten(A [] B) equal to V* lambda(A) F lambda(B) V.
 
     ||X|| is taken, by the ``equal`` rule, only for the trials whose gap is
     nonzero; the SVD of a matrix gives the same bits in any stack.
@@ -376,17 +383,18 @@ def verify_factorization(a: BlockMatrix, b: BlockMatrix):
     # V* lambda(A) F: np.take gathers the contiguous array build_lambda(a, r, f)
     # builds, so the product runs the same GEMM
     via_flip = np.take(_once(a, build_lambda, a, r), f, axis=-1) @ build_lambda(b, None, r)
-    return _residual("equal", _ab(a, b), via_flip)
+    return {"identity": ("equal", _ab(a, b), via_flip)}
 
 
-def verify_structure(a: BlockMatrix, b: BlockMatrix):
+def verify_structure(a: BlockMatrix, b: BlockMatrix) -> dict:
     """Exactness of the fixed operators and the representation identities.
 
-    Proven once per (n, d) by the system's ``operator_residual``, and
-    folded into each trial's max: V*V = I, F self-adjoint and involutive,
+    ``operators``: proven once per (n, d) by the system's
+    ``operator_residual``, 0.0 or 1.0, so this ``same`` claim's residual
+    is exactly that: V*V = I, F self-adjoint and involutive,
     FV = V, and the two gather laws F lambda(A) F = rho(A) and
-    sigma(A) = V flatten(A) V*, on a labelled instance. Checked per trial,
-    in the n*d space: the diagonal compression
+    sigma(A) = V flatten(A) V*, on a labelled instance. ``diagonal``,
+    checked per trial, in the n*d space: the diagonal compression
     flatten(diag(A)) = V* lambda(A) V, two gathers of A's entries, so it
     reads exactly 0.0 on correct code and spends no SVD. B is read for its
     shape alone: the identity V* lambda(A) rho(B) V = flatten(A [] B) is
@@ -396,19 +404,14 @@ def verify_structure(a: BlockMatrix, b: BlockMatrix):
     sys_ = StinespringSystem.build(a.n, a.d)
     r = sys_.v_rows
     gather = _once(a, build_lambda, a, r)[..., :, r]
-    return as_scalar(_max(sys_.operator_residual,
-                          _residual("equal", flatten(diag_block(a)), gather)))
+    return {"operators": ("same", 1.0, 1.0 + sys_.operator_residual),
+            "diagonal": ("equal", flatten(diag_block(a)), gather)}
 
 
-def _livshits_violation(a: BlockMatrix, b: BlockMatrix):
-    """||A [] B|| <= R = row_norm(A) * col_norm(B), an ``at_most`` claim."""
+def verify_livshits(a: BlockMatrix, b: BlockMatrix) -> dict:
+    """``bound``: ||A [] B|| <= R = row_norm(A) * col_norm(B)."""
     _check_same_shape(a, b)
-    return _residual("at_most", _ab(a, b), _once(a, row_norm, a) * col_norm(b))
-
-
-def verify_livshits(a: BlockMatrix, b: BlockMatrix):
-    """||A [] B|| <= row_norm(A) * col_norm(B)."""
-    return _livshits_violation(a, b)
+    return {"bound": ("at_most", _ab(a, b), _once(a, row_norm, a) * col_norm(b))}
 
 
 def row_norms_via_schur(x: BlockMatrix):
@@ -425,8 +428,8 @@ def row_norms_via_schur(x: BlockMatrix):
     n, d, k = x.n, x.d, np.arange(x.n)
     y = np.zeros((n, n, n, d, d), dtype=np.complex128)
     y[k, k] = np.eye(d)
-    per_row = schur_block_product(BlockMatrix(n, d, x.blocks[..., None, :, :, :, :]),
-                                  BlockMatrix(n, d, y))
+    per_row = schur_block_product(_unchecked(n, d, x.blocks[..., None, :, :, :, :]),
+                                  _unchecked(n, d, y))
     # block row k of X [] E_k: blocks (k, j) as rows k*d .. k*d + d - 1
     own_rows = per_row.blocks[..., k, k, :, :, :].swapaxes(-3, -2)
     norms = spectral_norm(own_rows.reshape(*x.batch, n, d, n * d))
@@ -437,24 +440,25 @@ def row_norms_via_schur(x: BlockMatrix):
     return norms
 
 
-def verify_sharpness(x: BlockMatrix):
-    """Row norms recovered through [] match direct block-row norms, every row.
+def verify_sharpness(x: BlockMatrix) -> dict:
+    """Row norms recovered through [] match direct block-row norms: on
+    every row (``rows``), and their largest matches ``row_norm``
+    (``largest``).
 
     The direct norm of block row k is that of the d-by-(n*d) strip of
     rows k*d .. k*d + d - 1 of flatten(x), the strip ``row_norm`` takes.
     """
     via = row_norms_via_schur(x)
-    direct = spectral_norm(_row_strips(x))
-    return as_scalar(_max(_residual("same", direct, via).max(axis=-1),
-                          _residual("same", _once(x, row_norm, x), via.max(axis=-1))))
+    return {"rows": ("same", spectral_norm(_row_strips(x)), via),
+            "largest": ("same", _once(x, row_norm, x), via.max(axis=-1))}
 
 
-def verify_sandwich(a: BlockMatrix):
-    """-diag(A*A) <= A* [] A <= diag(A*A) in the PSD order.
+def verify_sandwich(a: BlockMatrix) -> dict:
+    """``order``: -diag(A*A) <= A* [] A <= diag(A*A) in the PSD order.
 
-    The residual is how far the smaller eigenvalue of the Hermitian parts
-    of diag(A*A) -+ A* [] A falls below 0, plus the Frobenius norm of
-    A* [] A's skew part, relative to ||diag(A*A)|| where that sum is nonzero.
+    One ``psd`` claim stacks both sides, diag(A*A) -+ A* [] A, and adds
+    the Frobenius norm of A* [] A's skew part, relative to ||diag(A*A)||
+    where that sum is nonzero.
     """
     star = _once(a, adjoint_block, a)
     s = flatten(schur_block_product(star, a))
@@ -462,10 +466,11 @@ def verify_sandwich(a: BlockMatrix):
     scale = np.diagonal(dmat, axis1=-2, axis2=-1).real.max(axis=-1)
     # s is Hermitian by the adjoint law, so its skew part counts against it
     skew = np.linalg.norm(s - np.conj(s).swapaxes(-1, -2), axis=(-2, -1))
-    return _residual("psd", np.stack([dmat - s, dmat + s]), scale, dmat[..., None, :, :], skew)
+    return {"order": ("psd", np.stack([dmat - s, dmat + s]), scale,
+                      dmat[..., None, :, :], skew)}
 
 
-def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
+def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix) -> dict:
     """|<(A [] B) u, v>| <= ||diag(B*B)^(1/2) u|| ||diag(AA*)^(1/2) v|| for
     all vectors u and v.
 
@@ -475,9 +480,10 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
     *Completely Bounded Maps and Operator Algebras*, CUP 2002). G is the
     Gram matrix of the columns of [lambda(A)* V, F lambda(B) V], as F is a
     self-adjoint unitary, so this is the paper's proof step; it needs no
-    inverse of D_A or D_B and has no singular case. The residual is how far
-    the smallest eigenvalue of G's Hermitian part falls below 0, relative
-    to r, the largest spectral norm of the 2n diagonal blocks of D_A, D_B.
+    inverse of D_A or D_B and has no singular case. ``gram`` claims G PSD:
+    its residual is how far the smallest eigenvalue of G's Hermitian part
+    falls below 0, relative to r, the largest spectral norm of the 2n
+    diagonal blocks of D_A, D_B.
     """
     _check_same_shape(a, b)
     i = np.arange(a.n)
@@ -487,44 +493,50 @@ def verify_cauchy_schwarz(a: BlockMatrix, b: BlockMatrix):
     gram = np.block([[flatten(d_a), ab], [np.conj(ab).swapaxes(-1, -2), flatten(d_b)]])
     scale = np.diagonal(gram, axis1=-2, axis2=-1).real.max(axis=-1)
     diagonal = np.concatenate([d.blocks[..., i, i, :, :] for d in (d_a, d_b)], axis=-3)
-    return _residual("psd", gram, scale, diagonal)
+    return {"gram": ("psd", gram, scale, diagonal)}
 
 
-def verify_decomposition(a: BlockMatrix, b: BlockMatrix):
+def verify_decomposition(a: BlockMatrix, b: BlockMatrix) -> dict:
     """Difference-of-positive-parts form and the absolute-value identity.
 
     With P = (F + I)/2, an orthogonal projection since F = F* = F^-1 (the
     laws of F, which the system's ``operator_residual`` proves once per
-    (n, d)), flatten(A [] B) = V* lambda(A) P lambda(B) V minus
-    V* lambda(A) (I - P) lambda(B) V is ``factorization``'s identity with
-    F = P - (I - P). Checked per trial: V* lambda(AB) V equals
-    flatten(diag(AB)), two gathers of AB's entries, so it reads exactly
-    0.0 on correct code and spends no SVD.
+    (n, d), the ``operators`` claim), flatten(A [] B) =
+    V* lambda(A) P lambda(B) V minus V* lambda(A) (I - P) lambda(B) V is
+    ``factorization``'s identity with F = P - (I - P). ``diagonal``,
+    checked per trial: V* lambda(AB) V equals flatten(diag(AB)), two
+    gathers of AB's entries, so it reads exactly 0.0 on correct code and
+    spends no SVD.
     """
     _check_same_shape(a, b)
     sys_ = StinespringSystem.build(a.n, a.d)
     r = sys_.v_rows
     prod = block_matmul(a, b)
-    return as_scalar(_max(sys_.operator_residual, _residual(
-        "equal", flatten(diag_block(prod)), build_lambda(prod, r, r))))
+    return {"operators": ("same", 1.0, 1.0 + sys_.operator_residual),
+            "diagonal": ("equal", flatten(diag_block(prod)), build_lambda(prod, r, r))}
 
 
-def verify_norm_lemmas(a: BlockMatrix):
-    """col_norm(A) = ||lambda(A) V|| and row_norm(A) = ||V* lambda(A)||."""
+def verify_norm_lemmas(a: BlockMatrix) -> dict:
+    """``columns``: col_norm(A) = ||lambda(A) V||, and ``rows``:
+    row_norm(A) = ||V* lambda(A)||."""
     r = StinespringSystem.build(a.n, a.d).v_rows
-    return as_scalar(_max(
-        _residual("same", col_norm(a), spectral_norm(build_lambda(a, None, r))),
-        _residual("same", _once(a, row_norm, a), spectral_norm(_once(a, build_lambda, a, r)))))
+    return {"columns": ("same", col_norm(a), spectral_norm(build_lambda(a, None, r))),
+            "rows": ("same", _once(a, row_norm, a),
+                     spectral_norm(_once(a, build_lambda, a, r)))}
 
 
-def verify_cb_level(a: BlockMatrix, b: BlockMatrix):
-    """Complete boundedness at level k: the Livshits bound of a level-k pair.
+def verify_cb_level(a: BlockMatrix, b: BlockMatrix) -> dict:
+    """Complete boundedness at level k: ``bound``, the Livshits bound of a
+    level-k pair.
 
     The level-k lift (``blocks.lift_schur_k``) is the Schur block product
     at block size k*d, so A and B are a pair of lifts, each (n, d) grids
-    stacked over (k, k), regrouped by ``blocks.regroup_lift``.
+    stacked over (k, k), regrouped by ``blocks.regroup_lift``. It states
+    ``livshits``' claim itself, so a wrapper on either name times one
+    property.
     """
-    return _livshits_violation(a, b)
+    _check_same_shape(a, b)
+    return {"bound": ("at_most", _ab(a, b), _once(a, row_norm, a) * col_norm(b))}
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +549,13 @@ def run_property(property_id: str, x, *, tol: float | None = None,
     """Run one named property on the instance mapping x and judge each trial.
 
     x holds one instance, or stacks of trials along a leading axis (see
-    the module docstring). The checker (see ``Property``) runs on the
-    inputs the property needs, each one of each trial scaled by a power
-    of two (``BlockMatrix.unit_scaled``), so the verdict does not depend
-    on the scale of x; ``seconds`` times the checker alone. Each residual
+    the module docstring). The checker ``verify_<id>``, looked up by its
+    module-level name at call time so that a wrapper installed on that
+    name (a profiler, a tracer) sees every call, states its claims on the
+    inputs the property needs (``Property``), each one of each trial
+    scaled by a power of two (``BlockMatrix.unit_scaled``), so the verdict
+    does not depend on the scale of x; ``worst_residual`` judges them.
+    ``seconds`` times the checker and the judging alone. Each residual
     passes at or below tol, by default the property's own; ``failures``
     counts those that do not, NaN included. The worst trial is the first
     largest residual in trial order, with NaN the largest; its entry of
@@ -559,7 +574,8 @@ def run_property(property_id: str, x, *, tol: float | None = None,
     scaled = {key: x[key].unit_scaled for key in prop.needs}
     tol = prop.tol if tol is None else tol
     t0 = time.perf_counter()
-    residuals = np.ravel(prop.check(scaled))
+    claims = globals()[f"verify_{property_id}"](*scaled.values())
+    residuals = np.ravel(worst_residual(claims, scaled[prop.needs[0]].batch))
     seconds = time.perf_counter() - t0
     worst = int(np.argmax(residuals))
     return PropertyResult(

@@ -14,6 +14,14 @@ from schurblock import verify
 verify._check_judge()
 
 
+def checker_residual(pid: str, x) -> float:
+    """The fold of property pid's claims on the instance mapping x as
+    given: what ``run_property`` judges, without its power-of-two scaling."""
+    prop = verify.PROPERTIES[pid]
+    claims = getattr(verify, f"verify_{pid}")(*(x[key] for key in prop.needs))
+    return verify.worst_residual(claims, x[prop.needs[0]].batch)
+
+
 def scalar_bm(rows) -> BlockMatrix:
     """Scalar matrix as a d=1 block matrix."""
     a = np.asarray(rows, dtype=np.complex128)

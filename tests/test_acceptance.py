@@ -35,6 +35,7 @@ from schurblock import (
     verify_sandwich,
     verify_sharpness,
     verify_structure,
+    worst_residual,
 )
 from test_cli import run_cli, strip_timing
 
@@ -58,7 +59,7 @@ def test_criterion_1_factorization_identity():
         rng = np.random.default_rng(mix64(1001, t))
         a = sample_block_matrix(rng, n, d)
         b = sample_block_matrix(rng, n, d)
-        worst = max(worst, verify_factorization(a, b))
+        worst = max(worst, worst_residual(verify_factorization(a, b)))
     elapsed = time.perf_counter() - start
     _report(1, "factorization identity", worst <= 1e-10 and elapsed < 30.0,
             f"500 instances, worst residual {worst:.3e}, {elapsed:.1f}s")
@@ -71,7 +72,7 @@ def test_criterion_2_structural_exactness():
         rng = np.random.default_rng(mix64(1002, t))
         a = sample_block_matrix(rng, n, d)
         b = sample_block_matrix(rng, n, d)
-        worst = max(worst, verify_structure(a, b))
+        worst = max(worst, worst_residual(verify_structure(a, b)))
     _report(2, "structural exactness", worst <= 1e-12,
             f"200 instances, worst residual {worst:.3e}")
 
@@ -83,7 +84,7 @@ def test_criterion_3_livshits_inequality():
         rng = np.random.default_rng(mix64(1003, t))
         a = sample_block_matrix(rng, n, d)
         b = sample_block_matrix(rng, n, d)
-        if not verify_livshits(a, b) <= 1e-8:
+        if not worst_residual(verify_livshits(a, b)) <= 1e-8:
             violations += 1
     a2 = scalar_bm([[1.0, 2.0], [3.0, 4.0]])
     b2 = scalar_bm([[5.0, 6.0], [7.0, 8.0]])
@@ -101,7 +102,7 @@ def test_criterion_4_sharpness_of_row_recovery():
         n, d = GRID[t % len(GRID)]
         rng = np.random.default_rng(mix64(1004, t))
         x = sample_block_matrix(rng, n, d)
-        worst = max(worst, verify_sharpness(x))
+        worst = max(worst, worst_residual(verify_sharpness(x)))
         recovered = row_norms_via_schur(x).max()
         rn = row_norm(x)
         worst = max(worst, abs(recovered - rn) / rn)
@@ -115,7 +116,7 @@ def test_criterion_5_sandwich_inequality():
         n, d = GRID[t % len(GRID)]
         rng = np.random.default_rng(mix64(1005, t))
         a = sample_block_matrix(rng, n, d)
-        worst = max(worst, verify_sandwich(a))
+        worst = max(worst, worst_residual(verify_sandwich(a)))
     a2 = scalar_bm([[1.0, 2.0], [3.0, 4.0]])
     star = adjoint_block(a2)
     gap = flatten(diag_block(block_matmul(star, a2))) - flatten(
@@ -134,7 +135,7 @@ def test_criterion_6_cauchy_schwarz_bound():
         a = sample_block_matrix(rng, n, d)
         b = sample_block_matrix(rng, n, d)
         # the bound for all vectors at once: one Gram PSD test per pair
-        if not verify_cauchy_schwarz(a, b) <= 1e-8:
+        if not worst_residual(verify_cauchy_schwarz(a, b)) <= 1e-8:
             failures += 1
     _report(6, "Cauchy-Schwarz bound", failures == 0,
             f"1000 instances, {failures} failures")
@@ -156,7 +157,7 @@ def test_criterion_7_complete_boundedness():
             rng = np.random.default_rng(mix64(1007 + k, t))
             la = regroup_lift(sample_lift(rng, k, n, d))
             lb = regroup_lift(sample_lift(rng, k, n, d))
-            if not verify_cb_level(la, lb) <= 1e-8:
+            if not worst_residual(verify_cb_level(la, lb)) <= 1e-8:
                 failures += 1
             closest = max(closest, _lhs_over_rhs(la, lb))
     # saturation: the Schur unit and the lifted ordinary identity reach the

@@ -28,15 +28,16 @@ from schurblock.cli import CHUNK_BYTES, TrialConfig, chunk_trials, run_suite
 
 
 def _record_checkers(monkeypatch) -> list:
-    """Wrap every verify_<id>; each call appends (id, args, residuals)."""
+    """Wrap every verify_<id>; each call appends (id, args, residuals), the
+    fold of its claims (``worst_residual``)."""
     calls = []
     for pid in PROPERTIES:
         checker = getattr(verify, f"verify_{pid}")
 
         def recorder(*args, _checker=checker, _pid=pid, **kwargs):
-            residuals = _checker(*args, **kwargs)
-            calls.append((_pid, args, residuals))
-            return residuals
+            claims = _checker(*args, **kwargs)
+            calls.append((_pid, args, verify.worst_residual(claims, args[0].batch)))
+            return claims
 
         monkeypatch.setattr(verify, f"verify_{pid}", recorder)
     return calls
@@ -108,9 +109,9 @@ def test_ties_keep_the_first_trial_across_chunks():
 
 
 def _judged(residuals, seeds, monkeypatch):
-    """run_property at tolerance 1e-8 on a checker that returns the given residuals."""
-    monkeypatch.setattr(verify, "verify_livshits",
-                        lambda a, b: np.array(residuals, dtype=float))
+    """run_property at tolerance 1e-8 on a fold that gives the given residuals."""
+    monkeypatch.setattr(verify, "worst_residual",
+                        lambda claims, batch: np.array(residuals, dtype=float))
     one = block_matrix(np.ones((1, 1, 1, 1)))
     return run_property("livshits", {"A": one, "B": one}, tol=1e-8, seeds=seeds)
 

@@ -27,7 +27,9 @@ import pytest
 from schurblock import (
     PROPERTIES,
     BlockMatrix,
+    ContractError,
     StinespringSystem,
+    block_matrix_from_json,
     block_matrix_to_json,
     col_norm,
     flatten,
@@ -357,6 +359,64 @@ def test_nan_in_lambda_fails_its_properties_with_a_report(tmp_path, monkeypatch,
         write_trial_instance(path, results[p]["worst_seed"])
         assert main(["replay", str(path), "--property", p]) == 1
         assert "result=FAIL" in capsys.readouterr().out
+
+
+def schur_product_with_one_nan(a, b):
+    """``schur_block_product`` with a NaN written into its output: its own
+    code runs, the construction of its result included, on a matmul whose
+    first entry of each grid is NaN."""
+    matmul = np.matmul
+
+    def matmul_with_one_nan(x, y):
+        out = matmul(x, y)
+        out[..., 0, 0, 0, 0] = np.nan
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "matmul", matmul_with_one_nan)
+        return schur_block_product(a, b)
+
+
+def test_nan_in_a_checkers_product_fails_its_properties_with_a_report(
+        tmp_path, monkeypatch, capsys):
+    # a block matrix the package builds from checked blocks is not checked
+    # again, so the NaN reaches the judge, which fails every property that
+    # reads a Schur block product, with exit 1 and a report, where the
+    # constructor's finiteness check made verify exit 3 with none
+    install(monkeypatch, "schur_block_product", schur_product_with_one_nan)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--n", str(N), "--d", str(D), "--k", "1",
+                 "--trials", "5", "--seed", "1", "--out", str(out)])
+    assert code == 1, capsys.readouterr().err
+    results = {r["property_id"]: r for r in json.loads(out.read_text())["results"]}
+    failing = {"factorization", "livshits", "sharpness", "sandwich", "cauchy_schwarz",
+               "cb_level"}
+    assert {p for p, r in results.items() if r["failures"]} == failing
+    for p in failing:
+        assert results[p]["failures"] == 5, p
+        assert np.isnan(results[p]["worst_residual"]), p
+        path = tmp_path / f"{p}.json"
+        write_trial_instance(path, results[p]["worst_seed"])
+        assert main(["replay", str(path), "--property", p]) == 1
+        assert "result=FAIL" in capsys.readouterr().out
+
+
+def test_a_nan_given_as_input_is_still_refused(tmp_path, capsys):
+    # the input gates keep their finiteness check: an instance is refused,
+    # with exit 3 under replay, before any property runs
+    blocks_ = np.zeros((N, N, D, D), dtype=np.complex128)
+    blocks_[0, 1, 1, 0] = np.nan
+    with pytest.raises(ContractError):
+        BlockMatrix(N, D, blocks_)
+    with pytest.raises(ContractError):
+        unflatten(np.full((N * D, N * D), np.nan), N, D)
+    obj = {"n": N, "d": D, "blocks": np.stack([blocks_.real, blocks_.imag], -1).tolist()}
+    with pytest.raises(ContractError):
+        block_matrix_from_json(obj)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"A": obj, "B": obj}))
+    assert main(["replay", str(path), "--property", "factorization"]) == 3
+    assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (4, 4), (4, 8)])

@@ -1,8 +1,10 @@
-"""Checkers measure, ``run_property`` judges.
+"""Checkers state claims, ``run_property`` judges.
 
-Each ``verify_<id>`` returns its residual as a float and takes no tolerance
-or seed; the residual does not depend on the tolerance it is judged at,
-nor on the scale of the inputs ``run_property`` (and so replay) is given.
+Each ``verify_<id>`` returns its named claims and takes no tolerance or
+seed; each claim's residual can be read by name, and their fold,
+``worst_residual``, is a float for one instance. The residual does not
+depend on the tolerance it is judged at, nor on the scale of the inputs
+``run_property`` (and so replay) is given.
 """
 
 import json
@@ -19,7 +21,10 @@ from schurblock import (
     block_identity,
     block_matrix_to_json,
     diag_block,
+    mix64,
     run_property,
+    sample_chunk,
+    worst_residual,
 )
 from schurblock import blocks, cli, verify
 from schurblock.cli import TrialConfig, replay_instance, run_suite
@@ -35,11 +40,56 @@ def _checker_args(pid, x):
 
 
 @pytest.mark.parametrize("pid", list(PROPERTIES))
-def test_checker_returns_a_float(pid):
+def test_claims_fold_to_a_float(pid):
     x = _instance()
-    residual = getattr(verify, f"verify_{pid}")(*_checker_args(pid, x))
+    residual = worst_residual(getattr(verify, f"verify_{pid}")(*_checker_args(pid, x)))
     assert type(residual) is float
     assert residual == run_property(pid, x).worst_residual
+
+
+# each property's named claims, and the relation each is judged by
+CLAIMS = {
+    "factorization": {"identity": "equal"},
+    "structure": {"operators": "same", "diagonal": "equal"},
+    "livshits": {"bound": "at_most"},
+    "sharpness": {"rows": "same", "largest": "same"},
+    "sandwich": {"order": "psd"},
+    "cauchy_schwarz": {"gram": "psd"},
+    "decomposition": {"operators": "same", "diagonal": "equal"},
+    "norm_lemmas": {"columns": "same", "rows": "same"},
+    "cb_level": {"bound": "at_most"},
+}
+
+
+def _per_trial(r, trials: int) -> np.ndarray:
+    """A claim's residuals as one value per trial: the largest of a trial's
+    rows, and a once-per-shape value repeated for every trial."""
+    r = np.asarray(r)
+    return np.broadcast_to(r, (trials,)) if r.ndim == 0 else r.reshape(trials, -1).max(axis=1)
+
+
+@pytest.mark.parametrize("n, d, k", [(4, 2, 2), (8, 4, 3)])
+def test_each_claim_reads_by_name_and_folds_to_the_report(n, d, k):
+    # a seeded chunk, as the suite draws it: each property's claims on the
+    # scaled inputs, judged one by one by name, fold per trial into the
+    # residuals whose first largest run_property reports, bit for bit
+    seeds = [mix64(7, t) for t in range(5)]
+    pair, level_k = sample_chunk(seeds, n, d, k)
+    assert list(CLAIMS) == list(PROPERTIES)
+    for pid, relations in CLAIMS.items():
+        x = level_k if pid == "cb_level" else pair
+        claims = getattr(verify, f"verify_{pid}")(
+            *(x[key].unit_scaled for key in PROPERTIES[pid].needs))
+        assert {name: claim[0] for name, claim in claims.items()} == relations, pid
+        by_name = {name: verify._residual(*claims[name]) for name in relations}
+        for name, r in by_name.items():
+            assert np.all(np.asarray(r) <= PROPERTIES[pid].tol), (pid, name)
+        want = np.max([_per_trial(r, len(seeds)) for r in by_name.values()], axis=0)
+        folded = worst_residual(claims, (len(seeds),))
+        assert folded.tobytes() == want.tobytes(), pid
+        result = run_property(pid, x, seeds=seeds)
+        assert np.float64(result.worst_residual).tobytes() == folded.max().tobytes(), pid
+        assert result.worst_seed == seeds[int(np.argmax(folded))], pid
 
 
 @pytest.mark.parametrize("pid", list(PROPERTIES))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import outer_lift, random_bm, random_lift, scalar_bm, svd_shapes
+from conftest import (checker_residual, outer_lift, random_bm, random_lift, scalar_bm,
+                      svd_shapes)
 from schurblock import (
     PROPERTIES,
     BlockMatrix,
@@ -42,6 +43,7 @@ from schurblock import (
     verify_sandwich,
     verify_sharpness,
     verify_structure,
+    worst_residual,
 )
 from schurblock import linalg, stinespring
 from schurblock import verify as verify_module
@@ -83,17 +85,17 @@ class TestPropertyResult:
 class TestFactorization:
     def test_identity_pair_is_exact(self):
         i = block_identity(3, 2)
-        assert verify_factorization(i, i) == 0.0
+        assert worst_residual(verify_factorization(i, i)) == 0.0
 
     def test_hand_example(self):
-        r = verify_factorization(A2, B2)
+        r = worst_residual(verify_factorization(A2, B2))
         assert r <= 1e-13
         assert r <= PROPERTIES["factorization"].tol
 
     def test_random_large(self):
         rng = np.random.default_rng(211)
         a, b = random_bm(rng, 4, 3), random_bm(rng, 4, 3)
-        assert verify_factorization(a, b) <= 1e-12
+        assert worst_residual(verify_factorization(a, b)) <= 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -105,11 +107,11 @@ class TestLivshits:
         lhs = spectral_norm(flatten(schur_block_product(A2, B2)))
         assert_allclose(lhs, 40.35843836998762, rtol=1e-12)
         assert row_norm(A2) * col_norm(B2) == 50.0
-        assert verify_livshits(A2, B2) <= PROPERTIES["livshits"].tol
+        assert worst_residual(verify_livshits(A2, B2)) <= PROPERTIES["livshits"].tol
 
     def test_zero_instance(self):
         z = scalar_bm(np.zeros((2, 2)))
-        r = verify_livshits(z, z)
+        r = worst_residual(verify_livshits(z, z))
         assert r <= PROPERTIES["livshits"].tol and r == 0.0
 
     def test_equality_at_indicator_row(self):
@@ -123,7 +125,7 @@ class TestLivshits:
         lhs = spectral_norm(flatten(schur_block_product(a, b)))
         strip = a.blocks[k].transpose(1, 0, 2).reshape(2, 6)
         assert_allclose(lhs, spectral_norm(strip), rtol=1e-10)
-        assert verify_livshits(a, b) <= PROPERTIES["livshits"].tol
+        assert worst_residual(verify_livshits(a, b)) <= PROPERTIES["livshits"].tol
 
 
 class TestSharpness:
@@ -138,7 +140,7 @@ class TestSharpness:
         x = random_bm(rng, 4, 2)
         best = row_norms_via_schur(x).max()
         assert_allclose(best, row_norm(x), rtol=1e-10)
-        assert verify_sharpness(x) <= PROPERTIES["sharpness"].tol
+        assert worst_residual(verify_sharpness(x)) <= PROPERTIES["sharpness"].tol
 
 
 def _row_norm_via_indicator(x, k):
@@ -166,7 +168,7 @@ def test_row_norms_via_schur_are_the_per_row_products_bit_for_bit(n, d):
 
 class TestSandwich:
     def test_block_identity(self):
-        r = verify_sandwich(block_identity(2, 2))
+        r = worst_residual(verify_sandwich(block_identity(2, 2)))
         assert r <= PROPERTIES["sandwich"].tol and r == 0.0
 
     def test_boundary_case(self):
@@ -179,13 +181,13 @@ class TestSandwich:
         gap = np.linalg.eigvalsh(d - s)
         assert abs(gap[0]) <= 1e-12  # eigenvalues {0, 13}
         assert_allclose(gap[1], 13.0, rtol=1e-12)
-        assert verify_sandwich(A2) <= PROPERTIES["sandwich"].tol
+        assert worst_residual(verify_sandwich(A2)) <= PROPERTIES["sandwich"].tol
 
     def test_random(self):
         rng = np.random.default_rng(229)
         for _ in range(20):
             a = random_bm(rng, 5, 2)
-            assert verify_sandwich(a) <= 1e-10
+            assert worst_residual(verify_sandwich(a)) <= 1e-10
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (3, 1), (8, 4)])
@@ -207,18 +209,18 @@ def test_block_diagonal_a_meets_the_sandwich_bound(n, d, tmp_path):
 class TestCauchySchwarz:
     def test_zero_pair(self):
         zero = BlockMatrix(2, 2, np.zeros((2, 2, 2, 2)))
-        assert verify_cauchy_schwarz(zero, zero) == 0.0
+        assert worst_residual(verify_cauchy_schwarz(zero, zero)) == 0.0
 
     def test_saturation_at_identity(self):
         # G = [[I, I], [I, I]] is singular: the bound is reached at xi = -gamma
         i = block_identity(2, 2)
-        assert verify_cauchy_schwarz(i, i) == 0.0
+        assert worst_residual(verify_cauchy_schwarz(i, i)) == 0.0
 
     def test_random_pairs_sit_inside_the_bound(self):
         rng = np.random.default_rng(233)
         for _ in range(20):
             a, b = random_bm(rng, 4, 2), random_bm(rng, 4, 2)
-            assert verify_cauchy_schwarz(a, b) == 0.0
+            assert worst_residual(verify_cauchy_schwarz(a, b)) == 0.0
 
     def test_shapes_checked(self):
         with pytest.raises(ShapeError):
@@ -228,19 +230,19 @@ class TestCauchySchwarz:
 class TestDecomposition:
     def test_identity_pair(self):
         i = block_identity(2, 2)
-        assert verify_decomposition(i, i) == 0.0
+        assert worst_residual(verify_decomposition(i, i)) == 0.0
 
     def test_hand_example_diagonal_of_product(self):
         from schurblock import block_matmul, diag_block
         prod = block_matmul(A2, B2)
         assert_allclose(flatten(diag_block(prod)), np.diag([19.0, 50.0]))
-        r = verify_decomposition(A2, B2)
+        r = worst_residual(verify_decomposition(A2, B2))
         assert r <= PROPERTIES["decomposition"].tol and r <= 1e-13
 
     def test_random(self):
         rng = np.random.default_rng(239)
         a, b = random_bm(rng, 3, 2), random_bm(rng, 3, 2)
-        assert verify_decomposition(a, b) <= 1e-12
+        assert worst_residual(verify_decomposition(a, b)) <= 1e-12
 
     def test_half_flip_is_exact_projection(self):
         f = StinespringSystem.build(3, 2).F
@@ -254,13 +256,13 @@ class TestStructureAndNormLemmas:
         rng = np.random.default_rng(241)
         for n, d in [(1, 1), (2, 2), (4, 3)]:
             a, b = random_bm(rng, n, d), random_bm(rng, n, d)
-            assert verify_structure(a, b) <= 1e-12
+            assert worst_residual(verify_structure(a, b)) <= 1e-12
 
     def test_norm_lemmas_random(self):
         rng = np.random.default_rng(251)
         for n, d in [(2, 1), (3, 2)]:
             a = random_bm(rng, n, d)
-            assert verify_norm_lemmas(a) <= PROPERTIES["norm_lemmas"].tol
+            assert worst_residual(verify_norm_lemmas(a)) <= PROPERTIES["norm_lemmas"].tol
 
 
 def _lhs_over_rhs(a, b):
@@ -272,7 +274,7 @@ def _lhs_over_rhs(a, b):
 class TestCbLevel:
     def test_schur_unit_saturates_when_n_is_one(self):
         e = schur_unit(1, 3)
-        r = verify_cb_level(e, e)
+        r = worst_residual(verify_cb_level(e, e))
         assert r == 0.0 and r <= PROPERTIES["cb_level"].tol
         assert _lhs_over_rhs(e, e) == 1.0
 
@@ -281,14 +283,14 @@ class TestCbLevel:
         for k in (1, 2, 3):
             lift = regroup_lift(outer_lift(np.eye(k), i))
             assert lift == block_identity(3, 2 * k)
-            assert verify_cb_level(lift, lift) == 0.0
+            assert worst_residual(verify_cb_level(lift, lift)) == 0.0
             assert_allclose(_lhs_over_rhs(lift, lift), 1.0, rtol=1e-12)
 
     def test_schur_unit_saturates_at_every_n(self):
         # E [] E = E with ||E|| = n = row_norm(E) col_norm(E)
         for n in (2, 3, 5):
             e = schur_unit(n, 2)
-            assert verify_cb_level(e, e) == 0.0
+            assert worst_residual(verify_cb_level(e, e)) == 0.0
             assert_allclose(_lhs_over_rhs(e, e), 1.0, rtol=1e-12)
 
     def test_lift_identity_of_lifted_product(self):
@@ -296,7 +298,7 @@ class TestCbLevel:
         unit = schur_unit(2, 2)
         e = regroup_lift(outer_lift(np.eye(2), unit))
         assert e == schur_unit(2, 4)
-        r = verify_cb_level(e, e)
+        r = worst_residual(verify_cb_level(e, e))
         assert r <= PROPERTIES["cb_level"].tol and r == 0.0
         assert_allclose(_lhs_over_rhs(e, e), 1.0, rtol=1e-12)
 
@@ -305,7 +307,7 @@ class TestCbLevel:
         for k in (1, 2, 3):
             a = regroup_lift(random_lift(rng, k, 3, 2))
             b = regroup_lift(random_lift(rng, k, 3, 2))
-            r = verify_cb_level(a, b)
+            r = worst_residual(verify_cb_level(a, b))
             assert r <= PROPERTIES["cb_level"].tol
             assert r <= 1e-8
 
@@ -324,7 +326,8 @@ class TestCheckerBehavior:
     def test_deterministic(self):
         rng = np.random.default_rng(263)
         a, b = random_bm(rng, 3, 2), random_bm(rng, 3, 2)
-        assert verify_factorization(a, b) == verify_factorization(a, b)
+        assert (worst_residual(verify_factorization(a, b))
+                == worst_residual(verify_factorization(a, b)))
 
     def test_scaling_invariance(self):
         # all tolerances are relative: scaling A by c leaves pass/fail alone
@@ -340,15 +343,16 @@ class TestCheckerBehavior:
                            (verify_livshits, "livshits"),
                            (verify_decomposition, "decomposition")):
             tol = PROPERTIES[pid].tol
-            assert (check(a, b) <= tol) == (check(scaled, b) <= tol)
+            assert ((worst_residual(check(a, b)) <= tol)
+                    == (worst_residual(check(scaled, b)) <= tol))
 
     def test_trivial_saturation_within_eps(self):
         # saturating instances stay at essentially zero residual
         i = block_identity(3, 2)
-        assert verify_factorization(i, i) <= 1e-13
-        assert verify_livshits(i, i) <= 1e-13
-        assert verify_sandwich(i) <= 1e-13
-        assert verify_decomposition(i, i) <= 1e-13
+        assert worst_residual(verify_factorization(i, i)) <= 1e-13
+        assert worst_residual(verify_livshits(i, i)) <= 1e-13
+        assert worst_residual(verify_sandwich(i)) <= 1e-13
+        assert worst_residual(verify_decomposition(i, i)) <= 1e-13
 
     def test_run_property_dispatch(self):
         rng = np.random.default_rng(271)
@@ -385,8 +389,8 @@ class TestFixedOperatorChecks:
         build = StinespringSystem.build
         healthy = build(n, d)
         # measure the healthy invariants first: replace() must not carry them over
-        assert verify_structure(a, b) <= PROPERTIES["structure"].tol
-        assert verify_decomposition(a, b) <= PROPERTIES["decomposition"].tol
+        assert worst_residual(verify_structure(a, b)) <= PROPERTIES["structure"].tol
+        assert worst_residual(verify_decomposition(a, b)) <= PROPERTIES["decomposition"].tol
         big = triple_dim(n, d)
         rows = healthy.v_rows.copy()
         rows[d:2 * d] = rows[:d]  # the j = 0 leg twice, the j = 1 leg gone
@@ -403,23 +407,28 @@ class TestFixedOperatorChecks:
         moves_v = replace(healthy, f_perm=swap[healthy.f_perm[swap]])
         for broken in (flip_is_identity, leg_dropped):
             _use_system(monkeypatch, broken)
-            assert not verify_structure(a, b) <= PROPERTIES["structure"].tol
+            assert not worst_residual(verify_structure(a, b)) <= PROPERTIES["structure"].tol
         _use_system(monkeypatch, flip_is_identity)
-        assert not verify_decomposition(a, b) <= PROPERTIES["decomposition"].tol
+        assert not worst_residual(verify_decomposition(a, b)) <= (
+            PROPERTIES["decomposition"].tol)
         # every per-instance identity holds on the zero instance, so only the
         # fixed-operator invariants can fail there
         _use_system(monkeypatch, leg_dropped)
-        assert not verify_structure(zero, zero) <= PROPERTIES["structure"].tol
+        assert not worst_residual(verify_structure(zero, zero)) <= (
+            PROPERTIES["structure"].tol)
         for broken in (not_involutive, three_cycle, moves_v):
             _use_system(monkeypatch, broken)
-            assert not verify_decomposition(zero, zero) <= PROPERTIES["decomposition"].tol
+            assert not worst_residual(verify_decomposition(zero, zero)) <= (
+                PROPERTIES["decomposition"].tol)
         # the healthy system, and one built afresh, still pass
         build.cache_clear()
         for sys_ in (healthy, build(n, d)):
             _use_system(monkeypatch, sys_)
-            assert verify_structure(a, b) <= PROPERTIES["structure"].tol
-            assert verify_decomposition(a, b) <= PROPERTIES["decomposition"].tol
-            assert verify_structure(zero, zero) <= PROPERTIES["structure"].tol
+            assert worst_residual(verify_structure(a, b)) <= PROPERTIES["structure"].tol
+            assert worst_residual(verify_decomposition(a, b)) <= (
+                PROPERTIES["decomposition"].tol)
+            assert worst_residual(verify_structure(zero, zero)) <= (
+                PROPERTIES["structure"].tol)
 
     def test_second_call_repeats_no_fixed_work(self, monkeypatch, tmp_path):
         n, d = 3, 2
@@ -439,7 +448,7 @@ class TestFixedOperatorChecks:
         rng = np.random.default_rng(283)
         for check in (verify_structure, verify_decomposition):
             for _ in range(2):
-                check(random_bm(rng, n, d), random_bm(rng, n, d))
+                worst_residual(check(random_bm(rng, n, d), random_bm(rng, n, d)))
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(
             {key: block_matrix_to_json(random_bm(rng, n, d)) for key in ("A", "B")}))
@@ -514,15 +523,17 @@ def test_index_route_matches_dense_products_bit_for_bit(n, d, trials):
     structure = []
     for _ in range(trials):
         a, b = random_bm(rng, n, d), random_bm(rng, n, d)
-        structure.append(verify_structure(a, b))
+        structure.append(worst_residual(verify_structure(a, b)))
         terms = dense_structure_terms(a, sys_)
         assert structure[-1] == max(terms.values())
         # the labelled proof covers the gather laws only while the builders
         # stay free of branches on values; random draws check them here
         assert terms["flip"] == terms["sigma"] == 0.0
-        assert verify_decomposition(a, b) == dense_decomposition_residual(a, b, sys_)
-        assert verify_factorization(a, b) == dense_factorization_residual(a, b, sys_)
-        assert verify_norm_lemmas(a) == dense_norm_lemmas_residual(a, sys_)
+        assert (worst_residual(verify_decomposition(a, b))
+                == dense_decomposition_residual(a, b, sys_))
+        assert (worst_residual(verify_factorization(a, b))
+                == dense_factorization_residual(a, b, sys_))
+        assert worst_residual(verify_norm_lemmas(a)) == dense_norm_lemmas_residual(a, sys_)
     # structure compares exact gathers, so it carries no rounding
     assert max(structure) == 0.0
 
@@ -647,12 +658,12 @@ def test_builder_products_keep_only_the_columns_v_keeps(monkeypatch):
     rng = np.random.default_rng(331)
     a, b = (BlockMatrix(n, d, np.stack([random_bm(rng, n, d).blocks for _ in range(2)]))
             for _ in range(2))
-    verify_factorization(a, b)
+    worst_residual(verify_factorization(a, b))
     assert shapes
     assert all(shape[-1] <= n * d for shape in shapes), shapes
     for check in (verify_structure, verify_decomposition):
         shapes.clear()
-        check(a, b)
+        worst_residual(check(a, b))
         assert shapes == [], check.__name__
 
 
@@ -665,13 +676,13 @@ def test_norm_checkers_pass_on_a_tiny_input_as_given(pid, n, d):
     rng = np.random.default_rng(601 + n * d)
     a, b = (random_bm(rng, n, d) for _ in range(2))
     tiny = BlockMatrix(n, d, 2.0 ** -600 * a.blocks)
-    assert PROPERTIES[pid].check({"A": tiny, "B": b}) <= PROPERTIES[pid].tol
+    assert checker_residual(pid, {"A": tiny, "B": b}) <= PROPERTIES[pid].tol
 
 
 def test_sharpness_makes_three_svd_calls_per_chunk(norm_calls):
     rng = np.random.default_rng(313)
     x = BlockMatrix(4, 2, np.stack([random_bm(rng, 4, 2).blocks for _ in range(10)]))
-    verify_sharpness(x)
+    worst_residual(verify_sharpness(x))
     # the rows through [], the rows directly, and row_norm's strips
     assert norm_calls == [(8, 40, False), (8, 40, False), (8, 40, False)]
 
